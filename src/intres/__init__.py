@@ -26,7 +26,6 @@ from intres.repmod import (
     component_morphism,
     direct_sum,
     epi_exists_interval,
-    epi_spanning_set,
     good_components,
     hom_basis,
     hom_dim,
@@ -36,7 +35,6 @@ from intres.repmod import (
     interval_module,
     kernel,
     mono_exists_interval,
-    mono_spanning_set,
     morphism_from_columns,
     morphism_from_rows,
     zero_module,
@@ -46,16 +44,11 @@ from intres.approx import (
     ApproxContext,
     compute_fint,
     compute_sint,
-    index_sets,
     is_left_interval_approximation,
     is_right_interval_approximation,
     left_interval_approximation,
     minimal_left_approximation,
     minimal_right_approximation,
-    minimize_left,
-    minimize_right,
-    refine_max_fint,
-    refine_max_sint,
     right_interval_approximation,
 )
 from intres.resolve import (

@@ -1,34 +1,36 @@
 """Right/left approximations by sums of interval modules.
 
-The constructions work relative to a family of intervals.  With the default
-family (all intervals of the quiver), the right approximation of M is built
-from spanning sets of monomorphisms out of the intervals that admit one
-(`compute_sint`), and the approximation criterion reduces to finitely many
-span-membership tests.  With an explicit smaller family, hom bases are used
-directly and the criterion is surjectivity of the induced hom maps.
+Everything is relative to a family of intervals (default: all intervals of
+the quiver).  A right approximation of M is a morphism f from a sum of
+family interval modules such that post-composition with f is onto
+Hom(V_I, M) for every member I; a left approximation is dual, with
+pre-composition onto Hom(M, V_I).
 
-Greedy one-pass minimization yields minimal approximations; multiplicities
-of the retained summands are the degree-0 Betti data used by `resolve`.
+A minimal right approximation is the projective cover of the functor
+Hom(V_-, M) on the family.  End(V_I) = k and every map between distinct
+interval modules is radical, so the multiplicity of V_I is
+dim Hom(V_I, M) - dim rad(V_I, M), where rad(V_I, M) is spanned by the
+composites h o g with g: V_I -> V_J, h: V_J -> M and J != I.  Each g is the
+indicator of a good component C (`good_components`), so h o g is h cut down
+to C, and one elimination per interval picks the hom-basis elements that
+span a complement of the radical.  The multiplicities of the retained
+summands are the degree-0 Betti data used by `resolve`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from intres.exactla import Mat
 from intres.poset import enumerate_intervals
 from intres.repmod import (
     ModMorphism,
-    SpanSearchError,  # noqa: F401  (re-exported)
     direct_sum,
     epi_exists_interval,
-    epi_spanning_set,
+    good_components,
     hom_basis,
-    interval_hom_basis,
     interval_module,
     mono_exists_interval,
-    mono_spanning_set,
     morphism_from_columns,
     morphism_from_rows,
     zero_module,
@@ -36,7 +38,7 @@ from intres.repmod import (
 
 
 class ApproxContext:
-    """Shared caches for one module M: interval modules, hom bases, spans."""
+    """Shared caches for one module M: interval modules and hom bases."""
 
     def __init__(self, module, intervals=None):
         self.module = module
@@ -48,9 +50,6 @@ class ApproxContext:
         self._vmod = {}
         self._hom_to = {}
         self._hom_from = {}
-        self._mono_span = {}
-        self._epi_span = {}
-        self._pair_homs = {}
 
     def interval_module(self, i):
         if i not in self._vmod:
@@ -69,32 +68,9 @@ class ApproxContext:
             self._hom_from[i] = hom_basis(self.module, self.interval_module(i))
         return self._hom_from[i]
 
-    def mono_span(self, i):
-        if i not in self._mono_span:
-            self._mono_span[i] = mono_spanning_set(self.hom_to_module(i))
-        return self._mono_span[i]
-
-    def epi_span(self, i):
-        if i not in self._epi_span:
-            self._epi_span[i] = epi_spanning_set(self.hom_from_module(i))
-        return self._epi_span[i]
-
-    def interval_homs(self, i, j):
-        """Basis of Hom(V_I, V_J), cached per pair."""
-        key = (i, j)
-        if key not in self._pair_homs:
-            self._pair_homs[key] = interval_hom_basis(
-                self.quiver, i, j, self.field
-            )
-        return self._pair_homs[key]
-
-
-@dataclass
-class IndexSets:
-    sint: list
-    fint: list
-    max_sint: list = None
-    max_fint: list = None
+    def homs(self, side):
+        """Hom(V_-, M) for the right side, Hom(M, V_-) for the left."""
+        return self.hom_to_module if side == "right" else self.hom_from_module
 
 
 @dataclass
@@ -146,91 +122,54 @@ def compute_fint(module, ctx=None):
     return [i for i in ctx.intervals if epi_exists_interval(ctx.hom_from_module(i))]
 
 
-# ---- criterion --------------------------------------------------------------
+# ---- composites through interval modules ----------------------------------------
 
 
-def _flat_matrix(field, morphisms, width):
-    """Matrix whose columns are the flattened morphisms."""
-    cols = [f.flat() for f in morphisms]
-    return Mat(
-        field,
-        width,
-        len(cols),
-        [cols[j][i] for i in range(width) for j in range(len(cols))],
-    )
+def _composites(ctx, i, pairs, side):
+    """Flat vectors, in the coordinates of Hom(V_I, M) (right) or
+    Hom(M, V_I) (left), of every h o g (right) or g o h (left) with (J, h)
+    in `pairs` and g in the good-component basis of Hom(V_I, V_J) (right)
+    or Hom(V_J, V_I) (left).
 
-
-def _image_homs_right(ctx, parts_with_intervals, i):
-    """f o g for all g: V_I -> (summand); spans Im Hom(V_I, f)."""
+    g is 1 on its component C and 0 elsewhere, so the composite agrees with
+    h on C and vanishes off it.  At each vertex v of I both hom spaces have
+    dim M_v coordinates, which `ModMorphism.flat` lists in quiver order.
+    Returns (vectors, width).
+    """
+    dims = ctx.module.dims
+    offsets = {}
+    width = 0
+    for v in i.vertices:
+        offsets[v] = width
+        width += dims[v]
+    zero = ctx.field.zero()
+    components = {}
     out = []
-    for j, col in parts_with_intervals:
-        for g in ctx.interval_homs(i, j):
-            out.append(col.compose(g))
-    return out
+    for j, h in pairs:
+        if j not in components:
+            src, tgt = (i, j) if side == "right" else (j, i)
+            components[j] = good_components(ctx.quiver, src, tgt)
+        for comp in components[j]:
+            vec = [zero] * width
+            for v in comp:
+                vec[offsets[v] : offsets[v] + dims[v]] = h.comps[v].data
+            out.append(vec)
+    return out, width
 
 
-def _image_homs_left(ctx, parts_with_intervals, i):
-    """g o f for all g: (summand) -> V_I; spans Im Hom(f, V_I)."""
-    out = []
-    for j, row in parts_with_intervals:
-        for g in ctx.interval_homs(j, i):
-            out.append(g.compose(row))
-    return out
+def _column_matrix(field, cols, width):
+    return Mat(field, width, len(cols), [c[r] for r in range(width) for c in cols])
 
 
-def _flat_width_from(ctx, i):
-    vm = ctx.interval_module(i)
-    return sum(ctx.module.dims[v] * vm.dims[v] for v in ctx.quiver.vertices)
-
-
-def _right_criterion(ctx, parts_with_intervals, family=None):
-    if family is None:
-        for i in ctx.intervals:
-            span = ctx.mono_span(i)
-            if span is None:
-                continue  # no monos out of this interval: nothing to factor
-            image = _image_homs_right(ctx, parts_with_intervals, i)
-            width = _flat_width_from(ctx, i)
-            img_mat = _flat_matrix(ctx.field, image, width)
-            for w in span:
-                if not img_mat.column_span_contains(w.flat()):
-                    return False
-        return True
-    for j in family:
-        target_dim = len(ctx.hom_to_module(j))
+def _criterion(ctx, pairs, family, side):
+    """Is Hom(V_I, f) (right) or Hom(f, V_I) (left) onto for every member I?"""
+    homs = ctx.homs(side)
+    for i in ctx.intervals if family is None else family:
+        target_dim = len(homs(i))
         if target_dim == 0:
             continue
-        image = _image_homs_right(ctx, parts_with_intervals, j)
-        width = _flat_width_from(ctx, j)
-        if _flat_matrix(ctx.field, image, width).rank() != target_dim:
-            return False
-    return True
-
-
-def _left_criterion(ctx, parts_with_intervals, family=None):
-    if family is None:
-        for i in ctx.intervals:
-            span = ctx.epi_span(i)
-            if span is None:
-                continue
-            image = _image_homs_left(ctx, parts_with_intervals, i)
-            vm = ctx.interval_module(i)
-            width = sum(
-                vm.dims[v] * ctx.module.dims[v] for v in ctx.quiver.vertices
-            )
-            img_mat = _flat_matrix(ctx.field, image, width)
-            for w in span:
-                if not img_mat.column_span_contains(w.flat()):
-                    return False
-        return True
-    for j in family:
-        target_dim = len(ctx.hom_from_module(j))
-        if target_dim == 0:
-            continue
-        image = _image_homs_left(ctx, parts_with_intervals, j)
-        vm = ctx.interval_module(j)
-        width = sum(vm.dims[v] * ctx.module.dims[v] for v in ctx.quiver.vertices)
-        if _flat_matrix(ctx.field, image, width).rank() != target_dim:
+        image, width = _composites(ctx, i, pairs, side)
+        if _column_matrix(ctx.field, image, width).rank() != target_dim:
             return False
     return True
 
@@ -238,280 +177,69 @@ def _left_criterion(ctx, parts_with_intervals, family=None):
 def is_right_interval_approximation(approx, module=None, family=None, ctx=None):
     """Does every morphism from a family interval into M factor through it?
 
-    Accepts an ApproxMorphism (preferred: keeps the summand tags) and checks
-    that for each interval I admitting monos into M, the span of those monos
-    lies in the image of post-composition with the approximation.  With an
-    explicit `family`, checks surjectivity of post-composition per member.
+    Accepts an ApproxMorphism (the summand tags are needed) and checks that
+    post-composition with it is onto Hom(V_I, M) for each member I of the
+    family (all intervals when `family` is None).
     """
     module = module or approx.module
     ctx = ctx or ApproxContext(module)
     pairs = list(zip(approx.summand_index, approx.parts))
-    return _right_criterion(ctx, pairs, family)
+    return _criterion(ctx, pairs, family, "right")
 
 
 def is_left_interval_approximation(approx, module=None, family=None, ctx=None):
     module = module or approx.module
     ctx = ctx or ApproxContext(module)
     pairs = list(zip(approx.summand_index, approx.parts))
-    return _left_criterion(ctx, pairs, family)
+    return _criterion(ctx, pairs, family, "left")
 
 
 # ---- construction ------------------------------------------------------------
 
 
-def right_interval_approximation(module, family=None, ctx=None):
-    """A right approximation of M by a sum of family interval modules.
+def _top(ctx, i, members, side):
+    """Hom-basis elements at I spanning a complement of the radical."""
+    homs = ctx.homs(side)
+    basis = homs(i)
+    rad_pairs = [(j, h) for j in members if j != i for h in homs(j)]
+    rad, width = _composites(ctx, i, rad_pairs, side)
+    if not rad:
+        return basis
+    cols = rad + [h.flat() for h in basis]
+    _, pivots = _column_matrix(ctx.field, cols, width).rref()
+    return [basis[p - len(rad)] for p in pivots if p >= len(rad)]
 
-    Default family (None = all intervals): one block per interval of
-    compute_sint(M), columns a spanning set of monos.  Explicit family:
-    one block per member with all hom-basis elements as columns.
-    """
+
+def _approximation(module, side, family, ctx, minimal):
     ctx = ctx or ApproxContext(module)
+    homs = ctx.homs(side)
+    members = [j for j in (ctx.intervals if family is None else family) if homs(j)]
     summand_index = []
     parts = []
-    if family is None:
-        for i in compute_sint(module, ctx):
-            for m in ctx.mono_span(i):
-                summand_index.append(i)
-                parts.append(m)
-    else:
-        for j in family:
-            for h in ctx.hom_to_module(j):
-                summand_index.append(j)
-                parts.append(h)
-    source, f = _assemble(module, "right", summand_index, parts)
-    return ApproxMorphism(module, "right", summand_index, parts, f, source)
+    for i in members:
+        kept = _top(ctx, i, members, side) if minimal else homs(i)
+        summand_index.extend([i] * len(kept))
+        parts.extend(kept)
+    obj, f = _assemble(module, side, summand_index, parts)
+    return ApproxMorphism(module, side, summand_index, parts, f, obj)
+
+
+def right_interval_approximation(module, family=None, ctx=None):
+    """A right approximation of M by a sum of family interval modules: one
+    summand per hom-basis element of every member (not minimal)."""
+    return _approximation(module, "right", family, ctx, minimal=False)
 
 
 def left_interval_approximation(module, family=None, ctx=None):
-    ctx = ctx or ApproxContext(module)
-    summand_index = []
-    parts = []
-    if family is None:
-        for i in compute_fint(module, ctx):
-            for m in ctx.epi_span(i):
-                summand_index.append(i)
-                parts.append(m)
-    else:
-        for j in family:
-            for h in ctx.hom_from_module(j):
-                summand_index.append(j)
-                parts.append(h)
-    target, f = _assemble(module, "left", summand_index, parts)
-    return ApproxMorphism(module, "left", summand_index, parts, f, target)
-
-
-def minimize_right(approx, module=None, family=None, ctx=None):
-    """One greedy pass: drop each summand iff the rest still approximates."""
-    module = module or approx.module
-    ctx = ctx or ApproxContext(module)
-    keep_idx = list(range(len(approx.summand_index)))
-    for t in range(len(approx.summand_index)):
-        trial = [s for s in keep_idx if s != t]
-        pairs = [(approx.summand_index[s], approx.parts[s]) for s in trial]
-        if _right_criterion(ctx, pairs, family):
-            keep_idx = trial
-    summand_index = [approx.summand_index[s] for s in keep_idx]
-    parts = [approx.parts[s] for s in keep_idx]
-    source, f = _assemble(module, "right", summand_index, parts)
-    return ApproxMorphism(module, "right", summand_index, parts, f, source)
-
-
-def minimize_left(approx, module=None, family=None, ctx=None):
-    module = module or approx.module
-    ctx = ctx or ApproxContext(module)
-    keep_idx = list(range(len(approx.summand_index)))
-    for t in range(len(approx.summand_index)):
-        trial = [s for s in keep_idx if s != t]
-        pairs = [(approx.summand_index[s], approx.parts[s]) for s in trial]
-        if _left_criterion(ctx, pairs, family):
-            keep_idx = trial
-    summand_index = [approx.summand_index[s] for s in keep_idx]
-    parts = [approx.parts[s] for s in keep_idx]
-    target, f = _assemble(module, "left", summand_index, parts)
-    return ApproxMorphism(module, "left", summand_index, parts, f, target)
+    return _approximation(module, "left", family, ctx, minimal=False)
 
 
 def minimal_right_approximation(module, family=None, ctx=None):
-    ctx = ctx or ApproxContext(module)
-    return minimize_right(
-        right_interval_approximation(module, family, ctx), module, family, ctx
-    )
+    """The projective cover of Hom(V_-, M) over the family, as a minimal
+    right approximation of M."""
+    return _approximation(module, "right", family, ctx, minimal=True)
 
 
 def minimal_left_approximation(module, family=None, ctx=None):
-    ctx = ctx or ApproxContext(module)
-    return minimize_left(
-        left_interval_approximation(module, family, ctx), module, family, ctx
-    )
-
-
-# ---- conservative refinement of the index sets --------------------------------
-
-
-def _up_set_mono(ctx, i, j):
-    """The canonical mono V_I -> V_J when I is an up-set in J, else None."""
-    if not (i.vertex_set <= j.vertex_set):
-        return None
-    for g in ctx.interval_homs(i, j):
-        supported = all(
-            not g.comps[v].is_zero() for v in i.vertices
-        )
-        if supported:
-            return g
-    return None
-
-
-def refine_max_sint(module, ctx=None, tries=32, seed=20260814):
-    """A subset T with max-elements(sint) <= T <= sint (conservative).
-
-    I is discarded only when some other J in sint admits the canonical
-    inclusion V_I -> V_J, restriction Hom(V_J,M) -> Hom(V_I,M) along it is
-    surjective, and each basis mono of W_I visibly lifts to a mono from V_J
-    (bounded randomized search in the preimage coset).  Anything that fails
-    the search is kept, so correctness of downstream use is unaffected.
-    """
-    ctx = ctx or ApproxContext(module)
-    sint = compute_sint(module, ctx)
-    rng = random.Random(seed)
-    keep = []
-    for i in sint:
-        dominated = False
-        for j in sint:
-            if j == i:
-                continue
-            if _dominates(ctx, i, j, rng, tries):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return keep
-
-
-def _dominates(ctx, i, j, rng, tries):
-    incl = _up_set_mono(ctx, i, j)
-    if incl is None:
-        return False
-    homs_j = ctx.hom_to_module(j)
-    if not homs_j:
-        return False
-    # restriction matrix: h -> h o incl, in flat coordinates
-    width = _flat_width_from(ctx, i)
-    restricted = [h.compose(incl) for h in homs_j]
-    rmat = _flat_matrix(ctx.field, restricted, width)
-    span_i = ctx.mono_span(i)
-    if span_i is None:
-        return False
-    # surjectivity of restriction
-    if rmat.rank() != len(ctx.hom_to_module(i)):
-        return False
-    kernel = rmat.kernel_basis()
-    for w in span_i:
-        x = rmat.solve(w.flat())
-        if x is None:
-            return False
-        found = False
-        for attempt in range(tries):
-            coeffs = list(x)
-            if attempt:
-                for kvec in kernel:
-                    c = ctx.field.coerce(rng.randint(-3, 3))
-                    coeffs = [
-                        a + c * b if ctx.field.kind == "Q" else (a + c * b) % ctx.field.p
-                        for a, b in zip(coeffs, kvec)
-                    ]
-            cand = None
-            for coeff, h in zip(coeffs, homs_j):
-                term = h.scale(coeff)
-                cand = term if cand is None else cand + term
-            if cand is not None and all(
-                not cand.comps[v].is_zero() for v in j.vertices
-            ):
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
-def refine_max_fint(module, ctx=None, tries=32, seed=20260814):
-    """Dual refinement for fint; conservative in the same sense."""
-    ctx = ctx or ApproxContext(module)
-    fint = compute_fint(module, ctx)
-    rng = random.Random(seed)
-    keep = []
-    for i in fint:
-        dominated = False
-        for j in fint:
-            if j == i:
-                continue
-            if _dominates_left(ctx, i, j, rng, tries):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return keep
-
-
-def _down_set_epi(ctx, j, i):
-    """The canonical epi V_J -> V_I when I is a down-set in J, else None."""
-    if not (i.vertex_set <= j.vertex_set):
-        return None
-    for g in ctx.interval_homs(j, i):
-        if all(not g.comps[v].is_zero() for v in i.vertices):
-            return g
-    return None
-
-
-def _dominates_left(ctx, i, j, rng, tries):
-    proj = _down_set_epi(ctx, j, i)
-    if proj is None:
-        return False
-    homs_j = ctx.hom_from_module(j)
-    if not homs_j:
-        return False
-    vm = ctx.interval_module(i)
-    width = sum(vm.dims[v] * ctx.module.dims[v] for v in ctx.quiver.vertices)
-    extended = [proj.compose(h) for h in homs_j]
-    rmat = _flat_matrix(ctx.field, extended, width)
-    span_i = ctx.epi_span(i)
-    if span_i is None:
-        return False
-    if rmat.rank() != len(ctx.hom_from_module(i)):
-        return False
-    kernel = rmat.kernel_basis()
-    for w in span_i:
-        x = rmat.solve(w.flat())
-        if x is None:
-            return False
-        found = False
-        for attempt in range(tries):
-            coeffs = list(x)
-            if attempt:
-                for kvec in kernel:
-                    c = ctx.field.coerce(rng.randint(-3, 3))
-                    coeffs = [
-                        a + c * b if ctx.field.kind == "Q" else (a + c * b) % ctx.field.p
-                        for a, b in zip(coeffs, kvec)
-                    ]
-            cand = None
-            for coeff, h in zip(coeffs, homs_j):
-                term = h.scale(coeff)
-                cand = term if cand is None else cand + term
-            if cand is not None and all(
-                not cand.comps[v].is_zero() for v in j.vertices
-            ):
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
-def index_sets(module, with_max=False, ctx=None):
-    ctx = ctx or ApproxContext(module)
-    sets = IndexSets(compute_sint(module, ctx), compute_fint(module, ctx))
-    if with_max:
-        sets.max_sint = refine_max_sint(module, ctx)
-        sets.max_fint = refine_max_fint(module, ctx)
-    return sets
+    """Dual: the minimal left approximation from the top of Hom(M, V_-)."""
+    return _approximation(module, "left", family, ctx, minimal=True)

@@ -13,7 +13,6 @@ import json
 import sys
 
 from intres import modfile
-from intres.approx import ApproxContext
 from intres.exactla import QQ
 from intres.koszul import (
     _shared_end_category,

@@ -432,7 +432,10 @@ class Mat:
     def kernel_basis(self):
         """Basis of the right kernel, as a list of length-ncols coordinate
         lists, in the canonical RREF order (one vector per free column)."""
-        R, pivots = self.rref()
+        if self.nrows:
+            R, pivots = self.rref()
+        else:  # no equations: every column is free, nothing to eliminate
+            R, pivots = self, ()
         pivset = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivset]
         zero = self.field.zero()

@@ -621,27 +621,7 @@ def morphism_from_rows(source, summands, parts):
     return ModMorphism(source, summands.module, comps, check=False)
 
 
-# ---- spanning sets of monos / epis -------------------------------------------
-
-
-class SpanSearchError(RuntimeError):
-    """Could not realize a spanning family of the requested shape (can occur
-    over small finite fields where scalar avoidance may be impossible)."""
-
-
-def _avoiding_scalar(field, bad):
-    """A field scalar different from every value in `bad`."""
-    if field.kind == "Q":
-        t = 1
-        while field.coerce(t) in bad:
-            t += 1
-        return field.coerce(t)
-    for t in range(1, field.p):
-        if t not in bad:
-            return t
-    raise SpanSearchError(
-        f"no usable scalar in GF({field.p}); field is too small"
-    )
+# ---- monos and epis between interval modules and M -------------------------
 
 
 def mono_exists_interval(hom):
@@ -671,86 +651,3 @@ def epi_exists_interval(hom):
         if all(h.comps[v].is_zero() for h in hom):
             return False
     return True
-
-
-def _killing_scalar(field, cvec, hvec):
-    """The unique t with cvec + t*hvec = 0 entrywise, or None if no t works."""
-    ts = set()
-    for ce, he in zip(cvec.data, hvec.data):
-        if he:
-            val = (
-                -ce * field.invert(he)
-                if field.kind == "Q"
-                else (-ce) * field.invert(he) % field.p
-            )
-            ts.add(val)
-        elif ce:
-            return None
-    return next(iter(ts)) if len(ts) == 1 else None
-
-
-def _adjusted_sum(field, cur, h, support):
-    """cur + t*h with t chosen so no component over `support` vanishes."""
-    bad = {field.zero()}
-    for v in support:
-        t = _killing_scalar(field, cur.comps[v], h.comps[v])
-        if t is not None:
-            bad.add(t)
-    return cur + h.scale(_avoiding_scalar(field, bad))
-
-
-def _nonvanishing_combination(hom, support):
-    """A combination of the basis with nonzero component at every support
-    vertex.  At most one scalar per vertex needs avoiding at each step."""
-    field = hom[0].field
-    cur = hom[0]
-    for v in support:
-        if not cur.comps[v].is_zero():
-            continue
-        h = next((g for g in hom if not g.comps[v].is_zero()), None)
-        if h is None:
-            return None
-        cur = _adjusted_sum(field, cur, h, support)
-    if any(cur.comps[v].is_zero() for v in support):
-        return None
-    return cur
-
-
-def _pointwise_spanning_set(hom, support):
-    """Spanning set of the hom space consisting of morphisms with nonzero
-    components on all of `support` (monos resp. epis for thin modules)."""
-    field = hom[0].field
-    base = _nonvanishing_combination(hom, support)
-    if base is None:
-        raise SpanSearchError("could not assemble a base pointwise-full morphism")
-    # base is kept in the set so that span{base, h + t*base} = span{hom}
-    out = [base]
-    for h in hom:
-        if all(not h.comps[v].is_zero() for v in support):
-            out.append(h)
-        else:
-            out.append(_adjusted_sum(field, h, base, support))
-    return out
-
-
-def mono_spanning_set(hom):
-    """From a hom basis out of an interval module, a spanning set of monos.
-
-    Returns None when no mono exists.  Over the rationals this succeeds
-    whenever a mono exists; over a small prime field a SpanSearchError may
-    be raised if scalar avoidance runs out of room.
-    """
-    if not mono_exists_interval(hom):
-        return None
-    src = hom[0].src
-    support = [v for v in src.quiver.vertices if src.dims[v]]
-    return _pointwise_spanning_set(hom, support)
-
-
-def epi_spanning_set(hom):
-    """Dual of mono_spanning_set, for homs into an interval module."""
-    if not epi_exists_interval(hom):
-        return None
-    tgt = hom[0].tgt
-    support = [v for v in tgt.quiver.vertices if tgt.dims[v]]
-    return _pointwise_spanning_set(hom, support)

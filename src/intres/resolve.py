@@ -15,6 +15,7 @@ from intres.approx import (
     minimal_left_approximation,
     minimal_right_approximation,
 )
+from intres.poset import enumerate_intervals
 from intres.repmod import cokernel, kernel
 
 
@@ -97,6 +98,7 @@ def minimal_interval_resolution(module, max_len=None, family=None):
     """
     if max_len is None:
         max_len = _default_max_len(module.quiver)
+    intervals = enumerate_intervals(module.quiver)
     terms = []
     term_modules = []
     diffs = []
@@ -108,7 +110,7 @@ def minimal_interval_resolution(module, max_len=None, family=None):
                 f"resolution exceeded {max_len} terms; raise max_len if the "
                 "configuration is legitimate"
             )
-        ctx = ApproxContext(current)
+        ctx = ApproxContext(current, intervals)
         approx = minimal_right_approximation(current, family, ctx)
         f = approx.morphism
         terms.append(list(approx.summand_index))
@@ -127,6 +129,7 @@ def minimal_interval_coresolution(module, max_len=None, family=None):
     """Iterate minimal left approximations and cokernels (dual)."""
     if max_len is None:
         max_len = _default_max_len(module.quiver)
+    intervals = enumerate_intervals(module.quiver)
     terms = []
     term_modules = []
     diffs = []
@@ -138,7 +141,7 @@ def minimal_interval_coresolution(module, max_len=None, family=None):
                 f"coresolution exceeded {max_len} terms; raise max_len if the "
                 "configuration is legitimate"
             )
-        ctx = ApproxContext(current)
+        ctx = ApproxContext(current, intervals)
         approx = minimal_left_approximation(current, family, ctx)
         g = approx.morphism
         terms.append(list(approx.summand_index))

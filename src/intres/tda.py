@@ -172,11 +172,18 @@ def _segment_rank(z, b, d):
             )
         row += m.nrows
     kb = D.kernel_basis()
+    # the canonical map sends a compatible family to the class of its entry
+    # at vertex b; the whole family would give that class times d - b + 1
+    zero = field.zero()
     K = Mat(
         field,
         total,
         len(kb),
-        [kb[j][i] for i in range(total) for j in range(len(kb))],
+        [
+            kb[j][i] if i < dims[0] else zero
+            for i in range(total)
+            for j in range(len(kb))
+        ],
     )
     # colimit: cokernel of B: (+)_arrows Z_src -> (+)Z_x
     bcols = sum(z.dims[u] for _, u, _ in arrows)

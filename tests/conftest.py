@@ -22,8 +22,9 @@ from intres import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def load_fixture(name):
-    return parse_module_file(FIXTURES / name)
+def load_fixture(name, field=None):
+    """A fixture module, over its own field unless `field` is given."""
+    return parse_module_file(FIXTURES / name, field)
 
 
 @pytest.fixture(scope="session")

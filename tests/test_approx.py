@@ -11,22 +11,22 @@ from intres import (
     compute_sint,
     direct_sum,
     enumerate_intervals,
-    index_sets,
     interval_module,
     is_left_interval_approximation,
     is_right_interval_approximation,
     left_interval_approximation,
     minimal_left_approximation,
     minimal_right_approximation,
-    minimize_left,
-    minimize_right,
-    refine_max_fint,
-    refine_max_sint,
     right_interval_approximation,
 )
-from intres.approx import _left_criterion, _right_criterion
+from intres.approx import ApproxMorphism
 
-from conftest import random_commuting_module, random_interval_sum, shuffle_basis
+from conftest import (
+    load_fixture,
+    random_commuting_module,
+    random_interval_sum,
+    shuffle_basis,
+)
 
 CL2 = commutative_ladder(2)
 CL3 = commutative_ladder(3)
@@ -90,20 +90,6 @@ def test_index_sets_shuffle_invariant():
         assert {i.vertex_set for i in compute_fint(sh)} == f1
 
 
-def test_max_refinements_are_sublists():
-    rng = random.Random(22)
-    m = random_commuting_module(CL2, rng)
-    ctx = ApproxContext(m)
-    sint = compute_sint(m, ctx)
-    fint = compute_fint(m, ctx)
-    msint = refine_max_sint(m, ctx)
-    mfint = refine_max_fint(m, ctx)
-    assert set(msint) <= set(sint) and set(mfint) <= set(fint)
-    idx = index_sets(m, with_max=True)
-    assert idx.sint == sint and idx.fint == fint
-    assert idx.max_sint == msint and idx.max_fint == mfint
-
-
 # ---- approximations ----------------------------------------------------------------
 
 
@@ -152,23 +138,32 @@ def test_minimal_left_approximation_of_interval_sum_is_iso():
         assert Counter(mini.summand_index) == counts
 
 
-def test_greedy_minimization_is_locally_minimal():
-    """After minimization no single summand can still be dropped."""
+def without_summand(approx, t):
+    return ApproxMorphism(
+        approx.module,
+        approx.side,
+        approx.summand_index[:t] + approx.summand_index[t + 1:],
+        approx.parts[:t] + approx.parts[t + 1:],
+    )
+
+
+def test_minimal_approximations_drop_no_summand():
+    """The radical-quotient approximations satisfy the criterion, and
+    dropping any single summand breaks it."""
     rng = random.Random(27)
-    m = random_commuting_module(CL2, rng)
-    ctx = ApproxContext(m)
-    mini = minimize_right(right_interval_approximation(m, ctx=ctx), ctx=ctx)
-    pairs = list(zip(mini.summand_index, mini.parts))
-    assert _right_criterion(ctx, pairs)
-    for t in range(len(pairs)):
-        rest = pairs[:t] + pairs[t + 1:]
-        assert not _right_criterion(ctx, rest)
-    minl = minimize_left(left_interval_approximation(m, ctx=ctx), ctx=ctx)
-    lpairs = list(zip(minl.summand_index, minl.parts))
-    assert _left_criterion(ctx, lpairs)
-    for t in range(len(lpairs)):
-        rest = lpairs[:t] + lpairs[t + 1:]
-        assert not _left_criterion(ctx, rest)
+    modules = [random_commuting_module(CL2, rng) for _ in range(3)]
+    modules += [load_fixture("cl3_m45.mod"), load_fixture("cl5_m.mod")]
+    for m in modules:
+        ctx = ApproxContext(m)
+        for build, holds in (
+            (minimal_right_approximation, is_right_interval_approximation),
+            (minimal_left_approximation, is_left_interval_approximation),
+        ):
+            mini = build(m, ctx=ctx)
+            mini.morphism.validate_naturality()
+            assert holds(mini, ctx=ctx)
+            for t in range(len(mini.summand_index)):
+                assert not holds(without_summand(mini, t), ctx=ctx)
 
 
 def test_minimal_multiset_is_basis_invariant():
@@ -189,8 +184,13 @@ def test_family_restricted_approximation():
     approx = right_interval_approximation(m, family=family, ctx=ctx)
     assert is_right_interval_approximation(approx, family=family, ctx=ctx)
     assert set(approx.summand_index) <= set(family)
-    mini = minimize_right(approx, family=family, ctx=ctx)
+    mini = minimal_right_approximation(m, family=family, ctx=ctx)
     assert is_right_interval_approximation(mini, family=family, ctx=ctx)
+    assert set(mini.summand_index) <= set(family)
+    assert len(mini.summand_index) <= len(approx.summand_index)
+    for t in range(len(mini.summand_index)):
+        rest = without_summand(mini, t)
+        assert not is_right_interval_approximation(rest, family=family, ctx=ctx)
 
 
 def test_zero_module_approximations():

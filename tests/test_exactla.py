@@ -167,6 +167,24 @@ def test_kernel_basis(field):
             assert cols.rank() == len(basis)
 
 
+@pytest.mark.parametrize("field", [QQ, GF5, GF2])
+def test_kernel_basis_without_rows_skips_elimination(field, monkeypatch):
+    """With no rows the kernel basis is read off without an elimination,
+    and equals what eliminating an all-zero row gives."""
+    want = [Mat.zeros(field, 1, n).kernel_basis() for n in range(5)]
+
+    def no_rref(self):
+        raise AssertionError("eliminated a matrix with no rows")
+
+    monkeypatch.setattr(Mat, "rref", no_rref)
+    for n in range(5):
+        got = Mat.zeros(field, 0, n).kernel_basis()
+        assert got == want[n]
+        assert [type(x) for v in got for x in v] == [
+            type(x) for v in want[n] for x in v
+        ]
+
+
 @pytest.mark.parametrize("field", [QQ, GF5])
 def test_solve(field):
     rng = random.Random(6)

@@ -16,7 +16,6 @@ from intres import (
     direct_sum,
     enumerate_intervals,
     epi_exists_interval,
-    epi_spanning_set,
     good_components,
     hom_basis,
     hom_dim,
@@ -26,7 +25,6 @@ from intres import (
     interval_module,
     kernel,
     mono_exists_interval,
-    mono_spanning_set,
     morphism_from_columns,
     morphism_from_rows,
     zero_module,
@@ -256,46 +254,6 @@ def test_morphism_assembly():
 
 
 # ---- monos and epis out of / into interval modules --------------------------------
-
-
-def test_mono_spanning_set():
-    rng = random.Random(17)
-    ivs = enumerate_intervals(CL3)
-    found_mono = found_none = False
-    for iv in ivs:
-        vi = interval_module(CL3, iv, QQ)
-        m, counts = random_interval_sum(CL3, rng)
-        basis = hom_basis(vi, m)
-        span = mono_spanning_set(basis)
-        if span is None:
-            found_none = True
-            assert not mono_exists_interval(basis)
-            continue
-        found_mono = True
-        assert flat_rank(span) == len(basis)
-        for h in span:
-            assert h.is_mono()
-    assert found_mono and found_none
-
-
-def test_epi_spanning_set():
-    rng = random.Random(18)
-    ivs = enumerate_intervals(CL3)
-    found_epi = found_none = False
-    for iv in ivs:
-        vi = interval_module(CL3, iv, QQ)
-        m, _ = random_interval_sum(CL3, rng)
-        basis = hom_basis(m, vi)
-        span = epi_spanning_set(basis)
-        if span is None:
-            found_none = True
-            assert not epi_exists_interval(basis)
-            continue
-        found_epi = True
-        assert flat_rank(span) == len(basis)
-        for h in span:
-            assert h.is_epi()
-    assert found_epi and found_none
 
 
 def test_mono_into_self_summand():

@@ -8,8 +8,10 @@ import pytest
 from intres import (
     QQ,
     BettiTable,
+    Field,
     MaxLengthExceeded,
     betti,
+    betti_table_via_koszul,
     cl_interval,
     cobetti,
     commutative_ladder,
@@ -21,7 +23,7 @@ from intres import (
 )
 from intres.poset import Interval
 
-from conftest import random_commuting_module, random_interval_sum
+from conftest import load_fixture, random_commuting_module, random_interval_sum
 
 CL2 = commutative_ladder(2)
 CL3 = commutative_ladder(3)
@@ -166,6 +168,31 @@ def test_family_restricted_resolution():
         assert set(tags) <= set(family)
     t = betti(m, family=family, resolution=res)
     assert t.degree(0) == {Interval(q, ["b1", "b2", "t1", "t2"]): 1}
+
+
+# ---- small fields ------------------------------------------------------------------
+
+
+def dimension_identity_holds(table, module):
+    """sum_i (-1)^i sum_{I containing x} table(i, I) = dim M(x) at every x."""
+    return all(
+        sum((-1) ** d * mult for (d, iv), mult in table.entries.items()
+            if x in iv.vertex_set) == module.dims[x]
+        for x in module.quiver.vertices
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["cl3_m45.mod", "cl5_m.mod"])
+def test_small_field_tables(name, p):
+    """The resolve route runs over every prime field: its Betti table
+    matches the Koszul route's, and its co-Betti table matches the one over
+    the rationals and satisfies the dimension identity."""
+    m = load_fixture(name, Field.prime(p))
+    assert betti(m) == betti_table_via_koszul(m)
+    table = cobetti(m)
+    assert table == cobetti(load_fixture(name, QQ))
+    assert dimension_identity_holds(table, m)
 
 
 # ---- Betti tables ------------------------------------------------------------------
