@@ -25,7 +25,6 @@ from intres.repmod import (
     cokernel,
     component_morphism,
     direct_sum,
-    epi_exists_interval,
     good_components,
     hom_basis,
     hom_dim,
@@ -34,7 +33,6 @@ from intres.repmod import (
     interval_hom_basis,
     interval_module,
     kernel,
-    mono_exists_interval,
     morphism_from_columns,
     morphism_from_rows,
     zero_module,
@@ -42,8 +40,6 @@ from intres.repmod import (
 )
 from intres.approx import (
     ApproxContext,
-    compute_fint,
-    compute_sint,
     is_left_interval_approximation,
     is_right_interval_approximation,
     left_interval_approximation,

@@ -26,11 +26,9 @@ from intres.poset import enumerate_intervals
 from intres.repmod import (
     ModMorphism,
     direct_sum,
-    epi_exists_interval,
     good_components,
     hom_basis,
     interval_module,
-    mono_exists_interval,
     morphism_from_columns,
     morphism_from_rows,
     zero_module,
@@ -108,18 +106,6 @@ def _assemble(module, side, summand_index, parts):
     if side == "right":
         return ds.module, morphism_from_columns(ds, module, parts)
     return ds.module, morphism_from_rows(module, ds, parts)
-
-
-def compute_sint(module, ctx=None):
-    """Intervals I with a monomorphism V_I -> M (pointwise-fullness test)."""
-    ctx = ctx or ApproxContext(module)
-    return [i for i in ctx.intervals if mono_exists_interval(ctx.hom_to_module(i))]
-
-
-def compute_fint(module, ctx=None):
-    """Intervals I with an epimorphism M -> V_I."""
-    ctx = ctx or ApproxContext(module)
-    return [i for i in ctx.intervals if epi_exists_interval(ctx.hom_from_module(i))]
 
 
 # ---- composites through interval modules ----------------------------------------

@@ -163,6 +163,19 @@ def _betti_rows(table):
     return rows
 
 
+def _first_mismatch(resolve_table, koszul_table):
+    """Name the first differing (degree, interval) entry, in the sort order
+    of the printed table, with both routes' values."""
+    keys = set(resolve_table.entries) | set(koszul_table.entries)
+    for key in sorted(keys, key=lambda k: (k[0], interval_name(k[1]))):
+        if resolve_table[key] != koszul_table[key]:
+            return (
+                "resolve-route and koszul-route Betti tables disagree, first at "
+                f"beta^{key[0]} {interval_name(key[1])}: "
+                f"resolve x{resolve_table[key]}, koszul x{koszul_table[key]}"
+            )
+
+
 def cmd_betti(args):
     module = _load_module(args)
     want = None
@@ -174,9 +187,7 @@ def cmd_betti(args):
     if args.route in ("koszul", "both"):
         tables["koszul"] = betti_table_via_koszul(module, max_len=args.max_len)
     if args.route == "both" and tables["resolve"] != tables["koszul"]:
-        raise RouteMismatchError(
-            "resolve-route and koszul-route Betti tables disagree"
-        )
+        raise RouteMismatchError(_first_mismatch(tables["resolve"], tables["koszul"]))
     table = tables.get("resolve") or tables["koszul"]
     if want is not None:
         top = table.max_degree()

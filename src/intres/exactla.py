@@ -2,30 +2,17 @@
 
 Everything downstream (hom spaces, kernels, projective covers, homology)
 reduces to row reduction of small dense matrices, so this module keeps a
-single canonical kernel: full reduced row echelon form with leftmost-pivot
-selection.  Entries are exact scalars: `gmpy2.mpq` when gmpy2 is importable,
-`fractions.Fraction` otherwise, and plain ints in [0, p) for GF(p).
-
-A compiled version of the kernel (intres._speedups, built from Cython) is
-used when available; set INTRES_PURE=1 to force the interpreted fallback.
-Both produce bit-identical results.
+single canonical kernel per field: full reduced row echelon form with
+leftmost-pivot selection, in pure Python.  Entries are exact scalars:
+`fractions.Fraction` over Q and plain ints in [0, p) for GF(p).
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = Fraction
-    _HAVE_GMPY2 = False
-
-
-def _rref_frac_py(data, nrows, ncols):
+def _rref_frac(data, nrows, ncols):
     """In-place RREF for rational entries. Returns (data, pivot columns)."""
     pivots = []
     r = 0
@@ -64,7 +51,7 @@ def _rref_frac_py(data, nrows, ncols):
     return data, pivots
 
 
-def _rref_mod_py(data, nrows, ncols, p):
+def _rref_mod(data, nrows, ncols, p):
     """In-place RREF for entries in GF(p), represented as ints in [0, p)."""
     pivots = []
     r = 0
@@ -103,22 +90,6 @@ def _rref_mod_py(data, nrows, ncols, p):
     return data, pivots
 
 
-if os.environ.get("INTRES_PURE"):
-    HAVE_SPEEDUPS = False
-else:
-    try:
-        from intres._speedups import rref_frac as _rref_frac
-        from intres._speedups import rref_mod as _rref_mod
-
-        HAVE_SPEEDUPS = True
-    except ImportError:
-        HAVE_SPEEDUPS = False
-
-if not HAVE_SPEEDUPS:
-    _rref_frac = _rref_frac_py
-    _rref_mod = _rref_mod_py
-
-
 class Field:
     """The coefficient field: the rationals or GF(p) for a prime p."""
 
@@ -146,21 +117,22 @@ class Field:
         return 0 if self.kind == "Q" else self.p
 
     def zero(self):
-        return _mpq(0) if self.kind == "Q" else 0
+        return Fraction(0) if self.kind == "Q" else 0
 
     def one(self):
-        return _mpq(1) if self.kind == "Q" else 1
+        return Fraction(1) if self.kind == "Q" else 1
 
     def coerce(self, x):
-        """Coerce an int, Fraction, mpq or 'a/b' string into this field."""
+        """Coerce an int, Fraction or 'a/b' string into this field; over Q
+        the result is a Fraction."""
         if self.kind == "Q":
             if isinstance(x, str):
                 x = x.strip()
                 if "/" in x:
                     num, den = x.split("/")
-                    return _mpq(int(num), int(den))
-                return _mpq(int(x))
-            return _mpq(x)
+                    return Fraction(int(num), int(den))
+                return Fraction(int(x))
+            return Fraction(x)
         if isinstance(x, str):
             x = x.strip()
             if "/" in x:
@@ -178,9 +150,6 @@ class Field:
         if x == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
         return pow(x, self.p - 2, self.p)
-
-    def render(self, x):
-        return str(x)
 
     def __eq__(self, other):
         return (

@@ -409,9 +409,6 @@ class ResolutionStep:
 class ProjResolution:
     steps: list  # ResolutionStep per degree (degree 0 blocks = None)
 
-    def tags_by_degree(self):
-        return [list(s.tags) for s in self.steps]
-
 
 def _radical_span(cat, mod, t):
     """Columns spanning rad(mod)(t) = sum of images from other objects."""
@@ -806,12 +803,6 @@ class VecChain:
     dims: list
     mats: list  # mats[i]: K_{i+1} -> K_i  (so mats[0]: K_1 -> K_0)
 
-    def boundary(self, i):
-        """Matrix K_i -> K_{i-1}; zero-shaped when out of range."""
-        if 1 <= i <= len(self.mats):
-            return self.mats[i - 1]
-        return None
-
     def homology_dims(self):
         """dim H_i for i = 0..len(dims)-1, exact kernel/image arithmetic."""
         out = []
@@ -1081,10 +1072,6 @@ def _bounded_cover_subsets(poset, a, size):
     return out
 
 
-def _koszul_sign_position(subset, removed):
-    return subset.index(removed)
-
-
 def semilattice_koszul_complex(poset, a, lat_module):
     """The cover-subset complex of a lattice module at element a.
 
@@ -1142,7 +1129,7 @@ def semilattice_koszul_complex(poset, a, lat_module):
                 removed = [x for x in s if x not in t]
                 if len(removed) != 1:
                     continue
-                sign = (-1) ** _koszul_sign_position(list(s), removed[0])
+                sign = (-1) ** list(s).index(removed[0])
                 t_join = joins_by_deg[i - 1][ri]
                 pathm = lat_module.path_down(s_join, t_join)
                 if pathm is None:

@@ -65,9 +65,6 @@ class PersModule:
         if check:
             self.validate_commutativity()
 
-    def at(self, v):
-        return self.dims[v]
-
     def map(self, a):
         return self.maps[a]
 
@@ -185,9 +182,6 @@ class ModMorphism:
     @property
     def field(self):
         return self.src.field
-
-    def comp(self, v):
-        return self.comps[v]
 
     def validate_naturality(self):
         for a, (u, v) in self.src.quiver.arrows.items():
@@ -619,35 +613,3 @@ def morphism_from_rows(source, summands, parts):
             source.field, [p.comps[v] for p in parts], ncols=source.dims[v]
         ) if parts else Mat.zeros(source.field, 0, source.dims[v])
     return ModMorphism(source, summands.module, comps, check=False)
-
-
-# ---- monos and epis between interval modules and M -------------------------
-
-
-def mono_exists_interval(hom):
-    """Given a hom basis from an interval module, test pointwise fullness.
-
-    For thin sources over an infinite field a generic combination is mono
-    exactly when every source vertex supports some basis element.
-    """
-    if not hom:
-        return False
-    src = hom[0].src
-    for v in src.quiver.vertices:
-        if src.dims[v] == 0:
-            continue
-        if all(h.comps[v].is_zero() for h in hom):
-            return False
-    return True
-
-
-def epi_exists_interval(hom):
-    if not hom:
-        return False
-    tgt = hom[0].tgt
-    for v in tgt.quiver.vertices:
-        if tgt.dims[v] == 0:
-            continue
-        if all(h.comps[v].is_zero() for h in hom):
-            return False
-    return True

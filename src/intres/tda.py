@@ -2,9 +2,11 @@
 
 Three ingredients tie together here:
 
- - `beta0` / decomposability: the degree-0 interval multiplicity read off the
-   front of the Koszul-type complex, and the dimension identity that holds
-   exactly for interval-decomposable modules.
+ - decomposability: M is interval-decomposable exactly when its minimal
+   right approximation by interval modules (`approx`) is an isomorphism,
+   and the summands of that approximation are the certificate; `beta0`
+   reads the same degree-0 multiplicities off the front of the Koszul-type
+   complex.
  - compression: restricting a ladder module along the fixed 5-vertex zigzag
    assigned to each interval (corner evaluations, with paths degenerating to
    identities), then decomposing the zigzag representation.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from intres.approx import ApproxContext, compute_fint, compute_sint
+from intres.approx import ApproxContext, minimal_right_approximation
 from intres.exactla import Mat
 from intres.koszul import _shared_end_category, koszul_complex
 from intres.poset import (
@@ -263,28 +265,22 @@ class DecompositionResult:
 def is_interval_decomposable(module, cat=None):
     """Test whether M is a direct sum of interval modules.
 
-    Computes the candidate multiplicity beta0 at every interval admitting
-    both a mono into and an epi from M, and accepts exactly when these
-    account for the full dimension of M; the certificate then lists the
-    summands with multiplicity.
+    The minimal right approximation f: X -> M by the interval family is
+    onto, and X is a sum of interval modules with the degree-0 Betti
+    numbers as multiplicities.  If M is interval-decomposable then M itself
+    is such an approximation, so f is an isomorphism by minimality; hence M
+    is decomposable exactly when f is bijective at every vertex, and the
+    certificate lists the summands of X with multiplicity.
     """
     if module.total_dim() == 0:
         return DecompositionResult(True, {})
     if cat is None:
         cat = _shared_end_category(module.quiver, None, module.field)
-    ctx = ApproxContext(module, cat.objects)
-    sint = set(compute_sint(module, ctx))
-    fint = set(compute_fint(module, ctx))
-    candidates = [i for i in cat.objects if i in sint and i in fint]
-    cert = {}
-    covered = 0
-    for i in candidates:
-        b = beta0(module, i, cat=cat)
-        if b:
-            cert[i] = b
-            covered += b * len(i)
-    if covered == module.total_dim():
-        return DecompositionResult(True, cert)
+    approx = minimal_right_approximation(
+        module, ctx=ApproxContext(module, cat.objects)
+    )
+    if approx.morphism.is_iso():
+        return DecompositionResult(True, approx.interval_multiset())
     return DecompositionResult(False, None)
 
 

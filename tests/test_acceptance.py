@@ -27,8 +27,10 @@ from intres import (
     commutative_ladder,
     compressed_multiplicity,
     containment_poset,
+    direct_sum,
     enumerate_intervals,
     formal_koszul_coresolution,
+    interval_module,
     interval_replacement,
     is_interval_decomposable,
     koszul_complex,
@@ -44,6 +46,7 @@ from intres.exactla import kernel_basis, rank
 
 from conftest import (
     lattice_example,
+    load_fixture,
     rand_scalar,
     random_commuting_module,
     random_interval_sum,
@@ -178,21 +181,30 @@ def test_koszul_validator_accepts_every_ladder_interval():
     assert time.monotonic() - start < 300.0
 
 
-def test_interval_decomposability_detection(cl3_m45):
-    """100 basis-shuffled direct sums of ladder-3 interval modules are
-    recognized with exact multiplicities; the indecomposable ladder-3
-    fixture and a basis-shuffled copy are both rejected."""
-    rng = random.Random(4242)
+def test_interval_decomposability_detection():
+    """Over Q, GF(2) and GF(3): 100 basis-shuffled direct sums of ladder-3
+    interval modules are recognized with exact multiplicities; the
+    indecomposable ladder-3 fixture, a basis-shuffled copy, and 10
+    basis-shuffled sums of it with an interval module are all rejected."""
     quiver = commutative_ladder(3)
-    cat = build_end_category(quiver, field=QQ)
-    for _ in range(100):
-        m, counts = random_interval_sum(quiver, rng)
-        res = is_interval_decomposable(m, cat=cat)
-        assert res
-        assert Counter(res.certificate) == counts
-    assert not is_interval_decomposable(cl3_m45, cat=cat)
-    shuffled = shuffle_basis(cl3_m45, rng)
-    assert not is_interval_decomposable(shuffled, cat=cat)
+    intervals = enumerate_intervals(quiver)
+    for field in (QQ, Field.prime(2), Field.prime(3)):
+        rng = random.Random(4242)
+        cat = build_end_category(quiver, field=field)
+        for _ in range(100):
+            m, counts = random_interval_sum(quiver, rng, field=field)
+            res = is_interval_decomposable(m, cat=cat)
+            assert res, field
+            assert Counter(res.certificate) == counts, field
+        hard = load_fixture("cl3_m45.mod", field)
+        assert not is_interval_decomposable(hard, cat=cat), field
+        shuffled = shuffle_basis(hard, rng)
+        assert not is_interval_decomposable(shuffled, cat=cat), field
+        for _ in range(10):
+            summand = interval_module(quiver, rng.choice(intervals), field)
+            m = shuffle_basis(direct_sum([hard, summand]).module, rng)
+            res = is_interval_decomposable(m, cat=cat)
+            assert not res and res.certificate is None, field
 
 
 def test_compressed_multiplicities_match_alternating_betti_sums():

@@ -1,4 +1,4 @@
-"""Right/left approximations by interval modules and the index sets."""
+"""Right/left approximations by interval modules."""
 
 import random
 from collections import Counter
@@ -7,11 +7,7 @@ from intres import (
     QQ,
     ApproxContext,
     commutative_ladder,
-    compute_fint,
-    compute_sint,
-    direct_sum,
     enumerate_intervals,
-    interval_module,
     is_left_interval_approximation,
     is_right_interval_approximation,
     left_interval_approximation,
@@ -30,64 +26,6 @@ from conftest import (
 
 CL2 = commutative_ladder(2)
 CL3 = commutative_ladder(3)
-
-
-def up_closed_in(quiver, inner, outer):
-    """Is `inner` successor-closed inside `outer`?"""
-    for v in inner.vertices:
-        for _, w in quiver.arrows_from(v):
-            if w in outer.vertex_set and w not in inner.vertex_set:
-                return False
-    return True
-
-
-def down_closed_in(quiver, inner, outer):
-    for v in inner.vertices:
-        for _, w in quiver.arrows_into(v):
-            if w in outer.vertex_set and w not in inner.vertex_set:
-                return False
-    return True
-
-
-# ---- index sets -------------------------------------------------------------------
-
-
-def test_sint_of_interval_module_is_up_closed_subintervals():
-    """V_I embeds into V_J exactly when I is successor-closed inside J."""
-    ivs = enumerate_intervals(CL3)
-    for j in ivs:
-        m = interval_module(CL3, j, QQ)
-        got = {i.vertex_set for i in compute_sint(m)}
-        want = {
-            i.vertex_set
-            for i in ivs
-            if i.vertex_set <= j.vertex_set and up_closed_in(CL3, i, j)
-        }
-        assert got == want
-
-
-def test_fint_of_interval_module_is_down_closed_subintervals():
-    ivs = enumerate_intervals(CL3)
-    for j in ivs:
-        m = interval_module(CL3, j, QQ)
-        got = {i.vertex_set for i in compute_fint(m)}
-        want = {
-            i.vertex_set
-            for i in ivs
-            if i.vertex_set <= j.vertex_set and down_closed_in(CL3, i, j)
-        }
-        assert got == want
-
-
-def test_index_sets_shuffle_invariant():
-    rng = random.Random(21)
-    for _ in range(4):
-        m, _ = random_interval_sum(CL2, rng, shuffle=False)
-        s1 = {i.vertex_set for i in compute_sint(m)}
-        f1 = {i.vertex_set for i in compute_fint(m)}
-        sh = shuffle_basis(m, rng)
-        assert {i.vertex_set for i in compute_sint(sh)} == s1
-        assert {i.vertex_set for i in compute_fint(sh)} == f1
 
 
 # ---- approximations ----------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from intres.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from intres.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 from conftest import FIXTURES
 
@@ -58,6 +58,24 @@ def test_betti_both_routes_agree(capsys):
     code, out, _ = run(capsys, "betti", "--file", CL3_FILE, "--route", "both")
     assert code == EXIT_OK
     assert out.splitlines()[0] == "route both"
+
+
+def test_betti_route_mismatch_names_first_entry(capsys, monkeypatch):
+    import intres.cli
+    from intres import BettiTable, betti, parse_interval_spec
+
+    def skewed_koszul_table(module, max_len=None):
+        table = BettiTable(dict(betti(module, max_len=max_len).entries))
+        table.add(1, parse_interval_spec(module.quiver, "top=[2,3] bot=[3,3]"))
+        table.add(2, parse_interval_spec(module.quiver, "top=[1,1]"))
+        return table
+
+    monkeypatch.setattr(intres.cli, "betti_table_via_koszul", skewed_koszul_table)
+    code, out, err = run(capsys, "betti", "--file", CL3_FILE, "--route", "both")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "beta^1 top=[2,3] bot=[3,3]: resolve x1, koszul x2" in err
+    assert "beta^2" not in err
 
 
 def test_betti_single_interval(capsys):
