@@ -29,7 +29,6 @@ from intres.repmod import (
     hom_basis,
     hom_dim,
     identity_morphism,
-    image,
     interval_hom_basis,
     interval_module,
     kernel,

@@ -143,10 +143,6 @@ def _composites(ctx, i, pairs, side):
     return out, width
 
 
-def _column_matrix(field, cols, width):
-    return Mat(field, width, len(cols), [c[r] for r in range(width) for c in cols])
-
-
 def _criterion(ctx, pairs, family, side):
     """Is Hom(V_I, f) (right) or Hom(f, V_I) (left) onto for every member I?"""
     homs = ctx.homs(side)
@@ -155,7 +151,7 @@ def _criterion(ctx, pairs, family, side):
         if target_dim == 0:
             continue
         image, width = _composites(ctx, i, pairs, side)
-        if _column_matrix(ctx.field, image, width).rank() != target_dim:
+        if Mat.from_columns(ctx.field, image, width).rank() != target_dim:
             return False
     return True
 
@@ -192,7 +188,7 @@ def _top(ctx, i, members, side):
     if not rad:
         return basis
     cols = rad + [h.flat() for h in basis]
-    _, pivots = _column_matrix(ctx.field, cols, width).rref()
+    _, pivots = Mat.from_columns(ctx.field, cols, width).rref()
     return [basis[p - len(rad)] for p in pivots if p >= len(rad)]
 
 

@@ -163,16 +163,35 @@ class Field:
         return "Q" if self.kind == "Q" else f"GF({self.p})"
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {_PRIME_LIMIT}, got {n}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -229,6 +248,12 @@ class Mat:
     @classmethod
     def column(cls, field, entries):
         return cls(field, len(entries), 1, [field.coerce(x) for x in entries])
+
+    @classmethod
+    def from_columns(cls, field, cols, nrows):
+        """The nrows x len(cols) matrix with the given columns (entries are
+        taken as they are, already in the field)."""
+        return cls(field, nrows, len(cols), [c[i] for i in range(nrows) for c in cols])
 
     # ---- access --------------------------------------------------------
 
@@ -420,66 +445,22 @@ class Mat:
             basis.append(v)
         return basis
 
-    def solve(self, b):
-        """One solution x of self @ x = b (b a list or column Mat), or None."""
-        if isinstance(b, Mat):
-            if b.ncols != 1:
-                raise ValueError("solve expects a single column")
-            bdata = list(b.data)
-        else:
-            bdata = [self.field.coerce(x) for x in b]
-        if len(bdata) != self.nrows:
-            raise ValueError("right-hand side has wrong length")
-        aug = Mat.hstack(
-            self.field, [self, Mat(self.field, self.nrows, 1, bdata)]
-        )
-        R, pivots = aug.rref()
-        if pivots and pivots[-1] == self.ncols:
-            return None
-        x = [self.field.zero()] * self.ncols
-        for i, c in enumerate(pivots):
-            x[c] = R.data[i * R.ncols + self.ncols]
-        return x
+    @staticmethod
+    def free_columns(basis):
+        """The free column of each vector of a `kernel_basis` basis.
 
-    def solve_matrix(self, B):
-        """One solution X of self @ X = B, or None. Shares one elimination."""
-        if self.nrows != B.nrows:
-            raise ValueError("solve_matrix: row counts differ")
-        aug = Mat.hstack(self.field, [self, B])
-        R, pivots = aug.rref()
-        pivots = [c for c in pivots if c < self.ncols]
-        # consistency: no pivot may fall in the appended block
-        r = len(pivots)
-        for i in range(r, self.nrows):
-            row = R.row(i)
-            if any(row[self.ncols :]):
-                return None
-        zero = self.field.zero()
-        out = [zero] * (self.ncols * B.ncols)
-        for i, c in enumerate(pivots):
-            for j in range(B.ncols):
-                out[c * B.ncols + j] = R.data[i * R.ncols + self.ncols + j]
-        return Mat(self.field, self.ncols, B.ncols, out)
+        Each vector is 1 at its free column and 0 at the other free columns,
+        and its remaining nonzero entries sit at pivot columns left of it, so
+        its free column is its last nonzero entry.  The basis is the identity
+        on these columns: the coordinates of any element of its span are the
+        element's entries there (see `coordinates`).
+        """
+        return [next(i for i in range(len(v) - 1, -1, -1) if v[i]) for v in basis]
 
-    def column_span_contains(self, v):
-        return self.solve(v) is not None
-
-
-# Function-style conveniences; the methods above do the work.
-
-
-def rank(m: Mat) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Mat):
-    return m.kernel_basis()
-
-
-def solve(m: Mat, b):
-    particular = m.solve(b)
-    return particular, m.kernel_basis()
-
-
-def column_span_contains(span: Mat, v) -> bool:
-    return span.column_span_contains(v)
+    def coordinates(self, free, block):
+        """X with self @ X == block, where the columns of self are a kernel
+        basis with free columns `free`: the rows of block at `free`, checked
+        by the product.  None when a column of block is not in the span."""
+        rows = [a for i in free for a in block.row(i)]
+        x = Mat(self.field, len(free), block.ncols, rows)
+        return x if self * x == block else None

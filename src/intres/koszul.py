@@ -322,6 +322,23 @@ def representable_module(cat, s):
     return FunctorModule(cat, dims, action)
 
 
+def _hom_chart(field, basis):
+    """The hom basis as columns of flat vectors, with their free columns
+    (`hom_basis` returns the kernel basis of the naturality system)."""
+    flats = [b.flat() for b in basis]
+    return Mat.from_columns(field, flats, len(flats[0])), Mat.free_columns(flats)
+
+
+def _hom_coordinates(chart, morphisms):
+    """Coordinates of morphisms in a `_hom_chart`, one column each; None if
+    one of them is not in the span."""
+    basis_mat, free = chart
+    block = Mat.from_columns(
+        basis_mat.field, [f.flat() for f in morphisms], basis_mat.nrows
+    )
+    return basis_mat.coordinates(free, block)
+
+
 def lambda_module_of(module, side="left", cat=None, intervals=None):
     """The category module induced by a persistence module M.
 
@@ -340,15 +357,11 @@ def lambda_module_of(module, side="left", cat=None, intervals=None):
     }
     dims = {t: len(hs) for t, hs in homs.items() if hs}
 
-    def expand(target_basis, f, width):
-        cols = [b.flat() for b in target_basis]
-        mat = Mat(
-            field,
-            width,
-            len(cols),
-            [cols[j][i] for i in range(width) for j in range(len(cols))],
-        )
-        x = mat.solve(f.flat())
+    charts = {t: _hom_chart(field, hs) for t, hs in homs.items() if hs}
+
+    def expand(t, composites):
+        """Coordinates in the hom basis at t, one column per composite."""
+        x = _hom_coordinates(charts[t], composites)
         if x is None:
             raise AssertionError("hom expansion failed; basis inconsistent")
         return x
@@ -361,17 +374,7 @@ def lambda_module_of(module, side="left", cat=None, intervals=None):
                 for k in range(opcat.hom_dim(s, t)):
                     # op hom(s,t) = hom(t,s): morphism V_{I_t} -> V_{I_s}
                     phi = cat.basis_morphism(t, s, k)
-                    cols = []
-                    for h in homs[s]:
-                        cols.append(
-                            expand(homs[t], h.compose(phi), len(homs[t][0].flat()))
-                        )
-                    m = Mat(
-                        field,
-                        dims[t],
-                        dims[s],
-                        [cols[j][i] for i in range(dims[t]) for j in range(dims[s])],
-                    )
+                    m = expand(t, [h.compose(phi) for h in homs[s]])
                     if not m.is_zero():
                         action[(s, t, k)] = m
         return FunctorModule(opcat, dims, action)
@@ -379,17 +382,7 @@ def lambda_module_of(module, side="left", cat=None, intervals=None):
         for t in dims:
             for k in range(cat.hom_dim(s, t)):
                 phi = cat.basis_morphism(s, t, k)
-                cols = []
-                for h in homs[s]:
-                    cols.append(
-                        expand(homs[t], phi.compose(h), len(homs[t][0].flat()))
-                    )
-                m = Mat(
-                    field,
-                    dims[t],
-                    dims[s],
-                    [cols[j][i] for i in range(dims[t]) for j in range(dims[s])],
-                )
+                m = expand(t, [phi.compose(h) for h in homs[s]])
                 if not m.is_zero():
                     action[(s, t, k)] = m
     return FunctorModule(cat, dims, action)
@@ -425,7 +418,8 @@ def _radical_span(cat, mod, t):
 
 
 def _top_generators(cat, mod):
-    """Per object, standard-basis vectors of mod(t) completing the radical."""
+    """Per object, standard-basis vectors of mod(t) completing the radical:
+    the identity columns that fall on pivots of [radical columns | I]."""
     field = cat.field
     gens = []
     for t in sorted(mod.dims):
@@ -433,22 +427,13 @@ def _top_generators(cat, mod):
         if d == 0:
             continue
         rad_cols = _radical_span(cat, mod, t)
-        chosen = []
-        for i in range(d):
-            e = [field.zero()] * d
-            e[i] = field.one()
-            cols = rad_cols + chosen
-            if cols:
-                span = Mat(
-                    field,
-                    d,
-                    len(cols),
-                    [cols[j][r] for r in range(d) for j in range(len(cols))],
-                )
-                if span.column_span_contains(e):
-                    continue
-            chosen.append(e)
-            gens.append((t, e))
+        ident = Mat.identity(field, d).rows()
+        if rad_cols:
+            _, pivots = Mat.from_columns(field, rad_cols + ident, d).rref()
+            chosen = [p - len(rad_cols) for p in pivots if p >= len(rad_cols)]
+        else:
+            chosen = range(d)
+        gens.extend((t, ident[i]) for i in chosen)
     return gens
 
 
@@ -478,12 +463,7 @@ def projective_cover_step(cat, mod):
                 cols.append(col.data)
                 layout.append((u, k))
         if cols or mod.dim(t):
-            cover_cols[t] = Mat(
-                field,
-                mod.dim(t),
-                len(cols),
-                [cols[j][i] for i in range(mod.dim(t)) for j in range(len(cols))],
-            )
+            cover_cols[t] = Mat.from_columns(field, cols, mod.dim(t))
             col_layout[t] = layout
     # surjectivity of the cover (Nakayama guarantees it; verify cheaply)
     for t, m in cover_cols.items():
@@ -492,16 +472,13 @@ def projective_cover_step(cat, mod):
     # kernel spaces and embeddings
     kdims = {}
     kembed = {}
+    kfree = {}
     for t, m in cover_cols.items():
         basis = m.kernel_basis()
         if basis:
             kdims[t] = len(basis)
-            kembed[t] = Mat(
-                field,
-                m.ncols,
-                len(basis),
-                [basis[j][i] for i in range(m.ncols) for j in range(len(basis))],
-            )
+            kembed[t] = Mat.from_columns(field, basis, m.ncols)
+            kfree[t] = Mat.free_columns(basis)
     # kernel action matrices via the ambient projective-sum action
     kaction = {}
     for s in kdims:
@@ -515,7 +492,7 @@ def projective_cover_step(cat, mod):
                     continue
                 if t not in kdims:
                     raise AssertionError("kernel not invariant under action")
-                sol = kembed[t].solve_matrix(rhs)
+                sol = kembed[t].coordinates(kfree[t], rhs)
                 if sol is None:
                     raise AssertionError("kernel embedding solve failed")
                 kaction[(s, t, k)] = sol
@@ -834,38 +811,15 @@ def koszul_complex(quiver, interval, module, field=None, intervals=None,
             )
         return hom_cache[j]
 
-    dims = []
-    summand_offsets = []
-    for tags in cochain.terms:
-        offs = []
-        total = 0
-        for j in tags:
-            offs.append(total)
-            total += len(homs_to_m(j))
-        dims.append(total)
-        summand_offsets.append(offs)
-    mats = []
-    for i in range(1, len(cochain.terms)):
-        mats.append(
-            _precompose_matrix_module(
-                quiver, module, cochain, i, homs_to_m, summand_offsets
-            )
-        )
+    dims = [sum(len(homs_to_m(j)) for j in tags) for tags in cochain.terms]
+    mats = [
+        _precompose_matrix_module(quiver, module, cochain, i, homs_to_m)
+        for i in range(1, len(cochain.terms))
+    ]
     return VecChain(dims, mats)
 
 
-def _flat_basis_matrix(field, basis):
-    width = len(basis[0].flat()) if basis else 0
-    cols = [b.flat() for b in basis]
-    return Mat(
-        field,
-        width,
-        len(cols),
-        [cols[j][i] for i in range(width) for j in range(len(cols))],
-    )
-
-
-def _precompose_matrix_module(quiver, module, cochain, i, homs_to_m, offsets):
+def _precompose_matrix_module(quiver, module, cochain, i, homs_to_m):
     """Matrix of Hom(X^i, M) -> Hom(X^{i-1}, M)."""
     field = module.field
     prev_tags = cochain.terms[i - 1]
@@ -885,47 +839,39 @@ def _precompose_matrix_module(quiver, module, cochain, i, homs_to_m, offsets):
         cur_off[u] = dict(acc)
         for v in quiver.vertices:
             acc[v] += m.dims[v]
-    nrows = sum(len(homs_to_m(j)) for j in prev_tags)
     ncols = sum(len(homs_to_m(j)) for j in cur_tags)
-    out = Mat.zeros(field, nrows, ncols)
-    # cache expansion matrices per previous summand interval
-    expand_mats = {}
-    for u_prev, j in enumerate(prev_tags):
-        if j not in expand_mats:
-            expand_mats[j] = _flat_basis_matrix(field, homs_to_m(j))
-    col = 0
-    for u_cur, j_cur in enumerate(cur_tags):
-        vj = cur_mods[u_cur]
-        for h in homs_to_m(j_cur):
-            # h: V_{j_cur} -> M; composite with each block of d
-            row_off = 0
-            for u_prev, j_prev in enumerate(prev_tags):
-                vprev = prev_mods[u_prev]
-                # block of d from summand u_prev to summand u_cur, as a
-                # morphism V_{j_prev} -> V_{j_cur}
-                comps = {}
-                for v in quiver.vertices:
-                    pd = vprev.dims[v]
-                    cd = vj.dims[v]
-                    if pd and cd:
-                        comps[v] = Mat(
-                            field,
-                            cd,
-                            pd,
-                            [d.comps[v][cur_off[u_cur][v], prev_off[u_prev][v]]],
-                        )
-                block = ModMorphism(vprev, vj, comps, check=False)
-                composite = h.compose(block)
-                nb = len(homs_to_m(j_prev))
-                if nb:
-                    x = expand_mats[j_prev].solve(composite.flat())
-                    if x is None:
-                        raise AssertionError("hom expansion failed in complex")
-                    for r in range(nb):
-                        out.data[(row_off + r) * ncols + col] = x[r]
-                row_off += nb
-            col += 1
-    return out
+    charts = {}
+    row_blocks = []
+    for u_prev, j_prev in enumerate(prev_tags):
+        if not homs_to_m(j_prev):
+            continue
+        if j_prev not in charts:
+            charts[j_prev] = _hom_chart(field, homs_to_m(j_prev))
+        vprev = prev_mods[u_prev]
+        composites = []
+        for u_cur, j_cur in enumerate(cur_tags):
+            vj = cur_mods[u_cur]
+            # block of d from summand u_prev to summand u_cur, as a
+            # morphism V_{j_prev} -> V_{j_cur}
+            comps = {}
+            for v in quiver.vertices:
+                pd = vprev.dims[v]
+                cd = vj.dims[v]
+                if pd and cd:
+                    comps[v] = Mat(
+                        field,
+                        cd,
+                        pd,
+                        [d.comps[v][cur_off[u_cur][v], prev_off[u_prev][v]]],
+                    )
+            block = ModMorphism(vprev, vj, comps, check=False)
+            # h: V_{j_cur} -> M; one column per h
+            composites.extend(h.compose(block) for h in homs_to_m(j_cur))
+        x = _hom_coordinates(charts[j_prev], composites)
+        if x is None:
+            raise AssertionError("hom expansion failed in complex")
+        row_blocks.append(x)
+    return Mat.vstack(field, row_blocks, ncols=ncols)
 
 
 def betti_via_koszul(module, interval, intervals=None, cat=None, max_len=None):
@@ -1032,7 +978,7 @@ class LatticeModule:
         for key in down:
             if key not in self.down:
                 raise ValueError(f"matrix given for non-cover pair {key!r}")
-        self._op_quiver, self._op_module = self._as_op_representation(check)
+        self._op_module = self._as_op_representation(check)
 
     def _as_op_representation(self, check):
         names = {a: f"x{idx}" for idx, a in enumerate(self.poset.elements)}
@@ -1044,9 +990,8 @@ class LatticeModule:
         q = BoundQuiver([names[a] for a in self.poset.elements], arrows)
         dims = {names[a]: self.dims[a] for a in self.poset.elements}
         maps = {arrow_of[(a, b)]: self.down[(a, b)] for (a, b) in self.down}
-        mod = PersModule(q, self.field, dims, maps, check=check)
         self._names = names
-        return q, mod
+        return PersModule(q, self.field, dims, maps, check=check)
 
     def dim(self, a):
         return self.dims[a]
@@ -1054,11 +999,6 @@ class LatticeModule:
     def path_down(self, top, bottom):
         """Composite of down maps along any path top -> ... -> bottom."""
         return self._op_module.path_map(self._names[top], self._names[bottom])
-
-    def as_op_representation(self):
-        """The same data as a quiver representation on the opposite Hasse
-        diagram (arrows from higher to lower elements), with the name map."""
-        return self._op_quiver, self._op_module, dict(self._names)
 
 
 def _bounded_cover_subsets(poset, a, size):
@@ -1329,18 +1269,9 @@ def lattice_module_from_persistence(gauge, module):
     for (a, b) in poset.covers():
         if dims[a] == 0 or dims[b] == 0:
             continue
-        basis_mat = _flat_basis_matrix(field, homs[a])
-        cols = []
-        for h in homs[b]:
-            comp = h.compose(gauge.p[(a, b)])
-            x = basis_mat.solve(comp.flat())
-            if x is None:
-                raise AssertionError("precomposition left the hom space")
-            cols.append(x)
-        down[(a, b)] = Mat(
-            field,
-            dims[a],
-            dims[b],
-            [cols[j][i] for i in range(dims[a]) for j in range(dims[b])],
-        )
+        composites = [h.compose(gauge.p[(a, b)]) for h in homs[b]]
+        x = _hom_coordinates(_hom_chart(field, homs[a]), composites)
+        if x is None:
+            raise AssertionError("precomposition left the hom space")
+        down[(a, b)] = x
     return LatticeModule(poset, dims, down, field)

@@ -104,9 +104,6 @@ class BoundQuiver:
     def topological_order(self):
         return self._topo
 
-    def vertex_index(self, v):
-        return self._vindex[v]
-
     def arrows_from(self, v):
         return list(self._succ[v])
 
@@ -173,25 +170,6 @@ class Interval:
             for name, (src, tgt) in self.quiver.arrows.items()
             if src in self._vset and tgt in self._vset
         ]
-
-    def sources(self):
-        """Vertices of the interval with no inner arrow coming in."""
-        return [
-            v
-            for v in self.vertices
-            if not any(w in self._vset for _, w in self.quiver.arrows_into(v))
-        ]
-
-    def sinks(self):
-        """Vertices of the interval with no inner arrow going out."""
-        return [
-            v
-            for v in self.vertices
-            if not any(w in self._vset for _, w in self.quiver.arrows_from(v))
-        ]
-
-    def contains_interval(self, other):
-        return other._vset <= self._vset
 
     def __eq__(self, other):
         return (

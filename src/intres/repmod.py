@@ -301,7 +301,9 @@ def hom_basis(m, n):
     """Basis of the space of morphisms m -> n, by exact linear algebra.
 
     Unknowns are all component entries; one linear block per arrow encodes
-    naturality.  Returns ModMorphisms in the canonical kernel-basis order.
+    naturality.  Returns ModMorphisms in the canonical kernel-basis order;
+    their `flat()` vectors are that kernel basis, so `Mat.free_columns` and
+    `Mat.coordinates` read coordinates in it.
     """
     if m.quiver != n.quiver or m.field != n.field:
         raise ValueError("hom endpoints do not match")
@@ -421,7 +423,7 @@ def interval_hom_basis(quiver, i_interval, j_interval, field):
     ]
 
 
-# ---- kernels, cokernels, images ---------------------------------------------
+# ---- kernels and cokernels ---------------------------------------------------
 
 
 @dataclass
@@ -436,33 +438,21 @@ class CokernelResult:
     projection: ModMorphism
 
 
-@dataclass
-class ImageResult:
-    module: PersModule
-    inclusion: ModMorphism
-    corestriction: ModMorphism
-
-
 def kernel(f):
     """Kernel submodule of f: M -> N with its inclusion into M."""
     m = f.src
     field = f.field
     incls = {}
+    free = {}
     dims = {}
     for v in m.quiver.vertices:
         basis = f.comps[v].kernel_basis()
         dims[v] = len(basis)
-        cols = Mat(
-            field,
-            m.dims[v],
-            len(basis),
-            [basis[j][i] for i in range(m.dims[v]) for j in range(len(basis))],
-        )
-        incls[v] = cols
+        incls[v] = Mat.from_columns(field, basis, m.dims[v])
+        free[v] = Mat.free_columns(basis)
     maps = {}
     for a, (u, v) in m.quiver.arrows.items():
-        rhs = m.maps[a] * incls[u]
-        sol = incls[v].solve_matrix(rhs)
+        sol = incls[v].coordinates(free[v], m.maps[a] * incls[u])
         if sol is None:
             raise AssertionError("kernel is not invariant; morphism not natural?")
         maps[a] = sol
@@ -476,6 +466,7 @@ def cokernel(f):
     n = f.tgt
     field = f.field
     projs = {}
+    free = {}
     dims = {}
     for v in n.quiver.vertices:
         left = f.comps[v].transpose().kernel_basis()  # rows annihilating im f_v
@@ -486,53 +477,17 @@ def cokernel(f):
             n.dims[v],
             [x for row in left for x in row],
         )
+        free[v] = Mat.free_columns(left)
     maps = {}
     for a, (u, v) in n.quiver.arrows.items():
         rhs = (projs[v] * n.maps[a]).transpose()
-        sol = projs[u].transpose().solve_matrix(rhs)
+        sol = projs[u].transpose().coordinates(free[u], rhs)
         if sol is None:
             raise AssertionError("cokernel projection is not corepresentable")
         maps[a] = sol.transpose()
     c = PersModule(n.quiver, field, dims, maps, check=False)
     proj = ModMorphism(n, c, projs, check=False)
     return CokernelResult(c, proj)
-
-
-def image(f):
-    """Image submodule of f: M -> N, with inclusion and corestriction."""
-    n = f.tgt
-    field = f.field
-    incls = {}
-    dims = {}
-    for v in n.quiver.vertices:
-        fv = f.comps[v]
-        _, pivots = fv.rref()
-        # pivot columns of the ROW-reduced matrix index independent columns
-        cols = [fv.col(c) for c in pivots]
-        dims[v] = len(cols)
-        incls[v] = Mat(
-            field,
-            n.dims[v],
-            len(cols),
-            [cols[j][i] for i in range(n.dims[v]) for j in range(len(cols))],
-        )
-    maps = {}
-    cores = {}
-    for a, (u, v) in n.quiver.arrows.items():
-        rhs = n.maps[a] * incls[u]
-        sol = incls[v].solve_matrix(rhs)
-        if sol is None:
-            raise AssertionError("image is not invariant")
-        maps[a] = sol
-    for v in n.quiver.vertices:
-        q = incls[v].solve_matrix(f.comps[v])
-        if q is None:
-            raise AssertionError("image inclusion does not factor the morphism")
-        cores[v] = q
-    im = PersModule(n.quiver, field, dims, maps, check=False)
-    incl = ModMorphism(im, n, incls, check=False)
-    core = ModMorphism(f.src, im, cores, check=False)
-    return ImageResult(im, incl, core)
 
 
 # ---- direct sums -------------------------------------------------------------

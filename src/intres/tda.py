@@ -177,15 +177,8 @@ def _segment_rank(z, b, d):
     # the canonical map sends a compatible family to the class of its entry
     # at vertex b; the whole family would give that class times d - b + 1
     zero = field.zero()
-    K = Mat(
-        field,
-        total,
-        len(kb),
-        [
-            kb[j][i] if i < dims[0] else zero
-            for i in range(total)
-            for j in range(len(kb))
-        ],
+    K = Mat.from_columns(
+        field, [v[: dims[0]] + [zero] * (total - dims[0]) for v in kb], total
     )
     # colimit: cokernel of B: (+)_arrows Z_src -> (+)Z_x
     bcols = sum(z.dims[u] for _, u, _ in arrows)

@@ -55,6 +55,14 @@ def random_invertible(field, n, rng):
             return m
 
 
+def inverse(m):
+    """The inverse of an invertible matrix: the right block of the RREF of
+    [m | I], which is [I | m^-1]."""
+    n = m.nrows
+    red, _ = Mat.hstack(m.field, [m, Mat.identity(m.field, n)]).rref()
+    return Mat(m.field, n, n, [x for row in red.rows() for x in row[n:]])
+
+
 def shuffle_basis(module, rng):
     """An isomorphic copy: random invertible change of basis at every vertex."""
     field = module.field
@@ -63,7 +71,7 @@ def shuffle_basis(module, rng):
     for v in module.quiver.vertices:
         m = random_invertible(field, module.dims[v], rng)
         u[v] = m
-        uinv[v] = m.solve_matrix(Mat.identity(field, m.nrows))
+        uinv[v] = inverse(m)
     maps = {}
     for a, (s, t) in module.quiver.arrows.items():
         maps[a] = u[t] * module.map(a) * uinv[s]

@@ -1,4 +1,5 @@
-"""Exact linear algebra kernel: field arithmetic, RREF, rank/kernel/solve."""
+"""Exact linear algebra kernel: field arithmetic, RREF, rank, kernels and
+coordinates in kernel bases."""
 
 import random
 from fractions import Fraction
@@ -59,6 +60,25 @@ def test_prime_validation():
     Field.prime(2), Field.prime(97)  # fine
 
 
+def test_large_primes_and_strong_pseudoprimes():
+    assert Field.prime(2**61 - 1).p == 2**61 - 1
+    assert Field.prime(4294967311).p == 4294967311
+    # a Carmichael number and strong pseudoprimes to the bases 2, 3, 5, 7
+    # and to every prime base up to 37
+    for n in (561, 3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match="must be prime"):
+            Field.prime(n)
+    for n in range(100):
+        want = n > 1 and all(n % d for d in range(2, n))
+        if want:
+            Field.prime(n)
+        else:
+            with pytest.raises(ValueError):
+                Field.prime(n)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        Field.prime(2**89 - 1)
+
+
 # ---- matrix construction and arithmetic ---------------------------------------
 
 
@@ -69,6 +89,8 @@ def test_constructors_and_indexing():
     assert Mat.identity(QQ, 3)[1, 1] == 1
     assert Mat.zeros(QQ, 2, 5).is_zero()
     assert Mat.from_rows(QQ, [], ncols=3).shape == (0, 3)
+    assert Mat.from_columns(QQ, [[1, 3], [2, 4]], 2) == m
+    assert Mat.from_columns(QQ, [], 2).shape == (2, 0)
     with pytest.raises(ValueError):
         Mat.from_rows(QQ, [[1, 2], [3]])
 
@@ -116,7 +138,7 @@ def test_stacking():
     assert Mat.vstack(QQ, [], ncols=3).shape == (0, 3)
 
 
-# ---- elimination: rank / kernel / solve ----------------------------------------
+# ---- elimination: rank / kernel / coordinates ----------------------------------------
 
 
 @pytest.mark.parametrize("field", [QQ, GF5, GF2, GF_BIG])
@@ -180,48 +202,25 @@ def test_kernel_basis_without_rows_skips_elimination(field, monkeypatch):
         ]
 
 
-@pytest.mark.parametrize("field", [QQ, GF5])
-def test_solve(field):
+@pytest.mark.parametrize("field", [QQ, GF2, GF_BIG])
+def test_coordinates_read_at_free_columns(field):
+    """Combinations of a kernel basis are recovered exactly from their
+    entries at the free columns, and a vector outside the span is refused."""
     rng = random.Random(6)
-    solvable = unsolvable = 0
-    for _ in range(60):
-        n, m = rng.randrange(1, 5), rng.randrange(1, 5)
-        a = rand_mat(field, n, m, rng)
-        b = [x for x in rand_mat(field, n, 1, rng).data]
-        x = a.solve(b)
-        if x is None:
-            unsolvable += 1
-            assert not a.column_span_contains(b)
-        else:
-            solvable += 1
-            assert (a * Mat.column(field, x)).col(0) == [field.coerce(v)
-                                                         for v in b]
-            assert a.column_span_contains(b)
-    assert solvable and unsolvable  # both branches exercised
-
-
-def test_solve_matrix():
-    rng = random.Random(7)
-    for _ in range(20):
-        n, m, k = rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 4)
-        a = rand_mat(QQ, n, m, rng)
-        x = rand_mat(QQ, m, k, rng)
-        sol = a.solve_matrix(a * x)
-        assert sol is not None and a * sol == a * x
-    a = Mat.from_rows(QQ, [[1, 0], [0, 0]])
-    assert a.solve_matrix(Mat.from_rows(QQ, [[0], [1]])) is None
-
-
-def test_invertible_solve_roundtrip():
-    rng = random.Random(8)
-    for field in (QQ, GF5):
-        for _ in range(10):
-            n = rng.randrange(1, 5)
-            while True:
-                u = rand_mat(field, n, n, rng)
-                if u.rank() == n:
-                    break
-            inv = u.solve_matrix(Mat.identity(field, n))
-            assert u * inv == Mat.identity(field, n)
-            assert inv * u == Mat.identity(field, n)
-
+    refused = 0
+    for _ in range(40):
+        a = rand_mat(field, rng.randrange(0, 5), rng.randrange(1, 7), rng)
+        basis = a.kernel_basis()
+        free = Mat.free_columns(basis)
+        assert len(set(free)) == len(basis)
+        for v, f in zip(basis, free):
+            assert v[f] == field.one()
+            assert [v[g] for g in free if g != f] == [field.zero()] * (len(free) - 1)
+        span = Mat.from_columns(field, basis, a.ncols)
+        coeffs = rand_mat(field, len(basis), 3, rng)
+        assert span.coordinates(free, span * coeffs) == coeffs
+        outside = rand_mat(field, a.ncols, 1, rng)
+        if not (a * outside).is_zero():
+            refused += 1
+            assert span.coordinates(free, outside) is None
+    assert refused

@@ -19,7 +19,6 @@ from intres import (
     hom_basis,
     hom_dim,
     identity_morphism,
-    image,
     interval_hom_basis,
     interval_module,
     kernel,
@@ -171,7 +170,7 @@ def test_hom_basis_zero_cases():
     assert hom_dim(a, zero_module(CL2, QQ)) == 0
 
 
-# ---- kernels, cokernels, images ---------------------------------------------------
+# ---- kernels and cokernels ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(5)])
@@ -183,20 +182,36 @@ def test_kernel_cokernel_image_exactness(field):
         f = random_hom(a, b, rng)
         ker = kernel(f)
         cok = cokernel(f)
-        im = image(f)
         ker.module.validate_commutativity()
         cok.module.validate_commutativity()
-        im.module.validate_commutativity()
         assert ker.inclusion.is_mono()
         assert cok.projection.is_epi()
         assert f.compose(ker.inclusion).is_zero()
         assert cok.projection.compose(f).is_zero()
-        # image factorization f = incl o corestriction, with epi corestriction
-        assert im.inclusion.compose(im.corestriction) == f
-        assert im.corestriction.is_epi() and im.inclusion.is_mono()
         for v in CL2.vertices:
-            assert ker.module.dims[v] + im.module.dims[v] == a.dims[v]
-            assert cok.module.dims[v] + im.module.dims[v] == b.dims[v]
+            rank = f.comps[v].rank()
+            assert ker.module.dims[v] + rank == a.dims[v]
+            assert cok.module.dims[v] + rank == b.dims[v]
+
+
+def _non_natural(f_t1, f_t2):
+    """A family of scalars on two copies of V_{t1,t2}, not natural when the
+    two scalars differ, built without the naturality check."""
+    v = interval_module(CL2, Interval(CL2, ["t1", "t2"]), QQ)
+    comps = {"t1": [[f_t1]], "t2": [[f_t2]]}
+    return ModMorphism(v, v, comps, check=False)
+
+
+def test_kernel_rejects_non_natural_morphism():
+    # the kernel at t1 maps onto t2, where the kernel is zero
+    with pytest.raises(AssertionError):
+        kernel(_non_natural(0, 1))
+
+
+def test_cokernel_rejects_non_natural_morphism():
+    # the cokernel at t1 is zero but t1 -> t2 reaches the cokernel at t2
+    with pytest.raises(AssertionError):
+        cokernel(_non_natural(1, 0))
 
 
 def test_kernel_of_identity_and_zero():
