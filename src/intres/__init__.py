@@ -29,7 +29,6 @@ from intres.repmod import (
     hom_basis,
     hom_dim,
     identity_morphism,
-    interval_hom_basis,
     interval_module,
     kernel,
     morphism_from_columns,
@@ -75,7 +74,6 @@ from intres.koszul import (
     semilattice_koszul_complex,
     simple_module,
     validate_koszul_coresolution,
-    with_cancelling_pair,
 )
 from intres.tda import (
     DecompositionResult,

@@ -9,9 +9,12 @@ correspondence for maps between representables, to a cochain
     0 -> V_I -> X^1 -> X^2 -> ...
 
 of interval-decomposable persistence modules (the coresolution of V_I).
-Applying Hom(-, M) to it yields a chain of vector spaces whose homology
-computes the interval Betti numbers of M — the second, independent route
-beside `intres.resolve`.
+Such a cochain is kept as the resolution data itself (`IntervalCochain`):
+the interval summands of each term, and per pair of summands the
+coefficients of the differential's block over the good-component basis of
+Hom(V_J, V_K).  Applying Hom(-, M) to it yields a chain of vector spaces
+whose homology computes the interval Betti numbers of M — the second,
+independent route beside `intres.resolve`.
 
 A lattice-indexed variant is included: for a family of intervals whose hom
 pattern matches the incidence category of a finite lattice L, the cochain
@@ -27,14 +30,11 @@ from dataclasses import dataclass
 from intres.exactla import Mat
 from intres.poset import BoundQuiver, enumerate_intervals
 from intres.repmod import (
-    ModMorphism,
     PersModule,
     component_morphism,
-    direct_sum,
     good_components,
     hom_basis,
     interval_module,
-    zero_module,
 )
 from intres.resolve import MaxLengthExceeded
 
@@ -329,13 +329,11 @@ def _hom_chart(field, basis):
     return Mat.from_columns(field, flats, len(flats[0])), Mat.free_columns(flats)
 
 
-def _hom_coordinates(chart, morphisms):
-    """Coordinates of morphisms in a `_hom_chart`, one column each; None if
-    one of them is not in the span."""
+def _hom_coordinates(chart, flats):
+    """Coordinates of flat morphism vectors in a `_hom_chart`, one column
+    each; None if one of them is not in the span."""
     basis_mat, free = chart
-    block = Mat.from_columns(
-        basis_mat.field, [f.flat() for f in morphisms], basis_mat.nrows
-    )
+    block = Mat.from_columns(basis_mat.field, flats, basis_mat.nrows)
     return basis_mat.coordinates(free, block)
 
 
@@ -374,7 +372,7 @@ def lambda_module_of(module, side="left", cat=None, intervals=None):
                 for k in range(opcat.hom_dim(s, t)):
                     # op hom(s,t) = hom(t,s): morphism V_{I_t} -> V_{I_s}
                     phi = cat.basis_morphism(t, s, k)
-                    m = expand(t, [h.compose(phi) for h in homs[s]])
+                    m = expand(t, [h.compose(phi).flat() for h in homs[s]])
                     if not m.is_zero():
                         action[(s, t, k)] = m
         return FunctorModule(opcat, dims, action)
@@ -382,7 +380,7 @@ def lambda_module_of(module, side="left", cat=None, intervals=None):
         for t in dims:
             for k in range(cat.hom_dim(s, t)):
                 phi = cat.basis_morphism(s, t, k)
-                m = expand(t, [phi.compose(h) for h in homs[s]])
+                m = expand(t, [phi.compose(h).flat() for h in homs[s]])
                 if not m.is_zero():
                     action[(s, t, k)] = m
     return FunctorModule(cat, dims, action)
@@ -542,18 +540,13 @@ def min_proj_resolution(cat, mod, max_len=None):
         blocks = None
         if prev_embed is not None:
             blocks = []
-            for u_new, (tag, gen) in enumerate(zip(tags, gens)):
+            for tag, gen in zip(tags, gens):
                 amb = prev_embed[tag] * Mat(
                     cat.field, len(gen), 1, list(gen)
                 )
-                row = []
-                for u_prev, prev_tag in enumerate(prev_tags):
-                    hd = cat.hom_dim(prev_tag, tag)
-                    coeffs = [cat.field.zero()] * hd
-                    for pos, (u, k) in enumerate(prev_layout[tag]):
-                        if u == u_prev:
-                            coeffs[k] = amb.data[pos]
-                    row.append(coeffs)
+                row = [[cat.field.zero()] * cat.hom_dim(prev, tag) for prev in prev_tags]
+                for pos, (u, k) in enumerate(prev_layout[tag]):
+                    row[u][k] = amb.data[pos]
                 blocks.append(row)
         steps.append(ResolutionStep(tags, blocks))
         current = kernel_mod
@@ -568,64 +561,77 @@ def min_proj_resolution(cat, mod, max_len=None):
 
 @dataclass
 class IntervalCochain:
-    """0 -> V_I -> X^1 -> X^2 -> ... with tagged interval terms."""
+    """0 -> V_I -> X^1 -> X^2 -> ... with tagged interval terms.
+
+    terms[i] lists the interval summands of X^i; terms[0] = [I].
+    blocks[i][u_new][u_prev] is the block of the differential X^i -> X^{i+1}
+    from V_J, J = terms[i][u_prev], to V_K, K = terms[i+1][u_new]: a list of
+    coefficients over good_components(J, K), which is the `EndCategory.hom`
+    order that `ResolutionStep.blocks` uses.  The block is the morphism equal
+    to the k-th coefficient on the k-th component and zero off them.
+    """
 
     interval: object
-    terms: list  # terms[i]: list of Interval (degree i summands); terms[0] = [I]
-    term_modules: list  # PersModule per degree
-    diffs: list  # diffs[i]: term_modules[i] -> term_modules[i+1]
+    terms: list
+    blocks: list
 
     @property
     def length(self):
         return len(self.terms) - 1
 
 
-def _assemble_cochain(quiver, field, interval, steps):
-    """Materialize the cochain from resolution steps via the Yoneda flip."""
-    terms = []
-    term_modules = []
-    summand_mods = []
-    for step in steps:
-        tags = [step_tag for step_tag in step.tags]
-        ivs = tags
-        terms.append(ivs)
-        mods = [interval_module(quiver, i, field) for i in ivs]
-        summand_mods.append(mods)
-        if len(mods) == 1:
-            term_modules.append(mods[0])
-        elif mods:
-            term_modules.append(direct_sum(mods).module)
-        else:
-            term_modules.append(zero_module(quiver, field))
-    diffs = []
-    for i in range(1, len(steps)):
-        src_mod = term_modules[i - 1]
-        tgt_mod = term_modules[i]
-        comps = {}
-        for v in quiver.vertices:
-            grid = []
-            for u_new, i_new in enumerate(terms[i]):
-                row = []
-                new_d = summand_mods[i][u_new].dims[v]
-                for u_prev, i_prev in enumerate(terms[i - 1]):
-                    prev_d = summand_mods[i - 1][u_prev].dims[v]
-                    block = Mat.zeros(field, new_d, prev_d)
-                    coeffs = steps[i].blocks[u_new][u_prev]
-                    if new_d and prev_d:
-                        comps_basis = good_components(quiver, i_prev, i_new)
-                        val = field.zero()
-                        for k, c in enumerate(coeffs):
-                            if c and v in comps_basis[k]:
-                                val = val + c if field.kind == "Q" else (val + c) % field.p
-                        block = Mat(field, 1, 1, [val])
-                    row.append(block)
-                grid.append(row)
-            if grid and any(len(r) for r in grid):
-                comps[v] = Mat.block(field, grid)
-            else:
-                comps[v] = Mat.zeros(field, tgt_mod.dims[v], src_mod.dims[v])
-        diffs.append(ModMorphism(src_mod, tgt_mod, comps, check=True))
-    return IntervalCochain(interval, terms, term_modules, diffs)
+def _block_values(quiver, source, target, coeffs):
+    """Vertex values of a block V_source -> V_target: each (disjoint) good
+    component carries its coefficient; vertices off them are absent (zero)."""
+    comps = good_components(quiver, source, target)
+    if len(comps) != len(coeffs):
+        raise AssertionError("block has the wrong number of coefficients")
+    return {v: c for comp, c in zip(comps, coeffs) for v in comp}
+
+
+def _cochain_defect(quiver, field, cochain):
+    """Why the blocks do not form a cochain of module morphisms, or None.
+
+    A block is natural when, along every arrow u -> v with u in its source
+    and v in its target, its values at u and v agree.  Consecutive
+    differentials compose to zero when, at every vertex, the products of
+    block values summed over the middle summands vanish.
+    """
+    terms, blocks = cochain.terms, cochain.blocks
+    if len(blocks) != len(terms) - 1 or any(
+        len(rows) != len(terms[i + 1]) or any(len(r) != len(terms[i]) for r in rows)
+        for i, rows in enumerate(blocks)
+    ):
+        return "the blocks do not match the terms"
+    values = [
+        [[_block_values(quiver, j, k, c) for j, c in zip(terms[i], row)]
+         for k, row in zip(terms[i + 1], rows)]
+        for i, rows in enumerate(blocks)
+    ]
+    for i, rows in enumerate(values):
+        for k, row in zip(terms[i + 1], rows):
+            for j, val in zip(terms[i], row):
+                for u, v in quiver.arrows.values():
+                    if u in j and v in k and field.coerce(val.get(u, 0) - val.get(v, 0)):
+                        return f"block {j!r} -> {k!r} is not natural along {u} -> {v}"
+    for i, (first, second) in enumerate(zip(values, values[1:])):
+        for row in second:
+            for u_prev in range(len(terms[i])):
+                for v in quiver.vertices:
+                    total = sum(
+                        x.get(v, 0) * first[m][u_prev].get(v, 0)
+                        for m, x in enumerate(row)
+                    )
+                    if field.coerce(total):
+                        return "cochain differentials do not compose to zero"
+    return None
+
+
+def _checked(quiver, field, cochain):
+    defect = _cochain_defect(quiver, field, cochain)
+    if defect:
+        raise AssertionError(defect)
+    return cochain
 
 
 def koszul_coresolution(quiver, interval, field=None, intervals=None, cat=None,
@@ -633,8 +639,9 @@ def koszul_coresolution(quiver, interval, field=None, intervals=None, cat=None,
     """Minimal coresolution of V_I in the chosen interval family.
 
     Computed as the minimal projective resolution of the simple module at I
-    over the endomorphism category, pulled back through Yoneda.  Results are
-    cached on the category object.
+    over the endomorphism category, pulled back through Yoneda: the terms
+    are the resolution's tags and the blocks its `ResolutionStep.blocks`.
+    Results are cached on the category object.
     """
     if cat is None:
         from intres.exactla import QQ
@@ -648,16 +655,12 @@ def koszul_coresolution(quiver, interval, field=None, intervals=None, cat=None,
     res = min_proj_resolution(cat, simple_module(cat, s), max_len)
     if res.steps[0].tags != [s]:
         raise AssertionError("cover of the simple is not the expected stalk")
-    steps = [
-        ResolutionStep([cat.interval(t) for t in st.tags], st.blocks)
-        for st in res.steps
-    ]
-    cochain = _assemble_cochain(cat.quiver, cat.field, interval, steps)
-    for d in range(len(cochain.diffs) - 1):
-        composite = cochain.diffs[d + 1].compose(cochain.diffs[d])
-        if not composite.is_zero():
-            raise AssertionError("cochain differentials do not compose to zero")
-    cat._coresolutions[s] = cochain
+    cochain = IntervalCochain(
+        interval,
+        [[cat.interval(t) for t in step.tags] for step in res.steps],
+        [step.blocks for step in res.steps[1:]],
+    )
+    cat._coresolutions[s] = _checked(cat.quiver, cat.field, cochain)
     return cochain
 
 
@@ -678,37 +681,26 @@ def validate_koszul_coresolution(cochain, interval, cat=None, intervals=None,
         quiver = interval.quiver
         cat = _shared_end_category(quiver, intervals, field or QQ)
     quiver = cat.quiver
-    field = cat.field
-    for d in range(len(cochain.diffs) - 1):
-        if not cochain.diffs[d + 1].compose(cochain.diffs[d]).is_zero():
-            return False
-    for kobj in range(len(cat.objects)):
-        k_int = cat.interval(kobj)
-        # chain of matrices: D_i: Hom(X^i, V_K) -> Hom(X^{i-1}, V_K)
-        dims = []
-        for tags in cochain.terms:
-            dims.append(sum(len(good_components(quiver, j, k_int)) for j in tags))
-        mats = []
-        for i in range(1, len(cochain.terms)):
-            mats.append(
+    if _cochain_defect(quiver, cat.field, cochain):
+        return False
+    for k_int in cat.objects:
+        # the chain Hom(X^i, V_K) -> Hom(X^{i-1}, V_K)
+        chain = VecChain(
+            [
+                sum(len(good_components(quiver, j, k_int)) for j in tags)
+                for tags in cochain.terms
+            ],
+            [
                 _precompose_matrix_interval(cat, cochain, i, k_int)
-            )
-        # composites vanish
-        for i in range(len(mats) - 1):
-            if not (mats[i] * mats[i + 1]).is_zero():
-                return False
-        # exactness in middle degrees, injectivity at the top
-        for i in range(1, len(cochain.terms)):
-            d_i = mats[i - 1]
-            rank_i = d_i.rank()
-            ker_i = dims[i] - rank_i
-            rank_next = mats[i].rank() if i < len(mats) else 0
-            if ker_i != rank_next:
-                return False
-        # cokernel at degree 0
-        rank_1 = mats[0].rank() if mats else 0
-        expect = 1 if k_int == interval else 0
-        if dims[0] - rank_1 != expect:
+                for i in range(1, len(cochain.terms))
+            ],
+        )
+        mats = chain.mats
+        if any(not (mats[i] * mats[i + 1]).is_zero() for i in range(len(mats) - 1)):
+            return False
+        # exact except for the cokernel at degree 0
+        expect = [1 if k_int == interval else 0] + [0] * cochain.length
+        if chain.homology_dims() != expect:
             return False
     return True
 
@@ -716,58 +708,37 @@ def validate_koszul_coresolution(cochain, interval, cat=None, intervals=None,
 def _precompose_matrix_interval(cat, cochain, i, k_int):
     """Matrix of Hom(X^i, V_K) -> Hom(X^{i-1}, V_K), g -> g o d^{i-1}.
 
-    Bases: per summand, good components into K; coefficients are read off
-    at a representative vertex of each component, exploiting thinness.
+    Bases: per summand, good components into K.  g o block is natural, hence
+    constant on each good component of the source summand: its coefficient
+    there is its value at any one vertex of it.
     """
     quiver = cat.quiver
-    field = cat.field
-    prev_tags = cochain.terms[i - 1]
+    zero = cat.field.zero()
     cur_tags = cochain.terms[i]
-    d = cochain.diffs[i - 1]
-    prev_basis = []  # (summand index, component, morphism X^{i-1} -> V_K)
-    vk = interval_module(quiver, k_int, field)
-    prev_mods = [interval_module(quiver, j, field) for j in prev_tags]
-    cur_mods = [interval_module(quiver, j, field) for j in cur_tags]
-    # offsets of each summand inside the direct-sum modules
-    prev_off = {}
-    acc = {v: 0 for v in quiver.vertices}
-    for u, m in enumerate(prev_mods):
-        prev_off[u] = dict(acc)
-        for v in quiver.vertices:
-            acc[v] += m.dims[v]
-    cur_off = {}
-    acc = {v: 0 for v in quiver.vertices}
-    for u, m in enumerate(cur_mods):
-        cur_off[u] = dict(acc)
-        for v in quiver.vertices:
-            acc[v] += m.dims[v]
-    rows = []  # row index: (u_prev, component index)
-    for u, j in enumerate(prev_tags):
-        for c_idx, _ in enumerate(good_components(quiver, j, k_int)):
-            rows.append((u, c_idx))
-    cols = []
-    for u, j in enumerate(cur_tags):
-        for c_idx, _ in enumerate(good_components(quiver, j, k_int)):
-            cols.append((u, c_idx))
-    out = Mat.zeros(field, len(rows), len(cols))
-    for col, (u_cur, c_cur) in enumerate(cols):
-        comp_cur = good_components(quiver, cur_tags[u_cur], k_int)[c_cur]
-        # g: X^i -> V_K supported on summand u_cur with component comp_cur
-        # composite g o d^{i-1}: X^{i-1} -> V_K; its restriction to summand
-        # u_prev is (indicator comp_cur) o (block of d from u_prev to u_cur)
-        for row, (u_prev, c_prev) in enumerate(rows):
-            comp_prev = good_components(quiver, prev_tags[u_prev], k_int)[c_prev]
-            # the composite is natural, hence constant on comp_prev: its
-            # coefficient equals the value at any single vertex of it
+    blocks = cochain.blocks[i - 1]
+    cols = [
+        (u, comp)
+        for u, j in enumerate(cur_tags)
+        for comp in good_components(quiver, j, k_int)
+    ]
+    nrows = 0
+    data = []
+    for u_prev, j in enumerate(cochain.terms[i - 1]):
+        comps = good_components(quiver, j, k_int)
+        if not comps:
+            continue
+        values = [
+            _block_values(quiver, j, k, blocks[u][u_prev])
+            for u, k in enumerate(cur_tags)
+        ]
+        for comp_prev in comps:
             v0 = next(iter(comp_prev))
-            val = field.zero()
-            if v0 in comp_cur:
-                dmat = d.comps[v0]
-                r = cur_off[u_cur][v0]
-                c = prev_off[u_prev][v0]
-                val = dmat[r, c]
-            out.data[row * len(cols) + col] = val
-    return out
+            data.extend(
+                values[u].get(v0, zero) if v0 in comp else zero
+                for u, comp in cols
+            )
+        nrows += len(comps)
+    return Mat(cat.field, nrows, len(cols), data)
 
 
 # ---- Koszul complexes of a module ------------------------------------------------
@@ -798,6 +769,11 @@ def koszul_complex(quiver, interval, module, field=None, intervals=None,
     """Hom(K(V_I), M): spaces Hom(X^i, M), maps = precomposition with d."""
     if cat is None:
         cat = _shared_end_category(quiver, intervals, field or module.field)
+    if cat.field != module.field:
+        raise ValueError(
+            f"the interval category is over {cat.field!r} but the module is "
+            f"over {module.field!r}"
+        )
     if cochain is None:
         cochain = koszul_coresolution(
             quiver, interval, cat.field, intervals, cat, max_len
@@ -820,57 +796,41 @@ def koszul_complex(quiver, interval, module, field=None, intervals=None,
 
 
 def _precompose_matrix_module(quiver, module, cochain, i, homs_to_m):
-    """Matrix of Hom(X^i, M) -> Hom(X^{i-1}, M)."""
+    """Matrix of Hom(X^i, M) -> Hom(X^{i-1}, M), h -> h o d^{i-1}.
+
+    For a block V_J -> V_K and h: V_K -> M, h o block is h scaled by the
+    block's coefficient on each good component and zero off them.  It is
+    written as a flat vector of Hom(V_J, M), the dim M_v entries of each
+    vertex v of J in quiver order, and read in the `_hom_chart` of J.
+    """
     field = module.field
-    prev_tags = cochain.terms[i - 1]
+    zero = field.zero()
     cur_tags = cochain.terms[i]
-    d = cochain.diffs[i - 1]
-    prev_mods = [interval_module(quiver, j, field) for j in prev_tags]
-    cur_mods = [interval_module(quiver, j, field) for j in cur_tags]
-    prev_off = {}
-    acc = {v: 0 for v in quiver.vertices}
-    for u, m in enumerate(prev_mods):
-        prev_off[u] = dict(acc)
-        for v in quiver.vertices:
-            acc[v] += m.dims[v]
-    cur_off = {}
-    acc = {v: 0 for v in quiver.vertices}
-    for u, m in enumerate(cur_mods):
-        cur_off[u] = dict(acc)
-        for v in quiver.vertices:
-            acc[v] += m.dims[v]
-    ncols = sum(len(homs_to_m(j)) for j in cur_tags)
+    blocks = cochain.blocks[i - 1]
     charts = {}
     row_blocks = []
-    for u_prev, j_prev in enumerate(prev_tags):
+    for u_prev, j_prev in enumerate(cochain.terms[i - 1]):
         if not homs_to_m(j_prev):
             continue
         if j_prev not in charts:
             charts[j_prev] = _hom_chart(field, homs_to_m(j_prev))
-        vprev = prev_mods[u_prev]
         composites = []
         for u_cur, j_cur in enumerate(cur_tags):
-            vj = cur_mods[u_cur]
-            # block of d from summand u_prev to summand u_cur, as a
-            # morphism V_{j_prev} -> V_{j_cur}
-            comps = {}
-            for v in quiver.vertices:
-                pd = vprev.dims[v]
-                cd = vj.dims[v]
-                if pd and cd:
-                    comps[v] = Mat(
-                        field,
-                        cd,
-                        pd,
-                        [d.comps[v][cur_off[u_cur][v], prev_off[u_prev][v]]],
+            values = _block_values(quiver, j_prev, j_cur, blocks[u_cur][u_prev])
+            for h in homs_to_m(j_cur):
+                vec = []
+                for v in j_prev.vertices:
+                    vec.extend(
+                        h.comps[v].scale(values[v]).data
+                        if v in values
+                        else [zero] * module.dims[v]
                     )
-            block = ModMorphism(vprev, vj, comps, check=False)
-            # h: V_{j_cur} -> M; one column per h
-            composites.extend(h.compose(block) for h in homs_to_m(j_cur))
+                composites.append(vec)
         x = _hom_coordinates(charts[j_prev], composites)
         if x is None:
             raise AssertionError("hom expansion failed in complex")
         row_blocks.append(x)
+    ncols = sum(len(homs_to_m(j)) for j in cur_tags)
     return Mat.vstack(field, row_blocks, ncols=ncols)
 
 
@@ -899,50 +859,6 @@ def betti_table_via_koszul(module, intervals=None, cat=None, max_len=None):
             if h:
                 table.add(i, interval, h)
     return table
-
-
-def with_cancelling_pair(cochain, degree, interval, field):
-    """A homotopy-equivalent cochain with V_J added in degrees d and d+1 and
-    an identity block between the copies (for invariance tests)."""
-    quiver = interval.quiver
-    terms = [list(t) for t in cochain.terms]
-    while len(terms) <= degree + 1:
-        terms.append([])
-    terms[degree] = terms[degree] + [interval]
-    terms[degree + 1] = terms[degree + 1] + [interval]
-    vj = interval_module(quiver, interval, field)
-    term_modules = []
-    for tags in terms:
-        mods = [interval_module(quiver, j, field) for j in tags]
-        if len(mods) == 1:
-            term_modules.append(mods[0])
-        elif mods:
-            term_modules.append(direct_sum(mods).module)
-        else:
-            term_modules.append(zero_module(quiver, field))
-    diffs = []
-    ndiff = len(terms) - 1
-    for i in range(ndiff):
-        comps = {}
-        for v in quiver.vertices:
-            rows = term_modules[i + 1].dims[v]
-            cols = term_modules[i].dims[v]
-            m = Mat.zeros(field, rows, cols)
-            # copy old block
-            if i < len(cochain.diffs):
-                old = cochain.diffs[i].comps[v]
-                for r in range(old.nrows):
-                    for c in range(old.ncols):
-                        m.data[r * cols + c] = old[r, c]
-            # identity between the added copies: last column block of source
-            # at degree `degree` maps to last row block at degree+1
-            if i == degree and vj.dims[v]:
-                m.data[(rows - 1) * cols + (cols - 1)] = field.one()
-            comps[v] = m
-        diffs.append(
-            ModMorphism(term_modules[i], term_modules[i + 1], comps, check=True)
-        )
-    return IntervalCochain(cochain.interval, terms, term_modules, diffs)
 
 
 # ---- lattice-indexed constructions -----------------------------------------------
@@ -1001,15 +917,35 @@ class LatticeModule:
         return self._op_module.path_map(self._names[top], self._names[bottom])
 
 
-def _bounded_cover_subsets(poset, a, size):
+def _cover_subsets(poset, a):
+    """Per degree i, the size-i subsets S of the covers of a that have an
+    upper bound, with their joins (the empty subset's join is a); up to the
+    last nonempty degree."""
     from itertools import combinations
 
     covers = poset.covers_of(a)
-    out = []
-    for s in combinations(covers, size):
-        if poset.upper_bounds(s):
-            out.append(tuple(s))
-    return out
+    subsets, joins = [[()]], [[a]]
+    for size in range(1, len(covers) + 1):
+        subs = [s for s in combinations(covers, size) if poset.upper_bounds(s)]
+        if not subs:
+            break
+        subsets.append(subs)
+        joins.append([poset.join(list(s)) for s in subs])
+        if None in joins[-1]:
+            raise ValueError(
+                f"a bounded subset of the covers of {a!r} has no join; "
+                "the poset is not a lower semilattice in the needed sense"
+            )
+    return subsets, joins
+
+
+def _facet_sign(s, t):
+    """(-1)^(position in S of the removed cover) when T is S minus one
+    cover, else 0."""
+    removed = [x for x in s if x not in t]
+    if len(removed) != 1 or not set(t) <= set(s):
+        return 0
+    return (-1) ** s.index(removed[0])
 
 
 def semilattice_koszul_complex(poset, a, lat_module):
@@ -1021,66 +957,26 @@ def semilattice_koszul_complex(poset, a, lat_module):
     the down map from join(S) to join(T).
     """
     field = lat_module.field
-    covers = poset.covers_of(a)
-    max_deg = len(covers)
-    subsets_by_deg = []
-    joins_by_deg = []
-    for i in range(0, max_deg + 1):
-        if i == 0:
-            subsets_by_deg.append([()])
-            joins_by_deg.append([a])
-            continue
-        subs = _bounded_cover_subsets(poset, a, i)
-        joins = []
-        for s in subs:
-            j = poset.join(list(s))
-            if j is None:
-                raise ValueError(
-                    f"cover subset {s!r} of {a!r} is bounded but has no join; "
-                    "the poset is not a lower semilattice in the needed sense"
-                )
-            joins.append(j)
-        subsets_by_deg.append(subs)
-        joins_by_deg.append(joins)
-    dims = [
-        sum(lat_module.dim(j) for j in joins)
-        for joins in joins_by_deg
-    ]
+    subsets, joins = _cover_subsets(poset, a)
+    dims = [sum(lat_module.dim(j) for j in js) for js in joins]
     mats = []
-    for i in range(1, max_deg + 1):
-        rows = sum(lat_module.dim(j) for j in joins_by_deg[i - 1])
-        cols = sum(lat_module.dim(j) for j in joins_by_deg[i])
-        m = Mat.zeros(field, rows, cols)
-        row_off = []
-        acc = 0
-        for j in joins_by_deg[i - 1]:
-            row_off.append(acc)
-            acc += lat_module.dim(j)
-        col_off = []
-        acc = 0
-        for j in joins_by_deg[i]:
-            col_off.append(acc)
-            acc += lat_module.dim(j)
-        for ci, s in enumerate(subsets_by_deg[i]):
-            s_join = joins_by_deg[i][ci]
-            for ri, t in enumerate(subsets_by_deg[i - 1]):
-                if not set(t) <= set(s):
+    for i in range(1, len(subsets)):
+        grid = []
+        for t, t_join in zip(subsets[i - 1], joins[i - 1]):
+            row = []
+            for s, s_join in zip(subsets[i], joins[i]):
+                sign = _facet_sign(s, t)
+                if not sign:
+                    row.append(Mat.zeros(
+                        field, lat_module.dim(t_join), lat_module.dim(s_join)
+                    ))
                     continue
-                removed = [x for x in s if x not in t]
-                if len(removed) != 1:
-                    continue
-                sign = (-1) ** list(s).index(removed[0])
-                t_join = joins_by_deg[i - 1][ri]
                 pathm = lat_module.path_down(s_join, t_join)
                 if pathm is None:
                     raise AssertionError("join of a subset not above join of sub-subset")
-                block = pathm if sign > 0 else -pathm
-                for r in range(block.nrows):
-                    for c in range(block.ncols):
-                        m.data[(row_off[ri] + r) * cols + (col_off[ci] + c)] = block[
-                            r, c
-                        ]
-        mats.append(m)
+                row.append(pathm if sign > 0 else -pathm)
+            grid.append(row)
+        mats.append(Mat.block(field, grid))
     # trim trailing zero degrees for a tidy chain (keep degree 0 always)
     while len(dims) > 1 and dims[-1] == 0:
         dims.pop()
@@ -1176,78 +1072,35 @@ def formal_koszul_coresolution(poset, a, embedding, field=None, gauge=None):
     """Closed-form coresolution of V_{I_a} from cover subsets and joins.
 
     `embedding` maps lattice elements to intervals; degree i sums V at the
-    joins of size-i bounded subsets of covers of a; differential entries
-    chi(T subset S) * (-1)^(removed position) * p.  Requires the hom
-    pattern of the embedded family to match the lattice.
+    joins of size-i bounded subsets of covers of a; the block from T to
+    S is (-1)^(removed position) times the one basis morphism when T is S
+    minus one cover, and zero otherwise.  Requires the hom pattern of the
+    embedded family to match the lattice, which `build_lattice_gauge`
+    checks unless a gauge is given.
     """
     if field is None:
         from intres.exactla import QQ
 
         field = QQ
     if gauge is None:
-        gauge = build_lattice_gauge(poset, embedding, field)
-    covers = poset.covers_of(a)
+        build_lattice_gauge(poset, embedding, field)
     quiver = embedding[a].quiver
-
-    subsets_by_deg = [[()]]
-    joins_by_deg = [[a]]
-    for i in range(1, len(covers) + 1):
-        subs = _bounded_cover_subsets(poset, a, i)
-        joins = []
-        for s in subs:
-            j = poset.join(list(s))
-            if j is None:
-                raise ValueError(
-                    f"cover subset {s!r} has no join in the lattice"
-                )
-            joins.append(j)
-        if not subs:
-            break
-        subsets_by_deg.append(subs)
-        joins_by_deg.append(joins)
-    terms = [[embedding[j] for j in joins] for joins in joins_by_deg]
-    term_modules = []
-    for tags in terms:
-        mods = [interval_module(quiver, j, field) for j in tags]
-        if len(mods) == 1:
-            term_modules.append(mods[0])
-        else:
-            term_modules.append(direct_sum(mods).module)
-    diffs = []
+    subsets, joins = _cover_subsets(poset, a)
+    terms = [[embedding[j] for j in js] for js in joins]
+    blocks = []
     for i in range(1, len(terms)):
-        src = term_modules[i - 1]
-        tgt = term_modules[i]
-        comps = {}
-        prev_mods = [interval_module(quiver, j, field) for j in terms[i - 1]]
-        cur_mods = [interval_module(quiver, j, field) for j in terms[i]]
-        for v in quiver.vertices:
-            grid = []
-            for ci_new, s in enumerate(subsets_by_deg[i]):
-                row = []
-                for ci_prev, t in enumerate(subsets_by_deg[i - 1]):
-                    new_d = cur_mods[ci_new].dims[v]
-                    prev_d = prev_mods[ci_prev].dims[v]
-                    block = Mat.zeros(field, new_d, prev_d)
-                    if set(t) <= set(s) and len(s) - len(t) == 1:
-                        removed = [x for x in s if x not in t][0]
-                        sign = (-1) ** list(s).index(removed)
-                        pm = gauge.p[
-                            (joins_by_deg[i - 1][ci_prev], joins_by_deg[i][ci_new])
-                        ]
-                        if new_d and prev_d:
-                            val = pm.comps[v][0, 0]
-                            if sign < 0:
-                                val = -val if field.kind == "Q" else (-val) % field.p
-                            block = Mat(field, 1, 1, [val])
-                    row.append(block)
-                grid.append(row)
-            comps[v] = Mat.block(field, grid)
-        diffs.append(ModMorphism(src, tgt, comps, check=True))
-    cochain = IntervalCochain(embedding[a], terms, term_modules, diffs)
-    for d in range(len(cochain.diffs) - 1):
-        if not cochain.diffs[d + 1].compose(cochain.diffs[d]).is_zero():
-            raise AssertionError("formal cochain differentials do not square to zero")
-    return cochain
+        rows = []
+        for s, k in zip(subsets[i], terms[i]):
+            row = []
+            for t, j in zip(subsets[i - 1], terms[i - 1]):
+                sign = _facet_sign(s, t)
+                if sign:
+                    row.append([field.coerce(sign)])
+                else:
+                    row.append([field.zero()] * len(good_components(quiver, j, k)))
+            rows.append(row)
+        blocks.append(rows)
+    return _checked(quiver, field, IntervalCochain(embedding[a], terms, blocks))
 
 
 def lattice_module_from_persistence(gauge, module):
@@ -1269,7 +1122,7 @@ def lattice_module_from_persistence(gauge, module):
     for (a, b) in poset.covers():
         if dims[a] == 0 or dims[b] == 0:
             continue
-        composites = [h.compose(gauge.p[(a, b)]) for h in homs[b]]
+        composites = [h.compose(gauge.p[(a, b)]).flat() for h in homs[b]]
         x = _hom_coordinates(_hom_chart(field, homs[a]), composites)
         if x is None:
             raise AssertionError("precomposition left the hom space")

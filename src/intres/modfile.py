@@ -198,8 +198,14 @@ def parse_module_text(text, field=None):
 
 
 def parse_module_file(path, field=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_module_text(fh.read(), field)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ModuleFileError(line, f"not UTF-8 text: {e.reason}") from None
+    return parse_module_text(text, field)
 
 
 def _entry_str(field, x):

@@ -415,14 +415,6 @@ def component_morphism(quiver, i_interval, j_interval, component, field):
     return ModMorphism(vi, vj, comps, check=False)
 
 
-def interval_hom_basis(quiver, i_interval, j_interval, field):
-    """Hom(V_I, V_J) basis as ModMorphisms (combinatorial, no elimination)."""
-    return [
-        component_morphism(quiver, i_interval, j_interval, c, field)
-        for c in good_components(quiver, i_interval, j_interval)
-    ]
-
-
 # ---- kernels and cokernels ---------------------------------------------------
 
 

@@ -9,13 +9,16 @@ import pytest
 from intres import (
     QQ,
     Mat,
+    ModMorphism,
     PersModule,
     cokernel,
     direct_sum,
     enumerate_intervals,
+    good_components,
     hom_basis,
     interval_module,
     parse_module_file,
+    zero_module,
     zero_morphism,
 )
 
@@ -97,6 +100,48 @@ def random_hom(src, tgt, rng):
     for b in hom_basis(src, tgt):
         out = out + b.scale(rand_scalar(src.field, rng))
     return out
+
+
+def cochain_differentials(cochain, field):
+    """The differentials of an IntervalCochain as ModMorphisms between the
+    direct sums of its terms, built with check=True (naturality).
+
+    The block from summand J to summand K is 1x1 at each vertex of J & K,
+    holding the coefficient of the good component containing the vertex
+    (0 off the components)."""
+    quiver = cochain.interval.quiver
+    summands = [
+        [interval_module(quiver, j, field) for j in tags]
+        for tags in cochain.terms
+    ]
+    modules = [
+        mods[0] if len(mods) == 1
+        else direct_sum(mods).module if mods
+        else zero_module(quiver, field)
+        for mods in summands
+    ]
+    diffs = []
+    for i, rows in enumerate(cochain.blocks):
+        comps = {}
+        for v in quiver.vertices:
+            grid = []
+            for u_new, k in enumerate(cochain.terms[i + 1]):
+                row = []
+                for u_prev, j in enumerate(cochain.terms[i]):
+                    new_d = summands[i + 1][u_new].dims[v]
+                    prev_d = summands[i][u_prev].dims[v]
+                    val = field.zero()
+                    for comp, c in zip(good_components(quiver, j, k),
+                                       rows[u_new][u_prev]):
+                        if v in comp:
+                            val = c
+                    row.append(Mat(field, new_d, prev_d,
+                                   [val] if new_d and prev_d else []))
+                grid.append(row)
+            if any(grid):
+                comps[v] = Mat.block(field, grid)
+        diffs.append(ModMorphism(modules[i], modules[i + 1], comps, check=True))
+    return diffs
 
 
 def lattice_example():

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from intres.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
@@ -178,6 +180,11 @@ def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.mod"
     bad.write_text("wibble\n")
     assert run(capsys, "betti", "--file", str(bad))[0] == EXIT_USAGE
+    undecodable = tmp_path / "undecodable.mod"
+    undecodable.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "betti", "--file", str(undecodable))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: line 1: not UTF-8")
     assert run(
         capsys, "betti", "--file", CL3_FILE, "--field", "GF4"
     )[0] == EXIT_USAGE
@@ -233,10 +240,14 @@ def test_reports_are_deterministic(capsys):
 
 
 def test_module_entry_point():
+    # the subprocess imports intres from this checkout's src/
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "intres.cli", "intervals", "--ladder", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 11

@@ -32,13 +32,15 @@ from intres import (
     semilattice_koszul_complex,
     simple_module,
     validate_koszul_coresolution,
-    with_cancelling_pair,
 )
+from intres import koszul
 from intres.koszul import IntervalCochain, representable_module, _shared_end_category
-from intres.poset import Interval, Poset
+from intres.poset import BoundQuiver, Interval, Poset
 
 from conftest import (
+    cochain_differentials,
     lattice_example,
+    load_fixture,
     random_commuting_module,
     random_interval_sum,
 )
@@ -49,6 +51,32 @@ CL3 = commutative_ladder(3)
 
 def multisets(cochain):
     return [Counter(tuple(t.vertices) for t in tags) for tags in cochain.terms]
+
+
+def with_cancelling_pair(cochain, degree, interval, field):
+    """A homotopy-equivalent cochain with V_J appended in degrees d and d+1
+    and an identity block between the two copies (for invariance tests)."""
+    old = cochain.terms
+    terms = [list(t) for t in old] + [[] for _ in range(degree + 2 - len(old))]
+    terms[degree].append(interval)
+    terms[degree + 1].append(interval)
+
+    def block(i, u_new, u_prev):
+        if (i < len(cochain.blocks) and u_new < len(old[i + 1])
+                and u_prev < len(old[i])):
+            return cochain.blocks[i][u_new][u_prev]
+        if (i, u_new, u_prev) == (degree, len(terms[i + 1]) - 1,
+                                  len(terms[i]) - 1):
+            return [field.one()]  # hom(J, J) has the one component J
+        j, k = terms[i][u_prev], terms[i + 1][u_new]
+        return [field.zero()] * len(good_components(interval.quiver, j, k))
+
+    blocks = [
+        [[block(i, u_new, u_prev) for u_prev in range(len(terms[i]))]
+         for u_new in range(len(terms[i + 1]))]
+        for i in range(len(terms) - 1)
+    ]
+    return IntervalCochain(cochain.interval, terms, blocks)
 
 
 # ---- endomorphism category ---------------------------------------------------------
@@ -176,9 +204,11 @@ def test_coresolution_cached():
 def test_coresolution_differentials_compose_to_zero():
     for iv in enumerate_intervals(CL2):
         c = koszul_coresolution(CL2, iv, QQ)
-        for d in range(len(c.diffs) - 1):
-            assert c.diffs[d + 1].compose(c.diffs[d]).is_zero()
-        for d in c.diffs:
+        diffs = cochain_differentials(c, QQ)
+        assert len(diffs) == c.length
+        for d in range(len(diffs) - 1):
+            assert diffs[d + 1].compose(diffs[d]).is_zero()
+        for d in diffs:
             d.validate_naturality()
 
 
@@ -201,9 +231,7 @@ def test_validator_rejects_truncation():
     i_a = cl_interval(q, top=(1, 3), bot=(3, 3))
     c = koszul_coresolution(q, i_a, QQ)
     assert c.length >= 2
-    cut = IntervalCochain(
-        c.interval, c.terms[:-1], c.term_modules[:-1], c.diffs[:-1]
-    )
+    cut = IntervalCochain(c.interval, c.terms[:-1], c.blocks[:-1])
     assert not validate_koszul_coresolution(cut, i_a)
 
 
@@ -264,10 +292,41 @@ def test_cancelling_pair_invariance(cl3_m45):
     extra = cl_interval(q, top=(1, 1))
     for degree in (1, 2):
         padded = with_cancelling_pair(base, degree, extra, QQ)
+        cochain_differentials(padded, QQ)  # natural blocks
         got = koszul_complex(q, i_b, cl3_m45, cat=cat,
                              cochain=padded).homology_dims()
         n = max(len(got), len(want))
         assert got + [0] * (n - len(got)) == want + [0] * (n - len(want))
+
+
+def test_category_and_module_fields_must_agree():
+    gf2 = Field.prime(2)
+    m = load_fixture("cl3_m45.mod", gf2)
+    q = m.quiver
+    cat = build_end_category(q, None, QQ)
+    with pytest.raises(ValueError, match=r"over Q\b.*over GF\(2\)"):
+        betti_table_via_koszul(m, cat=cat)
+    with pytest.raises(ValueError, match="GF"):
+        koszul_complex(q, cat.interval(0), m, QQ)
+
+
+def test_non_natural_block_is_rejected(monkeypatch):
+    """Construction checks every block for naturality.  On 1 -> 2, the
+    indicator of {1} is a morphism V_{12} -> V_1 but not V_1 -> V_{12}; with
+    good components read in the opposite direction, the two-element chain
+    x < y labelled x = {1}, y = {1, 2} passes the lattice gauge, and the
+    formal coresolution of V_{x} gets the non-natural block V_1 -> V_{12}."""
+    q = BoundQuiver(["1", "2"], [("a", "1", "2")])
+    lower, upper = Interval(q, ["1"]), Interval(q, ["1", "2"])
+    assert good_components(q, lower, upper) == []
+    chain = Poset.from_leq(("x", "y"), lambda s, t: s == t or (s, t) == ("x", "y"))
+    true_components = koszul.good_components
+    monkeypatch.setattr(
+        koszul, "good_components",
+        lambda quiver, s, t: true_components(quiver, t, s),
+    )
+    with pytest.raises(AssertionError, match="not natural"):
+        formal_koszul_coresolution(chain, "x", {"x": lower, "y": upper}, QQ)
 
 
 def test_beta0_counts_minimal_generators(cl3_m45):
@@ -313,6 +372,8 @@ def test_lattice_example_formal_vs_relative():
     quiver, family, lattice, embedding = lattice_example()
     cat = _shared_end_category(quiver, family, QQ)
     gauge = build_lattice_gauge(lattice, embedding, QQ)
+    rng = random.Random(45)
+    modules = [random_interval_sum(quiver, rng)[0] for _ in range(3)]
     for a in lattice.elements:
         formal = formal_koszul_coresolution(lattice, a, embedding, QQ,
                                             gauge=gauge)
@@ -320,8 +381,14 @@ def test_lattice_example_formal_vs_relative():
                                        cat=cat)
         assert multisets(formal) == multisets(relative)
         assert validate_koszul_coresolution(relative, a, cat=cat)
-        for d in range(len(formal.diffs) - 1):
-            assert formal.diffs[d + 1].compose(formal.diffs[d]).is_zero()
+        assert validate_koszul_coresolution(formal, a, cat=cat)
+        diffs = cochain_differentials(formal, QQ)
+        for d in range(len(diffs) - 1):
+            assert diffs[d + 1].compose(diffs[d]).is_zero()
+        for m in modules:
+            want = koszul_complex(quiver, a, m, cat=cat, cochain=relative)
+            got = koszul_complex(quiver, a, m, cat=cat, cochain=formal)
+            assert got.homology_dims() == want.homology_dims()
 
 
 def test_lattice_example_bottom_terms():

@@ -13,13 +13,13 @@ from intres import (
     PersModule,
     cokernel,
     commutative_ladder,
+    component_morphism,
     direct_sum,
     enumerate_intervals,
     good_components,
     hom_basis,
     hom_dim,
     identity_morphism,
-    interval_hom_basis,
     interval_module,
     kernel,
     morphism_from_columns,
@@ -39,6 +39,14 @@ from conftest import (
 
 CL2 = commutative_ladder(2)
 CL3 = commutative_ladder(3)
+
+
+def interval_hom_basis(quiver, i_interval, j_interval, field):
+    """Hom(V_I, V_J) basis as ModMorphisms (combinatorial, no elimination)."""
+    return [
+        component_morphism(quiver, i_interval, j_interval, c, field)
+        for c in good_components(quiver, i_interval, j_interval)
+    ]
 
 
 def flat_rank(morphisms):
