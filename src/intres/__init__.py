@@ -57,7 +57,6 @@ from intres.resolve import (
 )
 from intres.koszul import (
     EndCategory,
-    FunctorModule,
     IntervalCochain,
     LatticeModule,
     VecChain,
@@ -68,11 +67,9 @@ from intres.koszul import (
     formal_koszul_coresolution,
     koszul_complex,
     koszul_coresolution,
-    lambda_module_of,
     lattice_module_from_persistence,
     min_proj_resolution,
     semilattice_koszul_complex,
-    simple_module,
     validate_koszul_coresolution,
 )
 from intres.tda import (

@@ -116,6 +116,12 @@ def _quiver_from_args(args):
     return module.quiver, module
 
 
+def _max_len(args):
+    if args.max_len is not None and args.max_len < 0:
+        raise UsageError(f"--max-len must be at least 0, got {args.max_len}")
+    return args.max_len
+
+
 def _parse_interval(quiver, text):
     try:
         return parse_interval_spec(quiver, text)
@@ -177,15 +183,16 @@ def _first_mismatch(resolve_table, koszul_table):
 
 
 def cmd_betti(args):
+    max_len = _max_len(args)
     module = _load_module(args)
     want = None
     if args.interval:
         want = _parse_interval(module.quiver, args.interval)
     tables = {}
     if args.route in ("resolve", "both"):
-        tables["resolve"] = betti(module, max_len=args.max_len)
+        tables["resolve"] = betti(module, max_len=max_len)
     if args.route in ("koszul", "both"):
-        tables["koszul"] = betti_table_via_koszul(module, max_len=args.max_len)
+        tables["koszul"] = betti_table_via_koszul(module, max_len=max_len)
     if args.route == "both" and tables["resolve"] != tables["koszul"]:
         raise RouteMismatchError(_first_mismatch(tables["resolve"], tables["koszul"]))
     table = tables.get("resolve") or tables["koszul"]
@@ -211,6 +218,7 @@ def cmd_betti(args):
 
 
 def cmd_koszul(args):
+    max_len = _max_len(args)
     quiver, module = _quiver_from_args(args)
     interval = _parse_interval(quiver, args.interval)
     field = (
@@ -220,7 +228,7 @@ def cmd_koszul(args):
     )
     cat = _shared_end_category(quiver, None, field)
     cochain = koszul_coresolution(
-        quiver, interval, field, cat=cat, max_len=args.max_len
+        quiver, interval, field, cat=cat, max_len=max_len
     )
     lines = [f"interval {interval_name(interval)}"]
     degrees = []
@@ -237,7 +245,7 @@ def cmd_koszul(args):
             raise RouteMismatchError("koszul coresolution failed validation")
     if module is not None:
         chain = koszul_complex(
-            quiver, interval, module, field, cat=cat, max_len=args.max_len
+            quiver, interval, module, field, cat=cat, max_len=max_len
         )
         hom = chain.homology_dims()
         lines.append("complex dims " + " ".join(str(d) for d in chain.dims))

@@ -1,10 +1,13 @@
 """Koszul-type coresolutions of interval modules and their complexes.
 
 The category of interest has one object per interval, with hom spaces the
-(combinatorial) morphism spaces between the thin interval modules.  Modules
-over this category are handled explicitly; minimal projective resolutions of
-the one-dimensional simple at an interval I pull back, along the Yoneda
-correspondence for maps between representables, to a cochain
+(combinatorial) morphism spaces between the thin interval modules.  The
+minimal projective resolution of the one-dimensional simple at an interval I
+is built from syzygies: each is a submodule K of a sum P of representables
+hom(J, -), kept only as a kernel basis of K(t) inside P(t) at every object t,
+and acted on through the 0/1 composition constants of the category.  The
+resolution pulls back, along the Yoneda correspondence for maps between
+representables, to a cochain
 
     0 -> V_I -> X^1 -> X^2 -> ...
 
@@ -26,8 +29,9 @@ spaces and down-maps, the corresponding complex is built directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, combinations
 
-from intres.exactla import Mat
+from intres.exactla import QQ, Mat
 from intres.poset import BoundQuiver, enumerate_intervals
 from intres.repmod import (
     PersModule,
@@ -51,8 +55,6 @@ class EndCategory:
     """
 
     def __init__(self, quiver, intervals=None, field=None):
-        from intres.exactla import QQ
-
         self.quiver = quiver
         self.field = field or QQ
         if intervals is None:
@@ -61,18 +63,10 @@ class EndCategory:
         self.obj_index = {i: t for t, i in enumerate(self.objects)}
         self._hom = {}
         self._tensor = {}
-        self._vmod = {}
         self._coresolutions = {}
 
     def interval(self, s):
         return self.objects[s]
-
-    def interval_module(self, s):
-        if s not in self._vmod:
-            self._vmod[s] = interval_module(
-                self.quiver, self.objects[s], self.field
-            )
-        return self._vmod[s]
 
     def hom(self, s, t):
         """Good components forming the basis of hom(s, t)."""
@@ -91,16 +85,6 @@ class EndCategory:
         if len(comps) != 1:
             raise AssertionError("endomorphism space of a thin module must be k")
         return 0
-
-    def basis_morphism(self, s, t, k):
-        """The k-th basis element of hom(s, t) as a ModMorphism."""
-        return component_morphism(
-            self.quiver,
-            self.objects[s],
-            self.objects[t],
-            self.hom(s, t)[k],
-            self.field,
-        )
 
     def compose_coeffs(self, s, t, u):
         """Structure constants: (a, b) -> indices c with x_b o x_a = sum x_c.
@@ -124,87 +108,6 @@ class EndCategory:
             self._tensor[key] = table
         return self._tensor[key]
 
-    def op(self):
-        """The opposite category view (hom(s,t) = this hom(t,s))."""
-        return _OpCategory(self)
-
-    def check_associativity(self):
-        """Exhaustively verify associativity of the composition tensors.
-
-        Intended for tests on small categories; cost grows with the fourth
-        power of the object count.
-        """
-        n = len(self.objects)
-        for s in range(n):
-            for t in range(n):
-                if not self.hom(s, t):
-                    continue
-                for u in range(n):
-                    if not self.hom(t, u):
-                        continue
-                    for w in range(n):
-                        if not self.hom(u, w):
-                            continue
-                        self._check_assoc_triple(s, t, u, w)
-        return True
-
-    def _check_assoc_triple(self, s, t, u, w):
-        st = len(self.hom(s, t))
-        tu = len(self.hom(t, u))
-        uw = len(self.hom(u, w))
-        t_stu = self.compose_coeffs(s, t, u)
-        t_suw = self.compose_coeffs(s, u, w)
-        t_tuw = self.compose_coeffs(t, u, w)
-        t_stw = self.compose_coeffs(s, t, w)
-        for a in range(st):
-            for b in range(tu):
-                for c in range(uw):
-                    # (c o b) o a
-                    lhs = {}
-                    for d in t_stu[(a, b)]:
-                        for e in t_suw[(d, c)]:
-                            lhs[e] = lhs.get(e, 0) + 1
-                    # c o (b o a)
-                    rhs = {}
-                    for d in t_tuw[(b, c)]:
-                        for e in t_stw[(a, d)]:
-                            rhs[e] = rhs.get(e, 0) + 1
-                    if lhs != rhs:
-                        raise AssertionError(
-                            f"associativity fails at objects {(s, t, u, w)}"
-                        )
-
-
-class _OpCategory:
-    """Opposite-category adapter sharing the underlying caches."""
-
-    def __init__(self, base):
-        self.base = base
-        self.quiver = base.quiver
-        self.field = base.field
-        self.objects = base.objects
-        self.obj_index = base.obj_index
-
-    def interval(self, s):
-        return self.base.interval(s)
-
-    def hom(self, s, t):
-        return self.base.hom(t, s)
-
-    def hom_dim(self, s, t):
-        return self.base.hom_dim(t, s)
-
-    def identity_index(self, s):
-        return self.base.identity_index(s)
-
-    def compose_coeffs(self, s, t, u):
-        # x_b o x_a in the op category is x_a o x_b in the base category
-        table = self.base.compose_coeffs(u, t, s)
-        return {(a, b): table[(b, a)] for (b, a) in table}
-
-    def op(self):
-        return self.base
-
 
 def build_end_category(quiver, intervals=None, field=None):
     return EndCategory(quiver, intervals, field)
@@ -226,166 +129,6 @@ def _shared_end_category(quiver, intervals, field):
     return _END_CACHE[key]
 
 
-# ---- modules over the category -------------------------------------------------
-
-
-class FunctorModule:
-    """A covariant module over an EndCategory (or its op view).
-
-    `dims[t]` is the dimension at object t; `action[(s, t, k)]` the matrix
-    of the k-th hom basis element (shape dims[t] x dims[s]); missing keys
-    act by zero.
-    """
-
-    def __init__(self, cat, dims, action):
-        self.cat = cat
-        self.dims = dict(dims)
-        self.action = dict(action)
-
-    def dim(self, t):
-        return self.dims.get(t, 0)
-
-    def total_dim(self):
-        return sum(self.dims.values())
-
-    def act(self, s, t, k):
-        key = (s, t, k)
-        m = self.action.get(key)
-        if m is None:
-            m = Mat.zeros(self.cat.field, self.dim(t), self.dim(s))
-        return m
-
-    def validate(self):
-        """Functoriality on all composable basis pairs (test-sized inputs)."""
-        n = len(self.cat.objects)
-        for s in range(n):
-            if not self.dim(s):
-                continue
-            ident = self.cat.identity_index(s)
-            if self.act(s, s, ident) != Mat.identity(self.cat.field, self.dim(s)):
-                raise AssertionError(f"identity does not act as identity at {s}")
-        for s in range(n):
-            for t in range(n):
-                for u in range(n):
-                    homs_st = self.cat.hom(s, t)
-                    homs_tu = self.cat.hom(t, u)
-                    if not homs_st or not homs_tu:
-                        continue
-                    tensor = self.cat.compose_coeffs(s, t, u)
-                    for a in range(len(homs_st)):
-                        for b in range(len(homs_tu)):
-                            lhs = self.act(t, u, b) * self.act(s, t, a)
-                            rhs = Mat.zeros(
-                                self.cat.field, self.dim(u), self.dim(s)
-                            )
-                            for c in tensor[(a, b)]:
-                                rhs = rhs + self.act(s, u, c)
-                            if lhs != rhs:
-                                raise AssertionError(
-                                    f"functoriality fails on ({s},{t},{u})"
-                                )
-        return True
-
-
-def simple_module(cat, s):
-    """One-dimensional at object s; every non-identity basis element acts 0."""
-    field = cat.field
-    ident = cat.identity_index(s)
-    return FunctorModule(
-        cat, {s: 1}, {(s, s, ident): Mat.identity(field, 1)}
-    )
-
-
-def representable_module(cat, s):
-    """The covariant representable hom(s, -): projective with top at s."""
-    field = cat.field
-    dims = {}
-    for t in range(len(cat.objects)):
-        d = cat.hom_dim(s, t)
-        if d:
-            dims[t] = d
-    action = {}
-    for t in dims:
-        for u in range(len(cat.objects)):
-            if cat.hom_dim(t, u) == 0 or cat.hom_dim(s, u) == 0:
-                continue
-            tensor = cat.compose_coeffs(s, t, u)
-            for k in range(cat.hom_dim(t, u)):
-                m = Mat.zeros(field, cat.hom_dim(s, u), dims[t])
-                for a in range(dims[t]):
-                    for c in tensor[(a, k)]:
-                        m.data[c * dims[t] + a] = field.one()
-                if not m.is_zero():
-                    action[(t, u, k)] = m
-    ident = cat.identity_index(s)
-    action.setdefault((s, s, ident), Mat.identity(field, dims[s]))
-    return FunctorModule(cat, dims, action)
-
-
-def _hom_chart(field, basis):
-    """The hom basis as columns of flat vectors, with their free columns
-    (`hom_basis` returns the kernel basis of the naturality system)."""
-    flats = [b.flat() for b in basis]
-    return Mat.from_columns(field, flats, len(flats[0])), Mat.free_columns(flats)
-
-
-def _hom_coordinates(chart, flats):
-    """Coordinates of flat morphism vectors in a `_hom_chart`, one column
-    each; None if one of them is not in the span."""
-    basis_mat, free = chart
-    block = Mat.from_columns(basis_mat.field, flats, basis_mat.nrows)
-    return basis_mat.coordinates(free, block)
-
-
-def lambda_module_of(module, side="left", cat=None, intervals=None):
-    """The category module induced by a persistence module M.
-
-    side="left": spaces Hom(V_I, M), hom basis elements act contravariantly
-    by precomposition (returned as a covariant module over cat.op()).
-    side="right": spaces Hom(M, V_I), acting covariantly by postcomposition.
-    """
-    if cat is None:
-        cat = _shared_end_category(module.quiver, intervals, module.field)
-    field = cat.field
-    homs = {
-        t: hom_basis(cat.interval_module(t), module)
-        if side == "left"
-        else hom_basis(module, cat.interval_module(t))
-        for t in range(len(cat.objects))
-    }
-    dims = {t: len(hs) for t, hs in homs.items() if hs}
-
-    charts = {t: _hom_chart(field, hs) for t, hs in homs.items() if hs}
-
-    def expand(t, composites):
-        """Coordinates in the hom basis at t, one column per composite."""
-        x = _hom_coordinates(charts[t], composites)
-        if x is None:
-            raise AssertionError("hom expansion failed; basis inconsistent")
-        return x
-
-    action = {}
-    if side == "left":
-        opcat = cat.op()
-        for s in dims:
-            for t in dims:
-                for k in range(opcat.hom_dim(s, t)):
-                    # op hom(s,t) = hom(t,s): morphism V_{I_t} -> V_{I_s}
-                    phi = cat.basis_morphism(t, s, k)
-                    m = expand(t, [h.compose(phi).flat() for h in homs[s]])
-                    if not m.is_zero():
-                        action[(s, t, k)] = m
-        return FunctorModule(opcat, dims, action)
-    for s in dims:
-        for t in dims:
-            for k in range(cat.hom_dim(s, t)):
-                phi = cat.basis_morphism(s, t, k)
-                m = expand(t, [phi.compose(h).flat() for h in homs[s]])
-                if not m.is_zero():
-                    action[(s, t, k)] = m
-    return FunctorModule(cat, dims, action)
-
-
 # ---- minimal projective resolutions --------------------------------------------
 
 
@@ -401,159 +144,116 @@ class ProjResolution:
     steps: list  # ResolutionStep per degree (degree 0 blocks = None)
 
 
-def _radical_span(cat, mod, t):
-    """Columns spanning rad(mod)(t) = sum of images from other objects."""
-    cols = []
-    for s in mod.dims:
-        if s == t:
-            continue
-        for k in range(cat.hom_dim(s, t)):
-            m = mod.action.get((s, t, k))
-            if m is not None and not m.is_zero():
-                for j in range(m.ncols):
-                    cols.append(m.col(j))
-    return cols
+def _act(cat, tags, offsets, vec, s, t, k):
+    """Image in P(t) of a vector of P(s) under the k-th basis element of
+    hom(s, t): coordinate (u, a) goes to the (u, c) with c in
+    compose_coeffs(tags[u], s, t)[(a, k)].  The components a of
+    I_{tags[u]} & I_s are disjoint, so no two of them reach the same c."""
+    out = [cat.field.zero()] * offsets[t][-1]
+    for u, tag in enumerate(tags):
+        start, target = offsets[s][u], offsets[t][u]
+        coeffs = None
+        for a in range(offsets[s][u + 1] - start):
+            x = vec[start + a]
+            if not x:
+                continue
+            if coeffs is None:
+                coeffs = cat.compose_coeffs(tag, s, t)
+            for c in coeffs[(a, k)]:
+                out[target + c] = x
+    return out
 
 
-def _top_generators(cat, mod):
-    """Per object, standard-basis vectors of mod(t) completing the radical:
-    the identity columns that fall on pivots of [radical columns | I]."""
-    field = cat.field
-    gens = []
-    for t in sorted(mod.dims):
-        d = mod.dim(t)
-        if d == 0:
-            continue
-        rad_cols = _radical_span(cat, mod, t)
-        ident = Mat.identity(field, d).rows()
-        if rad_cols:
-            _, pivots = Mat.from_columns(field, rad_cols + ident, d).rref()
-            chosen = [p - len(rad_cols) for p in pivots if p >= len(rad_cols)]
-        else:
-            chosen = range(d)
-        gens.extend((t, ident[i]) for i in chosen)
-    return gens
+def projective_cover_step(cat, tags, syzygy):
+    """Cover a submodule K of P = sum_u hom(tags[u], -) by its top.
 
-
-def projective_cover_step(cat, mod):
-    """One step: tags + generators + kernel (with its ambient embedding).
-
-    Returns (tags, gens, cover_cols, kernel_module, kernel_embeddings) where
-    cover_cols[t] is the matrix of the cover at object t (columns indexed by
-    (summand u, hom basis element of hom(tags[u], t))), and the kernel
-    embedding at t expresses kernel coordinates in those same columns.
+    K is given by `syzygy`: per object t, a `kernel_basis` of K(t) in the
+    coordinates (u, k) of P(t), summand u and k-th element of
+    hom(tags[u], t); objects where K is zero may be absent.  The top at t
+    is the basis vectors on pivots of [rad K(t) | K(t)], where rad K(t)
+    spans the images of the K(s), s != t; the same elimination checks that
+    K is a submodule.  Returns the step (the top's objects as tags, each
+    top vector sliced per summand of P as its blocks row) and the kernel of
+    the cover, the next syzygy, in the same form.
     """
     field = cat.field
-    pairs = _top_generators(cat, mod)
-    tags = [t for t, _ in pairs]
-    gens = [g for _, g in pairs]
     nobj = len(cat.objects)
-    cover_cols = {}
-    col_layout = {}  # t -> list of (u, k) in column order
+    # offsets[t]: where each summand's coordinates start in P(t), then dim P(t)
+    offsets = {
+        t: list(accumulate((cat.hom_dim(tag, t) for tag in tags), initial=0))
+        for t in range(nobj)
+    }
+    gens = []
     for t in range(nobj):
-        layout = []
-        cols = []
-        for u, (src, gen) in enumerate(pairs):
-            hd = cat.hom_dim(src, t)
-            for k in range(hd):
-                act = mod.act(src, t, k)
-                col = act * Mat(field, len(gen), 1, list(gen))
-                cols.append(col.data)
-                layout.append((u, k))
-        if cols or mod.dim(t):
-            cover_cols[t] = Mat.from_columns(field, cols, mod.dim(t))
-            col_layout[t] = layout
-    # surjectivity of the cover (Nakayama guarantees it; verify cheaply)
-    for t, m in cover_cols.items():
-        if mod.dim(t) and m.rank() != mod.dim(t):
-            raise AssertionError("projective cover is not surjective")
-    # kernel spaces and embeddings
-    kdims = {}
-    kembed = {}
-    kfree = {}
-    for t, m in cover_cols.items():
-        basis = m.kernel_basis()
-        if basis:
-            kdims[t] = len(basis)
-            kembed[t] = Mat.from_columns(field, basis, m.ncols)
-            kfree[t] = Mat.free_columns(basis)
-    # kernel action matrices via the ambient projective-sum action
-    kaction = {}
-    for s in kdims:
-        for t in range(nobj):
+        if not offsets[t][-1]:
+            continue
+        basis = syzygy.get(t, [])
+        rad = []
+        for s, vecs in syzygy.items():
+            if s == t:
+                continue
             for k in range(cat.hom_dim(s, t)):
-                amb = _projsum_action(cat, pairs, col_layout, s, t, k)
-                if amb is None:
-                    continue
-                rhs = amb * kembed[s]
-                if rhs.is_zero():
-                    continue
-                if t not in kdims:
-                    raise AssertionError("kernel not invariant under action")
-                sol = kembed[t].coordinates(kfree[t], rhs)
-                if sol is None:
-                    raise AssertionError("kernel embedding solve failed")
-                kaction[(s, t, k)] = sol
-    kernel_mod = FunctorModule(cat, kdims, kaction)
-    return tags, gens, cover_cols, col_layout, kernel_mod, kembed
+                for vec in vecs:
+                    img = _act(cat, tags, offsets, vec, s, t, k)
+                    if any(img):
+                        rad.append(img)
+        if not rad:
+            gens.extend((t, vec) for vec in basis)
+            continue
+        _, pivots = Mat.from_columns(field, rad + basis, offsets[t][-1]).rref()
+        if len(pivots) != len(basis):
+            raise AssertionError("kernel not invariant under action")
+        gens.extend((t, basis[p - len(rad)]) for p in pivots if p >= len(rad))
+    new_tags = [t for t, _ in gens]
+    blocks = [
+        [vec[start:end] for start, end in zip(offsets[t], offsets[t][1:])]
+        for t, vec in gens
+    ]
+    kernel = {}
+    for t in range(nobj):
+        basis = syzygy.get(t, [])
+        free = Mat.free_columns(basis)
+        cols = []
+        for tag, vec in gens:
+            for k in range(cat.hom_dim(tag, t)):
+                img = _act(cat, tags, offsets, vec, tag, t, k)
+                cols.append([img[r] for r in free])
+        if not cols and not basis:
+            continue
+        cover = Mat.from_columns(field, cols, len(basis))
+        kernel_basis = cover.kernel_basis()
+        if cover.ncols - len(kernel_basis) != len(basis):
+            raise AssertionError("projective cover is not surjective")
+        if kernel_basis:
+            kernel[t] = kernel_basis
+    return ResolutionStep(new_tags, blocks), kernel
 
 
-def _projsum_action(cat, pairs, col_layout, s, t, k):
-    """Action of hom-basis element k: s->t on (sum of representables at tags),
-    in the column coordinates of col_layout."""
-    field = cat.field
-    src_layout = col_layout.get(s, [])
-    tgt_layout = col_layout.get(t, [])
-    if not src_layout or not tgt_layout:
-        return None
-    tgt_pos = {(u, c): row for row, (u, c) in enumerate(tgt_layout)}
-    m = Mat.zeros(field, len(tgt_layout), len(src_layout))
-    one = field.one()
-    for col, (u, a) in enumerate(src_layout):
-        src_obj = pairs[u][0]
-        tensor = cat.compose_coeffs(src_obj, s, t)
-        for c in tensor[(a, k)]:
-            m.data[tgt_pos[(u, c)] * len(src_layout) + col] = one
-    return m
+def min_proj_resolution(cat, s, max_len=None):
+    """Minimal projective resolution of the simple module at object s.
 
-
-def min_proj_resolution(cat, mod, max_len=None):
-    """Minimal projective resolution of a covariant module by iterated covers.
-
-    steps[i].tags are the projective summands of the i-th term;
-    steps[i].blocks (i >= 1) give the differential into term i-1 as
-    coefficient lists over hom(tags_{i-1}[u_prev], tags_i[u_new]).
+    steps[0] is hom(s, -); the first syzygy is its radical, the identity
+    basis at every t != s.  steps[i].tags are the projective summands of
+    the i-th term; steps[i].blocks (i >= 1) give the differential into term
+    i-1 as coefficient lists over hom(tags_{i-1}[u_prev], tags_i[u_new]).
     """
     if max_len is None:
         max_len = 4 * len(cat.objects) + 4
+    cat.identity_index(s)
+    syzygy = {
+        t: Mat.identity(cat.field, cat.hom_dim(s, t)).rows()
+        for t in range(len(cat.objects))
+        if t != s and cat.hom_dim(s, t)
+    }
+    step = ResolutionStep([s], None)
     steps = []
-    current = mod
-    prev_embed = None
-    prev_layout = None
-    prev_tags = None
-    while current.total_dim() > 0:
+    while True:
         if len(steps) > max_len:
             raise MaxLengthExceeded(f"resolution exceeded {max_len} steps")
-        tags, gens, _cols, layout, kernel_mod, kembed = projective_cover_step(
-            cat, current
-        )
-        blocks = None
-        if prev_embed is not None:
-            blocks = []
-            for tag, gen in zip(tags, gens):
-                amb = prev_embed[tag] * Mat(
-                    cat.field, len(gen), 1, list(gen)
-                )
-                row = [[cat.field.zero()] * cat.hom_dim(prev, tag) for prev in prev_tags]
-                for pos, (u, k) in enumerate(prev_layout[tag]):
-                    row[u][k] = amb.data[pos]
-                blocks.append(row)
-        steps.append(ResolutionStep(tags, blocks))
-        current = kernel_mod
-        prev_embed = kembed
-        prev_layout = layout
-        prev_tags = tags
-    return ProjResolution(steps)
+        steps.append(step)
+        if not syzygy:
+            return ProjResolution(steps)
+        step, syzygy = projective_cover_step(cat, step.tags, syzygy)
 
 
 # ---- interval cochains ----------------------------------------------------------
@@ -568,12 +268,14 @@ class IntervalCochain:
     from V_J, J = terms[i][u_prev], to V_K, K = terms[i+1][u_new]: a list of
     coefficients over good_components(J, K), which is the `EndCategory.hom`
     order that `ResolutionStep.blocks` uses.  The block is the morphism equal
-    to the k-th coefficient on the k-th component and zero off them.
+    to the k-th coefficient on the k-th component and zero off them.  The
+    coefficients are elements of `field`.
     """
 
     interval: object
     terms: list
     blocks: list
+    field: object
 
     @property
     def length(self):
@@ -589,7 +291,7 @@ def _block_values(quiver, source, target, coeffs):
     return {v: c for comp, c in zip(comps, coeffs) for v in comp}
 
 
-def _cochain_defect(quiver, field, cochain):
+def _cochain_defect(quiver, cochain):
     """Why the blocks do not form a cochain of module morphisms, or None.
 
     A block is natural when, along every arrow u -> v with u in its source
@@ -597,7 +299,7 @@ def _cochain_defect(quiver, field, cochain):
     differentials compose to zero when, at every vertex, the products of
     block values summed over the middle summands vanish.
     """
-    terms, blocks = cochain.terms, cochain.blocks
+    field, terms, blocks = cochain.field, cochain.terms, cochain.blocks
     if len(blocks) != len(terms) - 1 or any(
         len(rows) != len(terms[i + 1]) or any(len(r) != len(terms[i]) for r in rows)
         for i, rows in enumerate(blocks)
@@ -627,8 +329,8 @@ def _cochain_defect(quiver, field, cochain):
     return None
 
 
-def _checked(quiver, field, cochain):
-    defect = _cochain_defect(quiver, field, cochain)
+def _checked(quiver, cochain):
+    defect = _cochain_defect(quiver, cochain)
     if defect:
         raise AssertionError(defect)
     return cochain
@@ -641,47 +343,44 @@ def koszul_coresolution(quiver, interval, field=None, intervals=None, cat=None,
     Computed as the minimal projective resolution of the simple module at I
     over the endomorphism category, pulled back through Yoneda: the terms
     are the resolution's tags and the blocks its `ResolutionStep.blocks`.
-    Results are cached on the category object.
+    Results are cached on the category object; a cached cochain longer
+    than `max_len` raises as a fresh resolution would.
     """
     if cat is None:
-        from intres.exactla import QQ
-
         cat = _shared_end_category(quiver, intervals, field or QQ)
     if interval not in cat.obj_index:
         raise ValueError("interval is not an object of the chosen family")
     s = cat.obj_index[interval]
-    if s in cat._coresolutions:
-        return cat._coresolutions[s]
-    res = min_proj_resolution(cat, simple_module(cat, s), max_len)
-    if res.steps[0].tags != [s]:
-        raise AssertionError("cover of the simple is not the expected stalk")
-    cochain = IntervalCochain(
-        interval,
-        [[cat.interval(t) for t in step.tags] for step in res.steps],
-        [step.blocks for step in res.steps[1:]],
-    )
-    cat._coresolutions[s] = _checked(cat.quiver, cat.field, cochain)
+    if s not in cat._coresolutions:
+        res = min_proj_resolution(cat, s, max_len)
+        cochain = IntervalCochain(
+            interval,
+            [[cat.interval(t) for t in step.tags] for step in res.steps],
+            [step.blocks for step in res.steps[1:]],
+            cat.field,
+        )
+        cat._coresolutions[s] = _checked(cat.quiver, cochain)
+    cochain = cat._coresolutions[s]
+    if max_len is not None and cochain.length > max_len:
+        raise MaxLengthExceeded(f"resolution exceeded {max_len} steps")
     return cochain
 
 
-def validate_koszul_coresolution(cochain, interval, cat=None, intervals=None,
-                                 field=None):
+def validate_koszul_coresolution(cochain, interval, cat=None, intervals=None):
     """Check the defining property, independently of how the cochain arose.
 
     Applying Hom(-, V_K) for every family interval K must give an exact
     sequence whose end cokernel is one-dimensional for K = I and zero
     otherwise (this is exactness of the dual projective resolution of the
-    simple at I, checked one graded piece at a time).
+    simple at I, checked one graded piece at a time).  The arithmetic is
+    over the cochain's field; `cat` or `intervals` only name the family.
     """
     if cochain.terms[0] != [interval]:
         return False
     if cat is None:
-        from intres.exactla import QQ
-
-        quiver = interval.quiver
-        cat = _shared_end_category(quiver, intervals, field or QQ)
+        cat = _shared_end_category(interval.quiver, intervals, cochain.field)
     quiver = cat.quiver
-    if _cochain_defect(quiver, cat.field, cochain):
+    if _cochain_defect(quiver, cochain):
         return False
     for k_int in cat.objects:
         # the chain Hom(X^i, V_K) -> Hom(X^{i-1}, V_K)
@@ -691,7 +390,7 @@ def validate_koszul_coresolution(cochain, interval, cat=None, intervals=None,
                 for tags in cochain.terms
             ],
             [
-                _precompose_matrix_interval(cat, cochain, i, k_int)
+                _precompose_matrix_interval(quiver, cochain, i, k_int)
                 for i in range(1, len(cochain.terms))
             ],
         )
@@ -705,15 +404,14 @@ def validate_koszul_coresolution(cochain, interval, cat=None, intervals=None,
     return True
 
 
-def _precompose_matrix_interval(cat, cochain, i, k_int):
+def _precompose_matrix_interval(quiver, cochain, i, k_int):
     """Matrix of Hom(X^i, V_K) -> Hom(X^{i-1}, V_K), g -> g o d^{i-1}.
 
     Bases: per summand, good components into K.  g o block is natural, hence
     constant on each good component of the source summand: its coefficient
     there is its value at any one vertex of it.
     """
-    quiver = cat.quiver
-    zero = cat.field.zero()
+    zero = cochain.field.zero()
     cur_tags = cochain.terms[i]
     blocks = cochain.blocks[i - 1]
     cols = [
@@ -738,7 +436,7 @@ def _precompose_matrix_interval(cat, cochain, i, k_int):
                 for u, comp in cols
             )
         nrows += len(comps)
-    return Mat(cat.field, nrows, len(cols), data)
+    return Mat(cochain.field, nrows, len(cols), data)
 
 
 # ---- Koszul complexes of a module ------------------------------------------------
@@ -778,6 +476,11 @@ def koszul_complex(quiver, interval, module, field=None, intervals=None,
         cochain = koszul_coresolution(
             quiver, interval, cat.field, intervals, cat, max_len
         )
+    if cochain.field != module.field:
+        raise ValueError(
+            f"the cochain is over {cochain.field!r} but the module is over "
+            f"{module.field!r}"
+        )
     hom_cache = {}
 
     def homs_to_m(j):
@@ -793,6 +496,21 @@ def koszul_complex(quiver, interval, module, field=None, intervals=None,
         for i in range(1, len(cochain.terms))
     ]
     return VecChain(dims, mats)
+
+
+def _hom_chart(field, basis):
+    """The hom basis as columns of flat vectors, with their free columns
+    (`hom_basis` returns the kernel basis of the naturality system)."""
+    flats = [b.flat() for b in basis]
+    return Mat.from_columns(field, flats, len(flats[0])), Mat.free_columns(flats)
+
+
+def _hom_coordinates(chart, flats):
+    """Coordinates of flat morphism vectors in a `_hom_chart`, one column
+    each; None if one of them is not in the span."""
+    basis_mat, free = chart
+    block = Mat.from_columns(basis_mat.field, flats, basis_mat.nrows)
+    return basis_mat.coordinates(free, block)
 
 
 def _precompose_matrix_module(quiver, module, cochain, i, homs_to_m):
@@ -921,8 +639,6 @@ def _cover_subsets(poset, a):
     """Per degree i, the size-i subsets S of the covers of a that have an
     upper bound, with their joins (the empty subset's join is a); up to the
     last nonempty degree."""
-    from itertools import combinations
-
     covers = poset.covers_of(a)
     subsets, joins = [[()]], [[a]]
     for size in range(1, len(covers) + 1):
@@ -1028,13 +744,13 @@ def build_lattice_gauge(poset, labelling, field):
     if bottom is None:
         raise ValueError("the poset has no bottom element")
 
-    def basis_morphism(a, b):
+    def indicator(a, b):
         return component_morphism(
             quiver, labelling[a], labelling[b], comps(a, b)[0], field
         )
 
     # reference morphisms from the bottom, along arbitrary cover chains
-    r = {bottom: basis_morphism(bottom, bottom)}
+    r = {bottom: indicator(bottom, bottom)}
     order = sorted(
         elements, key=lambda e: (sum(1 for x in elements if poset.lt(x, e)),
                                  poset.index(e))
@@ -1046,7 +762,7 @@ def build_lattice_gauge(poset, labelling, field):
         if not below:
             raise ValueError(f"element {e!r} is not above the bottom")
         x = below[-1]
-        cand = basis_morphism(x, e).compose(r[x])
+        cand = indicator(x, e).compose(r[x])
         if cand.is_zero():
             raise ValueError(
                 "reference morphism vanishes; hom pattern does not compose "
@@ -1058,7 +774,7 @@ def build_lattice_gauge(poset, labelling, field):
         for b in elements:
             if not poset.leq(a, b):
                 continue
-            cand = basis_morphism(a, b)
+            cand = indicator(a, b)
             if cand.compose(r[a]) != r[b]:
                 raise ValueError(
                     f"basis morphism at ({a!r}, {b!r}) is not compatible "
@@ -1079,8 +795,6 @@ def formal_koszul_coresolution(poset, a, embedding, field=None, gauge=None):
     checks unless a gauge is given.
     """
     if field is None:
-        from intres.exactla import QQ
-
         field = QQ
     if gauge is None:
         build_lattice_gauge(poset, embedding, field)
@@ -1100,7 +814,7 @@ def formal_koszul_coresolution(poset, a, embedding, field=None, gauge=None):
                     row.append([field.zero()] * len(good_components(quiver, j, k)))
             rows.append(row)
         blocks.append(rows)
-    return _checked(quiver, field, IntervalCochain(embedding[a], terms, blocks))
+    return _checked(quiver, IntervalCochain(embedding[a], terms, blocks, field))
 
 
 def lattice_module_from_persistence(gauge, module):

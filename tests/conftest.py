@@ -102,14 +102,15 @@ def random_hom(src, tgt, rng):
     return out
 
 
-def cochain_differentials(cochain, field):
+def cochain_differentials(cochain):
     """The differentials of an IntervalCochain as ModMorphisms between the
-    direct sums of its terms, built with check=True (naturality).
+    direct sums of its terms, over the cochain's field, built with
+    check=True (naturality).
 
     The block from summand J to summand K is 1x1 at each vertex of J & K,
     holding the coefficient of the good component containing the vertex
     (0 off the components)."""
-    quiver = cochain.interval.quiver
+    quiver, field = cochain.interval.quiver, cochain.field
     summands = [
         [interval_module(quiver, j, field) for j in tags]
         for tags in cochain.terms

@@ -191,6 +191,9 @@ def test_usage_errors(capsys, tmp_path):
     assert run(
         capsys, "betti", "--file", CL3_FILE, "--interval", "gibberish[",
     )[0] == EXIT_USAGE
+    code, _, err = run(capsys, "betti", "--file", CL3_FILE, "--max-len", "-1")
+    assert code == EXIT_USAGE
+    assert err == "error: --max-len must be at least 0, got -1\n"
 
 
 def test_unknown_subcommand_is_usage(capsys):
