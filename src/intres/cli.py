@@ -13,9 +13,8 @@ import json
 import sys
 
 from intres import modfile
-from intres.exactla import QQ
 from intres.koszul import (
-    _shared_end_category,
+    EndCategory,
     betti_table_via_koszul,
     koszul_complex,
     koszul_coresolution,
@@ -221,15 +220,9 @@ def cmd_koszul(args):
     max_len = _max_len(args)
     quiver, module = _quiver_from_args(args)
     interval = _parse_interval(quiver, args.interval)
-    field = (
-        module.field
-        if module is not None
-        else (_field_from_args(args) or QQ)
-    )
-    cat = _shared_end_category(quiver, None, field)
-    cochain = koszul_coresolution(
-        quiver, interval, field, cat=cat, max_len=max_len
-    )
+    field = module.field if module is not None else _field_from_args(args)
+    cat = EndCategory(quiver, None, field)
+    cochain = koszul_coresolution(quiver, interval, cat=cat, max_len=max_len)
     lines = [f"interval {interval_name(interval)}"]
     degrees = []
     for i, tags in enumerate(cochain.terms):
@@ -244,9 +237,7 @@ def cmd_koszul(args):
         if not ok:
             raise RouteMismatchError("koszul coresolution failed validation")
     if module is not None:
-        chain = koszul_complex(
-            quiver, interval, module, field, cat=cat, max_len=max_len
-        )
+        chain = koszul_complex(module, interval, cat, max_len)
         hom = chain.homology_dims()
         lines.append("complex dims " + " ".join(str(d) for d in chain.dims))
         lines.append("homology " + " ".join(str(h) for h in hom))

@@ -40,7 +40,7 @@ from intres.repmod import (
     hom_basis,
     interval_module,
 )
-from intres.resolve import MaxLengthExceeded
+from intres.resolve import BettiTable, MaxLengthExceeded
 
 
 # ---- the endomorphism category ------------------------------------------------
@@ -51,7 +51,9 @@ class EndCategory:
 
     Basis elements are indicator morphisms of good components, so all
     composition structure constants are 0 or 1 and are independent of the
-    field.  Composition tensors are cached per object triple.
+    field.  Composition tensors are cached per object triple, and
+    coresolutions per object: the category is the workspace that callers
+    pass along as `cat`.
     """
 
     def __init__(self, quiver, intervals=None, field=None):
@@ -113,20 +115,14 @@ def build_end_category(quiver, intervals=None, field=None):
     return EndCategory(quiver, intervals, field)
 
 
-_END_CACHE = {}
-
-
-def _shared_end_category(quiver, intervals, field):
-    key = (
-        quiver,
-        field,
-        None
-        if intervals is None
-        else tuple(sorted((i.vertex_set for i in intervals), key=sorted)),
-    )
-    if key not in _END_CACHE:
-        _END_CACHE[key] = EndCategory(quiver, intervals, field)
-    return _END_CACHE[key]
+def _require_over(cat, quiver, field, what):
+    """Raise ValueError unless the category is over `quiver` and `field`."""
+    for mine, theirs in ((cat.quiver, quiver), (cat.field, field)):
+        if mine != theirs:
+            raise ValueError(
+                f"the interval category is over {mine!r} but {what} is over "
+                f"{theirs!r}"
+            )
 
 
 # ---- minimal projective resolutions --------------------------------------------
@@ -336,9 +332,9 @@ def _checked(quiver, cochain):
     return cochain
 
 
-def koszul_coresolution(quiver, interval, field=None, intervals=None, cat=None,
-                        max_len=None):
-    """Minimal coresolution of V_I in the chosen interval family.
+def koszul_coresolution(quiver, interval, field=None, cat=None, max_len=None):
+    """Minimal coresolution of V_I in the family of `cat` (all intervals of
+    the quiver, over `field` or Q, when `cat` is None).
 
     Computed as the minimal projective resolution of the simple module at I
     over the endomorphism category, pulled back through Yoneda: the terms
@@ -347,7 +343,8 @@ def koszul_coresolution(quiver, interval, field=None, intervals=None, cat=None,
     than `max_len` raises as a fresh resolution would.
     """
     if cat is None:
-        cat = _shared_end_category(quiver, intervals, field or QQ)
+        cat = EndCategory(quiver, None, field)
+    _require_over(cat, quiver, field or cat.field, "the requested coresolution")
     if interval not in cat.obj_index:
         raise ValueError("interval is not an object of the chosen family")
     s = cat.obj_index[interval]
@@ -366,19 +363,20 @@ def koszul_coresolution(quiver, interval, field=None, intervals=None, cat=None,
     return cochain
 
 
-def validate_koszul_coresolution(cochain, interval, cat=None, intervals=None):
+def validate_koszul_coresolution(cochain, interval, cat=None):
     """Check the defining property, independently of how the cochain arose.
 
     Applying Hom(-, V_K) for every family interval K must give an exact
     sequence whose end cokernel is one-dimensional for K = I and zero
     otherwise (this is exactness of the dual projective resolution of the
     simple at I, checked one graded piece at a time).  The arithmetic is
-    over the cochain's field; `cat` or `intervals` only name the family.
+    over the cochain's field; `cat` only names the family (all intervals
+    when None).
     """
     if cochain.terms[0] != [interval]:
         return False
     if cat is None:
-        cat = _shared_end_category(interval.quiver, intervals, cochain.field)
+        cat = EndCategory(interval.quiver, None, cochain.field)
     quiver = cat.quiver
     if _cochain_defect(quiver, cochain):
         return False
@@ -462,20 +460,17 @@ class VecChain:
         return out
 
 
-def koszul_complex(quiver, interval, module, field=None, intervals=None,
-                   cat=None, max_len=None, cochain=None):
-    """Hom(K(V_I), M): spaces Hom(X^i, M), maps = precomposition with d."""
+def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
+    """Hom(K(V_I), M): spaces Hom(X^i, M), maps = precomposition with d.
+
+    The coresolution is `cochain` if given, else the one of I in the family
+    of `cat` (all intervals of the module's quiver when `cat` is None)."""
+    quiver = module.quiver
     if cat is None:
-        cat = _shared_end_category(quiver, intervals, field or module.field)
-    if cat.field != module.field:
-        raise ValueError(
-            f"the interval category is over {cat.field!r} but the module is "
-            f"over {module.field!r}"
-        )
+        cat = EndCategory(quiver, None, module.field)
+    _require_over(cat, quiver, module.field, "the module")
     if cochain is None:
-        cochain = koszul_coresolution(
-            quiver, interval, cat.field, intervals, cat, max_len
-        )
+        cochain = koszul_coresolution(quiver, interval, cat=cat, max_len=max_len)
     if cochain.field != module.field:
         raise ValueError(
             f"the cochain is over {cochain.field!r} but the module is over "
@@ -552,27 +547,18 @@ def _precompose_matrix_module(quiver, module, cochain, i, homs_to_m):
     return Mat.vstack(field, row_blocks, ncols=ncols)
 
 
-def betti_via_koszul(module, interval, intervals=None, cat=None, max_len=None):
+def betti_via_koszul(module, interval, cat=None, max_len=None):
     """Betti numbers of M at I as homology dimensions of the Koszul complex."""
-    if cat is None:
-        cat = _shared_end_category(module.quiver, intervals, module.field)
-    chain = koszul_complex(
-        module.quiver, interval, module, cat.field, intervals, cat, max_len
-    )
-    return chain.homology_dims()
+    return koszul_complex(module, interval, cat, max_len).homology_dims()
 
 
-def betti_table_via_koszul(module, intervals=None, cat=None, max_len=None):
+def betti_table_via_koszul(module, cat=None, max_len=None):
     """Full Betti table of M, one Koszul complex per family interval."""
-    from intres.resolve import BettiTable
-
     if cat is None:
-        cat = _shared_end_category(module.quiver, intervals, module.field)
+        cat = EndCategory(module.quiver, None, module.field)
     table = BettiTable()
     for interval in cat.objects:
-        chain = koszul_complex(
-            module.quiver, interval, module, cat.field, cat=cat, max_len=max_len
-        )
+        chain = koszul_complex(module, interval, cat, max_len)
         for i, h in enumerate(chain.homology_dims()):
             if h:
                 table.add(i, interval, h)

@@ -208,13 +208,6 @@ def parse_module_file(path, field=None):
     return parse_module_text(text, field)
 
 
-def _entry_str(field, x):
-    if field.kind == "GF":
-        return str(x)
-    s = str(x)
-    return s
-
-
 def serialize_module(module):
     """Canonical text form of a module (deterministic, round-trip stable)."""
     out = []
@@ -239,7 +232,7 @@ def serialize_module(module):
         src, tgt = module.quiver.arrows[name]
         out.append(f"map {name}")
         for r in range(m.nrows):
-            out.append(" ".join(_entry_str(f, x) for x in m.row(r)))
+            out.append(" ".join(str(x) for x in m.row(r)))
     return "\n".join(out) + "\n"
 
 
@@ -272,6 +265,11 @@ def parse_interval_spec(quiver, text):
         top = bot = None
         for which, lo, hi in re.findall(seg, t):
             pair = (int(lo), int(hi))
+            if not 1 <= pair[0] <= pair[1] <= n:
+                raise ValueError(
+                    f"segment {which}=[{lo},{hi}] is out of range for a ladder "
+                    f"of length {n} (need 1 <= lo <= hi <= {n})"
+                )
             if which == "top":
                 if top is not None:
                     raise ValueError("duplicate top segment")

@@ -136,10 +136,11 @@ class Interval:
     __slots__ = ("quiver", "vertices", "_vset")
 
     def __init__(self, quiver, vertices):
+        vertices = tuple(vertices)
         vset = frozenset(vertices)
         if not vset:
             raise ValueError("interval must be nonempty")
-        for v in vset:
+        for v in vertices:  # in the given order, so the error is reproducible
             if v not in quiver._vindex:
                 raise ValueError(f"unknown vertex {v!r}")
         if not is_connected(quiver, vset):

@@ -19,10 +19,11 @@ Three ingredients tie together here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from intres.approx import ApproxContext, minimal_right_approximation
 from intres.exactla import Mat
-from intres.koszul import _shared_end_category, koszul_complex
+from intres.koszul import EndCategory, koszul_complex
 from intres.poset import (
     BoundQuiver,
     cl_describe,
@@ -236,11 +237,9 @@ def compressed_multiplicity(module, interval):
 # ---- degree-0 Betti number and decomposability ------------------------------------
 
 
-def beta0(module, interval, intervals=None, cat=None):
+def beta0(module, interval, cat=None):
     """dim Hom(V_I, M) minus the rank of the incoming Koszul differential."""
-    if cat is None:
-        cat = _shared_end_category(module.quiver, intervals, module.field)
-    chain = koszul_complex(module.quiver, interval, module, cat.field, cat=cat)
+    chain = koszul_complex(module, interval, cat)
     if not chain.mats:
         return chain.dims[0]
     return chain.dims[0] - chain.mats[0].rank()
@@ -263,14 +262,13 @@ def is_interval_decomposable(module, cat=None):
     numbers as multiplicities.  If M is interval-decomposable then M itself
     is such an approximation, so f is an isomorphism by minimality; hence M
     is decomposable exactly when f is bijective at every vertex, and the
-    certificate lists the summands of X with multiplicity.
+    certificate lists the summands of X with multiplicity.  The family is
+    the objects of `cat`, all intervals when `cat` is None.
     """
     if module.total_dim() == 0:
         return DecompositionResult(True, {})
-    if cat is None:
-        cat = _shared_end_category(module.quiver, None, module.field)
     approx = minimal_right_approximation(
-        module, ctx=ApproxContext(module, cat.objects)
+        module, ctx=ApproxContext(module, None if cat is None else cat.objects)
     )
     if approx.morphism.is_iso():
         return DecompositionResult(True, approx.interval_multiset())
@@ -294,9 +292,7 @@ class ReplacementVector:
 def replacement_at(module, interval, cat=None):
     """The signed coefficient at one interval: alternating sum of the
     homology dimensions of the Koszul complex of M at I."""
-    if cat is None:
-        cat = _shared_end_category(module.quiver, None, module.field)
-    chain = koszul_complex(module.quiver, interval, module, cat.field, cat=cat)
+    chain = koszul_complex(module, interval, cat)
     return sum((-1) ** i * h for i, h in enumerate(chain.homology_dims()))
 
 
@@ -336,7 +332,7 @@ def interval_replacement(module, cat=None):
     """
     _require_ladder(module.quiver)
     if cat is None:
-        cat = _shared_end_category(module.quiver, None, module.field)
+        cat = EndCategory(module.quiver, None, module.field)
     intervals = cat.objects
     delta = {i: replacement_at(module, i, cat=cat) for i in intervals}
     compressed = {i: compressed_multiplicity(module, i) for i in intervals}
@@ -352,8 +348,6 @@ def interval_replacement(module, cat=None):
             )
     # cover-set alternating cross-check, where joins are unambiguous
     cont = containment_poset(intervals)
-    from itertools import combinations
-
     for j in intervals:
         covers = cont.covers_of(j)
         usable = True

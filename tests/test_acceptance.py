@@ -107,7 +107,7 @@ def test_ladder3_narrow_interval_first_homology_and_replacement(cl3_m45):
     start = time.monotonic()
     q = cl3_m45.quiver
     i_b = cl_interval(q, top=(2, 3), bot=(3, 3))
-    chain = koszul_complex(q, i_b, cl3_m45)
+    chain = koszul_complex(cl3_m45, i_b)
     hom = chain.homology_dims()
     assert hom[1] == 1
     assert all(h == 0 for d, h in enumerate(hom) if d != 1)
@@ -248,8 +248,7 @@ def test_lattice_family_routes_and_semilattice_homology():
     for a in lattice.elements:
         formal = formal_koszul_coresolution(lattice, a, embedding, QQ,
                                             gauge=gauge)
-        relative = koszul_coresolution(quiver, a, QQ, intervals=family,
-                                       cat=cat)
+        relative = koszul_coresolution(quiver, a, QQ, cat=cat)
         assert len(formal.terms) == len(relative.terms)
         for d in range(len(formal.terms)):
             assert Counter(formal.terms[d]) == Counter(relative.terms[d])

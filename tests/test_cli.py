@@ -194,6 +194,17 @@ def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "betti", "--file", CL3_FILE, "--max-len", "-1")
     assert code == EXIT_USAGE
     assert err == "error: --max-len must be at least 0, got -1\n"
+    for spec, want in [
+        ("top=[1,6] bot=[2,9]",
+         "error: segment top=[1,6] is out of range for a ladder of length 3 "
+         "(need 1 <= lo <= hi <= 3)\n"),
+        ("bot=[1,3000000]",
+         "error: segment bot=[1,3000000] is out of range for a ladder of "
+         "length 3 (need 1 <= lo <= hi <= 3)\n"),
+        ("t1,x9,y7,b2,z1,w4", "error: unknown vertex 'x9'\n"),
+    ]:
+        code, out, err = run(capsys, "koszul", "--ladder", "3", "--interval", spec)
+        assert (code, out, err) == (EXIT_USAGE, "", want)
 
 
 def test_unknown_subcommand_is_usage(capsys):
@@ -242,15 +253,32 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
-def test_module_entry_point():
-    # the subprocess imports intres from this checkout's src/
+def run_module(*argv, **env):
+    """`python -m intres.cli` on this checkout's src/, with extra
+    environment variables."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "intres.cli", "intervals", "--ladder", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "intres.cli", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
+
+
+def test_module_entry_point():
+    proc = run_module("intervals", "--ladder", "2")
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 11
+
+
+def test_interval_errors_do_not_depend_on_the_hash_seed():
+    """The error names the same segment or vertex under every hash seed
+    (the unknown vertex first in the spec, not first in a set)."""
+    for spec in ("top=[1,6] bot=[2,9]", "t1,x9,y7,b2,z1,w4"):
+        errs = {
+            run_module("koszul", "--ladder", "3", "--interval", spec,
+                       PYTHONHASHSEED=seed).stderr
+            for seed in ("1", "3", "4")
+        }
+        assert len(errs) == 1, errs

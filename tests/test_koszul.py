@@ -1,5 +1,7 @@
 """Endomorphism category, Koszul coresolutions/complexes, lattice variants."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -33,11 +35,8 @@ from intres import (
     zero_morphism,
 )
 from intres import koszul
-from intres.koszul import (
-    IntervalCochain,
-    _shared_end_category,
-    projective_cover_step,
-)
+from intres.koszul import IntervalCochain, projective_cover_step
+from intres.modfile import parse_field_token
 from intres.poset import BoundQuiver, Interval, Poset
 from intres.resolve import MaxLengthExceeded
 
@@ -279,10 +278,47 @@ def test_cl3_coresolution_terms(cl3_m45):
     assert c2.blocks == [[[[1]], [[1]], [[1]]], [[[1], [1], [1]]]]
 
 
+# sha256 of the terms (vertex sets) and blocks of every interval's cochain,
+# intervals in `EndCategory` order
+COCHAIN_DIGESTS = {
+    (3, "Q"): "50a65af1c457bfd6dd5980f5f2754a3448e856b9485b9707f6c0ceb9f50c7cd2",
+    (3, "GF2"): "5b80dc45fea3d5d2598ae86e30ab69d8915065666143730284abaadf34c47d3e",
+    (4, "Q"): "9d565333154b09b5c86465ea0915f8821d132223e1ebc17b1ebb7d5e39ab6112",
+    (4, "GF2"): "2c658a0506315b7ec2162cebae2b37ae727df4423f210f5a7758834d215dea10",
+}
+
+
+@pytest.mark.parametrize("n, field", sorted(COCHAIN_DIGESTS))
+def test_cochain_digests(n, field):
+    """Every cochain of ladders 3 and 4, term order and coefficients
+    included, is pinned."""
+    q = commutative_ladder(n)
+    cat = build_end_category(q, None, parse_field_token(field))
+    data = []
+    for iv in cat.objects:
+        c = koszul_coresolution(q, iv, cat.field, cat=cat)
+        data.append([
+            sorted(iv.vertex_set),
+            [[sorted(t.vertex_set) for t in tags] for tags in c.terms],
+            [[[[str(x) for x in b] for b in row] for row in rows]
+             for rows in c.blocks],
+        ])
+    digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+    assert digest == COCHAIN_DIGESTS[(n, field)]
+
+
 def test_coresolution_cached():
+    """Coresolutions are cached on the category that is passed along, and
+    only there: calls without one share no state."""
     q = CL2
     iv = cl_interval(q, top=(1, 2), bot=(1, 2))
-    assert koszul_coresolution(q, iv, QQ) is koszul_coresolution(q, iv, QQ)
+    cat = build_end_category(q, None, QQ)
+    first = koszul_coresolution(q, iv, QQ, cat=cat)
+    assert koszul_coresolution(q, iv, QQ, cat=cat) is first
+    assert koszul_coresolution(q, iv, cat=cat) is first
+    fresh = koszul_coresolution(q, iv, QQ)
+    assert fresh is not koszul_coresolution(q, iv, QQ)
+    assert fresh is not first and fresh == first
 
 
 def test_max_len_holds_for_cached_coresolutions():
@@ -358,14 +394,14 @@ def test_cochains_carry_their_field():
     i_b = cl_interval(CL3, top=(2, 3), bot=(3, 3))
     c7 = koszul_coresolution(CL3, i_b, gf7)
     with pytest.raises(ValueError, match=r"over GF\(7\).*over Q\b"):
-        koszul_complex(CL3, i_b, m, cochain=c7)
+        koszul_complex(m, i_b, cochain=c7)
 
 
 # ---- Koszul complexes and Betti numbers ---------------------------------------------
 
 
 def test_betti_of_interval_modules_is_kronecker():
-    cat = _shared_end_category(CL2, None, QQ)
+    cat = build_end_category(CL2, None, QQ)
     for j in enumerate_intervals(CL2):
         vj = interval_module(CL2, j, QQ)
         for i in enumerate_intervals(CL2):
@@ -385,7 +421,7 @@ def test_route_equivalence_small():
 
 def test_koszul_betti_additive():
     rng = random.Random(42)
-    cat = _shared_end_category(CL2, None, QQ)
+    cat = build_end_category(CL2, None, QQ)
     a = random_commuting_module(CL2, rng)
     b = random_commuting_module(CL2, rng)
     s = direct_sum([a, b]).module
@@ -403,29 +439,40 @@ def test_cancelling_pair_invariance(cl3_m45):
     is padded with a split-exact pair (non-minimal but still valid)."""
     q = cl3_m45.quiver
     i_b = cl_interval(q, top=(2, 3), bot=(3, 3))
-    cat = _shared_end_category(q, None, QQ)
+    cat = build_end_category(q, None, QQ)
     base = koszul_coresolution(q, i_b, QQ, cat=cat)
-    want = koszul_complex(q, i_b, cl3_m45, cat=cat).homology_dims()
+    want = koszul_complex(cl3_m45, i_b, cat).homology_dims()
     assert want[1] == 1  # the fixture has its class in degree one
     extra = cl_interval(q, top=(1, 1))
     for degree in (1, 2):
         padded = with_cancelling_pair(base, degree, extra)
         cochain_differentials(padded)  # natural blocks
-        got = koszul_complex(q, i_b, cl3_m45, cat=cat,
+        got = koszul_complex(cl3_m45, i_b, cat,
                              cochain=padded).homology_dims()
         n = max(len(got), len(want))
         assert got + [0] * (n - len(got)) == want + [0] * (n - len(want))
 
 
 def test_category_and_module_fields_must_agree():
+    """A category over another field or quiver than the module, or than the
+    coresolution asked for, is refused with both named."""
     gf2 = Field.prime(2)
     m = load_fixture("cl3_m45.mod", gf2)
     q = m.quiver
     cat = build_end_category(q, None, QQ)
     with pytest.raises(ValueError, match=r"over Q\b.*over GF\(2\)"):
         betti_table_via_koszul(m, cat=cat)
-    with pytest.raises(ValueError, match="GF"):
-        koszul_complex(q, cat.interval(0), m, QQ)
+    with pytest.raises(ValueError, match=r"over Q\b.*over GF\(2\)"):
+        koszul_complex(m, cat.interval(0), cat)
+    with pytest.raises(ValueError, match=r"over Q\b.*over GF\(7\)"):
+        koszul_coresolution(q, cat.interval(0), Field.prime(7), cat=cat)
+    cl2_cat = build_end_category(CL2, None, QQ)
+    quivers = (r"over BoundQuiver\(4 vertices, 4 arrows\).*"
+               r"over BoundQuiver\(6 vertices, 7 arrows\)")
+    with pytest.raises(ValueError, match=quivers):
+        betti_table_via_koszul(load_fixture("cl3_m45.mod"), cat=cl2_cat)
+    with pytest.raises(ValueError, match=quivers):
+        koszul_coresolution(q, cat.interval(0), QQ, cat=cl2_cat)
 
 
 def test_non_natural_block_is_rejected(monkeypatch):
@@ -488,15 +535,14 @@ def test_lattice_module_path_independence_enforced():
 
 def test_lattice_example_formal_vs_relative():
     quiver, family, lattice, embedding = lattice_example()
-    cat = _shared_end_category(quiver, family, QQ)
+    cat = build_end_category(quiver, family, QQ)
     gauge = build_lattice_gauge(lattice, embedding, QQ)
     rng = random.Random(45)
     modules = [random_interval_sum(quiver, rng)[0] for _ in range(3)]
     for a in lattice.elements:
         formal = formal_koszul_coresolution(lattice, a, embedding, QQ,
                                             gauge=gauge)
-        relative = koszul_coresolution(quiver, a, QQ, intervals=family,
-                                       cat=cat)
+        relative = koszul_coresolution(quiver, a, QQ, cat=cat)
         assert multisets(formal) == multisets(relative)
         assert validate_koszul_coresolution(relative, a, cat=cat)
         assert validate_koszul_coresolution(formal, a, cat=cat)
@@ -504,8 +550,8 @@ def test_lattice_example_formal_vs_relative():
         for d in range(len(diffs) - 1):
             assert diffs[d + 1].compose(diffs[d]).is_zero()
         for m in modules:
-            want = koszul_complex(quiver, a, m, cat=cat, cochain=relative)
-            got = koszul_complex(quiver, a, m, cat=cat, cochain=formal)
+            want = koszul_complex(m, a, cat, cochain=relative)
+            got = koszul_complex(m, a, cat, cochain=formal)
             assert got.homology_dims() == want.homology_dims()
 
 

@@ -227,8 +227,21 @@ def test_parse_interval_spec_rejects_garbage():
         parse_interval_spec(CL3, "top=[1,2] top=[1,3]")
     with pytest.raises(ValueError):
         parse_interval_spec(CL3, "")
-    with pytest.raises(ValueError):
-        parse_interval_spec(CL3, "top=[2,1]")
+    for spec, segment in [
+        ("top=[2,1]", "top=[2,1]"),
+        ("bot=[0,2]", "bot=[0,2]"),
+        ("top=[1,3] bot=[3,4]", "bot=[3,4]"),
+        ("top=[1,6] bot=[2,9]", "top=[1,6]"),
+        ("top=[1,3000000]", "top=[1,3000000]"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_interval_spec(CL3, spec)
+        assert str(err.value) == (
+            f"segment {segment} is out of range for a ladder of length 3 "
+            "(need 1 <= lo <= hi <= 3)"
+        )
+    with pytest.raises(ValueError, match="unknown vertex 'x9'"):
+        parse_interval_spec(CL3, "t1, x9, y7, b2, z1, w4")
 
 
 def test_render_vectors(cl3_m45):
