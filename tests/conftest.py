@@ -1,5 +1,7 @@
 """Shared helpers: fixture loading and seeded random module generators."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -38,6 +40,24 @@ def cl3_m45():
 @pytest.fixture(scope="session")
 def cl5_m():
     return load_fixture("cl5_m.mod")
+
+
+# ---- digests of exact data ----------------------------------------------------
+
+
+def module_data(m):
+    """Dimension vector and every arrow's entries, as JSON-ready strings."""
+    return [[m.dims[v] for v in m.quiver.vertices],
+            [[str(x) for x in m.maps[a].data] for a in sorted(m.maps)]]
+
+
+def morphism_data(f):
+    """Every component's entries, vertices in quiver order."""
+    return [[str(x) for x in f.comps[v].data] for v in f.src.quiver.vertices]
+
+
+def digest(data):
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
 
 
 # ---- randomized module constructions ----------------------------------------

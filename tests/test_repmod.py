@@ -30,6 +30,8 @@ from intres import (
 from intres.poset import Interval
 
 from conftest import (
+    digest,
+    module_data,
     rand_scalar,
     random_commuting_module,
     random_hom,
@@ -285,3 +287,20 @@ def test_random_commuting_module_is_valid():
             m.validate_commutativity()
             assert 0 < m.total_dim()
             assert max(m.dims.values()) <= 3
+
+
+RANDOM_MODULE_DIGEST = (
+    "5edb33c608ffcead277affe8c3abafc4749d8cfbe91201ed33648f8770d3eab3"
+)
+
+
+def test_random_commuting_module_digest():
+    """The sampler draws the same modules: its draws over Q, GF(2) and
+    GF(3) on ladders 2 and 3 are pinned."""
+    rng = random.Random(21)
+    data = []
+    for field in (QQ, Field.prime(2), Field.prime(3)):
+        for quiver in (CL2, CL3):
+            for _ in range(2):
+                data.append(module_data(random_commuting_module(quiver, rng, field)))
+    assert digest(data) == RANDOM_MODULE_DIGEST

@@ -21,9 +21,17 @@ from intres import (
     minimal_interval_coresolution,
     minimal_interval_resolution,
 )
+from intres.modfile import parse_field_token
 from intres.poset import Interval
 
-from conftest import load_fixture, random_commuting_module, random_interval_sum
+from conftest import (
+    digest,
+    load_fixture,
+    module_data,
+    morphism_data,
+    random_commuting_module,
+    random_interval_sum,
+)
 
 CL2 = commutative_ladder(2)
 CL3 = commutative_ladder(3)
@@ -148,6 +156,37 @@ def test_cl5_fixture_coresolution(cl5_m):
         cl_interval(q, top=(3, 4), bot=(4, 5)),
     ])
     check_coresolution_exact(cores)
+
+
+CORESOLUTION_DIGESTS = {
+    ("cl3_m45.mod", "Q"):
+        "a6c5a179d09301c494012a876dc6442f9eff1fed1a1cba3f3f13aff9a39e0106",
+    ("cl3_m45.mod", "GF2"):
+        "6635cb885a08b1879bc5f17be8bfcf2e5f7a8cdf5858e0b710d9e69231c69c9f",
+    ("cl3_m45.mod", "GF3"):
+        "f05b2c3ece7d4cf161826b7470b043f8cd53c7458c930de13c31554bd4d9711e",
+    ("cl5_m.mod", "Q"):
+        "fadb5a8d70eb2de335acda7e6e537719090e7f7de9ba1e3a1dc2e658f7bbe6c4",
+    ("cl5_m.mod", "GF2"):
+        "57a9e9c181c69fda828e5c0f87914f89fb63c699728d7bf1a0a4d0afcfe0d1c6",
+    ("cl5_m.mod", "GF3"):
+        "02fd4cd245d3cde0fd2519f799ff1c9bed4be12a871fff6258d303bbf70871d6",
+}
+
+
+@pytest.mark.parametrize("name, field", sorted(CORESOLUTION_DIGESTS))
+def test_coresolution_digests(name, field):
+    """The minimal coresolutions of both fixtures are pinned: the terms as
+    vertex sets, every term module's maps and every differential."""
+    m = load_fixture(name, parse_field_token(field))
+    cores = minimal_interval_coresolution(m)
+    assert cores.module is m
+    data = [
+        [[sorted(t.vertex_set) for t in tags] for tags in cores.terms],
+        [module_data(x) for x in cores.term_modules],
+        [morphism_data(d) for d in cores.diffs],
+    ]
+    assert digest(data) == CORESOLUTION_DIGESTS[(name, field)]
 
 
 def test_max_len_enforced(cl3_m45):
