@@ -19,7 +19,6 @@ from intres.poset import (
 )
 from intres.repmod import (
     CommutativityError,
-    DirectSum,
     ModMorphism,
     PersModule,
     cokernel,
@@ -32,16 +31,12 @@ from intres.repmod import (
     interval_module,
     kernel,
     morphism_from_columns,
-    morphism_from_rows,
     zero_module,
     zero_morphism,
 )
 from intres.approx import (
     ApproxContext,
-    is_left_interval_approximation,
     is_right_interval_approximation,
-    left_interval_approximation,
-    minimal_left_approximation,
     minimal_right_approximation,
     right_interval_approximation,
 )

@@ -1,10 +1,12 @@
-"""Right/left approximations by sums of interval modules.
+"""Right approximations by sums of interval modules.
 
 Everything is relative to a family of intervals (default: all intervals of
 the quiver).  A right approximation of M is a morphism f from a sum of
 family interval modules such that post-composition with f is onto
-Hom(V_I, M) for every member I; a left approximation is dual, with
-pre-composition onto Hom(M, V_I).
+Hom(V_I, M) for every member I.  Left approximations are not computed
+here: a left approximation of M is D of a right approximation of
+DM = Hom_k(M, k) over the opposite quiver (`PersModule.dual`), which is how
+`resolve` builds coresolutions.
 
 A minimal right approximation is the projective cover of the functor
 Hom(V_-, M) on the family.  End(V_I) = k and every map between distinct
@@ -30,7 +32,6 @@ from intres.repmod import (
     hom_basis,
     interval_module,
     morphism_from_columns,
-    morphism_from_rows,
     zero_module,
 )
 
@@ -47,7 +48,6 @@ class ApproxContext:
         self.intervals = list(intervals)
         self._vmod = {}
         self._hom_to = {}
-        self._hom_from = {}
 
     def interval_module(self, i):
         if i not in self._vmod:
@@ -60,32 +60,20 @@ class ApproxContext:
             self._hom_to[i] = hom_basis(self.interval_module(i), self.module)
         return self._hom_to[i]
 
-    def hom_from_module(self, i):
-        """Basis of Hom(M, V_I)."""
-        if i not in self._hom_from:
-            self._hom_from[i] = hom_basis(self.module, self.interval_module(i))
-        return self._hom_from[i]
-
-    def homs(self, side):
-        """Hom(V_-, M) for the right side, Hom(M, V_-) for the left."""
-        return self.hom_to_module if side == "right" else self.hom_from_module
-
 
 @dataclass
 class ApproxMorphism:
-    """A (right or left) approximation with its direct-sum bookkeeping.
+    """A right approximation with its direct-sum bookkeeping.
 
     `summand_index[t]` names the interval of the t-th block; `parts[t]` is
-    the component morphism V_I -> M (right) or M -> V_I (left); `morphism`
-    is the assembled map from/to the tagged direct sum.
+    the component morphism V_I -> M; `morphism` is the assembled map from
+    the direct sum of the blocks, in order.
     """
 
     module: object
-    side: str
     summand_index: list
     parts: list
     morphism: ModMorphism = None
-    source_or_target: object = None
 
     def interval_multiset(self):
         out = {}
@@ -94,31 +82,24 @@ class ApproxMorphism:
         return out
 
 
-def _assemble(module, side, summand_index, parts):
-    """Build the tagged direct sum and the assembled ModMorphism."""
+def _assemble(module, summand_index, parts):
+    """The morphism from the direct sum of the tagged interval modules."""
     if not summand_index:
         zm = zero_module(module.quiver, module.field)
-        if side == "right":
-            return zm, ModMorphism(zm, module, {}, check=False)
-        return zm, ModMorphism(module, zm, {}, check=False)
+        return ModMorphism(zm, module, {}, check=False)
     mods = [interval_module(module.quiver, i, module.field) for i in summand_index]
-    ds = direct_sum(mods)
-    if side == "right":
-        return ds.module, morphism_from_columns(ds, module, parts)
-    return ds.module, morphism_from_rows(module, ds, parts)
+    return morphism_from_columns(direct_sum(mods), module, parts)
 
 
 # ---- composites through interval modules ----------------------------------------
 
 
-def _composites(ctx, i, pairs, side):
-    """Flat vectors, in the coordinates of Hom(V_I, M) (right) or
-    Hom(M, V_I) (left), of every h o g (right) or g o h (left) with (J, h)
-    in `pairs` and g in the good-component basis of Hom(V_I, V_J) (right)
-    or Hom(V_J, V_I) (left).
+def _composites(ctx, i, pairs):
+    """Flat vectors, in the coordinates of Hom(V_I, M), of every h o g with
+    (J, h) in `pairs` and g in the good-component basis of Hom(V_I, V_J).
 
     g is 1 on its component C and 0 elsewhere, so the composite agrees with
-    h on C and vanishes off it.  At each vertex v of I both hom spaces have
+    h on C and vanishes off it.  At each vertex v of I the hom space has
     dim M_v coordinates, which `ModMorphism.flat` lists in quiver order.
     Returns (vectors, width).
     """
@@ -133,8 +114,7 @@ def _composites(ctx, i, pairs, side):
     out = []
     for j, h in pairs:
         if j not in components:
-            src, tgt = (i, j) if side == "right" else (j, i)
-            components[j] = good_components(ctx.quiver, src, tgt)
+            components[j] = good_components(ctx.quiver, i, j)
         for comp in components[j]:
             vec = [zero] * width
             for v in comp:
@@ -143,14 +123,13 @@ def _composites(ctx, i, pairs, side):
     return out, width
 
 
-def _criterion(ctx, pairs, family, side):
-    """Is Hom(V_I, f) (right) or Hom(f, V_I) (left) onto for every member I?"""
-    homs = ctx.homs(side)
+def _criterion(ctx, pairs, family):
+    """Is Hom(V_I, f) onto for every member I?"""
     for i in ctx.intervals if family is None else family:
-        target_dim = len(homs(i))
+        target_dim = len(ctx.hom_to_module(i))
         if target_dim == 0:
             continue
-        image, width = _composites(ctx, i, pairs, side)
+        image, width = _composites(ctx, i, pairs)
         if Mat.from_columns(ctx.field, image, width).rank() != target_dim:
             return False
     return True
@@ -166,25 +145,17 @@ def is_right_interval_approximation(approx, module=None, family=None, ctx=None):
     module = module or approx.module
     ctx = ctx or ApproxContext(module)
     pairs = list(zip(approx.summand_index, approx.parts))
-    return _criterion(ctx, pairs, family, "right")
-
-
-def is_left_interval_approximation(approx, module=None, family=None, ctx=None):
-    module = module or approx.module
-    ctx = ctx or ApproxContext(module)
-    pairs = list(zip(approx.summand_index, approx.parts))
-    return _criterion(ctx, pairs, family, "left")
+    return _criterion(ctx, pairs, family)
 
 
 # ---- construction ------------------------------------------------------------
 
 
-def _top(ctx, i, members, side):
+def _top(ctx, i, members):
     """Hom-basis elements at I spanning a complement of the radical."""
-    homs = ctx.homs(side)
-    basis = homs(i)
-    rad_pairs = [(j, h) for j in members if j != i for h in homs(j)]
-    rad, width = _composites(ctx, i, rad_pairs, side)
+    basis = ctx.hom_to_module(i)
+    rad_pairs = [(j, h) for j in members if j != i for h in ctx.hom_to_module(j)]
+    rad, width = _composites(ctx, i, rad_pairs)
     if not rad:
         return basis
     cols = rad + [h.flat() for h in basis]
@@ -192,36 +163,27 @@ def _top(ctx, i, members, side):
     return [basis[p - len(rad)] for p in pivots if p >= len(rad)]
 
 
-def _approximation(module, side, family, ctx, minimal):
+def _approximation(module, family, ctx, minimal):
     ctx = ctx or ApproxContext(module)
-    homs = ctx.homs(side)
+    homs = ctx.hom_to_module
     members = [j for j in (ctx.intervals if family is None else family) if homs(j)]
     summand_index = []
     parts = []
     for i in members:
-        kept = _top(ctx, i, members, side) if minimal else homs(i)
+        kept = _top(ctx, i, members) if minimal else homs(i)
         summand_index.extend([i] * len(kept))
         parts.extend(kept)
-    obj, f = _assemble(module, side, summand_index, parts)
-    return ApproxMorphism(module, side, summand_index, parts, f, obj)
+    f = _assemble(module, summand_index, parts)
+    return ApproxMorphism(module, summand_index, parts, f)
 
 
 def right_interval_approximation(module, family=None, ctx=None):
     """A right approximation of M by a sum of family interval modules: one
     summand per hom-basis element of every member (not minimal)."""
-    return _approximation(module, "right", family, ctx, minimal=False)
-
-
-def left_interval_approximation(module, family=None, ctx=None):
-    return _approximation(module, "left", family, ctx, minimal=False)
+    return _approximation(module, family, ctx, minimal=False)
 
 
 def minimal_right_approximation(module, family=None, ctx=None):
     """The projective cover of Hom(V_-, M) over the family, as a minimal
     right approximation of M."""
-    return _approximation(module, "right", family, ctx, minimal=True)
-
-
-def minimal_left_approximation(module, family=None, ctx=None):
-    """Dual: the minimal left approximation from the top of Hom(M, V_-)."""
-    return _approximation(module, "left", family, ctx, minimal=True)
+    return _approximation(module, family, ctx, minimal=True)

@@ -369,14 +369,15 @@ def validate_koszul_coresolution(cochain, interval, cat=None):
     Applying Hom(-, V_K) for every family interval K must give an exact
     sequence whose end cokernel is one-dimensional for K = I and zero
     otherwise (this is exactness of the dual projective resolution of the
-    simple at I, checked one graded piece at a time).  The arithmetic is
-    over the cochain's field; `cat` only names the family (all intervals
-    when None).
+    simple at I, checked one graded piece at a time).  `cat` names the
+    family (all intervals when None) and must be over the cochain's quiver
+    and field; otherwise ValueError names both.
     """
     if cochain.terms[0] != [interval]:
         return False
     if cat is None:
         cat = EndCategory(interval.quiver, None, cochain.field)
+    _require_over(cat, interval.quiver, cochain.field, "the cochain")
     quiver = cat.quiver
     if _cochain_defect(quiver, cochain):
         return False

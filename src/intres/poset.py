@@ -26,6 +26,7 @@ class BoundQuiver:
         "_pred",
         "_reach",
         "_topo",
+        "_op",
     )
 
     def __init__(self, vertices, arrows):
@@ -60,6 +61,18 @@ class BoundQuiver:
         self._topo = self._topological_order()
         self._reach = self._reachability()
         self._check_hasse()
+        self._op = None
+
+    def opposite(self):
+        """The Hasse quiver of the opposite poset: the same vertex tuple and
+        arrow names, each arrow reversed.  Built once; the opposite of the
+        opposite is this quiver itself."""
+        if self._op is None:
+            reversed_arrows = {a: (t, s) for a, (s, t) in self.arrows.items()}
+            op = BoundQuiver(self.vertices, reversed_arrows)
+            op._op = self
+            self._op = op
+        return self._op
 
     def _topological_order(self):
         indeg = {v: len(self._pred[v]) for v in self.vertices}

@@ -120,6 +120,14 @@ class PersModule:
                     paths[x] = self.maps[a] * paths[w]
         return paths[v]
 
+    def dual(self):
+        """D = Hom_k(-, k): the same spaces over the opposite quiver, every
+        map transposed."""
+        maps = {a: m.transpose() for a, m in self.maps.items()}
+        return PersModule(
+            self.quiver.opposite(), self.field, self.dims, maps, check=False
+        )
+
     def __eq__(self, other):
         return (
             isinstance(other, PersModule)
@@ -245,6 +253,11 @@ class ModMorphism:
 
     def is_iso(self):
         return self.is_mono() and self.is_epi()
+
+    def dual(self):
+        """Df: D(tgt) -> D(src), every component transposed."""
+        comps = {v: m.transpose() for v, m in self.comps.items()}
+        return ModMorphism(self.tgt.dual(), self.src.dual(), comps, check=False)
 
     def flat(self):
         """All entries as one list: vertices in quiver order, row-major."""
@@ -454,46 +467,17 @@ def kernel(f):
 
 
 def cokernel(f):
-    """Cokernel quotient of f: M -> N with the projection from N."""
-    n = f.tgt
-    field = f.field
-    projs = {}
-    free = {}
-    dims = {}
-    for v in n.quiver.vertices:
-        left = f.comps[v].transpose().kernel_basis()  # rows annihilating im f_v
-        dims[v] = len(left)
-        projs[v] = Mat(
-            field,
-            len(left),
-            n.dims[v],
-            [x for row in left for x in row],
-        )
-        free[v] = Mat.free_columns(left)
-    maps = {}
-    for a, (u, v) in n.quiver.arrows.items():
-        rhs = (projs[v] * n.maps[a]).transpose()
-        sol = projs[u].transpose().coordinates(free[u], rhs)
-        if sol is None:
-            raise AssertionError("cokernel projection is not corepresentable")
-        maps[a] = sol.transpose()
-    c = PersModule(n.quiver, field, dims, maps, check=False)
-    proj = ModMorphism(n, c, projs, check=False)
-    return CokernelResult(c, proj)
+    """Cokernel quotient of f: M -> N with the projection from N, as the dual
+    of the kernel of Df: DN -> DM."""
+    ker = kernel(f.dual())
+    return CokernelResult(ker.module.dual(), ker.inclusion.dual())
 
 
 # ---- direct sums -------------------------------------------------------------
 
 
-@dataclass
-class DirectSum:
-    module: PersModule
-    inclusions: list
-    projections: list
-
-
 def direct_sum(mods):
-    """Direct sum with canonical inclusions and projections."""
+    """The block-diagonal direct sum of modules, in the order given."""
     mods = list(mods)
     if not mods:
         raise ValueError("direct sum needs at least the quiver; pass summands")
@@ -515,48 +499,17 @@ def direct_sum(mods):
                 else:
                     row.append(Mat.zeros(field, mr.dims[v], mc.dims[u]))
             blocks.append(row)
-        maps[a] = Mat.block(field, blocks) if mods else Mat.zeros(field, 0, 0)
-    total = PersModule(q, field, dims, maps, check=False)
-    incls = []
-    projs = []
-    for t, m in enumerate(mods):
-        icomps = {}
-        pcomps = {}
-        for v in q.vertices:
-            before = sum(mods[s].dims[v] for s in range(t))
-            after = sum(mods[s].dims[v] for s in range(t + 1, len(mods)))
-            d = m.dims[v]
-            icomps[v] = Mat.vstack(
-                field,
-                [
-                    Mat.zeros(field, before, d),
-                    Mat.identity(field, d),
-                    Mat.zeros(field, after, d),
-                ],
-            )
-            pcomps[v] = icomps[v].transpose()
-        incls.append(ModMorphism(m, total, icomps, check=False))
-        projs.append(ModMorphism(total, m, pcomps, check=False))
-    return DirectSum(total, incls, projs)
+        maps[a] = Mat.block(field, blocks)
+    return PersModule(q, field, dims, maps, check=False)
 
 
-def morphism_from_columns(summands, target, parts):
-    """Assemble f: (sum of summands.module) -> target from f o inclusion_t."""
+def morphism_from_columns(source, target, parts):
+    """Assemble f: source -> target from its restrictions to the summands of
+    the direct sum `source`, in order: the t-th column block of f is parts[t]."""
     comps = {}
     q = target.quiver
     for v in q.vertices:
         comps[v] = Mat.hstack(
             target.field, [p.comps[v] for p in parts], nrows=target.dims[v]
         ) if parts else Mat.zeros(target.field, target.dims[v], 0)
-    return ModMorphism(summands.module, target, comps, check=False)
-
-
-def morphism_from_rows(source, summands, parts):
-    """Assemble g: source -> (sum of summands.module) from projection_t o g."""
-    comps = {}
-    q = source.quiver
-    for v in q.vertices:
-        comps[v] = Mat.vstack(
-            source.field, [p.comps[v] for p in parts], ncols=source.dims[v]
-        ) if parts else Mat.zeros(source.field, 0, source.dims[v])
-    return ModMorphism(source, summands.module, comps, check=False)
+    return ModMorphism(source, target, comps, check=False)

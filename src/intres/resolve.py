@@ -1,22 +1,20 @@
 """Minimal resolutions and coresolutions by interval modules.
 
 A resolution is built by repeatedly taking a minimal right approximation and
-passing to its kernel; a coresolution dually with left approximations and
-cokernels.  The multiplicity of each interval summand in the i-th term is
-the degree-i Betti (resp. co-Betti) number of the module at that interval.
+passing to its kernel.  A coresolution is its dual: D = Hom_k(-, k) turns a
+minimal resolution of DM over the opposite quiver (an interval of the
+opposite poset is the same vertex set) into a minimal coresolution of M.
+The multiplicity of each interval summand in the i-th term is the degree-i
+Betti (resp. co-Betti) number of the module at that interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from intres.approx import (
-    ApproxContext,
-    minimal_left_approximation,
-    minimal_right_approximation,
-)
-from intres.poset import enumerate_intervals
-from intres.repmod import cokernel, kernel
+from intres.approx import ApproxContext, minimal_right_approximation
+from intres.poset import Interval, enumerate_intervals
+from intres.repmod import kernel
 
 
 class MaxLengthExceeded(RuntimeError):
@@ -89,16 +87,11 @@ class BettiTable:
         return out
 
 
-def minimal_interval_resolution(module, max_len=None, family=None):
-    """Iterate minimal right approximations and kernels until exhaustion.
-
-    `family=None` uses all intervals of the quiver (the approximations then
-    are epimorphisms and the resolution is exact).  Raises MaxLengthExceeded
-    if more than max_len terms are produced.
-    """
+def _resolve(module, max_len, family, intervals):
+    """Terms, term modules and differentials of the minimal resolution of
+    `module` by members of `family` (every interval in `intervals` when None)."""
     if max_len is None:
         max_len = _default_max_len(module.quiver)
-    intervals = enumerate_intervals(module.quiver)
     terms = []
     term_modules = []
     diffs = []
@@ -114,7 +107,7 @@ def minimal_interval_resolution(module, max_len=None, family=None):
         approx = minimal_right_approximation(current, family, ctx)
         f = approx.morphism
         terms.append(list(approx.summand_index))
-        term_modules.append(approx.source_or_target)
+        term_modules.append(f.src)
         diffs.append(embed.compose(f) if embed is not None else f)
         ker = kernel(f)
         # re-validate the constructed pieces: cheap, catches bugs early
@@ -122,56 +115,59 @@ def minimal_interval_resolution(module, max_len=None, family=None):
         ker.inclusion.validate_naturality()
         current = ker.module
         embed = ker.inclusion
-    return IntervalResolution(module, terms, term_modules, diffs)
+    return terms, term_modules, diffs
+
+
+def minimal_interval_resolution(module, max_len=None, family=None):
+    """Iterate minimal right approximations and kernels until exhaustion.
+
+    `family=None` uses all intervals of the quiver (the approximations then
+    are epimorphisms and the resolution is exact).  Raises MaxLengthExceeded
+    if more than max_len terms are produced.
+    """
+    parts = _resolve(module, max_len, family, enumerate_intervals(module.quiver))
+    return IntervalResolution(module, *parts)
 
 
 def minimal_interval_coresolution(module, max_len=None, family=None):
-    """Iterate minimal left approximations and cokernels (dual)."""
-    if max_len is None:
-        max_len = _default_max_len(module.quiver)
-    intervals = enumerate_intervals(module.quiver)
-    terms = []
-    term_modules = []
-    diffs = []
-    current = module
-    project = None  # projection of the previous term onto current
-    while not current.is_zero():
-        if len(terms) > max_len:
-            raise MaxLengthExceeded(
-                f"coresolution exceeded {max_len} terms; raise max_len if the "
-                "configuration is legitimate"
-            )
-        ctx = ApproxContext(current, intervals)
-        approx = minimal_left_approximation(current, family, ctx)
-        g = approx.morphism
-        terms.append(list(approx.summand_index))
-        term_modules.append(approx.source_or_target)
-        diffs.append(g.compose(project) if project is not None else g)
-        cok = cokernel(g)
-        cok.module.validate_commutativity()
-        cok.projection.validate_naturality()
-        current = cok.module
-        project = cok.projection
-    return IntervalCoresolution(module, terms, term_modules, diffs)
+    """D of the minimal resolution of DM over the opposite quiver.
+
+    An interval of the opposite quiver is the same vertex set, so family
+    members are carried over and the terms back by vertex set; term modules
+    and differentials are dualized back onto the quiver of M.
+    """
+    q, op = module.quiver, module.quiver.opposite()
+    if family is not None:
+        family = [Interval(op, i.vertices) for i in family]
+    terms, term_modules, diffs = _resolve(
+        module.dual(), max_len, family, enumerate_intervals(op)
+    )
+    return IntervalCoresolution(
+        module,
+        [[Interval(q, i.vertices) for i in tags] for tags in terms],
+        [x.dual() for x in term_modules],
+        [d.dual() for d in diffs],
+    )
+
+
+def _table(terms):
+    table = BettiTable()
+    for degree, tags in enumerate(terms):
+        for interval in tags:
+            table.add(degree, interval)
+    return table
 
 
 def betti(module, max_len=None, family=None, resolution=None):
     """Betti table: multiplicity of each interval in each resolution term."""
     if resolution is None:
         resolution = minimal_interval_resolution(module, max_len, family)
-    table = BettiTable()
-    for degree, tags in enumerate(resolution.terms):
-        for interval in tags:
-            table.add(degree, interval)
-    return table
+    return _table(resolution.terms)
 
 
 def cobetti(module, max_len=None, family=None, coresolution=None):
-    """Co-Betti table from the minimal coresolution."""
+    """Co-Betti table: multiplicity of each interval in each term of the
+    minimal coresolution."""
     if coresolution is None:
         coresolution = minimal_interval_coresolution(module, max_len, family)
-    table = BettiTable()
-    for degree, tags in enumerate(coresolution.terms):
-        for interval in tags:
-            table.add(degree, interval)
-    return table
+    return _table(coresolution.terms)

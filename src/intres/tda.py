@@ -160,6 +160,7 @@ def _segment_rank(z, b, d):
         if u in pos and v in pos:
             arrows.append((name, u, v))
     arrows.sort()
+    minus_one = field.coerce(-1)
     # limit: compatible families, kernel of D: (+)Z_x -> (+)_arrows Z_tgt
     drows = sum(z.dims[v] for _, _, v in arrows)
     D = Mat.zeros(field, drows, total)
@@ -170,9 +171,7 @@ def _segment_rank(z, b, d):
         for r in range(m.nrows):
             for c in range(m.ncols):
                 D.data[(row + r) * total + (cu + c)] = m[r, c]
-            D.data[(row + r) * total + (cv + r)] = -field.one() if field.kind == "Q" else (
-                (-field.one()) % field.p
-            )
+            D.data[(row + r) * total + (cv + r)] = minus_one
         row += m.nrows
     kb = D.kernel_basis()
     # the canonical map sends a compatible family to the class of its entry
@@ -192,9 +191,7 @@ def _segment_rank(z, b, d):
             for c in range(m.ncols):
                 B.data[(cv + r) * bcols + (col + c)] = m[r, c]
         for c in range(m.ncols):
-            B.data[(cu + c) * bcols + (col + c)] = (
-                -field.one() if field.kind == "Q" else (-field.one()) % field.p
-            )
+            B.data[(cu + c) * bcols + (col + c)] = minus_one
         col += m.ncols
     rank_b = B.rank()
     return Mat.hstack(field, [K, B]).rank() - rank_b

@@ -109,7 +109,7 @@ def random_interval_sum(quiver, rng, field=QQ, max_summands=3, intervals=None,
     k = rng.randrange(1, max_summands + 1)
     chosen = [rng.choice(ivs) for _ in range(k)]
     mods = [interval_module(quiver, i, field) for i in chosen]
-    m = mods[0] if k == 1 else direct_sum(mods).module
+    m = mods[0] if k == 1 else direct_sum(mods)
     if shuffle:
         m = shuffle_basis(m, rng)
     return m, Counter(chosen)
@@ -137,7 +137,7 @@ def cochain_differentials(cochain):
     ]
     modules = [
         mods[0] if len(mods) == 1
-        else direct_sum(mods).module if mods
+        else direct_sum(mods) if mods
         else zero_module(quiver, field)
         for mods in summands
     ]

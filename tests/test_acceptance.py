@@ -201,7 +201,7 @@ def test_interval_decomposability_detection():
         assert not is_interval_decomposable(shuffled, cat=cat), field
         for _ in range(10):
             summand = interval_module(quiver, rng.choice(intervals), field)
-            m = shuffle_basis(direct_sum([hard, summand]).module, rng)
+            m = shuffle_basis(direct_sum([hard, summand]), rng)
             res = is_interval_decomposable(m, cat=cat)
             assert not res and res.certificate is None, field
 

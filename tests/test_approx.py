@@ -1,4 +1,5 @@
-"""Right/left approximations by interval modules."""
+"""Right approximations by interval modules, and left approximations as
+their duals: D of a right approximation of DM over the opposite quiver."""
 
 import random
 from collections import Counter
@@ -8,10 +9,7 @@ from intres import (
     ApproxContext,
     commutative_ladder,
     enumerate_intervals,
-    is_left_interval_approximation,
     is_right_interval_approximation,
-    left_interval_approximation,
-    minimal_left_approximation,
     minimal_right_approximation,
     right_interval_approximation,
 )
@@ -45,15 +43,20 @@ def test_right_approximation_properties():
 
 
 def test_left_approximation_properties():
+    """D of a right approximation of DM is a natural monomorphism out of M."""
     rng = random.Random(24)
     for quiver in (CL2, CL3):
         for _ in range(3):
             m = random_commuting_module(quiver, rng)
-            ctx = ApproxContext(m)
-            approx = left_interval_approximation(m, ctx=ctx)
+            dm = m.dual()
+            ctx = ApproxContext(dm)
+            approx = right_interval_approximation(dm, ctx=ctx)
             approx.morphism.validate_naturality()
-            assert is_left_interval_approximation(approx, ctx=ctx)
-            assert approx.morphism.is_mono()
+            assert is_right_interval_approximation(approx, ctx=ctx)
+            left = approx.morphism.dual()
+            assert left.src == m
+            left.validate_naturality()
+            assert left.is_mono()
 
 
 def test_minimal_right_approximation_of_interval_sum_is_iso():
@@ -68,40 +71,41 @@ def test_minimal_right_approximation_of_interval_sum_is_iso():
 
 
 def test_minimal_left_approximation_of_interval_sum_is_iso():
+    """The dual of the minimal right approximation of DM recovers an
+    interval sum M summand for summand, by vertex set."""
     rng = random.Random(26)
     for _ in range(6):
         m, counts = random_interval_sum(CL3, rng)
-        mini = minimal_left_approximation(m)
-        assert mini.morphism.is_iso()
-        assert Counter(mini.summand_index) == counts
+        mini = minimal_right_approximation(m.dual())
+        assert mini.morphism.dual().is_iso()
+        assert Counter(i.vertex_set for i in mini.summand_index) == Counter(
+            {i.vertex_set: k for i, k in counts.items()}
+        )
 
 
 def without_summand(approx, t):
     return ApproxMorphism(
         approx.module,
-        approx.side,
         approx.summand_index[:t] + approx.summand_index[t + 1:],
         approx.parts[:t] + approx.parts[t + 1:],
     )
 
 
 def test_minimal_approximations_drop_no_summand():
-    """The radical-quotient approximations satisfy the criterion, and
-    dropping any single summand breaks it."""
+    """The radical-quotient approximations of M and of DM (the left side)
+    satisfy the criterion, and dropping any single summand breaks it."""
     rng = random.Random(27)
     modules = [random_commuting_module(CL2, rng) for _ in range(3)]
     modules += [load_fixture("cl3_m45.mod"), load_fixture("cl5_m.mod")]
     for m in modules:
-        ctx = ApproxContext(m)
-        for build, holds in (
-            (minimal_right_approximation, is_right_interval_approximation),
-            (minimal_left_approximation, is_left_interval_approximation),
-        ):
-            mini = build(m, ctx=ctx)
+        for x in (m, m.dual()):
+            ctx = ApproxContext(x)
+            mini = minimal_right_approximation(x, ctx=ctx)
             mini.morphism.validate_naturality()
-            assert holds(mini, ctx=ctx)
+            assert is_right_interval_approximation(mini, ctx=ctx)
             for t in range(len(mini.summand_index)):
-                assert not holds(without_summand(mini, t), ctx=ctx)
+                rest = without_summand(mini, t)
+                assert not is_right_interval_approximation(rest, ctx=ctx)
 
 
 def test_minimal_multiset_is_basis_invariant():
@@ -137,5 +141,5 @@ def test_zero_module_approximations():
     z = zero_module(CL2, QQ)
     mini = minimal_right_approximation(z)
     assert mini.summand_index == [] and mini.morphism.is_iso()
-    minl = minimal_left_approximation(z)
-    assert minl.summand_index == [] and minl.morphism.is_iso()
+    minl = minimal_right_approximation(z.dual())
+    assert minl.summand_index == [] and minl.morphism.dual().is_iso()

@@ -424,7 +424,7 @@ def test_koszul_betti_additive():
     cat = build_end_category(CL2, None, QQ)
     a = random_commuting_module(CL2, rng)
     b = random_commuting_module(CL2, rng)
-    s = direct_sum([a, b]).module
+    s = direct_sum([a, b])
     for iv in enumerate_intervals(CL2):
         ha = betti_via_koszul(a, iv, cat=cat)
         hb = betti_via_koszul(b, iv, cat=cat)
@@ -473,6 +473,23 @@ def test_category_and_module_fields_must_agree():
         betti_table_via_koszul(load_fixture("cl3_m45.mod"), cat=cl2_cat)
     with pytest.raises(ValueError, match=quivers):
         koszul_coresolution(q, cat.interval(0), QQ, cat=cl2_cat)
+
+
+def test_validation_refuses_a_category_over_another_quiver():
+    """Validating a ladder-3 cochain against a ladder-2 category raises a
+    ValueError naming both quivers, not a KeyError from a vertex lookup."""
+    iv = cl_interval(CL3, top=(1, 3), bot=(3, 3))
+    cochain = koszul_coresolution(CL3, iv, QQ)
+    cl2_cat = build_end_category(CL2, None, QQ)
+    quivers = (r"over BoundQuiver\(4 vertices, 4 arrows\).*"
+               r"over BoundQuiver\(6 vertices, 7 arrows\)")
+    with pytest.raises(ValueError, match=quivers):
+        validate_koszul_coresolution(cochain, iv, cat=cl2_cat)
+    cat = build_end_category(CL3, None, QQ)
+    gf2_cochain = koszul_coresolution(CL3, iv, Field.prime(2))
+    with pytest.raises(ValueError, match=r"over Q\b.*over GF\(2\)"):
+        validate_koszul_coresolution(gf2_cochain, iv, cat=cat)
+    assert validate_koszul_coresolution(cochain, iv, cat=cat)
 
 
 def test_non_natural_block_is_rejected(monkeypatch):

@@ -23,7 +23,6 @@ from intres import (
     interval_module,
     kernel,
     morphism_from_columns,
-    morphism_from_rows,
     zero_module,
     zero_morphism,
 )
@@ -129,7 +128,7 @@ def test_hom_dim_additive_over_sums():
         vi = interval_module(CL3, i, QQ)
         vj = interval_module(CL3, j, QQ)
         vk = interval_module(CL3, k, QQ)
-        s = direct_sum([vi, vj]).module
+        s = direct_sum([vi, vj])
         assert hom_dim(s, vk) == hom_dim(vi, vk) + hom_dim(vj, vk)
         assert hom_dim(vk, s) == hom_dim(vk, vi) + hom_dim(vk, vj)
 
@@ -236,44 +235,52 @@ def test_kernel_of_identity_and_zero():
 # ---- direct sums ------------------------------------------------------------------
 
 
-def test_direct_sum_biproduct_identities():
-    rng = random.Random(15)
-    mods = [interval_module(CL3, iv, QQ)
-            for iv in rng.sample(enumerate_intervals(CL3), 3)]
-    ds = direct_sum(mods)
-    ds.module.validate_commutativity()
-    n = len(mods)
-    for i in range(n):
-        for j in range(n):
-            comp = ds.projections[i].compose(ds.inclusions[j])
-            if i == j:
-                assert comp == identity_morphism(mods[i])
-            else:
-                assert comp.is_zero()
-    total = None
-    for i in range(n):
-        term = ds.inclusions[i].compose(ds.projections[i])
-        total = term if total is None else total + term
-    assert total == identity_morphism(ds.module)
-
-
 def test_morphism_assembly():
+    """At every vertex, the t-th column block of the assembled morphism is
+    the t-th part."""
     rng = random.Random(16)
     summands = [interval_module(CL2, iv, QQ)
                 for iv in rng.sample(enumerate_intervals(CL2), 2)]
-    ds = direct_sum(summands)
+    source = direct_sum(summands)
     target, _ = random_interval_sum(CL2, rng)
     parts = [random_hom(s, target, rng) for s in summands]
-    f = morphism_from_columns(ds, target, parts)
+    f = morphism_from_columns(source, target, parts)
     f.validate_naturality()
-    for i, part in enumerate(parts):
-        assert f.compose(ds.inclusions[i]) == part
-    source, _ = random_interval_sum(CL2, rng)
-    rows = [random_hom(source, s, rng) for s in summands]
-    g = morphism_from_rows(source, ds, rows)
-    g.validate_naturality()
-    for i, part in enumerate(rows):
-        assert ds.projections[i].compose(g) == part
+    for v in CL2.vertices:
+        cols = [f.comps[v].col(j) for j in range(source.dims[v])]
+        start = 0
+        for s, part in zip(summands, parts):
+            block = cols[start : start + s.dims[v]]
+            assert Mat.from_columns(QQ, block, target.dims[v]) == part.comps[v]
+            start += s.dims[v]
+        assert start == len(cols)
+
+
+# ---- duality ----------------------------------------------------------------------
+
+
+def test_duality_is_an_involution():
+    """D twice is the identity on modules, on morphisms and on quivers, and
+    the opposite quiver has the same intervals in the same order."""
+    rng = random.Random(17)
+    for quiver in (CL2, CL3):
+        op = quiver.opposite()
+        assert op != quiver and op.opposite() == quiver
+        assert op.vertices == quiver.vertices
+        assert [i.vertices for i in enumerate_intervals(op)] == [
+            i.vertices for i in enumerate_intervals(quiver)
+        ]
+        m = random_commuting_module(quiver, rng)
+        dm = m.dual()
+        assert dm.quiver == op and dm.dims == m.dims
+        dm.validate_commutativity()
+        assert dm.dual() == m
+        n, _ = random_interval_sum(quiver, rng)
+        f = random_hom(m, n, rng)
+        df = f.dual()
+        assert df.src == n.dual() and df.tgt == dm
+        df.validate_naturality()
+        assert df.dual() == f
 
 
 # ---- random commuting modules (cokernel construction) ------------------------------

@@ -188,7 +188,7 @@ def test_compressed_multiplicity_additive():
     for _ in range(4):
         a = random_commuting_module(CL2, rng)
         b = random_commuting_module(CL2, rng)
-        s = direct_sum([a, b]).module
+        s = direct_sum([a, b])
         for i in enumerate_intervals(CL2):
             assert compressed_multiplicity(s, i) == (
                 compressed_multiplicity(a, i) + compressed_multiplicity(b, i)
