@@ -14,7 +14,6 @@ from intres.poset import (
     commutative_ladder,
     containment_poset,
     enumerate_intervals,
-    interval_join,
     ladder_length,
 )
 from intres.repmod import (
@@ -35,10 +34,8 @@ from intres.repmod import (
     zero_morphism,
 )
 from intres.approx import (
-    ApproxContext,
     is_right_interval_approximation,
     minimal_right_approximation,
-    right_interval_approximation,
 )
 from intres.resolve import (
     BettiTable,
@@ -71,7 +68,6 @@ from intres.tda import (
     DecompositionResult,
     ReplacementVector,
     RouteMismatchError,
-    beta0,
     compressed_multiplicity,
     interval_replacement,
     is_interval_decomposable,

@@ -1,7 +1,9 @@
 """Right approximations by sums of interval modules.
 
-Everything is relative to a family of intervals (default: all intervals of
-the quiver).  A right approximation of M is a morphism f from a sum of
+Everything is relative to a family of intervals, a plain list (`None`
+means all intervals of the quiver; an empty list is an empty family).
+Each call builds Hom(V_J, M) once per member J and drops the members where
+it is zero.  A right approximation of M is a morphism f from a sum of
 family interval modules such that post-composition with f is onto
 Hom(V_I, M) for every member I.  Left approximations are not computed
 here: a left approximation of M is D of a right approximation of
@@ -34,31 +36,6 @@ from intres.repmod import (
     morphism_from_columns,
     zero_module,
 )
-
-
-class ApproxContext:
-    """Shared caches for one module M: interval modules and hom bases."""
-
-    def __init__(self, module, intervals=None):
-        self.module = module
-        self.quiver = module.quiver
-        self.field = module.field
-        if intervals is None:
-            intervals = enumerate_intervals(self.quiver)
-        self.intervals = list(intervals)
-        self._vmod = {}
-        self._hom_to = {}
-
-    def interval_module(self, i):
-        if i not in self._vmod:
-            self._vmod[i] = interval_module(self.quiver, i, self.field)
-        return self._vmod[i]
-
-    def hom_to_module(self, i):
-        """Basis of Hom(V_I, M)."""
-        if i not in self._hom_to:
-            self._hom_to[i] = hom_basis(self.interval_module(i), self.module)
-        return self._hom_to[i]
 
 
 @dataclass
@@ -94,7 +71,20 @@ def _assemble(module, summand_index, parts):
 # ---- composites through interval modules ----------------------------------------
 
 
-def _composites(ctx, i, pairs):
+def _homs(module, family):
+    """Basis of Hom(V_J, M) for every member J with a nonzero one, in family
+    order (all intervals of the quiver when `family` is None)."""
+    if family is None:
+        family = enumerate_intervals(module.quiver)
+    homs = {}
+    for j in family:
+        basis = hom_basis(interval_module(module.quiver, j, module.field), module)
+        if basis:
+            homs[j] = basis
+    return homs
+
+
+def _composites(module, i, pairs):
     """Flat vectors, in the coordinates of Hom(V_I, M), of every h o g with
     (J, h) in `pairs` and g in the good-component basis of Hom(V_I, V_J).
 
@@ -103,18 +93,18 @@ def _composites(ctx, i, pairs):
     dim M_v coordinates, which `ModMorphism.flat` lists in quiver order.
     Returns (vectors, width).
     """
-    dims = ctx.module.dims
+    dims = module.dims
     offsets = {}
     width = 0
     for v in i.vertices:
         offsets[v] = width
         width += dims[v]
-    zero = ctx.field.zero()
+    zero = module.field.zero()
     components = {}
     out = []
     for j, h in pairs:
         if j not in components:
-            components[j] = good_components(ctx.quiver, i, j)
+            components[j] = good_components(module.quiver, i, j)
         for comp in components[j]:
             vec = [zero] * width
             for v in comp:
@@ -123,67 +113,46 @@ def _composites(ctx, i, pairs):
     return out, width
 
 
-def _criterion(ctx, pairs, family):
-    """Is Hom(V_I, f) onto for every member I?"""
-    for i in ctx.intervals if family is None else family:
-        target_dim = len(ctx.hom_to_module(i))
-        if target_dim == 0:
-            continue
-        image, width = _composites(ctx, i, pairs)
-        if Mat.from_columns(ctx.field, image, width).rank() != target_dim:
-            return False
-    return True
-
-
-def is_right_interval_approximation(approx, module=None, family=None, ctx=None):
+def is_right_interval_approximation(approx, family=None):
     """Does every morphism from a family interval into M factor through it?
 
     Accepts an ApproxMorphism (the summand tags are needed) and checks that
     post-composition with it is onto Hom(V_I, M) for each member I of the
     family (all intervals when `family` is None).
     """
-    module = module or approx.module
-    ctx = ctx or ApproxContext(module)
+    module = approx.module
     pairs = list(zip(approx.summand_index, approx.parts))
-    return _criterion(ctx, pairs, family)
+    for i, basis in _homs(module, family).items():
+        image, width = _composites(module, i, pairs)
+        if Mat.from_columns(module.field, image, width).rank() != len(basis):
+            return False
+    return True
 
 
 # ---- construction ------------------------------------------------------------
 
 
-def _top(ctx, i, members):
+def _top(module, i, homs):
     """Hom-basis elements at I spanning a complement of the radical."""
-    basis = ctx.hom_to_module(i)
-    rad_pairs = [(j, h) for j in members if j != i for h in ctx.hom_to_module(j)]
-    rad, width = _composites(ctx, i, rad_pairs)
+    basis = homs[i]
+    rad_pairs = [(j, h) for j, hs in homs.items() if j != i for h in hs]
+    rad, width = _composites(module, i, rad_pairs)
     if not rad:
         return basis
     cols = rad + [h.flat() for h in basis]
-    _, pivots = Mat.from_columns(ctx.field, cols, width).rref()
+    _, pivots = Mat.from_columns(module.field, cols, width).rref()
     return [basis[p - len(rad)] for p in pivots if p >= len(rad)]
 
 
-def _approximation(module, family, ctx, minimal):
-    ctx = ctx or ApproxContext(module)
-    homs = ctx.hom_to_module
-    members = [j for j in (ctx.intervals if family is None else family) if homs(j)]
+def minimal_right_approximation(module, family=None):
+    """The projective cover of Hom(V_-, M) over the family, as a minimal
+    right approximation of M."""
+    homs = _homs(module, family)
     summand_index = []
     parts = []
-    for i in members:
-        kept = _top(ctx, i, members) if minimal else homs(i)
+    for i in homs:
+        kept = _top(module, i, homs)
         summand_index.extend([i] * len(kept))
         parts.extend(kept)
     f = _assemble(module, summand_index, parts)
     return ApproxMorphism(module, summand_index, parts, f)
-
-
-def right_interval_approximation(module, family=None, ctx=None):
-    """A right approximation of M by a sum of family interval modules: one
-    summand per hom-basis element of every member (not minimal)."""
-    return _approximation(module, family, ctx, minimal=False)
-
-
-def minimal_right_approximation(module, family=None, ctx=None):
-    """The projective cover of Hom(V_-, M) over the family, as a minimal
-    right approximation of M."""
-    return _approximation(module, family, ctx, minimal=True)

@@ -115,7 +115,7 @@ def build_end_category(quiver, intervals=None, field=None):
     return EndCategory(quiver, intervals, field)
 
 
-def _require_over(cat, quiver, field, what):
+def require_over(cat, quiver, field, what):
     """Raise ValueError unless the category is over `quiver` and `field`."""
     for mine, theirs in ((cat.quiver, quiver), (cat.field, field)):
         if mine != theirs:
@@ -344,7 +344,7 @@ def koszul_coresolution(quiver, interval, field=None, cat=None, max_len=None):
     """
     if cat is None:
         cat = EndCategory(quiver, None, field)
-    _require_over(cat, quiver, field or cat.field, "the requested coresolution")
+    require_over(cat, quiver, field or cat.field, "the requested coresolution")
     if interval not in cat.obj_index:
         raise ValueError("interval is not an object of the chosen family")
     s = cat.obj_index[interval]
@@ -377,7 +377,7 @@ def validate_koszul_coresolution(cochain, interval, cat=None):
         return False
     if cat is None:
         cat = EndCategory(interval.quiver, None, cochain.field)
-    _require_over(cat, interval.quiver, cochain.field, "the cochain")
+    require_over(cat, interval.quiver, cochain.field, "the cochain")
     quiver = cat.quiver
     if _cochain_defect(quiver, cochain):
         return False
@@ -469,7 +469,7 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
     quiver = module.quiver
     if cat is None:
         cat = EndCategory(quiver, None, module.field)
-    _require_over(cat, quiver, module.field, "the module")
+    require_over(cat, quiver, module.field, "the module")
     if cochain is None:
         cochain = koszul_coresolution(quiver, interval, cat=cat, max_len=max_len)
     if cochain.field != module.field:

@@ -285,28 +285,6 @@ def enumerate_intervals(quiver):
     return result
 
 
-def interval_join(quiver, intervals, universe=None):
-    """Least interval containing all the given ones, or None if it does not
-    exist.  `universe` (default: all intervals) is the candidate pool."""
-    intervals = list(intervals)
-    if not intervals:
-        raise ValueError("join of an empty family is not defined here")
-    if universe is None:
-        universe = enumerate_intervals(quiver)
-    need = frozenset().union(*(i.vertex_set for i in intervals))
-    containing = [k for k in universe if need <= k.vertex_set]
-    if not containing:
-        return None
-    minimal = [
-        k
-        for k in containing
-        if not any(j is not k and j.vertex_set < k.vertex_set for j in containing)
-    ]
-    if len(minimal) != 1:
-        return None
-    return minimal[0]
-
-
 class Poset:
     """A finite poset given by its full order relation.
 

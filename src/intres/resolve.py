@@ -5,14 +5,17 @@ passing to its kernel.  A coresolution is its dual: D = Hom_k(-, k) turns a
 minimal resolution of DM over the opposite quiver (an interval of the
 opposite poset is the same vertex set) into a minimal coresolution of M.
 The multiplicity of each interval summand in the i-th term is the degree-i
-Betti (resp. co-Betti) number of the module at that interval.
+Betti (resp. co-Betti) number of the module at that interval.  The family
+is a plain list of intervals; without one, the intervals of the resolved
+module's quiver (the opposite quiver, for a coresolution) are enumerated
+once and used at every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from intres.approx import ApproxContext, minimal_right_approximation
+from intres.approx import minimal_right_approximation
 from intres.poset import Interval, enumerate_intervals
 from intres.repmod import kernel
 
@@ -87,11 +90,13 @@ class BettiTable:
         return out
 
 
-def _resolve(module, max_len, family, intervals):
+def _resolve(module, max_len, family):
     """Terms, term modules and differentials of the minimal resolution of
-    `module` by members of `family` (every interval in `intervals` when None)."""
+    `module` by members of `family` (all intervals of its quiver when None)."""
     if max_len is None:
         max_len = _default_max_len(module.quiver)
+    if family is None:
+        family = enumerate_intervals(module.quiver)
     terms = []
     term_modules = []
     diffs = []
@@ -103,8 +108,7 @@ def _resolve(module, max_len, family, intervals):
                 f"resolution exceeded {max_len} terms; raise max_len if the "
                 "configuration is legitimate"
             )
-        ctx = ApproxContext(current, intervals)
-        approx = minimal_right_approximation(current, family, ctx)
+        approx = minimal_right_approximation(current, family)
         f = approx.morphism
         terms.append(list(approx.summand_index))
         term_modules.append(f.src)
@@ -125,8 +129,7 @@ def minimal_interval_resolution(module, max_len=None, family=None):
     are epimorphisms and the resolution is exact).  Raises MaxLengthExceeded
     if more than max_len terms are produced.
     """
-    parts = _resolve(module, max_len, family, enumerate_intervals(module.quiver))
-    return IntervalResolution(module, *parts)
+    return IntervalResolution(module, *_resolve(module, max_len, family))
 
 
 def minimal_interval_coresolution(module, max_len=None, family=None):
@@ -136,12 +139,10 @@ def minimal_interval_coresolution(module, max_len=None, family=None):
     members are carried over and the terms back by vertex set; term modules
     and differentials are dualized back onto the quiver of M.
     """
-    q, op = module.quiver, module.quiver.opposite()
+    q, dm = module.quiver, module.dual()
     if family is not None:
-        family = [Interval(op, i.vertices) for i in family]
-    terms, term_modules, diffs = _resolve(
-        module.dual(), max_len, family, enumerate_intervals(op)
-    )
+        family = [Interval(dm.quiver, i.vertices) for i in family]
+    terms, term_modules, diffs = _resolve(dm, max_len, family)
     return IntervalCoresolution(
         module,
         [[Interval(q, i.vertices) for i in tags] for tags in terms],

@@ -4,16 +4,17 @@ Three ingredients tie together here:
 
  - decomposability: M is interval-decomposable exactly when its minimal
    right approximation by interval modules (`approx`) is an isomorphism,
-   and the summands of that approximation are the certificate; `beta0`
-   reads the same degree-0 multiplicities off the front of the Koszul-type
-   complex.
+   and the summands of that approximation are the certificate.
  - compression: restricting a ladder module along the fixed 5-vertex zigzag
    assigned to each interval (corner evaluations, with paths degenerating to
    identities), then decomposing the zigzag representation.
  - replacement: the signed interval vector whose alternating-sum definition
    (homology of the Koszul complex) and whose compressed-multiplicity
    companion must agree under Mobius inversion over the containment order;
-   disagreement is reported as an internal error, never silently.
+   disagreement is reported as an internal error, never silently.  Covers
+   and joins in that order are read off vertex sets: the covers of J are
+   the minimal members strictly containing J, and the join of a set of
+   members is the minimal member containing the union of their vertices.
 """
 
 from __future__ import annotations
@@ -21,15 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from intres.approx import ApproxContext, minimal_right_approximation
+from intres.approx import minimal_right_approximation
 from intres.exactla import Mat
-from intres.koszul import EndCategory, koszul_complex
-from intres.poset import (
-    BoundQuiver,
-    cl_describe,
-    containment_poset,
-    ladder_length,
-)
+from intres.koszul import EndCategory, koszul_complex, require_over
+from intres.poset import BoundQuiver, cl_describe, ladder_length
 from intres.repmod import PersModule
 
 
@@ -231,15 +227,7 @@ def compressed_multiplicity(module, interval):
     return zigzag_interval_multiplicities(xi_restriction(module, interval))[(1, 5)]
 
 
-# ---- degree-0 Betti number and decomposability ------------------------------------
-
-
-def beta0(module, interval, cat=None):
-    """dim Hom(V_I, M) minus the rank of the incoming Koszul differential."""
-    chain = koszul_complex(module, interval, cat)
-    if not chain.mats:
-        return chain.dims[0]
-    return chain.dims[0] - chain.mats[0].rank()
+# ---- decomposability ------------------------------------------------------------
 
 
 @dataclass
@@ -260,13 +248,16 @@ def is_interval_decomposable(module, cat=None):
     is such an approximation, so f is an isomorphism by minimality; hence M
     is decomposable exactly when f is bijective at every vertex, and the
     certificate lists the summands of X with multiplicity.  The family is
-    the objects of `cat`, all intervals when `cat` is None.
+    the objects of `cat`, all intervals when `cat` is None; a `cat` over
+    another quiver or field raises ValueError.
     """
+    family = None
+    if cat is not None:
+        require_over(cat, module.quiver, module.field, "the module")
+        family = cat.objects
     if module.total_dim() == 0:
         return DecompositionResult(True, {})
-    approx = minimal_right_approximation(
-        module, ctx=ApproxContext(module, None if cat is None else cat.objects)
-    )
+    approx = minimal_right_approximation(module, family)
     if approx.morphism.is_iso():
         return DecompositionResult(True, approx.interval_multiset())
     return DecompositionResult(False, None)
@@ -293,29 +284,37 @@ def replacement_at(module, interval, cat=None):
     return sum((-1) ** i * h for i, h in enumerate(chain.homology_dims()))
 
 
-def _unique_minimal_cover_join(intervals, members):
-    """Smallest interval containing all members: (found, interval_or_none).
+def _minimal(members):
+    """The members that contain no other member."""
+    return [
+        k for k in members if not any(c.vertex_set < k.vertex_set for c in members)
+    ]
 
-    found=False flags an ambiguous join (several minimal candidates); a
-    total absence of candidates returns (True, None) meaning "contribute
-    zero by convention"."""
-    candidates = [
-        k
-        for k in intervals
-        if all(m.vertex_set <= k.vertex_set for m in members)
-    ]
-    if not candidates:
-        return True, None
-    minimal = [
-        k
-        for k in candidates
-        if not any(
-            c is not k and c.vertex_set < k.vertex_set for c in candidates
+
+def _cover_set_sums(intervals, values):
+    """{J: alternating sum of `values` over the joins of sets of covers of J}.
+
+    The empty set contributes values[J]; a set S of covers contributes
+    (-1)^|S| values[join S], or 0 when no member contains them all.  A J
+    with an ambiguous join (several minimal candidates) is left out.
+    """
+    out = {}
+    for j in intervals:
+        covers = _minimal([k for k in intervals if j.vertex_set < k.vertex_set])
+        subsets = (
+            s for n in range(1, len(covers) + 1) for s in combinations(covers, n)
         )
-    ]
-    if len(minimal) == 1:
-        return True, minimal[0]
-    return False, None
+        total = values[j]
+        for subset in subsets:
+            union = frozenset().union(*(c.vertex_set for c in subset))
+            joins = _minimal([k for k in intervals if union <= k.vertex_set])
+            if len(joins) > 1:
+                break
+            if joins:
+                total += (-1) ** len(subset) * values[joins[0]]
+        else:
+            out[j] = total
+    return out
 
 
 def interval_replacement(module, cat=None):
@@ -344,25 +343,8 @@ def interval_replacement(module, cat=None):
                 f"sum(delta)={total}, compressed={compressed[i]}"
             )
     # cover-set alternating cross-check, where joins are unambiguous
-    cont = containment_poset(intervals)
-    for j in intervals:
-        covers = cont.covers_of(j)
-        usable = True
-        total = 0
-        for size in range(len(covers) + 1):
-            for subset in combinations(covers, size):
-                if size == 0:
-                    total += compressed[j]
-                    continue
-                ok, join = _unique_minimal_cover_join(intervals, subset)
-                if not ok:
-                    usable = False
-                    break
-                if join is not None:
-                    total += (-1) ** size * compressed[join]
-            if not usable:
-                break
-        if usable and total != delta[j]:
+    for j, total in _cover_set_sums(intervals, compressed).items():
+        if total != delta[j]:
             raise RouteMismatchError(
                 f"cover-set identity failed at {j!r}: {total} != {delta[j]}"
             )

@@ -6,12 +6,10 @@ from collections import Counter
 
 from intres import (
     QQ,
-    ApproxContext,
     commutative_ladder,
     enumerate_intervals,
     is_right_interval_approximation,
     minimal_right_approximation,
-    right_interval_approximation,
 )
 from intres.approx import ApproxMorphism
 
@@ -34,10 +32,9 @@ def test_right_approximation_properties():
     for quiver in (CL2, CL3):
         for _ in range(3):
             m = random_commuting_module(quiver, rng)
-            ctx = ApproxContext(m)
-            approx = right_interval_approximation(m, ctx=ctx)
+            approx = minimal_right_approximation(m)
             approx.morphism.validate_naturality()
-            assert is_right_interval_approximation(approx, ctx=ctx)
+            assert is_right_interval_approximation(approx)
             # the family contains all one-point up-sets, so it reaches all of M
             assert approx.morphism.is_epi()
 
@@ -49,10 +46,9 @@ def test_left_approximation_properties():
         for _ in range(3):
             m = random_commuting_module(quiver, rng)
             dm = m.dual()
-            ctx = ApproxContext(dm)
-            approx = right_interval_approximation(dm, ctx=ctx)
+            approx = minimal_right_approximation(dm)
             approx.morphism.validate_naturality()
-            assert is_right_interval_approximation(approx, ctx=ctx)
+            assert is_right_interval_approximation(approx)
             left = approx.morphism.dual()
             assert left.src == m
             left.validate_naturality()
@@ -99,13 +95,12 @@ def test_minimal_approximations_drop_no_summand():
     modules += [load_fixture("cl3_m45.mod"), load_fixture("cl5_m.mod")]
     for m in modules:
         for x in (m, m.dual()):
-            ctx = ApproxContext(x)
-            mini = minimal_right_approximation(x, ctx=ctx)
+            mini = minimal_right_approximation(x)
             mini.morphism.validate_naturality()
-            assert is_right_interval_approximation(mini, ctx=ctx)
+            assert is_right_interval_approximation(mini)
             for t in range(len(mini.summand_index)):
                 rest = without_summand(mini, t)
-                assert not is_right_interval_approximation(rest, ctx=ctx)
+                assert not is_right_interval_approximation(rest)
 
 
 def test_minimal_multiset_is_basis_invariant():
@@ -118,21 +113,21 @@ def test_minimal_multiset_is_basis_invariant():
 
 
 def test_family_restricted_approximation():
-    """Relative to a sub-family the criterion is hom-surjectivity."""
+    """Relative to a sub-family the criterion is hom-surjectivity; an empty
+    family is a family, not a request for all intervals."""
     rng = random.Random(29)
     m = random_commuting_module(CL2, rng)
     family = [i for i in enumerate_intervals(CL2) if len(i) >= 2]
-    ctx = ApproxContext(m)
-    approx = right_interval_approximation(m, family=family, ctx=ctx)
-    assert is_right_interval_approximation(approx, family=family, ctx=ctx)
-    assert set(approx.summand_index) <= set(family)
-    mini = minimal_right_approximation(m, family=family, ctx=ctx)
-    assert is_right_interval_approximation(mini, family=family, ctx=ctx)
+    mini = minimal_right_approximation(m, family=family)
+    assert is_right_interval_approximation(mini, family=family)
     assert set(mini.summand_index) <= set(family)
-    assert len(mini.summand_index) <= len(approx.summand_index)
     for t in range(len(mini.summand_index)):
         rest = without_summand(mini, t)
-        assert not is_right_interval_approximation(rest, family=family, ctx=ctx)
+        assert not is_right_interval_approximation(rest, family=family)
+    empty = minimal_right_approximation(m, family=[])
+    assert empty.summand_index == []
+    assert is_right_interval_approximation(empty, family=[])
+    assert not is_right_interval_approximation(empty)
 
 
 def test_zero_module_approximations():

@@ -16,7 +16,6 @@ from intres import (
     commutative_ladder,
     containment_poset,
     enumerate_intervals,
-    interval_join,
     ladder_length,
 )
 from intres.poset import convex_closure, is_connected, is_convex
@@ -122,19 +121,6 @@ def test_convex_closure():
     # smallest such set: everything between b1 and t3
     assert c == {v for v in q.vertices
                  if q.leq("b1", v) and q.leq(v, "t3")} | {"b1", "t3"}
-
-
-def test_interval_join():
-    q = commutative_ladder(3)
-    ivs = enumerate_intervals(q)
-    a = cl_interval(q, bot=(1, 1))
-    b = cl_interval(q, bot=(3, 3))
-    j = interval_join(q, [a, b])
-    assert j.vertex_set == {"b1", "b2", "b3"}
-    # join contains every argument and is the smallest interval doing so
-    for x in ivs:
-        if x.vertex_set >= a.vertex_set | b.vertex_set:
-            assert x.vertex_set >= j.vertex_set
 
 
 # ---- posets and Moebius functions ------------------------------------------------

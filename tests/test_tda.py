@@ -2,15 +2,17 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from intres import (
     QQ,
+    EndCategory,
     Field,
     Mat,
-    beta0,
     betti,
+    betti_via_koszul,
     cl_describe,
     cl_interval,
     commutative_ladder,
@@ -29,6 +31,7 @@ from intres import (
     zigzag_quiver,
 )
 from intres.poset import Interval
+from intres.tda import _cover_set_sums
 
 from conftest import (
     load_fixture,
@@ -228,13 +231,29 @@ def test_decomposability_result_truthiness():
     assert bool(res) is True and res.certificate == {Interval(CL2, ["b1"]): 1}
 
 
+def test_decomposability_refuses_a_category_over_another_quiver_or_field():
+    """The family comes from `cat`, so `cat` must be over the module's quiver
+    and field; a mismatch names both instead of answering for another
+    family."""
+    ivs = [Interval(CL3, ["b1"]), Interval(CL3, ["t3"])]
+    m = direct_sum([interval_module(CL3, i, QQ) for i in ivs])
+    quivers = (r"over BoundQuiver\(4 vertices, 4 arrows\).*"
+               r"over BoundQuiver\(6 vertices, 7 arrows\)")
+    with pytest.raises(ValueError, match=quivers):
+        is_interval_decomposable(m, cat=EndCategory(CL2, None, QQ))
+    with pytest.raises(ValueError, match=r"over GF\(2\).*over Q\b"):
+        is_interval_decomposable(m, cat=EndCategory(CL3, None, Field.prime(2)))
+    res = is_interval_decomposable(m, cat=EndCategory(CL3, None, QQ))
+    assert res and Counter(res.certificate) == Counter(ivs)
+
+
 def test_beta0_equals_resolution_degree_zero():
     rng = random.Random(55)
     for _ in range(4):
         m = random_commuting_module(CL2, rng)
         table = betti(m)
         for i in enumerate_intervals(CL2):
-            assert beta0(m, i) == table[(0, i)]
+            assert betti_via_koszul(m, i)[0] == table[(0, i)]
 
 
 # ---- interval replacement ------------------------------------------------------------
@@ -280,6 +299,43 @@ def test_replacement_moebius_identity():
             inverted = sum(mu[(i, j)] * rep.compressed.get(j, 0)
                            for j in ivs if poset.leq(i, j))
             assert rep.delta.get(i, 0) == inverted
+
+
+def poset_cover_set_sums(intervals, values):
+    """Reference for the cover-set sums, from the containment `Poset`: its
+    covers, and joins as least upper bounds (a J with an upper-bounded
+    cover set that has no least upper bound is left out)."""
+    poset = containment_poset(intervals)
+    out = {}
+    for j in intervals:
+        covers = poset.covers_of(j)
+        subsets = [s for n in range(1, len(covers) + 1)
+                   for s in combinations(covers, n)]
+        bounded = [s for s in subsets if poset.upper_bounds(s)]
+        joins = [poset.join(s) for s in bounded]
+        if None not in joins:
+            out[j] = values[j] + sum((-1) ** len(s) * values[k]
+                                     for s, k in zip(bounded, joins))
+    return out
+
+
+def test_cover_set_sums_match_the_containment_poset():
+    """Covers and joins read off vertex sets agree with the `Poset`
+    reference on full families and seeded sub-families of ladders 2-5,
+    ambiguous joins included."""
+    rng = random.Random(59)
+    left_out = 0
+    for n in (2, 3, 4, 5):
+        ivs = enumerate_intervals(commutative_ladder(n))
+        families = [ivs] + [
+            [i for i in ivs if rng.random() < 0.5] for _ in range(2)
+        ]
+        for family in families:
+            values = {j: rng.randint(-5, 5) for j in family}
+            want = poset_cover_set_sums(family, values)
+            assert _cover_set_sums(family, values) == want
+            left_out += len(family) - len(want)
+    assert left_out > 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
