@@ -4,9 +4,12 @@ The category of interest has one object per interval, with hom spaces the
 (combinatorial) morphism spaces between the thin interval modules.  The
 minimal projective resolution of the one-dimensional simple at an interval I
 is built from syzygies: each is a submodule K of a sum P of representables
-hom(J, -), kept only as a kernel basis of K(t) inside P(t) at every object t,
-and acted on through the 0/1 composition constants of the category.  The
-resolution pulls back, along the Yoneda correspondence for maps between
+hom(J, -), kept only as a kernel basis of K(t) inside P(t) at every object t
+where P is nonzero, and acted on through the 0/1 composition constants of the
+category.  Each cover reads the top K/rad K, and rad K is spanned by the
+images of K under the irreducible maps alone (the arrows of the category's
+Gabriel quiver, a basis of rad/rad^2), which the category tabulates once.
+The resolution pulls back, along the Yoneda correspondence for maps between
 representables, to a cochain
 
     0 -> V_I -> X^1 -> X^2 -> ...
@@ -51,7 +54,9 @@ class EndCategory:
 
     Basis elements are indicator morphisms of good components, so all
     composition structure constants are 0 or 1 and are independent of the
-    field.  Composition tensors are cached per object triple, and
+    field.  Composition tensors are cached per object triple, the nonzero
+    hom dimensions per object, the table of irreducible maps once (it is
+    read over `field`, so it belongs to this category object), and
     coresolutions per object: the category is the workspace that callers
     pass along as `cat`.
     """
@@ -65,6 +70,8 @@ class EndCategory:
         self.obj_index = {i: t for t, i in enumerate(self.objects)}
         self._hom = {}
         self._tensor = {}
+        self._dims_from = {}
+        self._irreducible = None
         self._coresolutions = {}
 
     def interval(self, s):
@@ -82,6 +89,14 @@ class EndCategory:
     def hom_dim(self, s, t):
         return len(self.hom(s, t))
 
+    def hom_dims_from(self, s):
+        """{t: dim hom(s, t)} over the objects t with hom(s, t) != 0, s
+        included, in increasing t."""
+        if s not in self._dims_from:
+            dims = (len(self.hom(s, t)) for t in range(len(self.objects)))
+            self._dims_from[s] = {t: d for t, d in enumerate(dims) if d}
+        return self._dims_from[s]
+
     def identity_index(self, s):
         comps = self.hom(s, s)
         if len(comps) != 1:
@@ -97,18 +112,72 @@ class EndCategory:
         """
         key = (s, t, u)
         if key not in self._tensor:
-            left = self.hom(s, t)
-            right = self.hom(t, u)
             target = self.hom(s, u)
-            table = {}
-            for a, c1 in enumerate(left):
-                for b, c2 in enumerate(right):
-                    meet = c1 & c2
-                    table[(a, b)] = [
-                        c for c, comp in enumerate(target) if comp <= meet
-                    ]
-            self._tensor[key] = table
+            self._tensor[key] = {
+                (a, b): _composite(c1, c2, target)
+                for a, c1 in enumerate(self.hom(s, t))
+                for b, c2 in enumerate(self.hom(t, u))
+            }
         return self._tensor[key]
+
+    def irreducible_maps(self):
+        """The irreducible maps, as out-adjacency s -> [(t, k), ...].
+
+        For s != t, the basis maps x_k of hom(s, t) listed span a
+        complement of rad^2(s, t), the span of the composites through the
+        objects r != s, t.  End(V_I) = k and the radical is nilpotent, so
+        every map between distinct objects is a sum of composites of these
+        (they are the arrows of the Gabriel quiver of the family).  Built
+        on first use, once per category.
+        """
+        if self._irreducible is None:
+            self._irreducible = self._find_irreducible()
+        return self._irreducible
+
+    def _find_irreducible(self):
+        field = self.field
+        dims_from = [self.hom_dims_from(s) for s in range(len(self.objects))]
+        table = {}
+        for s, out in enumerate(dims_from):
+            maps = table[s] = []
+            for t, dim in out.items():
+                if t == s:
+                    continue
+                composites = self._composites_through(
+                    s, t, [r for r in out if r not in (s, t) and t in dims_from[r]]
+                )
+                if dim == 1:  # one nonzero composite spans rad^2(s, t)
+                    if next(composites, None) is None:
+                        maps.append((t, 0))
+                    continue
+                cols = []
+                for cs in {tuple(cs) for cs in composites}:
+                    col = [field.zero()] * dim
+                    for c in cs:
+                        col[c] = field.one()
+                    cols.append(col)
+                unit = Mat.identity(field, dim).rows()
+                _, pivots = Mat.from_columns(field, cols + unit, dim).rref()
+                maps.extend((t, p - len(cols)) for p in pivots if p >= len(cols))
+        return table
+
+    def _composites_through(self, s, t, through):
+        """The nonzero composites s -> r -> t of basis maps, r in `through`,
+        each as its list of indices into hom(s, t)."""
+        target = self.hom(s, t)
+        for r in through:
+            for c1 in self.hom(s, r):
+                for c2 in self.hom(r, t):
+                    cs = _composite(c1, c2, target)
+                    if cs:
+                        yield cs
+
+
+def _composite(c1, c2, target):
+    """Indices of the components in `target` whose indicators sum to the
+    composite of the indicators of c1 and c2."""
+    meet = c1 & c2
+    return [c for c, comp in enumerate(target) if comp <= meet]
 
 
 def build_end_category(quiver, intervals=None, field=None):
@@ -160,6 +229,17 @@ def _act(cat, tags, offsets, vec, s, t, k):
     return out
 
 
+def _offsets(dims_from):
+    """Per object t where the sum of the representables with these
+    `hom_dims_from` is nonzero, in increasing t: where each summand's
+    coordinates start at t, then the dimension of the sum at t."""
+    objects = sorted(set().union(*dims_from))
+    return {
+        t: list(accumulate((dims.get(t, 0) for dims in dims_from), initial=0))
+        for t in objects
+    }
+
+
 def projective_cover_step(cat, tags, syzygy):
     """Cover a submodule K of P = sum_u hom(tags[u], -) by its top.
 
@@ -167,55 +247,56 @@ def projective_cover_step(cat, tags, syzygy):
     coordinates (u, k) of P(t), summand u and k-th element of
     hom(tags[u], t); objects where K is zero may be absent.  The top at t
     is the basis vectors on pivots of [rad K(t) | K(t)], where rad K(t)
-    spans the images of the K(s), s != t; the same elimination checks that
-    K is a submodule.  Returns the step (the top's objects as tags, each
-    top vector sliced per summand of P as its blocks row) and the kernel of
-    the cover, the next syzygy, in the same form.
+    spans the images of the K(s) under the irreducible maps s -> t
+    (`EndCategory.irreducible_maps`); the same elimination checks that K is
+    invariant under them, hence a submodule.  Returns the step (the top's
+    objects as tags, each top vector sliced per summand of P as its blocks
+    row) and the kernel of the cover, the next syzygy, in the same form.
     """
     field = cat.field
-    nobj = len(cat.objects)
-    # offsets[t]: where each summand's coordinates start in P(t), then dim P(t)
-    offsets = {
-        t: list(accumulate((cat.hom_dim(tag, t) for tag in tags), initial=0))
-        for t in range(nobj)
-    }
-    gens = []
-    for t in range(nobj):
-        if not offsets[t][-1]:
-            continue
-        basis = syzygy.get(t, [])
-        rad = []
-        for s, vecs in syzygy.items():
-            if s == t:
+    irreducible = cat.irreducible_maps()
+    offsets = _offsets([cat.hom_dims_from(tag) for tag in tags])
+    rad = {}
+    for s, vecs in syzygy.items():
+        for t, k in irreducible[s]:
+            if t not in offsets:
                 continue
-            for k in range(cat.hom_dim(s, t)):
-                for vec in vecs:
-                    img = _act(cat, tags, offsets, vec, s, t, k)
-                    if any(img):
-                        rad.append(img)
-        if not rad:
+            for vec in vecs:
+                img = _act(cat, tags, offsets, vec, s, t, k)
+                if any(img):
+                    rad.setdefault(t, []).append(img)
+    gens = []
+    for t in offsets:
+        basis = syzygy.get(t, [])
+        images = rad.get(t)
+        if not images:
             gens.extend((t, vec) for vec in basis)
             continue
-        _, pivots = Mat.from_columns(field, rad + basis, offsets[t][-1]).rref()
+        _, pivots = Mat.from_columns(field, images + basis, offsets[t][-1]).rref()
         if len(pivots) != len(basis):
             raise AssertionError("kernel not invariant under action")
-        gens.extend((t, basis[p - len(rad)]) for p in pivots if p >= len(rad))
+        gens.extend((t, basis[p - len(images)]) for p in pivots if p >= len(images))
     new_tags = [t for t, _ in gens]
     blocks = [
         [vec[start:end] for start, end in zip(offsets[t], offsets[t][1:])]
         for t, vec in gens
     ]
+    new_dims_from = [cat.hom_dims_from(t) for t in new_tags]
+    # the cover P' -> K is visited wherever P' or K is nonzero; where K is
+    # zero (P itself may be), the kernel is all of P'
+    new_dims = {t: offs[-1] for t, offs in _offsets(new_dims_from).items()}
     kernel = {}
-    for t in range(nobj):
+    for t in sorted(new_dims.keys() | syzygy.keys()):
         basis = syzygy.get(t, [])
+        if not basis:
+            kernel[t] = Mat.identity(field, new_dims[t]).rows()
+            continue
         free = Mat.free_columns(basis)
         cols = []
-        for tag, vec in gens:
-            for k in range(cat.hom_dim(tag, t)):
+        for (tag, vec), dims in zip(gens, new_dims_from):
+            for k in range(dims.get(t, 0)):
                 img = _act(cat, tags, offsets, vec, tag, t, k)
                 cols.append([img[r] for r in free])
-        if not cols and not basis:
-            continue
         cover = Mat.from_columns(field, cols, len(basis))
         kernel_basis = cover.kernel_basis()
         if cover.ncols - len(kernel_basis) != len(basis):
@@ -225,6 +306,16 @@ def projective_cover_step(cat, tags, syzygy):
     return ResolutionStep(new_tags, blocks), kernel
 
 
+def _require_minimal(prev_tags, step):
+    """Raise unless the step maps into the radical: no block between two
+    summands with the same tag has a nonzero coefficient, which would be an
+    isomorphism component (hom(s, s) = k is spanned by the identity)."""
+    for tag, row in zip(step.tags, step.blocks):
+        for prev, coeffs in zip(prev_tags, row):
+            if tag == prev and any(coeffs):
+                raise AssertionError("resolution is not minimal")
+
+
 def min_proj_resolution(cat, s, max_len=None):
     """Minimal projective resolution of the simple module at object s.
 
@@ -232,14 +323,15 @@ def min_proj_resolution(cat, s, max_len=None):
     basis at every t != s.  steps[i].tags are the projective summands of
     the i-th term; steps[i].blocks (i >= 1) give the differential into term
     i-1 as coefficient lists over hom(tags_{i-1}[u_prev], tags_i[u_new]).
+    Each step is checked to be minimal (`_require_minimal`).
     """
     if max_len is None:
         max_len = 4 * len(cat.objects) + 4
     cat.identity_index(s)
     syzygy = {
-        t: Mat.identity(cat.field, cat.hom_dim(s, t)).rows()
-        for t in range(len(cat.objects))
-        if t != s and cat.hom_dim(s, t)
+        t: Mat.identity(cat.field, d).rows()
+        for t, d in cat.hom_dims_from(s).items()
+        if t != s
     }
     step = ResolutionStep([s], None)
     steps = []
@@ -250,6 +342,7 @@ def min_proj_resolution(cat, s, max_len=None):
         if not syzygy:
             return ProjResolution(steps)
         step, syzygy = projective_cover_step(cat, step.tags, syzygy)
+        _require_minimal(steps[-1].tags, step)
 
 
 # ---- interval cochains ----------------------------------------------------------

@@ -204,6 +204,83 @@ def test_basis_morphisms_match_components():
                     assert cm(t, u, b).compose(cm(s, t, a)) == want
 
 
+IRREDUCIBLE_TOTALS = {2: 14, 3: 44, 4: 104, 5: 210}
+FIELDS = ("Q", "GF2", "GF3")
+
+
+def sub_family(quiver, seed, keep=0.6):
+    """The intervals of the quiver, each kept with probability `keep`."""
+    rng = random.Random(seed)
+    return [iv for iv in enumerate_intervals(quiver) if rng.random() < keep]
+
+
+def check_irreducible_maps(cat):
+    """Against the rank definition, for every pair s != t: the listed maps
+    of hom(s, t) and rad^2(s, t), the span of the composites of basis maps
+    through every r != s, t, together span hom(s, t), and their number is
+    dim hom(s, t) - dim rad^2(s, t).  Returns the number of listed maps."""
+    field, n = cat.field, len(cat.objects)
+    dims = {(s, t): cat.hom_dim(s, t) for s in range(n) for t in range(n)}
+    listed = {}
+    for s, maps in cat.irreducible_maps().items():
+        for t, k in maps:
+            listed.setdefault((s, t), []).append(k)
+    for s in range(n):
+        for t in range(n):
+            dim = dims[(s, t)]
+            if s == t or not dim:
+                assert (s, t) not in listed
+                continue
+            rad2 = [
+                [field.one() if c in cs else field.zero() for c in range(dim)]
+                for r in range(n)
+                if r not in (s, t) and dims[(s, r)] and dims[(r, t)]
+                for cs in cat.compose_coeffs(s, r, t).values()
+            ]
+            units = [[field.one() if c == k else field.zero()
+                      for c in range(dim)] for k in listed.get((s, t), [])]
+            rank = Mat.from_rows(field, rad2, ncols=dim).rank()
+            assert len(units) == dim - rank
+            assert Mat.from_rows(field, rad2 + units, ncols=dim).rank() == dim
+    return sum(map(len, listed.values()))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", sorted(IRREDUCIBLE_TOTALS))
+def test_irreducible_maps_of_full_families(n, field):
+    q = commutative_ladder(n)
+    cat = build_end_category(q, None, parse_field_token(field))
+    assert check_irreducible_maps(cat) == IRREDUCIBLE_TOTALS[n]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", (3, 4))
+def test_irreducible_maps_of_sub_families(n, field):
+    """Irreducibility depends on the family: a composite through a missing
+    interval no longer counts."""
+    q = commutative_ladder(n)
+    for seed in range(3):
+        family = sub_family(q, seed)
+        cat = build_end_category(q, family, parse_field_token(field))
+        check_irreducible_maps(cat)
+
+
+def test_irreducible_maps_are_built_once_per_category(monkeypatch, cl3_m45):
+    built = []
+    find = koszul.EndCategory._find_irreducible
+
+    def counted(cat):
+        built.append(cat)
+        return find(cat)
+
+    monkeypatch.setattr(koszul.EndCategory, "_find_irreducible", counted)
+    cat = build_end_category(cl3_m45.quiver, None, QQ)
+    table = betti_table_via_koszul(cl3_m45, cat=cat)
+    assert built == [cat]
+    assert betti_table_via_koszul(cl3_m45, cat=cat) == table
+    assert built == [cat]
+
+
 # ---- minimal projective resolutions ----------------------------------------------
 
 
@@ -242,6 +319,36 @@ def test_cover_step_rejects_a_non_submodule():
                 projective_cover_step(cat, [s], syzygy)
             raised += 1
     assert raised == 19
+
+
+def test_a_missing_irreducible_map_is_caught_or_harmless():
+    """Dropping one irreducible map from the table shrinks some radicals,
+    so a cover may keep a generator too many; the minimality check must
+    then raise.  Each of the 44 drops on ladder 3 either raises or leaves
+    every resolution as it was, never a silently different one."""
+
+    def resolutions(cat):
+        return [
+            [(step.tags, step.blocks) for step in min_proj_resolution(cat, s).steps]
+            for s in range(len(cat.objects))
+        ]
+
+    full = build_end_category(CL3, None, QQ)
+    want = resolutions(full)
+    drops = [(s, m) for s, maps in full.irreducible_maps().items() for m in maps]
+    assert len(drops) == 44
+    raised = 0
+    for s, m in drops:
+        cat = build_end_category(CL3, None, QQ)
+        cat.irreducible_maps()[s].remove(m)
+        try:
+            got = resolutions(cat)
+        except AssertionError as err:
+            assert str(err) == "resolution is not minimal"
+            raised += 1
+            continue
+        assert got == want
+    assert raised == 32
 
 
 # ---- Koszul coresolutions -----------------------------------------------------------
@@ -285,12 +392,14 @@ COCHAIN_DIGESTS = {
     (3, "GF2"): "5b80dc45fea3d5d2598ae86e30ab69d8915065666143730284abaadf34c47d3e",
     (4, "Q"): "9d565333154b09b5c86465ea0915f8821d132223e1ebc17b1ebb7d5e39ab6112",
     (4, "GF2"): "2c658a0506315b7ec2162cebae2b37ae727df4423f210f5a7758834d215dea10",
+    (4, "GF3"): "8b85919f3a8c06aebedfddf93c3959bcabca99f3cab5030a54d2a8b768645b7b",
+    (5, "GF2"): "52673eec47ce136715b1f1bf9be94a2f6162819df50568c016375cf0835faf46",
 }
 
 
 @pytest.mark.parametrize("n, field", sorted(COCHAIN_DIGESTS))
 def test_cochain_digests(n, field):
-    """Every cochain of ladders 3 and 4, term order and coefficients
+    """Every cochain of ladders 3 to 5, term order and coefficients
     included, is pinned."""
     q = commutative_ladder(n)
     cat = build_end_category(q, None, parse_field_token(field))
@@ -417,6 +526,18 @@ def test_route_equivalence_small():
     for _ in range(6):
         m = random_commuting_module(CL2, rng)
         assert betti_table_via_koszul(m) == betti(m)
+
+
+@pytest.mark.parametrize("field", ("Q", "GF2"))
+def test_routes_agree_on_restricted_families(field):
+    """Irreducible maps depend on the family, so both routes are compared
+    on seeded sub-families, not only on all intervals."""
+    m = load_fixture("cl3_m45.mod", parse_field_token(field))
+    q = m.quiver
+    for seed in range(12):
+        family = sub_family(q, 100 + seed)
+        cat = build_end_category(q, family, m.field)
+        assert betti_table_via_koszul(m, cat=cat) == betti(m, family=family)
 
 
 def test_koszul_betti_additive():
