@@ -26,10 +26,12 @@ from intres import (
     zero_module,
     zero_morphism,
 )
+from intres.modfile import parse_field_token
 from intres.poset import Interval
 
 from conftest import (
     digest,
+    load_fixture,
     module_data,
     rand_scalar,
     random_commuting_module,
@@ -177,6 +179,55 @@ def test_hom_basis_zero_cases():
     b = interval_module(CL2, Interval(CL2, ["b2"]), QQ)
     assert hom_basis(a, b) == []
     assert hom_dim(a, zero_module(CL2, QQ)) == 0
+
+
+# ---- interval hom spaces Hom(V_J, M) ------------------------------------------------
+
+
+def interval_hom_modules(case, field):
+    """The modules of one pinned case: a fixture over `field` and its dual,
+    or two sampler draws on ladder 4."""
+    if case == "ladder4-draws":
+        rng = random.Random(23)
+        q = commutative_ladder(4)
+        return [random_commuting_module(q, rng, field) for _ in range(2)]
+    m = load_fixture(case, field)
+    return [m, m.dual()]
+
+
+# sha256 of [J, flat basis of Hom(V_J, M)] over every interval J of the
+# module's quiver, intervals in `enumerate_intervals` order
+INTERVAL_HOM_DIGESTS = {
+    ("cl3_m45.mod", "Q"):
+        "3f9fe5ebc7ac4a3260c2d2ef8c0572e80a10d2027c1f44aff748e7598cc8b78c",
+    ("cl3_m45.mod", "GF2"):
+        "77fdc837e74e9caa14c9d9df165c1a322eb8210003c26499ebac40336b7624ca",
+    ("cl3_m45.mod", "GF3"):
+        "75214a791edd14e21fdb7a361bca8cef230a1f0fa8395b2756430002bc180f11",
+    ("cl5_m.mod", "Q"):
+        "b20e5d4f4d37407e56c9ac4b076f7741c171722ab456c56f1d49e1f616a7a0f1",
+    ("cl5_m.mod", "GF2"):
+        "083f52263049fc81273542d9e464ec31b25f69b728090fd2361cad31f3bfc586",
+    ("cl5_m.mod", "GF3"):
+        "93777e71a30fb4bd01ba57ae3f39fa58ce2ac49a65d1b4febdc145de66ce4e43",
+    ("ladder4-draws", "Q"):
+        "084a6e226404df4c5632446f2742fd528fe7d7f48608a07f732df6b12e11ec0a",
+    ("ladder4-draws", "GF5"):
+        "37dc94c52192ad6977478ceb920a013c736603823ed053a21016191ed3a2d47e",
+}
+
+
+@pytest.mark.parametrize("case, field", sorted(INTERVAL_HOM_DIGESTS))
+def test_interval_hom_digests(case, field):
+    """The flat bases of Hom(V_J, M), in order and entry for entry, are
+    pinned for every interval J."""
+    data = []
+    for m in interval_hom_modules(case, parse_field_token(field)):
+        for j in enumerate_intervals(m.quiver):
+            basis = hom_basis(interval_module(m.quiver, j, m.field), m)
+            data.append([sorted(j.vertex_set),
+                         [[str(x) for x in h.flat()] for h in basis]])
+    assert digest(data) == INTERVAL_HOM_DIGESTS[(case, field)]
 
 
 # ---- kernels and cokernels ---------------------------------------------------------
