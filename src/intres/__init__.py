@@ -25,6 +25,7 @@ from intres.repmod import (
     direct_sum,
     good_components,
     hom_basis,
+    hom_basis_from_interval,
     hom_dim,
     identity_morphism,
     interval_module,

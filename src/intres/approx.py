@@ -2,13 +2,14 @@
 
 Everything is relative to a family of intervals, a plain list (`None`
 means all intervals of the quiver; an empty list is an empty family).
-Each call builds Hom(V_J, M) once per member J and drops the members where
-it is zero.  A right approximation of M is a morphism f from a sum of
-family interval modules such that post-composition with f is onto
-Hom(V_I, M) for every member I.  Left approximations are not computed
-here: a left approximation of M is D of a right approximation of
-DM = Hom_k(M, k) over the opposite quiver (`PersModule.dual`), which is how
-`resolve` builds coresolutions.
+Each call builds Hom(V_J, M) once per member J, solved from the sources of
+J (`hom_basis_from_interval`), and drops the members where it is zero.  A
+right approximation of M is a morphism f from a sum of family interval
+modules such that post-composition with f is onto Hom(V_I, M) for every
+member I.  Left approximations are not computed here: a left
+approximation of M is D of a right approximation of DM = Hom_k(M, k) over
+the opposite quiver (`PersModule.dual`), which is how `resolve` builds
+coresolutions.
 
 A minimal right approximation is the projective cover of the functor
 Hom(V_-, M) on the family.  End(V_I) = k and every map between distinct
@@ -31,7 +32,7 @@ from intres.repmod import (
     ModMorphism,
     direct_sum,
     good_components,
-    hom_basis,
+    hom_basis_from_interval,
     interval_module,
     morphism_from_columns,
     zero_module,
@@ -78,7 +79,7 @@ def _homs(module, family):
         family = enumerate_intervals(module.quiver)
     homs = {}
     for j in family:
-        basis = hom_basis(interval_module(module.quiver, j, module.field), module)
+        basis = hom_basis_from_interval(j, module)
         if basis:
             homs[j] = basis
     return homs

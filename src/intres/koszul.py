@@ -40,8 +40,7 @@ from intres.repmod import (
     PersModule,
     component_morphism,
     good_components,
-    hom_basis,
-    interval_module,
+    hom_basis_from_interval,
 )
 from intres.resolve import BettiTable, MaxLengthExceeded
 
@@ -554,11 +553,16 @@ class VecChain:
         return out
 
 
-def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
+def koszul_complex(module, interval, cat=None, max_len=None, cochain=None,
+                   homs=None):
     """Hom(K(V_I), M): spaces Hom(X^i, M), maps = precomposition with d.
 
     The coresolution is `cochain` if given, else the one of I in the family
-    of `cat` (all intervals of the module's quiver when `cat` is None)."""
+    of `cat` (all intervals of the module's quiver when `cat` is None).
+    `homs` is a dict {J: basis of Hom(V_J, M)} for this module, filled as
+    summands V_J are met; callers that build several complexes of one
+    module pass the same dict, so each space is solved once.  Without it
+    the spaces are solved for this complex alone."""
     quiver = module.quiver
     if cat is None:
         cat = EndCategory(quiver, None, module.field)
@@ -570,14 +574,13 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
             f"the cochain is over {cochain.field!r} but the module is over "
             f"{module.field!r}"
         )
-    hom_cache = {}
+    if homs is None:
+        homs = {}
 
     def homs_to_m(j):
-        if j not in hom_cache:
-            hom_cache[j] = hom_basis(
-                interval_module(quiver, j, module.field), module
-            )
-        return hom_cache[j]
+        if j not in homs:
+            homs[j] = hom_basis_from_interval(j, module)
+        return homs[j]
 
     dims = [sum(len(homs_to_m(j)) for j in tags) for tags in cochain.terms]
     mats = [
@@ -589,7 +592,8 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
 
 def _hom_chart(field, basis):
     """The hom basis as columns of flat vectors, with their free columns
-    (`hom_basis` returns the kernel basis of the naturality system)."""
+    (`hom_basis_from_interval` returns it in `kernel_basis`'s canonical
+    form)."""
     flats = [b.flat() for b in basis]
     return Mat.from_columns(field, flats, len(flats[0])), Mat.free_columns(flats)
 
@@ -647,12 +651,16 @@ def betti_via_koszul(module, interval, cat=None, max_len=None):
 
 
 def betti_table_via_koszul(module, cat=None, max_len=None):
-    """Full Betti table of M, one Koszul complex per family interval."""
+    """Full Betti table of M, one Koszul complex per family interval.
+
+    The complexes share one dict of hom spaces, so Hom(V_J, M) is solved
+    at most once per member J of the family."""
     if cat is None:
         cat = EndCategory(module.quiver, None, module.field)
     table = BettiTable()
+    homs = {}
     for interval in cat.objects:
-        chain = koszul_complex(module, interval, cat, max_len)
+        chain = koszul_complex(module, interval, cat, max_len, homs=homs)
         for i, h in enumerate(chain.homology_dims()):
             if h:
                 table.add(i, interval, h)
@@ -904,11 +912,8 @@ def lattice_module_from_persistence(gauge, module):
     family-relative Betti numbers of the persistence module."""
     poset = gauge.poset
     field = module.field
-    quiver = module.quiver
     homs = {
-        a: hom_basis(
-            interval_module(quiver, gauge.labelling[a], field), module
-        )
+        a: hom_basis_from_interval(gauge.labelling[a], module)
         for a in poset.elements
     }
     dims = {a: len(homs[a]) for a in poset.elements}

@@ -6,7 +6,10 @@ A `ModMorphism` is a vertex-indexed family of matrices natural in the arrows.
 
 Thin indecomposables supported on intervals (`interval_module`) have hom
 spaces with a purely combinatorial basis (`good_components`), which the
-resolution and Koszul machinery exploit heavily.
+resolution and Koszul machinery exploit heavily.  A space Hom(V_J, M) is
+solved from the sources of J alone (`hom_basis_from_interval`), which is
+how both routes compute it; the general `hom_basis` solves the full
+naturality system and is kept as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -316,7 +319,9 @@ def hom_basis(m, n):
     Unknowns are all component entries; one linear block per arrow encodes
     naturality.  Returns ModMorphisms in the canonical kernel-basis order;
     their `flat()` vectors are that kernel basis, so `Mat.free_columns` and
-    `Mat.coordinates` read coordinates in it.
+    `Mat.coordinates` read coordinates in it.  The library solves the
+    spaces Hom(V_J, M) with `hom_basis_from_interval`; this general solver
+    is the reference that it must reproduce.
     """
     if m.quiver != n.quiver or m.field != n.field:
         raise ValueError("hom endpoints do not match")
@@ -361,6 +366,79 @@ def hom_basis(m, n):
 
 def hom_dim(m, n):
     return len(hom_basis(m, n))
+
+
+def hom_basis_from_interval(interval, module):
+    """Basis of Hom(V_J, M) for an interval J, solved from the sources of J.
+
+    A morphism V_J -> M is a vector x_v in M(v) at every vertex v of J with
+    x_v = M(a) x_u along each arrow a: u -> v inside J and M(a) x_u = 0
+    along each arrow a: u -> w leaving J.  So it is fixed by its values y at
+    the sources of J, the vertices with no arrow into them from inside J.
+    Walking J in topological order, x_v = G_v y with G_v = M(a) G_u along
+    the first arrow a: u -> v from inside J; every further arrow into v
+    from inside J and every arrow leaving J gives rows of a small system in
+    y.  Its kernel, mapped through G, is brought into `kernel_basis`'s
+    canonical form (the RREF of the flat vectors with the column order
+    reversed, read back in reverse), which depends only on the space.  The
+    result therefore equals `hom_basis(interval_module(q, J, k), M)`
+    morphism for morphism, and `Mat.free_columns` reads coordinates in it.
+
+    Over the opposite quiver, as for the dual module of a coresolution, the
+    sources of J are its sinks in the original quiver.
+    """
+    q = module.quiver
+    field = module.field
+    if not isinstance(interval, Interval):
+        interval = Interval(q, interval)
+    inside = interval.vertex_set
+    dims = module.dims
+    order = [v for v in q.topological_order() if v in inside]
+    sources = [
+        v for v in order if not any(u in inside for _, u in q.arrows_into(v))
+    ]
+    n = sum(dims[s] for s in sources)
+    if n == 0:
+        return []
+    values = {}
+    pos = 0
+    for s in sources:
+        g = Mat.zeros(field, dims[s], n)
+        for i in range(dims[s]):
+            g.data[i * n + pos + i] = field.one()
+        values[s] = g
+        pos += dims[s]
+    rows = []
+    for v in order:
+        for a, u in q.arrows_into(v):
+            if u not in inside:
+                continue
+            g = module.maps[a] * values[u]
+            if v not in values:
+                values[v] = g
+            else:
+                rows.append(g - values[v])
+        for a, w in q.arrows_from(v):
+            if w not in inside:
+                rows.append(module.maps[a] * values[v])
+    kernel = Mat.vstack(field, rows, ncols=n).kernel_basis()
+    if not kernel:
+        return []
+    sol = Mat.from_columns(field, kernel, n)
+    blocks = [values[v] * sol for v in reversed(q.vertices) if v in inside]
+    width = sum(b.nrows for b in blocks)
+    flipped = [
+        x
+        for j in range(len(kernel))
+        for b in blocks
+        for x in reversed(b.col(j))
+    ]
+    red, _ = Mat(field, len(kernel), width, flipped).rref()
+    src = interval_module(q, interval, field)
+    return [
+        ModMorphism.from_flat(src, module, red.row(i)[::-1])
+        for i in reversed(range(red.nrows))
+    ]
 
 
 def good_components(quiver, i_interval, j_interval):

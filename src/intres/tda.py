@@ -277,10 +277,12 @@ class ReplacementVector:
         )
 
 
-def replacement_at(module, interval, cat=None):
+def replacement_at(module, interval, cat=None, homs=None):
     """The signed coefficient at one interval: alternating sum of the
-    homology dimensions of the Koszul complex of M at I."""
-    chain = koszul_complex(module, interval, cat)
+    homology dimensions of the Koszul complex of M at I.  `homs` is passed
+    on to `koszul_complex`: a dict of hom spaces Hom(V_J, M) shared with
+    other complexes of the same module."""
+    chain = koszul_complex(module, interval, cat, homs=homs)
     return sum((-1) ** i * h for i, h in enumerate(chain.homology_dims()))
 
 
@@ -324,13 +326,16 @@ def interval_replacement(module, cat=None):
     comes from zigzag restrictions; the two must satisfy the inversion
     identity c(I) = sum of delta(J) over J containing I, and, where joins
     of cover sets exist unambiguously, the cover-set alternating identity.
-    Any violation raises RouteMismatchError.
+    Any violation raises RouteMismatchError.  The Koszul complexes share
+    one dict of hom spaces, so Hom(V_J, M) is solved at most once per
+    member J of the family.
     """
     _require_ladder(module.quiver)
     if cat is None:
         cat = EndCategory(module.quiver, None, module.field)
     intervals = cat.objects
-    delta = {i: replacement_at(module, i, cat=cat) for i in intervals}
+    homs = {}
+    delta = {i: replacement_at(module, i, cat=cat, homs=homs) for i in intervals}
     compressed = {i: compressed_multiplicity(module, i) for i in intervals}
     # inversion gate: summing delta over containing intervals reproduces c
     for i in intervals:

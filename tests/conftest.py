@@ -188,6 +188,70 @@ def lattice_example():
     return quiver, family, lattice, embedding
 
 
+# ---- posets beyond ladders -----------------------------------------------------
+
+
+def grid_quiver(rows=3, cols=3):
+    """The rows x cols grid: vertices g{i}{j}, arrows h{i}{j}: g{i}{j} ->
+    g{i}{j+1} along each row and v{i}{j}: g{i}{j} -> g{i+1}{j} between
+    rows.  On the 3x3 grid the up-set above the antidiagonal is an interval
+    with three sources."""
+    from intres import BoundQuiver
+
+    vertices = [f"g{i}{j}" for i in range(rows) for j in range(cols)]
+    arrows = [
+        (f"h{i}{j}", f"g{i}{j}", f"g{i}{j + 1}")
+        for i in range(rows) for j in range(cols - 1)
+    ] + [
+        (f"v{i}{j}", f"g{i}{j}", f"g{i + 1}{j}")
+        for i in range(rows - 1) for j in range(cols)
+    ]
+    return BoundQuiver(vertices, arrows)
+
+
+def zigzag_poset_quiver():
+    """The zigzag z1 -> z2 <- z3 -> z4 <- z5 -> z6."""
+    from intres import BoundQuiver
+
+    return BoundQuiver(
+        [f"z{m}" for m in range(1, 7)],
+        [("p1", "z1", "z2"), ("p2", "z3", "z2"), ("p3", "z3", "z4"),
+         ("p4", "z5", "z4"), ("p5", "z5", "z6")],
+    )
+
+
+def tree_poset_quiver():
+    """A poset whose Hasse diagram is a tree: three minimal elements x, y, z
+    below c, and c below w."""
+    from intres import BoundQuiver
+
+    return BoundQuiver(
+        ["x", "y", "z", "c", "w"],
+        [("p", "x", "c"), ("q", "y", "c"), ("r", "z", "c"), ("s", "c", "w")],
+    )
+
+
+def grid_hard_module(field):
+    """The module of `cl3_m45.mod` on the bottom two rows of the 3x3 grid
+    (bottom row b1..b3 on row 0, top row t1..t3 on row 1), zero on row 2:
+    indecomposable and not an interval module."""
+    dims = {"g01": 1, "g02": 1, "g10": 1, "g11": 2, "g12": 1}
+    maps = {
+        "h10": [[1], [1]], "h11": [[0, 1]], "h01": [[1]],
+        "v01": [[0], [1]], "v02": [[1]],
+    }
+    return PersModule(grid_quiver(), field, dims, maps)
+
+
+def tree_hard_module(field):
+    """Three lines in general position in the plane at c: the lines of
+    (1, 0), (0, 1) and (1, 1) as the images of x, y and z, and c -> w the
+    projection to the second coordinate.  Indecomposable and not thin."""
+    dims = {"x": 1, "y": 1, "z": 1, "c": 2, "w": 1}
+    maps = {"p": [[1], [0]], "q": [[0], [1]], "r": [[1], [1]], "s": [[0, 1]]}
+    return PersModule(tree_poset_quiver(), field, dims, maps)
+
+
 def random_commuting_module(quiver, rng, field=QQ, max_dim=3, tries=60):
     """A random module that commutes by construction: the cokernel of a random
     morphism between interval sums, in a shuffled basis.  Vertex dimensions are

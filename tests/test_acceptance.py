@@ -12,6 +12,8 @@ import random
 import time
 from collections import Counter
 
+import pytest
+
 from intres import (
     Field,
     Interval,
@@ -44,12 +46,16 @@ from intres import (
 )
 
 from conftest import (
+    grid_hard_module,
+    grid_quiver,
     lattice_example,
     load_fixture,
     rand_scalar,
     random_commuting_module,
     random_interval_sum,
     shuffle_basis,
+    tree_hard_module,
+    tree_poset_quiver,
 )
 
 # The randomized ladder suite is shared between the route-equivalence and
@@ -265,6 +271,23 @@ def test_lattice_family_routes_and_semilattice_homology():
             for (d, iv), mult in table.entries.items():
                 if iv == a and d >= len(hom):
                     assert mult == 0
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2)], ids=["Q", "GF2"])
+def test_betti_routes_agree_beyond_ladders(field):
+    """On the 3x3 grid and a tree poset, where paths from several sources
+    of an interval meet, both routes give the same table: for a seeded
+    draw and for a module that is not interval-decomposable, in a random
+    basis."""
+    rng = random.Random(20261018)
+    for quiver, hard in ((grid_quiver(), grid_hard_module),
+                         (tree_poset_quiver(), tree_hard_module)):
+        cat = build_end_category(quiver, field=field)
+        mods = [random_commuting_module(quiver, rng, field),
+                shuffle_basis(hard(field), rng)]
+        assert not is_interval_decomposable(mods[1], cat=cat)
+        for m in mods:
+            assert betti_table_via_koszul(m, cat=cat) == betti(m)
 
 
 def test_structural_invariants_hold(cl3_m45, cl5_m):

@@ -18,6 +18,7 @@ from intres import (
     enumerate_intervals,
     good_components,
     hom_basis,
+    hom_basis_from_interval,
     hom_dim,
     identity_morphism,
     interval_module,
@@ -31,6 +32,9 @@ from intres.poset import Interval
 
 from conftest import (
     digest,
+    grid_hard_module,
+    grid_quiver,
+    lattice_example,
     load_fixture,
     module_data,
     rand_scalar,
@@ -38,6 +42,9 @@ from conftest import (
     random_hom,
     random_interval_sum,
     shuffle_basis,
+    tree_hard_module,
+    tree_poset_quiver,
+    zigzag_poset_quiver,
 )
 
 CL2 = commutative_ladder(2)
@@ -217,17 +224,109 @@ INTERVAL_HOM_DIGESTS = {
 }
 
 
+def general_solver(j, m):
+    return hom_basis(interval_module(m.quiver, j, m.field), m)
+
+
+@pytest.mark.parametrize("solve", [general_solver, hom_basis_from_interval],
+                         ids=["hom_basis", "from_interval"])
 @pytest.mark.parametrize("case, field", sorted(INTERVAL_HOM_DIGESTS))
-def test_interval_hom_digests(case, field):
+def test_interval_hom_digests(case, field, solve):
     """The flat bases of Hom(V_J, M), in order and entry for entry, are
-    pinned for every interval J."""
+    pinned for every interval J, for the general solver and for the one
+    the library uses."""
     data = []
     for m in interval_hom_modules(case, parse_field_token(field)):
         for j in enumerate_intervals(m.quiver):
-            basis = hom_basis(interval_module(m.quiver, j, m.field), m)
+            basis = solve(j, m)
             data.append([sorted(j.vertex_set),
                          [[str(x) for x in h.flat()] for h in basis]])
     assert digest(data) == INTERVAL_HOM_DIGESTS[(case, field)]
+
+
+def assert_matches_general_solver(m, intervals=None):
+    """On every interval J (of m's quiver by default), Hom(V_J, M) from
+    the sources of J equals `hom_basis`'s, morphism for morphism, and is
+    the identity on its distinct free columns."""
+    for j in intervals or enumerate_intervals(m.quiver):
+        got = hom_basis_from_interval(j, m)
+        want = general_solver(j, m)
+        flats = [h.flat() for h in got]
+        assert flats == [h.flat() for h in want]
+        assert got == want
+        free = Mat.free_columns(flats)
+        assert len(set(free)) == len(free)
+        for r, vec in enumerate(flats):
+            assert [vec[c] for c in free] == [int(r == t) for t in range(len(free))]
+
+
+FIELDS = ["Q", "GF2", "GF3", "GF5"]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_hom_from_interval_matches_general_solver_on_ladders(field):
+    """Seeded draws on ladders 2 to 5 and both fixtures, with their duals
+    over the opposite quiver, where the sources of J are its sinks."""
+    k = parse_field_token(field)
+    rng = random.Random(31)
+    mods = [load_fixture(name, k) for name in ("cl3_m45.mod", "cl5_m.mod")]
+    for n in (2, 3, 4, 5):
+        mods.append(random_commuting_module(commutative_ladder(n), rng, k))
+    for m in mods:
+        assert_matches_general_solver(m)
+        assert_matches_general_solver(m.dual())
+
+
+@pytest.mark.parametrize("field", ["Q", "GF2", "GF3"])
+def test_hom_from_interval_matches_general_solver_beyond_ladders(field):
+    """A 3x3 grid, a zigzag, a tree poset and the Y-shaped lattice
+    example: a seeded draw on each and its dual, and the two modules that
+    are not interval-decomposable."""
+    k = parse_field_token(field)
+    rng = random.Random(32)
+    quivers = [grid_quiver(), zigzag_poset_quiver(), tree_poset_quiver(),
+               lattice_example()[0]]
+    mods = [random_commuting_module(q, rng, k) for q in quivers]
+    mods += [grid_hard_module(k), tree_hard_module(k)]
+    for m in mods:
+        assert_matches_general_solver(m)
+        assert_matches_general_solver(m.dual())
+
+
+def test_hom_from_interval_with_three_sources():
+    """The up-set above the antidiagonal of the 3x3 grid has three
+    sources; into the constant module, paths from all three meet, and
+    Hom(V_J, M) is one-dimensional."""
+    q = grid_quiver()
+    j = Interval(q, ["g02", "g11", "g20", "g12", "g21", "g22"])
+    sources = [v for v in j if not any(u in j for _, u in q.arrows_into(v))]
+    assert sorted(sources) == ["g02", "g11", "g20"]
+    const = PersModule(q, QQ, {v: 1 for v in q.vertices},
+                       {a: [[1]] for a in q.arrows})
+    basis = hom_basis_from_interval(j, const)
+    assert len(basis) == 1
+    assert_matches_general_solver(const, [j])
+    assert_matches_general_solver(grid_hard_module(QQ), [j])
+
+
+def test_hom_from_interval_edge_cases(cl3_m45, monkeypatch):
+    """The zero module, intervals whose sources are all zero (answered
+    without an elimination), single vertices, vertex lists, and an interval
+    of the opposite quiver on the dual module."""
+    q = cl3_m45.quiver
+    for j in enumerate_intervals(q):
+        assert hom_basis_from_interval(j, zero_module(q, QQ)) == []
+    singles = [Interval(q, [v]) for v in q.vertices]
+    assert_matches_general_solver(cl3_m45, singles)
+    assert hom_basis_from_interval(["t1", "t2"], cl3_m45) == general_solver(
+        Interval(q, ["t1", "t2"]), cl3_m45)
+    dm = cl3_m45.dual()
+    j_op = Interval(dm.quiver, ["b2", "b3", "t2", "t3"])
+    assert_matches_general_solver(dm, [j_op])
+    # b1 is the only source of the whole ladder, and M(b1) = 0
+    monkeypatch.setattr(Mat, "kernel_basis", None)
+    assert hom_basis_from_interval(Interval(q, q.vertices), cl3_m45) == []
+    assert hom_basis_from_interval(Interval(q, ["b1", "b2"]), cl3_m45) == []
 
 
 # ---- kernels and cokernels ---------------------------------------------------------

@@ -12,6 +12,7 @@ from intres import (
     Field,
     Mat,
     betti,
+    betti_table_via_koszul,
     betti_via_koszul,
     cl_describe,
     cl_interval,
@@ -24,12 +25,14 @@ from intres import (
     interval_module,
     interval_replacement,
     is_interval_decomposable,
+    koszul_complex,
     replacement_at,
     xi_assignment,
     xi_restriction,
     zigzag_interval_multiplicities,
     zigzag_quiver,
 )
+from intres import koszul
 from intres.poset import Interval
 from intres.tda import _cover_set_sums
 
@@ -349,3 +352,39 @@ def test_replacement_requires_ladder():
     m = interval_module(ZQ, segment(1, 2), QQ)
     with pytest.raises(ValueError):
         interval_replacement(m)
+
+
+# ---- hom spaces shared across the complexes of one call ---------------------------
+
+
+def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
+    """`betti_table_via_koszul` and `interval_replacement` build 100
+    complexes of cl5_m each, and solve Hom(V_J, M) at most once per member
+    J; a lone complex needs no shared dict."""
+    solves = Counter()
+    solve = koszul.hom_basis_from_interval
+
+    def counted(interval, module):
+        solves[interval] += 1
+        return solve(interval, module)
+
+    monkeypatch.setattr(koszul, "hom_basis_from_interval", counted)
+    cat = EndCategory(cl5_m.quiver, None, cl5_m.field)
+    table = betti_table_via_koszul(cl5_m, cat=cat)
+    assert solves and max(solves.values()) == 1
+    assert set(solves) <= set(cat.objects)
+    solves.clear()
+    rep = interval_replacement(cl5_m, cat=cat)
+    assert solves and max(solves.values()) == 1
+    assert set(solves) <= set(cat.objects)
+    # a lone complex solves its own spaces, and agrees with a shared dict
+    i = cl_interval(cl5_m.quiver, top=(3, 5), bot=(4, 5))
+    homs = {}
+    shared = koszul_complex(cl5_m, i, cat, homs=homs)
+    lone = koszul_complex(cl5_m, i, cat)
+    cochain = koszul.koszul_coresolution(cl5_m.quiver, i, cat=cat)
+    assert set(homs) == {j for tags in cochain.terms for j in tags}
+    assert lone.dims == shared.dims and lone.mats == shared.mats
+    hom = lone.homology_dims()
+    assert [table[(d, i)] for d in range(len(hom))] == hom
+    assert sum((-1) ** d * h for d, h in enumerate(hom)) == rep.delta[i]
