@@ -260,10 +260,7 @@ def assert_matches_general_solver(m, intervals=None):
             assert [vec[c] for c in free] == [int(r == t) for t in range(len(free))]
 
 
-FIELDS = ["Q", "GF2", "GF3", "GF5"]
-
-
-@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("field", ["Q", "GF2", "GF3", "GF5"])
 def test_hom_from_interval_matches_general_solver_on_ladders(field):
     """Seeded draws on ladders 2 to 5 and both fixtures, with their duals
     over the opposite quiver, where the sources of J are its sinks."""
