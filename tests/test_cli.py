@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from intres.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 from conftest import FIXTURES
@@ -168,6 +170,20 @@ def test_replace_json(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert {"interval": "top=[4,5] bot=[5,5]", "value": -1} in payload["delta"]
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "GF(2)"]], ids=["Q", "GF2"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("name", ["cl3_m45", "cl5_m"])
+def test_replace_golden(capsys, name, fmt, field):
+    """The whole `replace` report, the compressed table of the JSON form
+    included, is byte for byte the golden file, over Q and GF(2)."""
+    suffix = ".json" if fmt else ".txt"
+    golden = FIXTURES / "golden" / f"replace_{name}{suffix}"
+    code, out, err = run(capsys, "replace", "--file",
+                         str(FIXTURES / f"{name}.mod"), *fmt, *field)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.encode() == golden.read_bytes()
 
 
 # ---- exit codes -------------------------------------------------------------------

@@ -33,10 +33,12 @@ from intres import (
     zigzag_quiver,
 )
 from intres import koszul
+from intres.modfile import parse_field_token
 from intres.poset import Interval
 from intres.tda import _cover_set_sums
 
 from conftest import (
+    digest,
     load_fixture,
     random_commuting_module,
     random_hom,
@@ -352,6 +354,54 @@ def test_replacement_requires_ladder():
     m = interval_module(ZQ, segment(1, 2), QQ)
     with pytest.raises(ValueError):
         interval_replacement(m)
+
+
+def replacement_modules(case, field):
+    """The modules of one pinned case: a fixture over `field`, or seeded
+    sampler draws on ladders 2 to 5."""
+    if case == "ladder-draws":
+        rng = random.Random(58)
+        return [random_commuting_module(commutative_ladder(n), rng, field)
+                for n in (2, 3, 4, 5)]
+    return [load_fixture(case, field)]
+
+
+# sha256 of [I, delta(I), c(I)] over every interval I of the module's
+# quiver, intervals in `enumerate_intervals` order
+REPLACEMENT_DIGESTS = {
+    ("cl3_m45.mod", "Q"):
+        "af1dc35353ef0652478006407c7fa499b1c19e39aced308e5f5ffa0dc4ab4db1",
+    ("cl3_m45.mod", "GF2"):
+        "af1dc35353ef0652478006407c7fa499b1c19e39aced308e5f5ffa0dc4ab4db1",
+    ("cl3_m45.mod", "GF3"):
+        "af1dc35353ef0652478006407c7fa499b1c19e39aced308e5f5ffa0dc4ab4db1",
+    ("cl3_m45.mod", "GF5"):
+        "af1dc35353ef0652478006407c7fa499b1c19e39aced308e5f5ffa0dc4ab4db1",
+    ("cl5_m.mod", "Q"):
+        "360757c817171243e9e68bd219929c1f8becdd2911352992aab6ea1e2bcf4693",
+    ("cl5_m.mod", "GF2"):
+        "360757c817171243e9e68bd219929c1f8becdd2911352992aab6ea1e2bcf4693",
+    ("cl5_m.mod", "GF3"):
+        "360757c817171243e9e68bd219929c1f8becdd2911352992aab6ea1e2bcf4693",
+    ("cl5_m.mod", "GF5"):
+        "360757c817171243e9e68bd219929c1f8becdd2911352992aab6ea1e2bcf4693",
+    ("ladder-draws", "Q"):
+        "aebb745826c0a7b2359fd072665eccd307e2b241afba330b722e69af06cd8ba7",
+    ("ladder-draws", "GF2"):
+        "66caf12c5c55ada4094ce58ba16764305aa94b29b8a0df24f2bd173340bb14db",
+}
+
+
+@pytest.mark.parametrize("case, field", sorted(REPLACEMENT_DIGESTS))
+def test_replacement_digests(case, field):
+    """The Koszul-route delta and the compressed table c of
+    `interval_replacement` are pinned at every interval."""
+    data = []
+    for m in replacement_modules(case, parse_field_token(field)):
+        rep = interval_replacement(m)
+        data.append([[sorted(i.vertex_set), rep.delta[i], rep.compressed[i]]
+                     for i in enumerate_intervals(m.quiver)])
+    assert digest(data) == REPLACEMENT_DIGESTS[(case, field)]
 
 
 # ---- hom spaces shared across the complexes of one call ---------------------------
