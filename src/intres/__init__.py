@@ -73,10 +73,6 @@ from intres.tda import (
     interval_replacement,
     is_interval_decomposable,
     replacement_at,
-    xi_assignment,
-    xi_restriction,
-    zigzag_interval_multiplicities,
-    zigzag_quiver,
 )
 from intres.modfile import (
     ModuleFileError,

@@ -5,9 +5,9 @@ Three ingredients tie together here:
  - decomposability: M is interval-decomposable exactly when its minimal
    right approximation by interval modules (`approx`) is an isomorphism,
    and the summands of that approximation are the certificate.
- - compression: restricting a ladder module along the fixed 5-vertex zigzag
-   assigned to each interval (corner evaluations, with paths degenerating to
-   identities), then decomposing the zigzag representation.
+ - compression: the multiplicity c(I) is the rank of the canonical map
+   from the limit to the colimit of M restricted to the interval I, read
+   at one vertex of I as a pairing with the limit of the dual module.
  - replacement: the signed interval vector whose alternating-sum definition
    (homology of the Koszul complex) and whose compressed-multiplicity
    companion must agree under Mobius inversion over the containment order;
@@ -25,206 +25,86 @@ from itertools import combinations
 from intres.approx import minimal_right_approximation
 from intres.exactla import Mat
 from intres.koszul import EndCategory, koszul_complex, require_over
-from intres.poset import BoundQuiver, cl_describe, ladder_length
-from intres.repmod import PersModule
+from intres.poset import ladder_length
 
 
 class RouteMismatchError(RuntimeError):
     """Two independent computation routes disagreed; indicates a defect."""
 
 
-# ---- the fixed 5-vertex zigzag ---------------------------------------------------
-
-_ZIGZAG = None
-
-
-def zigzag_quiver():
-    """The fixed zigzag 1 <- 2 -> 3 <- 4 -> 5 (vertices z1..z5)."""
-    global _ZIGZAG
-    if _ZIGZAG is None:
-        _ZIGZAG = BoundQuiver(
-            ["z1", "z2", "z3", "z4", "z5"],
-            [
-                ("al1", "z2", "z1"),
-                ("al2", "z2", "z3"),
-                ("al3", "z4", "z3"),
-                ("al4", "z4", "z5"),
-            ],
-        )
-    return _ZIGZAG
-
-
 def _require_ladder(quiver):
-    n = ladder_length(quiver)
-    if n is None:
+    if ladder_length(quiver) is None:
         raise ValueError("operation requires a commutative-ladder quiver")
-    return n
 
 
-def xi_assignment(quiver, interval):
-    """Corner vertices and arrow paths of the zigzag restriction at I.
+# ---- compression ------------------------------------------------------------------
 
-    Returns (vertex_of, path_of): zigzag vertex name -> ladder vertex, and
-    zigzag arrow name -> (src ladder vertex, tgt ladder vertex) whose path
-    composite gives the arrow's matrix.  Shapes: a two-row staircase uses
-    the five corners (top-right, top-left, top-over-inner-corner, inner
-    corner, bottom-right); one-row segments repeat their endpoints with
-    identity paths in the middle.
+
+def _limit_at(module, vertices, v):
+    """The values at v of a basis of lim M|_I, I the given vertices.
+
+    lim M|_I is the space of families (x_u), u in I, with M(a) x_u = x_w
+    along every arrow a: u -> w inside I: the kernel of the map sending x
+    to (M(a) x_u - x_w) over those arrows.  The basis vectors' entries at v
+    are the columns of the returned dims[v] x (dim lim) matrix.
     """
-    _require_ladder(quiver)
-    top, bot = cl_describe(interval)
-    if top and bot:
-        k, l = top
-        i, j = bot
-        vertex_of = {
-            "z1": f"t{l}",
-            "z2": f"t{k}",
-            "z3": f"t{i}",
-            "z4": f"b{i}",
-            "z5": f"b{j}",
-        }
-        path_of = {
-            "al1": (f"t{k}", f"t{l}"),
-            "al2": (f"t{k}", f"t{i}"),
-            "al3": (f"b{i}", f"t{i}"),
-            "al4": (f"b{i}", f"b{j}"),
-        }
-    elif bot:
-        i, j = bot
-        vertex_of = {
-            "z1": f"b{j}",
-            "z2": f"b{i}",
-            "z3": f"b{i}",
-            "z4": f"b{i}",
-            "z5": f"b{j}",
-        }
-        path_of = {
-            "al1": (f"b{i}", f"b{j}"),
-            "al2": (f"b{i}", f"b{i}"),
-            "al3": (f"b{i}", f"b{i}"),
-            "al4": (f"b{i}", f"b{j}"),
-        }
-    else:
-        k, l = top
-        vertex_of = {
-            "z1": f"t{l}",
-            "z2": f"t{k}",
-            "z3": f"t{k}",
-            "z4": f"t{k}",
-            "z5": f"t{l}",
-        }
-        path_of = {
-            "al1": (f"t{k}", f"t{l}"),
-            "al2": (f"t{k}", f"t{k}"),
-            "al3": (f"t{k}", f"t{k}"),
-            "al4": (f"t{k}", f"t{l}"),
-        }
-    return vertex_of, path_of
-
-
-def xi_restriction(module, interval):
-    """The zigzag representation of M at I: corner spaces and path maps."""
-    vertex_of, path_of = xi_assignment(module.quiver, interval)
-    zq = zigzag_quiver()
-    dims = {z: module.dims[v] for z, v in vertex_of.items()}
-    maps = {}
-    for name, (u, v) in path_of.items():
-        m = module.path_map(u, v)
-        if m is None:
-            raise AssertionError("corner path missing; ladder order violated")
-        maps[name] = m
-    return PersModule(zq, module.field, dims, maps, check=False)
-
-
-# ---- zigzag decomposition ---------------------------------------------------------
-
-
-def _segment_rank(z, b, d):
-    """Rank of the canonical map (limit -> colimit) of z over vertices b..d."""
-    field = z.field
-    verts = [f"z{m}" for m in range(b, d + 1)]
-    dims = [z.dims[v] for v in verts]
-    offs = [0]
-    for dd in dims:
-        offs.append(offs[-1] + dd)
-    total = offs[-1]
-    if total == 0:
-        return 0
-    pos = {v: t for t, v in enumerate(verts)}
-    arrows = []
-    for name, (u, v) in z.quiver.arrows.items():
-        if u in pos and v in pos:
-            arrows.append((name, u, v))
-    arrows.sort()
-    minus_one = field.coerce(-1)
-    # limit: compatible families, kernel of D: (+)Z_x -> (+)_arrows Z_tgt
-    drows = sum(z.dims[v] for _, _, v in arrows)
-    D = Mat.zeros(field, drows, total)
-    row = 0
-    for name, u, v in arrows:
-        m = z.maps[name]
-        cu, cv = offs[pos[u]], offs[pos[v]]
-        for r in range(m.nrows):
-            for c in range(m.ncols):
-                D.data[(row + r) * total + (cu + c)] = m[r, c]
-            D.data[(row + r) * total + (cv + r)] = minus_one
-        row += m.nrows
-    kb = D.kernel_basis()
-    # the canonical map sends a compatible family to the class of its entry
-    # at vertex b; the whole family would give that class times d - b + 1
-    zero = field.zero()
-    K = Mat.from_columns(
-        field, [v[: dims[0]] + [zero] * (total - dims[0]) for v in kb], total
-    )
-    # colimit: cokernel of B: (+)_arrows Z_src -> (+)Z_x
-    bcols = sum(z.dims[u] for _, u, _ in arrows)
-    B = Mat.zeros(field, total, bcols)
-    col = 0
-    for name, u, v in arrows:
-        m = z.maps[name]
-        cu, cv = offs[pos[u]], offs[pos[v]]
-        for r in range(m.nrows):
-            for c in range(m.ncols):
-                B.data[(cv + r) * bcols + (col + c)] = m[r, c]
-        for c in range(m.ncols):
-            B.data[(cu + c) * bcols + (col + c)] = minus_one
-        col += m.ncols
-    rank_b = B.rank()
-    return Mat.hstack(field, [K, B]).rank() - rank_b
-
-
-def zigzag_interval_multiplicities(z):
-    """Multiplicities of the 15 interval summands of a zigzag representation.
-
-    Uses inclusion-exclusion over the ranks of the canonical limit-to-colimit
-    maps of all segments; exact over the module's field.
-    """
-    if z.quiver != zigzag_quiver():
-        raise ValueError("expected a representation of the fixed 5-vertex zigzag")
-    rank = {}
-    for b in range(1, 6):
-        for d in range(b, 6):
-            rank[(b, d)] = _segment_rank(z, b, d)
-
-    def r(b, d):
-        return rank.get((b, d), 0)
-
-    out = {}
-    for b in range(1, 6):
-        for d in range(b, 6):
-            m = r(b, d) - r(b - 1, d) - r(b, d + 1) + r(b - 1, d + 1)
-            if m < 0:
-                raise RouteMismatchError(
-                    "negative multiplicity in zigzag decomposition"
-                )
-            out[(b, d)] = m
-    return out
+    field = module.field
+    dims = module.dims
+    offs = {}
+    total = 0
+    for u in vertices:
+        offs[u] = total
+        total += dims[u]
+    zero, minus_one = field.zero(), field.coerce(-1)
+    data = []
+    nrows = 0
+    for a, (u, w) in module.quiver.arrows.items():
+        if u in offs and w in offs:
+            m = module.maps[a]
+            for r in range(m.nrows):
+                row = [zero] * total
+                row[offs[u] : offs[u] + m.ncols] = m.row(r)
+                row[offs[w] + r] = minus_one
+                data.extend(row)
+            nrows += m.nrows
+    kernel = Mat(field, nrows, total, data).kernel_basis()
+    at_v = [x[offs[v] : offs[v] + dims[v]] for x in kernel]
+    return Mat.from_columns(field, at_v, dims[v])
 
 
 def compressed_multiplicity(module, interval):
-    """Multiplicity of the full-support summand of the zigzag restriction."""
+    """c(I): the rank of the canonical map lim M|_I -> colim M|_I.
+
+    A family x in lim M|_I goes to the class of x_v in colim M|_I, for any
+    vertex v of I.  colim M|_I is dual to lim DM|_I over the opposite
+    quiver, and a family phi there pairs with x as phi_v(x_v), which does
+    not depend on v since I is connected.  So c(I) is the rank of that
+    pairing at one vertex v, taken of least dimension: the map factors
+    through M(v), so c(I) = 0 when M(v) = 0.
+
+    This is the generalized rank invariant of M at I, whose Moebius
+    inversion over the containment order is a signed barcode
+    (Botnan-Oppermann-Oudot, "Signed barcodes for multi-parameter
+    persistence via rank decompositions").  On a ladder it equals the
+    multiplicity of the full-support summand of the 5-vertex zigzag
+    restriction xi of M at I: the corners t_l <- t_k -> t_i <- b_i -> b_j
+    of a staircase I with rows [k, l] and [i, j], each arrow the path map
+    of M (Dey-Kim-Memoli, "Computing generalized rank invariants of
+    2-parameter persistence modules via zigzag persistence").  An interval
+    over another quiver raises ValueError.
+    """
     _require_ladder(module.quiver)
-    return zigzag_interval_multiplicities(xi_restriction(module, interval))[(1, 5)]
+    if interval.quiver != module.quiver:
+        raise ValueError(
+            f"the interval is over {interval.quiver!r} but the module is over "
+            f"{module.quiver!r}"
+        )
+    v = min(interval.vertices, key=module.dims.__getitem__)
+    if module.dims[v] == 0:
+        return 0
+    x = _limit_at(module, interval.vertices, v)
+    phi = _limit_at(module.dual(), interval.vertices, v)
+    return (phi.transpose() * x).rank()
 
 
 # ---- decomposability ------------------------------------------------------------
@@ -323,7 +203,7 @@ def interval_replacement(module, cat=None):
     """The signed interval-replacement vector of a ladder module.
 
     delta comes from Koszul homology per interval; the compressed table
-    comes from zigzag restrictions; the two must satisfy the inversion
+    c(I) is the limit-to-colimit rank over I; the two must satisfy the inversion
     identity c(I) = sum of delta(J) over J containing I, and, where joins
     of cover sets exist unambiguously, the cover-set alternating identity.
     Any violation raises RouteMismatchError.  The Koszul complexes share

@@ -214,7 +214,7 @@ def test_interval_decomposability_detection():
 
 def test_compressed_multiplicities_match_alternating_betti_sums():
     """On the randomized ladder suite, the directly computed compressed
-    multiplicity (zigzag restriction + decomposition) equals the alternating
+    multiplicity (the rank of lim M|_I -> colim M|_I) equals the alternating
     Betti sum over all larger intervals, and its Moebius inversion over the
     containment order reproduces the replacement coefficients."""
     suite = randomized_suite()

@@ -6,6 +6,7 @@ import pytest
 
 from intres import (
     QQ,
+    BoundQuiver,
     CommutativityError,
     Field,
     Mat,
@@ -20,13 +21,21 @@ from intres import (
     render_dim_vector,
     render_ladder_vector,
     serialize_module,
-    zigzag_quiver,
 )
 from intres.poset import Interval
 
 from conftest import FIXTURES, random_interval_sum
 
 CL3 = commutative_ladder(3)
+
+
+def zigzag_quiver():
+    """The zigzag z1 <- z2 -> z3 <- z4 -> z5, a quiver that is not a ladder."""
+    return BoundQuiver(
+        ["z1", "z2", "z3", "z4", "z5"],
+        [("al1", "z2", "z1"), ("al2", "z2", "z3"), ("al3", "z4", "z3"),
+         ("al4", "z4", "z5")],
+    )
 
 
 # ---- field tokens -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Compression to the 5-vertex zigzag, decomposability, interval replacement."""
+"""Compressed multiplicities, decomposability, interval replacement."""
 
 import random
 from collections import Counter
@@ -10,27 +10,20 @@ from intres import (
     QQ,
     EndCategory,
     Field,
-    Mat,
     betti,
     betti_table_via_koszul,
     betti_via_koszul,
-    cl_describe,
     cl_interval,
     commutative_ladder,
     compressed_multiplicity,
     containment_poset,
     direct_sum,
     enumerate_intervals,
-    hom_basis,
     interval_module,
     interval_replacement,
     is_interval_decomposable,
     koszul_complex,
     replacement_at,
-    xi_assignment,
-    xi_restriction,
-    zigzag_interval_multiplicities,
-    zigzag_quiver,
 )
 from intres import koszul
 from intres.modfile import parse_field_token
@@ -41,151 +34,30 @@ from conftest import (
     digest,
     load_fixture,
     random_commuting_module,
-    random_hom,
     random_interval_sum,
     shuffle_basis,
+    zigzag_poset_quiver,
 )
 
 CL2 = commutative_ladder(2)
 CL3 = commutative_ladder(3)
-ZQ = zigzag_quiver()
 
 
-def segment(b, d):
-    return Interval(ZQ, [f"z{m}" for m in range(b, d + 1)])
+# ---- compressed multiplicities ------------------------------------------------------
 
 
-def pairing_multiplicity(z, b, d):
-    """Independent multiplicity oracle: the rank of the composition pairing
-    Hom(Z, V_I) x Hom(V_I, Z) -> End(V_I) = k.  Composites through other
-    indecomposables are non-invertible endomorphisms of a brick, hence zero,
-    so this rank is the number of V_I summands of Z."""
-    iv = segment(b, d)
-    vi = interval_module(ZQ, iv, z.field)
-    into = hom_basis(vi, z)
-    out = hom_basis(z, vi)
-    if not into or not out:
-        return 0
-    v0 = iv.vertices[0]
-    rows = [[phi.compose(psi).comps[v0][0, 0] for psi in into] for phi in out]
-    return Mat.from_rows(z.field, rows).rank()
-
-
-def random_zigzag_module(rng, shuffled=True):
-    m, counts = random_interval_sum(ZQ, rng, max_summands=4, shuffle=shuffled)
-    return m, counts
-
-
-# ---- the fixed zigzag quiver --------------------------------------------------------
-
-
-def test_zigzag_quiver_shape():
-    assert list(ZQ.vertices) == ["z1", "z2", "z3", "z4", "z5"]
-    assert ZQ.arrow_ends("al1") == ("z2", "z1")
-    assert ZQ.arrow_ends("al2") == ("z2", "z3")
-    assert ZQ.arrow_ends("al3") == ("z4", "z3")
-    assert ZQ.arrow_ends("al4") == ("z4", "z5")
-    ivs = enumerate_intervals(ZQ)
-    assert len(ivs) == 15
-    assert {i.vertex_set for i in ivs} == {
-        segment(b, d).vertex_set for b in range(1, 6) for d in range(b, 6)
-    }
-
-
-def test_zigzag_multiplicities_on_known_sums():
-    rng = random.Random(50)
-    for _ in range(12):
-        m, counts = random_zigzag_module(rng)
-        got = zigzag_interval_multiplicities(m)
-        want = {
-            (b, d): counts.get(segment(b, d), 0)
-            for b in range(1, 6)
-            for d in range(b, 6)
-        }
-        assert got == want
-
-
-def test_zigzag_multiplicities_match_pairing_oracle():
-    rng = random.Random(51)
-    for _ in range(8):
-        # cokernels of random morphisms: decomposition not known in advance
-        src, _ = random_interval_sum(ZQ, rng, max_summands=2, shuffle=False)
-        tgt, _ = random_interval_sum(ZQ, rng, max_summands=3, shuffle=False)
-        from intres import cokernel
-
-        z = shuffle_basis(cokernel(random_hom(src, tgt, rng)).module, rng)
-        got = zigzag_interval_multiplicities(z)
-        for b in range(1, 6):
-            for d in range(b, 6):
-                assert got[(b, d)] == pairing_multiplicity(z, b, d)
-        # a zigzag module is a sum of intervals: dimensions must add up
-        for v in ZQ.vertices:
-            covered = sum(
-                mult
-                for (b, d), mult in got.items()
-                if v in segment(b, d).vertex_set
-            )
-            assert covered == z.dims[v]
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_constant_zigzag_over_small_fields(p):
-    """t1 -> t2 -> t3 with identity maps, compressed at {t1}: every zigzag
-    vertex is t1 and every map the identity, so the zigzag is the full
-    segment once.  The limit-to-colimit rank of a segment must not pick up
-    its number of vertices as a factor, which is 0 in characteristic p."""
-    field = Field.prime(p)
-    m = interval_module(CL3, cl_interval(CL3, top=(1, 3)), field)
-    z = xi_restriction(m, cl_interval(CL3, top=(1, 1)))
-    got = zigzag_interval_multiplicities(z)
-    assert got[(1, 5)] == 1 and sum(got.values()) == 1
-
-
-def test_zigzag_rejects_other_quivers():
-    m = interval_module(CL2, Interval(CL2, ["b1"]), QQ)
-    with pytest.raises(ValueError):
-        zigzag_interval_multiplicities(m)
-
-
-# ---- the compression assignment ------------------------------------------------------
-
-
-def test_xi_assignment_shapes():
-    q = CL3
-    mixed = cl_interval(q, top=(1, 3), bot=(3, 3))
-    vertex_of, path_of = xi_assignment(q, mixed)
-    assert vertex_of == {"z1": "t3", "z2": "t1", "z3": "t3", "z4": "b3",
-                        "z5": "b3"}
-    assert path_of["al1"] == ("t1", "t3")
-    assert path_of["al3"] == ("b3", "t3")
-    pure_bot = cl_interval(q, bot=(1, 2))
-    vertex_of, path_of = xi_assignment(q, pure_bot)
-    assert vertex_of == {"z1": "b2", "z2": "b1", "z3": "b1", "z4": "b1",
-                        "z5": "b2"}
-    assert path_of["al2"] == ("b1", "b1")
-    pure_top = cl_interval(q, top=(2, 3))
-    vertex_of, _ = xi_assignment(q, pure_top)
-    assert vertex_of["z1"] == "t3" and vertex_of["z2"] == "t2"
-
-
-def test_xi_restriction_dims_and_commutation(cl3_m45):
-    m = cl3_m45
-    iv = cl_interval(m.quiver, top=(1, 3), bot=(3, 3))
-    z = xi_restriction(m, iv)
-    vertex_of, path_of = xi_assignment(m.quiver, iv)
-    for zv, lv in vertex_of.items():
-        assert z.dims[zv] == m.dims[lv]
-    for name, (u, v) in path_of.items():
-        assert z.maps[name] == m.path_map(u, v)
-
-
-def test_compressed_multiplicity_is_containment_indicator():
+@pytest.mark.parametrize("field", ["Q", "GF2", "GF3"])
+def test_compressed_multiplicity_is_containment_indicator(field):
     """For a single interval module V_J, the compressed multiplicity at I is
-    1 exactly when I is contained in J.  This pins the corner tables."""
-    for quiver in (CL2, CL3):
+    1 exactly when I is contained in J, on ladders 2 to 4, where I has 1 to
+    8 vertices.  Over GF(p) this also checks that the rank does not pick up
+    the number of vertices of I as a factor, which is 0 when p divides it."""
+    k = parse_field_token(field)
+    for n in (2, 3, 4):
+        quiver = commutative_ladder(n)
         ivs = enumerate_intervals(quiver)
         for j in ivs:
-            vj = interval_module(quiver, j, QQ)
+            vj = interval_module(quiver, j, k)
             for i in ivs:
                 want = 1 if i.vertex_set <= j.vertex_set else 0
                 assert compressed_multiplicity(vj, i) == want, (i, j)
@@ -204,10 +76,24 @@ def test_compressed_multiplicity_additive():
 
 
 def test_compression_requires_ladder():
-    q = ZQ
-    m = interval_module(q, segment(1, 3), QQ)
-    with pytest.raises(ValueError):
-        compressed_multiplicity(m, segment(1, 3))
+    q = zigzag_poset_quiver()
+    iv = Interval(q, ["z1", "z2", "z3"])
+    m = interval_module(q, iv, QQ)
+    with pytest.raises(ValueError, match="commutative-ladder"):
+        compressed_multiplicity(m, iv)
+
+
+def test_compression_refuses_an_interval_over_another_quiver(cl3_m45):
+    """A ladder-4 interval names a vertex the ladder-3 module lacks, and a
+    ladder-2 interval is a vertex set of ladder 3 too: both are refused,
+    naming both quivers, instead of answering for the vertex set."""
+    quivers = r"over BoundQuiver\({} vertices, {} arrows\).*" + (
+        r"over BoundQuiver\(6 vertices, 7 arrows\)")
+    for n, arrows in ((4, 10), (2, 4)):
+        q = commutative_ladder(n)
+        iv = cl_interval(q, top=(1, n), bot=(n, n))
+        with pytest.raises(ValueError, match=quivers.format(2 * n, arrows)):
+            compressed_multiplicity(cl3_m45, iv)
 
 
 # ---- decomposability ----------------------------------------------------------------
@@ -351,7 +237,8 @@ def test_replacement_over_small_fields_matches_rationals(p):
 
 
 def test_replacement_requires_ladder():
-    m = interval_module(ZQ, segment(1, 2), QQ)
+    q = zigzag_poset_quiver()
+    m = interval_module(q, Interval(q, ["z1", "z2"]), QQ)
     with pytest.raises(ValueError):
         interval_replacement(m)
 
