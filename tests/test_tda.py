@@ -236,6 +236,22 @@ def test_replacement_over_small_fields_matches_rationals(p):
     assert got.delta == want.delta and got.compressed == want.compressed
 
 
+def test_replacement_refuses_a_category_over_another_quiver_or_field(cl3_m45):
+    """The family comes from `cat`, so `cat` must be over the module's quiver
+    and field; a mismatch names both instead of answering for another
+    family."""
+    i = cl_interval(cl3_m45.quiver, top=(1, 3), bot=(3, 3))
+    quivers = (r"over BoundQuiver\(4 vertices, 4 arrows\).*"
+               r"over BoundQuiver\(6 vertices, 7 arrows\)")
+    fields = r"over GF\(2\).*over Q\b"
+    for cat, match in ((EndCategory(CL2, None, QQ), quivers),
+                       (EndCategory(CL3, None, Field.prime(2)), fields)):
+        with pytest.raises(ValueError, match=match):
+            interval_replacement(cl3_m45, cat=cat)
+        with pytest.raises(ValueError, match=match):
+            replacement_at(cl3_m45, i, cat=cat)
+
+
 def test_replacement_requires_ladder():
     q = zigzag_poset_quiver()
     m = interval_module(q, Interval(q, ["z1", "z2"]), QQ)
