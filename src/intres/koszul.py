@@ -541,16 +541,10 @@ class VecChain:
     mats: list  # mats[i]: K_{i+1} -> K_i  (so mats[0]: K_1 -> K_0)
 
     def homology_dims(self):
-        """dim H_i for i = 0..len(dims)-1, exact kernel/image arithmetic."""
-        out = []
-        for i in range(len(self.dims)):
-            d_i = self.mats[i - 1] if i >= 1 else None
-            rank_i = d_i.rank() if d_i is not None else 0
-            ker = self.dims[i] - rank_i
-            d_next = self.mats[i] if i < len(self.mats) else None
-            rank_next = d_next.rank() if d_next is not None else 0
-            out.append(ker - rank_next)
-        return out
+        """dim H_i = dims[i] - r_i - r_{i+1}, r_i the rank of mats[i-1]:
+        K_i -> K_{i-1} (0 at both ends), so each matrix is ranked once."""
+        ranks = [0] + [m.rank() for m in self.mats] + [0]
+        return [n - ranks[i] - ranks[i + 1] for i, n in enumerate(self.dims)]
 
 
 def koszul_complex(module, interval, cat=None, max_len=None, cochain=None,
@@ -559,10 +553,9 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None,
 
     The coresolution is `cochain` if given, else the one of I in the family
     of `cat` (all intervals of the module's quiver when `cat` is None).
-    `homs` is a dict {J: basis of Hom(V_J, M)} for this module, filled as
-    summands V_J are met; callers that build several complexes of one
-    module pass the same dict, so each space is solved once.  Without it
-    the spaces are solved for this complex alone."""
+    `homs` is a dict {J: basis of Hom(V_J, M)} for this module, given the
+    summands V_J it lacks; callers that build several complexes of one
+    module pass the same dict, so each space is solved once."""
     quiver = module.quiver
     if cat is None:
         cat = EndCategory(quiver, None, module.field)
@@ -574,17 +567,12 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None,
             f"the cochain is over {cochain.field!r} but the module is over "
             f"{module.field!r}"
         )
-    if homs is None:
-        homs = {}
-
-    def homs_to_m(j):
-        if j not in homs:
-            homs[j] = hom_basis_from_interval(j, module)
-        return homs[j]
-
-    dims = [sum(len(homs_to_m(j)) for j in tags) for tags in cochain.terms]
+    homs = {} if homs is None else homs
+    for j in set().union(*cochain.terms) - homs.keys():
+        homs[j] = hom_basis_from_interval(j, module)
+    dims = [sum(len(homs[j]) for j in tags) for tags in cochain.terms]
     mats = [
-        _precompose_matrix_module(quiver, module, cochain, i, homs_to_m)
+        _precompose_matrix_module(quiver, module, cochain, i, homs)
         for i in range(1, len(cochain.terms))
     ]
     return VecChain(dims, mats)
@@ -606,7 +594,7 @@ def _hom_coordinates(chart, flats):
     return basis_mat.coordinates(free, block)
 
 
-def _precompose_matrix_module(quiver, module, cochain, i, homs_to_m):
+def _precompose_matrix_module(quiver, module, cochain, i, homs):
     """Matrix of Hom(X^i, M) -> Hom(X^{i-1}, M), h -> h o d^{i-1}.
 
     For a block V_J -> V_K and h: V_K -> M, h o block is h scaled by the
@@ -621,14 +609,14 @@ def _precompose_matrix_module(quiver, module, cochain, i, homs_to_m):
     charts = {}
     row_blocks = []
     for u_prev, j_prev in enumerate(cochain.terms[i - 1]):
-        if not homs_to_m(j_prev):
+        if not homs[j_prev]:
             continue
         if j_prev not in charts:
-            charts[j_prev] = _hom_chart(field, homs_to_m(j_prev))
+            charts[j_prev] = _hom_chart(field, homs[j_prev])
         composites = []
         for u_cur, j_cur in enumerate(cur_tags):
             values = _block_values(quiver, j_prev, j_cur, blocks[u_cur][u_prev])
-            for h in homs_to_m(j_cur):
+            for h in homs[j_cur]:
                 vec = []
                 for v in j_prev.vertices:
                     vec.extend(
@@ -641,7 +629,7 @@ def _precompose_matrix_module(quiver, module, cochain, i, homs_to_m):
         if x is None:
             raise AssertionError("hom expansion failed in complex")
         row_blocks.append(x)
-    ncols = sum(len(homs_to_m(j)) for j in cur_tags)
+    ncols = sum(len(homs[j]) for j in cur_tags)
     return Mat.vstack(field, row_blocks, ncols=ncols)
 
 

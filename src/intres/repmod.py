@@ -255,7 +255,8 @@ class ModMorphism:
         )
 
     def is_iso(self):
-        return self.is_mono() and self.is_epi()
+        """Square at every vertex, and mono: one rank per vertex, if any."""
+        return self.src.dims == self.tgt.dims and self.is_mono()
 
     def dual(self):
         """Df: D(tgt) -> D(src), every component transposed."""

@@ -8,13 +8,13 @@ Three ingredients tie together here:
  - compression: the multiplicity c(I) is the rank of the canonical map
    from the limit to the colimit of M restricted to the interval I, read
    at one vertex of I as a pairing with the limit of the dual module.
- - replacement: the signed interval vector whose alternating-sum definition
-   (homology of the Koszul complex) and whose compressed-multiplicity
-   companion must agree under Mobius inversion over the containment order;
-   disagreement is reported as an internal error, never silently.  Covers
-   and joins in that order are read off vertex sets: the covers of J are
-   the minimal members strictly containing J, and the join of a set of
-   members is the minimal member containing the union of their vertices.
+ - replacement: the signed interval vector delta, the Euler characteristic
+   of the Koszul complex of M at each interval, must agree with the
+   compressed multiplicities under Mobius inversion over the containment
+   order; disagreement is reported as an internal error, never silently.
+   Covers and joins in that order are read off vertex sets: the covers of
+   J are the minimal members strictly containing J, and the join of a set
+   of members is the minimal member containing the union of their vertices.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from itertools import combinations
 
 from intres.approx import minimal_right_approximation
 from intres.exactla import Mat
-from intres.koszul import EndCategory, koszul_complex, require_over
+from intres.koszul import EndCategory, koszul_coresolution, require_over
 from intres.poset import ladder_length
+from intres.repmod import hom_basis_from_interval
 
 
 class RouteMismatchError(RuntimeError):
@@ -157,13 +158,23 @@ class ReplacementVector:
         )
 
 
-def replacement_at(module, interval, cat=None, homs=None):
-    """The signed coefficient at one interval: alternating sum of the
-    homology dimensions of the Koszul complex of M at I.  `homs` is passed
-    on to `koszul_complex`: a dict of hom spaces Hom(V_J, M) shared with
-    other complexes of the same module."""
-    chain = koszul_complex(module, interval, cat, homs=homs)
-    return sum((-1) ** i * h for i, h in enumerate(chain.homology_dims()))
+def _euler_characteristic(module, interval, cat, dims):
+    """Sum of (-1)^i dim Hom(V_J, M) over the summands V_J of the i-th term
+    of the coresolution of V_I; `dims` {J: dim} is filled as J are met."""
+    terms = koszul_coresolution(module.quiver, interval, cat=cat).terms
+    for j in set().union(*terms) - dims.keys():
+        dims[j] = len(hom_basis_from_interval(j, module))
+    return sum((-1) ** i * dims[j] for i, tags in enumerate(terms) for j in tags)
+
+
+def replacement_at(module, interval, cat=None):
+    """delta(I), the Euler characteristic of the Koszul complex of M at I:
+    sum of (-1)^i dim Hom(X^i, M), by Euler-Poincare that of its homology.
+    A `cat` over another quiver or field raises ValueError."""
+    if cat is None:
+        cat = EndCategory(module.quiver, None, module.field)
+    require_over(cat, module.quiver, module.field, "the module")
+    return _euler_characteristic(module, interval, cat, {})
 
 
 def _minimal(members):
@@ -202,20 +213,20 @@ def _cover_set_sums(intervals, values):
 def interval_replacement(module, cat=None):
     """The signed interval-replacement vector of a ladder module.
 
-    delta comes from Koszul homology per interval; the compressed table
-    c(I) is the limit-to-colimit rank over I; the two must satisfy the inversion
+    delta is `replacement_at` per interval; the compressed table c(I) is
+    the limit-to-colimit rank over I; the two must satisfy the inversion
     identity c(I) = sum of delta(J) over J containing I, and, where joins
     of cover sets exist unambiguously, the cover-set alternating identity.
-    Any violation raises RouteMismatchError.  The Koszul complexes share
-    one dict of hom spaces, so Hom(V_J, M) is solved at most once per
-    member J of the family.
+    Any violation raises RouteMismatchError, and a `cat` over another
+    quiver or field ValueError.  Hom(V_J, M) is solved once per member J.
     """
     _require_ladder(module.quiver)
     if cat is None:
         cat = EndCategory(module.quiver, None, module.field)
+    require_over(cat, module.quiver, module.field, "the module")
     intervals = cat.objects
-    homs = {}
-    delta = {i: replacement_at(module, i, cat=cat, homs=homs) for i in intervals}
+    dims = {}
+    delta = {i: _euler_characteristic(module, i, cat, dims) for i in intervals}
     compressed = {i: compressed_multiplicity(module, i) for i in intervals}
     # inversion gate: summing delta over containing intervals reproduces c
     for i in intervals:

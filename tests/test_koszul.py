@@ -574,6 +574,28 @@ def test_cancelling_pair_invariance(cl3_m45):
         assert got + [0] * (n - len(got)) == want + [0] * (n - len(want))
 
 
+def test_homology_ranks_each_differential_once(monkeypatch, cl5_m):
+    """`VecChain.homology_dims` takes one rank per matrix of the complex,
+    and its dimensions are still dims[i] - rank d_i - rank d_{i+1}."""
+    iv = cl_interval(cl5_m.quiver, top=(3, 5), bot=(4, 5))
+    chain = koszul_complex(cl5_m, iv)
+    want = [chain.dims[i]
+            - (chain.mats[i - 1].rank() if i else 0)
+            - (chain.mats[i].rank() if i < len(chain.mats) else 0)
+            for i in range(len(chain.dims))]
+    ranks = []
+    rank = Mat.rank
+
+    def counted(self):
+        ranks.append(self.shape)
+        return rank(self)
+
+    monkeypatch.setattr(Mat, "rank", counted)
+    assert chain.homology_dims() == want
+    assert len(chain.mats) >= 2
+    assert ranks == [m.shape for m in chain.mats]
+
+
 def test_category_and_module_fields_must_agree():
     """A category over another field or quiver than the module, or than the
     coresolution asked for, is refused with both named."""

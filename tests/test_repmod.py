@@ -379,6 +379,29 @@ def test_kernel_of_identity_and_zero():
     assert cokernel(z).module.dim_vector() == m.dim_vector()
 
 
+def test_is_iso_ranks_each_component_once(monkeypatch, cl3_m45):
+    """An isomorphism is ranked once per vertex, not by `is_mono` and then
+    again by `is_epi`; a morphism whose shapes differ somewhere is refused
+    without a rank, and a square non-isomorphism is refused too."""
+    m = shuffle_basis(cl3_m45, random.Random(17))
+    ranks = []
+    rank = Mat.rank
+
+    def counted(self):
+        ranks.append(self.shape)
+        return rank(self)
+
+    monkeypatch.setattr(Mat, "rank", counted)
+    assert identity_morphism(m).is_iso()
+    assert len(ranks) == len(m.quiver.vertices)
+    ranks.clear()
+    v = interval_module(CL3, Interval(CL3, ["t1", "t2"]), QQ)
+    assert not zero_morphism(v, cl3_m45).is_iso()
+    assert ranks == []
+    assert not zero_morphism(m, m).is_iso()
+    assert 0 < len(ranks) <= len(m.quiver.vertices)
+
+
 # ---- direct sums ------------------------------------------------------------------
 
 

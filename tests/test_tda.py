@@ -10,6 +10,7 @@ from intres import (
     QQ,
     EndCategory,
     Field,
+    PersModule,
     betti,
     betti_table_via_koszul,
     betti_via_koszul,
@@ -25,7 +26,7 @@ from intres import (
     koszul_complex,
     replacement_at,
 )
-from intres import koszul
+from intres import koszul, tda
 from intres.modfile import parse_field_token
 from intres.poset import Interval
 from intres.tda import _cover_set_sums
@@ -307,13 +308,50 @@ def test_replacement_digests(case, field):
     assert digest(data) == REPLACEMENT_DIGESTS[(case, field)]
 
 
-# ---- hom spaces shared across the complexes of one call ---------------------------
+# ---- the Euler characteristic against Koszul homology ------------------------------
+
+
+def hard_ladder4_module(field, rng):
+    """P_2, the module of `cl3_m45.mod` on columns 2..4 of ladder 4, plus two
+    interval modules, in a shuffled basis."""
+    q = commutative_ladder(4)
+    p2 = PersModule(q, field, {"t2": 1, "t3": 2, "t4": 1, "b3": 1, "b4": 1},
+                    {"ta2": [[1], [1]], "ta3": [[0, 1]], "a3": [[1]],
+                     "v3": [[0], [1]], "v4": [[1]]})
+    ivs = [cl_interval(q, top=(1, 3), bot=(2, 3)),
+           cl_interval(q, top=(2, 4), bot=(4, 4))]
+    summands = [p2] + [interval_module(q, i, field) for i in ivs]
+    return shuffle_basis(direct_sum(summands), rng)
+
+
+@pytest.mark.parametrize("field", ["Q", "GF2", "GF3", "GF5"])
+def test_replacement_is_the_alternating_sum_of_koszul_homology(field):
+    """delta(I), read off the terms of the coresolution of V_I, is the
+    alternating sum of the homology dimensions of the Koszul complex at I,
+    at every interval of both fixtures and of a hard ladder-4 module."""
+    k = parse_field_token(field)
+    hard = hard_ladder4_module(k, random.Random(60))
+    assert not is_interval_decomposable(hard)
+    for m in (load_fixture("cl3_m45.mod", k), load_fixture("cl5_m.mod", k),
+              hard):
+        cat = EndCategory(m.quiver, None, k)
+        table = betti_table_via_koszul(m, cat=cat)
+        rep = interval_replacement(m, cat=cat)
+        for i in cat.objects:
+            want = sum((-1) ** d * table[(d, i)]
+                       for d in range(table.max_degree() + 1))
+            assert rep.delta[i] == want, i
+            assert replacement_at(m, i, cat=cat) == want, i
+
+
+# ---- hom spaces solved once per call ----------------------------------------------
 
 
 def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
-    """`betti_table_via_koszul` and `interval_replacement` build 100
-    complexes of cl5_m each, and solve Hom(V_J, M) at most once per member
-    J; a lone complex needs no shared dict."""
+    """`betti_table_via_koszul` builds 100 complexes of cl5_m and
+    `interval_replacement` reads 100 coresolutions; each solves Hom(V_J, M)
+    at most once per member J, and the replacement builds no complex.  A
+    lone complex needs no shared dict."""
     solves = Counter()
     solve = koszul.hom_basis_from_interval
 
@@ -322,14 +360,17 @@ def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
         return solve(interval, module)
 
     monkeypatch.setattr(koszul, "hom_basis_from_interval", counted)
+    monkeypatch.setattr(tda, "hom_basis_from_interval", counted)
     cat = EndCategory(cl5_m.quiver, None, cl5_m.field)
     table = betti_table_via_koszul(cl5_m, cat=cat)
     assert solves and max(solves.values()) == 1
     assert set(solves) <= set(cat.objects)
     solves.clear()
+    monkeypatch.setattr(koszul, "_precompose_matrix_module", None)
+    monkeypatch.setattr(koszul.VecChain, "homology_dims", None)
     rep = interval_replacement(cl5_m, cat=cat)
-    assert solves and max(solves.values()) == 1
-    assert set(solves) <= set(cat.objects)
+    assert solves == Counter(cat.objects)
+    monkeypatch.undo()
     # a lone complex solves its own spaces, and agrees with a shared dict
     i = cl_interval(cl5_m.quiver, top=(3, 5), bot=(4, 5))
     homs = {}
