@@ -29,6 +29,7 @@ from intres.repmod import (
     hom_dim,
     identity_morphism,
     interval_module,
+    irreducible_maps,
     kernel,
     morphism_from_columns,
     zero_module,

@@ -14,12 +14,16 @@ coresolutions.
 A minimal right approximation is the projective cover of the functor
 Hom(V_-, M) on the family.  End(V_I) = k and every map between distinct
 interval modules is radical, so the multiplicity of V_I is
-dim Hom(V_I, M) - dim rad(V_I, M), where rad(V_I, M) is spanned by the
-composites h o g with g: V_I -> V_J, h: V_J -> M and J != I.  Each g is the
-indicator of a good component C (`good_components`), so h o g is h cut down
-to C, and one elimination per interval picks the hom-basis elements that
-span a complement of the radical.  The multiplicities of the retained
-summands are the degree-0 Betti data used by `resolve`.
+dim Hom(V_I, M) - dim rad(V_I, M).  The radical of the family's category
+is nilpotent, so every map between distinct members is a sum of composites
+of irreducible maps, and rad(V_I, M) is spanned by the composites h o g
+with g: V_I -> V_J irreducible and h: V_J -> M alone.  The irreducible
+maps are the family's table from `repmod.irreducible_maps`, built once per
+(co)resolution by `resolve`.  Each g is the indicator of a good component
+C (`good_components`), so h o g is h cut down to C, and one elimination
+per interval picks the hom-basis elements that span a complement of the
+radical.  The multiplicities of the retained summands are the degree-0
+Betti data used by `resolve`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from intres.repmod import (
     good_components,
     hom_basis_from_interval,
     interval_module,
+    irreducible_maps,
     morphism_from_columns,
     zero_module,
 )
@@ -85,14 +90,14 @@ def _homs(module, family):
     return homs
 
 
-def _composites(module, i, pairs):
+def _composites(module, i, pieces):
     """Flat vectors, in the coordinates of Hom(V_I, M), of every h o g with
-    (J, h) in `pairs` and g in the good-component basis of Hom(V_I, V_J).
+    (C, h) in `pieces`: g: V_I -> V_J is the indicator of a good component
+    C of I & J and h: V_J -> M.
 
-    g is 1 on its component C and 0 elsewhere, so the composite agrees with
-    h on C and vanishes off it.  At each vertex v of I the hom space has
-    dim M_v coordinates, which `ModMorphism.flat` lists in quiver order.
-    Returns (vectors, width).
+    The composite agrees with h on C and vanishes off it.  At each vertex v
+    of I the hom space has dim M_v coordinates, which `ModMorphism.flat`
+    lists in quiver order.  Returns (vectors, width).
     """
     dims = module.dims
     offsets = {}
@@ -101,16 +106,12 @@ def _composites(module, i, pairs):
         offsets[v] = width
         width += dims[v]
     zero = module.field.zero()
-    components = {}
     out = []
-    for j, h in pairs:
-        if j not in components:
-            components[j] = good_components(module.quiver, i, j)
-        for comp in components[j]:
-            vec = [zero] * width
-            for v in comp:
-                vec[offsets[v] : offsets[v] + dims[v]] = h.comps[v].data
-            out.append(vec)
+    for comp, h in pieces:
+        vec = [zero] * width
+        for v in comp:
+            vec[offsets[v] : offsets[v] + dims[v]] = h.comps[v].data
+        out.append(vec)
     return out, width
 
 
@@ -124,7 +125,11 @@ def is_right_interval_approximation(approx, family=None):
     module = approx.module
     pairs = list(zip(approx.summand_index, approx.parts))
     for i, basis in _homs(module, family).items():
-        image, width = _composites(module, i, pairs)
+        comps = {
+            j: good_components(module.quiver, i, j) for j in set(approx.summand_index)
+        }
+        pieces = [(c, h) for j, h in pairs for c in comps[j]]
+        image, width = _composites(module, i, pieces)
         if Mat.from_columns(module.field, image, width).rank() != len(basis):
             return False
     return True
@@ -133,11 +138,18 @@ def is_right_interval_approximation(approx, family=None):
 # ---- construction ------------------------------------------------------------
 
 
-def _top(module, i, homs):
-    """Hom-basis elements at I spanning a complement of the radical."""
+def _top(module, i, homs, maps):
+    """Hom-basis elements at I spanning a complement of the radical, which
+    is spanned by h o g over the irreducible maps g: V_I -> V_J, given in
+    `maps` as (J, k) for the k-th good component of Hom(V_I, V_J), and the
+    basis maps h of Hom(V_J, M)."""
     basis = homs[i]
-    rad_pairs = [(j, h) for j, hs in homs.items() if j != i for h in hs]
-    rad, width = _composites(module, i, rad_pairs)
+    pieces = []
+    for j, k in maps:
+        if j in homs:
+            comp = good_components(module.quiver, i, j)[k]
+            pieces.extend((comp, h) for h in homs[j])
+    rad, width = _composites(module, i, pieces)
     if not rad:
         return basis
     cols = rad + [h.flat() for h in basis]
@@ -145,14 +157,25 @@ def _top(module, i, homs):
     return [basis[p - len(rad)] for p in pivots if p >= len(rad)]
 
 
-def minimal_right_approximation(module, family=None):
+def minimal_right_approximation(module, family=None, irreducible=None):
     """The projective cover of Hom(V_-, M) over the family, as a minimal
-    right approximation of M."""
+    right approximation of M.
+
+    `irreducible` is the family's table of irreducible maps over the
+    module's quiver and field (`repmod.irreducible_maps`, whose indices
+    refer to `family`); it is built here when None.
+    """
+    if family is None:
+        family = enumerate_intervals(module.quiver)
+    if irreducible is None:
+        irreducible = irreducible_maps(module.quiver, family, module.field)
     homs = _homs(module, family)
+    index = {i: s for s, i in enumerate(family)}
     summand_index = []
     parts = []
     for i in homs:
-        kept = _top(module, i, homs)
+        maps = [(family[t], k) for t, k in irreducible[index[i]]]
+        kept = _top(module, i, homs, maps)
         summand_index.extend([i] * len(kept))
         parts.extend(kept)
     f = _assemble(module, summand_index, parts)

@@ -8,7 +8,8 @@ hom(J, -), kept only as a kernel basis of K(t) inside P(t) at every object t
 where P is nonzero, and acted on through the 0/1 composition constants of the
 category.  Each cover reads the top K/rad K, and rad K is spanned by the
 images of K under the irreducible maps alone (the arrows of the category's
-Gabriel quiver, a basis of rad/rad^2), which the category tabulates once.
+Gabriel quiver, a basis of rad/rad^2): `repmod.irreducible_maps`, the table
+the resolve route reads as well, built once per category.
 The resolution pulls back, along the Yoneda correspondence for maps between
 representables, to a cochain
 
@@ -41,6 +42,7 @@ from intres.repmod import (
     component_morphism,
     good_components,
     hom_basis_from_interval,
+    irreducible_maps,
 )
 from intres.resolve import BettiTable, MaxLengthExceeded
 
@@ -120,56 +122,15 @@ class EndCategory:
         return self._tensor[key]
 
     def irreducible_maps(self):
-        """The irreducible maps, as out-adjacency s -> [(t, k), ...].
-
-        For s != t, the basis maps x_k of hom(s, t) listed span a
-        complement of rad^2(s, t), the span of the composites through the
-        objects r != s, t.  End(V_I) = k and the radical is nilpotent, so
-        every map between distinct objects is a sum of composites of these
-        (they are the arrows of the Gabriel quiver of the family).  Built
-        on first use, once per category.
-        """
+        """The irreducible maps of the family over this category's field,
+        as out-adjacency s -> [(t, k), ...] (`repmod.irreducible_maps`):
+        every map between distinct objects is a sum of composites of them.
+        Built on first use, once per category."""
         if self._irreducible is None:
-            self._irreducible = self._find_irreducible()
+            self._irreducible = irreducible_maps(
+                self.quiver, self.objects, self.field
+            )
         return self._irreducible
-
-    def _find_irreducible(self):
-        field = self.field
-        dims_from = [self.hom_dims_from(s) for s in range(len(self.objects))]
-        table = {}
-        for s, out in enumerate(dims_from):
-            maps = table[s] = []
-            for t, dim in out.items():
-                if t == s:
-                    continue
-                composites = self._composites_through(
-                    s, t, [r for r in out if r not in (s, t) and t in dims_from[r]]
-                )
-                if dim == 1:  # one nonzero composite spans rad^2(s, t)
-                    if next(composites, None) is None:
-                        maps.append((t, 0))
-                    continue
-                cols = []
-                for cs in {tuple(cs) for cs in composites}:
-                    col = [field.zero()] * dim
-                    for c in cs:
-                        col[c] = field.one()
-                    cols.append(col)
-                unit = Mat.identity(field, dim).rows()
-                _, pivots = Mat.from_columns(field, cols + unit, dim).rref()
-                maps.extend((t, p - len(cols)) for p in pivots if p >= len(cols))
-        return table
-
-    def _composites_through(self, s, t, through):
-        """The nonzero composites s -> r -> t of basis maps, r in `through`,
-        each as its list of indices into hom(s, t)."""
-        target = self.hom(s, t)
-        for r in through:
-            for c1 in self.hom(s, r):
-                for c2 in self.hom(r, t):
-                    cs = _composite(c1, c2, target)
-                    if cs:
-                        yield cs
 
 
 def _composite(c1, c2, target):

@@ -507,6 +507,150 @@ def component_morphism(quiver, i_interval, j_interval, component, field):
     return ModMorphism(vi, vj, comps, check=False)
 
 
+def _bits(mask):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def irreducible_maps(quiver, intervals, field):
+    """The irreducible maps of an interval family, as out-adjacency
+    {s: [(t, k), ...]}, s and t indexing `intervals`, t increasing.
+
+    For s != t, the listed k index basis maps of hom(s, t) =
+    Hom(V_{I_s}, V_{I_t}), in `good_components` order, spanning a
+    complement of rad^2(s, t): the span, over `field`, of the composites of
+    basis maps through every other member r.  End(V_I) = k and the radical
+    is nilpotent, so every map between distinct members is a sum of
+    composites of these: they are the arrows of the Gabriel quiver of the
+    family (Auslander-Reiten-Smalo), and they alone span rad(V_I, M).
+
+    Vertex sets are bitmasks, bit i for the i-th vertex of the quiver.
+    Each distinct meet I_s & I_t is split into components once; a component
+    C is good (a basis map, see `good_components`) when no arrow leaves it
+    into I_t \\ I_s and none enters it from I_s \\ I_t.  Components are
+    disjoint, so ordering them by lowest bit is `good_components`' order.
+    The composite of the basis maps on C1 (s -> r) and C2 (r -> t) is the
+    sum of the components of hom(s, t) inside C1 & C2, so only members r
+    containing a component of hom(s, t) are tried.  When hom(s, t) is
+    one-dimensional the first nonzero composite settles it; when it is
+    larger, a rank is taken unless every basis map is itself a composite.
+    """
+    bit = {v: 1 << i for i, v in enumerate(quiver.vertices)}
+    succ = [sum(bit[w] for _, w in quiver.arrows_from(v)) for v in quiver.vertices]
+    pred = [sum(bit[w] for _, w in quiver.arrows_into(v)) for v in quiver.vertices]
+    masks = [sum(bit[v] for v in iv.vertex_set) for iv in intervals]
+    n = len(masks)
+
+    split = {}  # meet -> [(component, arrow targets, arrow sources)]
+
+    def components(meet):
+        parts = []
+        rest = meet
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for i in _bits(frontier):
+                    reach |= succ[i] | pred[i]
+                frontier = reach & meet & ~comp
+                comp |= frontier
+            out = into = 0
+            for i in _bits(comp):
+                out |= succ[i]
+                into |= pred[i]
+            parts.append((comp, out, into))
+            rest &= ~comp
+        split[meet] = parts
+        return parts
+
+    containing = [0] * len(quiver.vertices)  # bit r: the vertex is in I_r
+    for r, mr in enumerate(masks):
+        for i in _bits(mr):
+            containing[i] |= 1 << r
+    hom = [{} for _ in range(n)]  # hom[s][t]: good components, t increasing
+    span = [{} for _ in range(n)]  # span[s][t]: their union
+    into_members = [0] * n  # bit s of into_members[t]: hom(s, t) != 0
+    for s, ms in enumerate(masks):
+        meeting = 0
+        for i in _bits(ms):
+            meeting |= containing[i]
+        hom_s, span_s = hom[s], span[s]
+        for t in _bits(meeting):
+            mt = masks[t]
+            meet = ms & mt
+            good = [
+                comp
+                for comp, out, into in split.get(meet) or components(meet)
+                if not out & mt & ~ms and not into & ms & ~mt
+            ]
+            if good:
+                hom_s[t] = good
+                span_s[t] = sum(good)
+                into_members[t] |= 1 << s
+    holders = {}  # component -> members containing it
+
+    def held_by(comp):
+        if comp not in holders:
+            members = -1
+            for i in _bits(comp):
+                members &= containing[i]
+            holders[comp] = members
+        return holders[comp]
+
+    table = {}
+    for s in range(n):
+        maps = table[s] = []
+        hom_s, span_s = hom[s], span[s]
+        out_members = sum(1 << t for t in hom_s)
+        for t, target in hom_s.items():
+            if t == s:
+                continue
+            through = out_members & into_members[t] & ~(1 << s | 1 << t)
+            if len(target) == 1:
+                # c is connected, so it lies in one component of I_s & I_r
+                # and one of I_r & I_t: in good ones exactly when in their
+                # unions
+                (c,) = target
+                rest = through & held_by(c)
+                while rest:
+                    low = rest & -rest
+                    r = low.bit_length() - 1
+                    if not c & ~(span_s[r] & span[r][t]):
+                        break
+                    rest ^= low
+                else:
+                    maps.append((t, 0))
+                continue
+            held = union = 0
+            for c in target:
+                held |= held_by(c)
+                union |= c
+            meets = {
+                c1 & c2 & union
+                for r in _bits(through & held)
+                for c1 in hom_s[r]
+                for c2 in hom[r][t]
+            }
+            composites = {
+                tuple(k for k, c in enumerate(target) if not c & ~m) for m in meets
+            }
+            dim = len(target)
+            if all((k,) in composites for k in range(dim)):
+                continue  # every basis map of hom(s, t) is a composite
+            composites.discard(())
+            cols = [
+                [field.one() if k in cs else field.zero() for k in range(dim)]
+                for cs in composites
+            ]
+            unit = Mat.identity(field, dim).rows()
+            _, pivots = Mat.from_columns(field, cols + unit, dim).rref()
+            maps.extend((t, p - len(cols)) for p in pivots if p >= len(cols))
+    return table
+
+
 # ---- kernels and cokernels ---------------------------------------------------
 
 

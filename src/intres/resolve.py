@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from intres.approx import minimal_right_approximation
 from intres.poset import Interval, enumerate_intervals
-from intres.repmod import kernel
+from intres.repmod import irreducible_maps, kernel
 
 
 class MaxLengthExceeded(RuntimeError):
@@ -90,13 +90,33 @@ class BettiTable:
         return out
 
 
+def _require_minimal(tags, prev_tags, diff):
+    """Raise unless diff: X_i -> X_{i-1} maps into the radical: no block
+    V_I -> V_I between two summands with the same tag is nonzero.  Such a
+    block is a scalar (End(V_I) = k), read at one vertex v of I, where the
+    summands containing v give the coordinates in their order."""
+    for tag in set(tags).intersection(prev_tags):
+        v = tag.vertices[0]
+        cols = [c for c, j in enumerate(j for j in tags if v in j) if j == tag]
+        rows = [r for r, j in enumerate(j for j in prev_tags if v in j) if j == tag]
+        block = diff.comps[v]
+        if any(block[r, c] for r in rows for c in cols):
+            raise AssertionError("resolution is not minimal")
+
+
 def _resolve(module, max_len, family):
     """Terms, term modules and differentials of the minimal resolution of
-    `module` by members of `family` (all intervals of its quiver when None)."""
+    `module` by members of `family` (all intervals of its quiver when None).
+
+    The family's table of irreducible maps is built once and read by every
+    approximation; each differential X_i -> X_{i-1} is checked to be
+    minimal (`_require_minimal`), which a missing irreducible map would
+    break."""
     if max_len is None:
         max_len = _default_max_len(module.quiver)
     if family is None:
         family = enumerate_intervals(module.quiver)
+    irreducible = irreducible_maps(module.quiver, family, module.field)
     terms = []
     term_modules = []
     diffs = []
@@ -108,11 +128,16 @@ def _resolve(module, max_len, family):
                 f"resolution exceeded {max_len} terms; raise max_len if the "
                 "configuration is legitimate"
             )
-        approx = minimal_right_approximation(current, family)
+        approx = minimal_right_approximation(current, family, irreducible)
         f = approx.morphism
-        terms.append(list(approx.summand_index))
+        tags = list(approx.summand_index)
+        if embed is None:
+            diffs.append(f)
+        else:
+            diffs.append(embed.compose(f))
+            _require_minimal(tags, terms[-1], diffs[-1])
+        terms.append(tags)
         term_modules.append(f.src)
-        diffs.append(embed.compose(f) if embed is not None else f)
         ker = kernel(f)
         # re-validate the constructed pieces: cheap, catches bugs early
         ker.module.validate_commutativity()

@@ -129,16 +129,17 @@ def is_interval_decomposable(module, cat=None):
     is such an approximation, so f is an isomorphism by minimality; hence M
     is decomposable exactly when f is bijective at every vertex, and the
     certificate lists the summands of X with multiplicity.  The family is
-    the objects of `cat`, all intervals when `cat` is None; a `cat` over
-    another quiver or field raises ValueError.
+    the objects of `cat`, whose table of irreducible maps spans the radical,
+    and all intervals when `cat` is None, with a table built for this call;
+    a `cat` over another quiver or field raises ValueError.
     """
-    family = None
+    family = irreducible = None
     if cat is not None:
         require_over(cat, module.quiver, module.field, "the module")
-        family = cat.objects
+        family, irreducible = cat.objects, cat.irreducible_maps()
     if module.total_dim() == 0:
         return DecompositionResult(True, {})
-    approx = minimal_right_approximation(module, family)
+    approx = minimal_right_approximation(module, family, irreducible)
     if approx.morphism.is_iso():
         return DecompositionResult(True, approx.interval_multiset())
     return DecompositionResult(False, None)

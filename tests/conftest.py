@@ -14,6 +14,7 @@ from intres import (
     ModMorphism,
     PersModule,
     cokernel,
+    commutative_ladder,
     direct_sum,
     enumerate_intervals,
     good_components,
@@ -165,6 +166,36 @@ def cochain_differentials(cochain):
     return diffs
 
 
+# ---- irreducible maps ------------------------------------------------------------
+
+# The number of irreducible maps of the full interval family of each ladder
+# (the same over Q, GF(2) and GF(3)).
+IRREDUCIBLE_TOTALS = {2: 14, 3: 44, 4: 104, 5: 210}
+
+
+def sub_family(quiver, seed, keep=0.6):
+    """The intervals of the quiver, each kept with probability `keep`."""
+    rng = random.Random(seed)
+    return [iv for iv in enumerate_intervals(quiver) if rng.random() < keep]
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The quivers of the tables of irreducible maps built from here on, by
+    any module that builds one, as (module, quiver) in call order."""
+    from intres import approx, koszul, resolve
+
+    built = []
+    for module in (approx, koszul, resolve):
+        def counted(quiver, intervals, field, find=module.irreducible_maps,
+                    name=module.__name__.split(".")[-1]):
+            built.append((name, quiver))
+            return find(quiver, intervals, field)
+
+        monkeypatch.setattr(module, "irreducible_maps", counted)
+    return built
+
+
 def lattice_example():
     """The running 4-element example: a Y-shaped poset, the interval family
     without the sink/source singletons, and that family ordered by existence
@@ -270,3 +301,20 @@ def random_commuting_module(quiver, rng, field=QQ, max_dim=3, tries=60):
             continue
         return shuffle_basis(m, rng)
     raise RuntimeError("could not sample a random commuting module")
+
+
+def hard_ladder_module(n, rng, field=QQ, max_summands=3):
+    """A module on ladder n >= 3 that is not interval-decomposable: P_k plus
+    a random interval sum, under a random change of basis.  P_k is the
+    summand of `cl3_m45.mod` that is not an interval module (dimension
+    vector (1 2 1 / 0 1 1)), placed on columns k..k+2 for a random k."""
+    quiver = commutative_ladder(n)
+    k = rng.randrange(1, n - 1)
+    dims = {f"t{k}": 1, f"t{k + 1}": 2, f"t{k + 2}": 1, f"b{k + 1}": 1,
+            f"b{k + 2}": 1}
+    maps = {f"ta{k}": [[1], [1]], f"ta{k + 1}": [[0, 1]], f"a{k + 1}": [[1]],
+            f"v{k + 1}": [[0], [1]], f"v{k + 2}": [[1]]}
+    p = PersModule(quiver, field, dims, maps)
+    summands, _ = random_interval_sum(quiver, rng, field, max_summands,
+                                      shuffle=False)
+    return shuffle_basis(direct_sum([p, summands]), rng)

@@ -26,6 +26,7 @@ from intres import (
     build_end_category,
     build_lattice_gauge,
     cl_interval,
+    cobetti,
     commutative_ladder,
     compressed_multiplicity,
     containment_poset,
@@ -48,6 +49,7 @@ from intres import (
 from conftest import (
     grid_hard_module,
     grid_quiver,
+    hard_ladder_module,
     lattice_example,
     load_fixture,
     rand_scalar,
@@ -56,6 +58,7 @@ from conftest import (
     shuffle_basis,
     tree_hard_module,
     tree_poset_quiver,
+    zigzag_poset_quiver,
 )
 
 # The randomized ladder suite is shared between the route-equivalence and
@@ -273,21 +276,56 @@ def test_lattice_family_routes_and_semilattice_homology():
                     assert mult == 0
 
 
-@pytest.mark.parametrize("field", [QQ, Field.prime(2)], ids=["Q", "GF2"])
+def by_vertex_set(table):
+    """A Betti table keyed by vertex sets, to compare tables over a quiver
+    and its opposite."""
+    return {(d, i.vertex_set): m for (d, i), m in table.entries.items() if m}
+
+
+def assert_routes_agree(m, cat, op_cat):
+    """betti(m) is the Koszul table of M over `cat`, and cobetti(m) the
+    Koszul table of DM over `op_cat`, the category of the opposite quiver,
+    whose irreducible maps the coresolution reads."""
+    assert betti_table_via_koszul(m, cat=cat) == betti(m)
+    assert by_vertex_set(betti_table_via_koszul(m.dual(), cat=op_cat)) == (
+        by_vertex_set(cobetti(m)))
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)],
+                         ids=["Q", "GF2", "GF3"])
 def test_betti_routes_agree_beyond_ladders(field):
-    """On the 3x3 grid and a tree poset, where paths from several sources
-    of an interval meet, both routes give the same table: for a seeded
-    draw and for a module that is not interval-decomposable, in a random
-    basis."""
+    """On the 3x3 grid, a tree poset and a zigzag, where paths from several
+    sources of an interval meet, both routes give the same tables: for a
+    seeded draw and for a module that is not interval-decomposable, in a
+    random basis (a zigzag has none)."""
     rng = random.Random(20261018)
     for quiver, hard in ((grid_quiver(), grid_hard_module),
-                         (tree_poset_quiver(), tree_hard_module)):
+                         (tree_poset_quiver(), tree_hard_module),
+                         (zigzag_poset_quiver(), None)):
         cat = build_end_category(quiver, field=field)
-        mods = [random_commuting_module(quiver, rng, field),
-                shuffle_basis(hard(field), rng)]
-        assert not is_interval_decomposable(mods[1], cat=cat)
+        op_cat = build_end_category(quiver.opposite(), field=field)
+        mods = [random_commuting_module(quiver, rng, field)]
+        if hard is not None:
+            mods.append(shuffle_basis(hard(field), rng))
+            assert not is_interval_decomposable(mods[1], cat=cat)
         for m in mods:
-            assert betti_table_via_koszul(m, cat=cat) == betti(m)
+            assert_routes_agree(m, cat, op_cat)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5], ids=["Q", "GF2", "GF3", "GF5"])
+def test_betti_routes_agree_on_hard_random_ladder_modules(p):
+    """Seeded modules that are not interval-decomposable (`hard_ladder_module`)
+    on ladders 3 and 4: Betti and co-Betti tables agree across the routes."""
+    field = Field.prime(p) if p else QQ
+    rng = random.Random(20261019 + p)
+    for n in (3, 4):
+        quiver = commutative_ladder(n)
+        cat = build_end_category(quiver, field=field)
+        op_cat = build_end_category(quiver.opposite(), field=field)
+        for _ in range(2):
+            m = hard_ladder_module(n, rng, field)
+            assert not is_interval_decomposable(m, cat=cat)
+            assert_routes_agree(m, cat, op_cat)
 
 
 def test_structural_invariants_hold(cl3_m45, cl5_m):

@@ -41,11 +41,13 @@ from intres.poset import BoundQuiver, Interval, Poset
 from intres.resolve import MaxLengthExceeded
 
 from conftest import (
+    IRREDUCIBLE_TOTALS,
     cochain_differentials,
     lattice_example,
     load_fixture,
     random_commuting_module,
     random_interval_sum,
+    sub_family,
 )
 
 CL2 = commutative_ladder(2)
@@ -204,21 +206,16 @@ def test_basis_morphisms_match_components():
                     assert cm(t, u, b).compose(cm(s, t, a)) == want
 
 
-IRREDUCIBLE_TOTALS = {2: 14, 3: 44, 4: 104, 5: 210}
 FIELDS = ("Q", "GF2", "GF3")
 
 
-def sub_family(quiver, seed, keep=0.6):
-    """The intervals of the quiver, each kept with probability `keep`."""
-    rng = random.Random(seed)
-    return [iv for iv in enumerate_intervals(quiver) if rng.random() < keep]
-
-
-def check_irreducible_maps(cat):
-    """Against the rank definition, for every pair s != t: the listed maps
-    of hom(s, t) and rad^2(s, t), the span of the composites of basis maps
-    through every r != s, t, together span hom(s, t), and their number is
-    dim hom(s, t) - dim rad^2(s, t).  Returns the number of listed maps."""
+def check_category_irreducible_maps(cat):
+    """The category's table against the rank definition, read in the
+    category's own composition constants, which the cover steps multiply
+    by: for every pair s != t, the listed maps of hom(s, t) and rad^2(s, t),
+    the span of the composites of basis maps through every r != s, t,
+    together span hom(s, t), and their number is dim hom(s, t) -
+    dim rad^2(s, t).  Returns the number of listed maps."""
     field, n = cat.field, len(cat.objects)
     dims = {(s, t): cat.hom_dim(s, t) for s in range(n) for t in range(n)}
     listed = {}
@@ -250,7 +247,7 @@ def check_irreducible_maps(cat):
 def test_irreducible_maps_of_full_families(n, field):
     q = commutative_ladder(n)
     cat = build_end_category(q, None, parse_field_token(field))
-    assert check_irreducible_maps(cat) == IRREDUCIBLE_TOTALS[n]
+    assert check_category_irreducible_maps(cat) == IRREDUCIBLE_TOTALS[n]
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -262,23 +259,25 @@ def test_irreducible_maps_of_sub_families(n, field):
     for seed in range(3):
         family = sub_family(q, seed)
         cat = build_end_category(q, family, parse_field_token(field))
-        check_irreducible_maps(cat)
+        check_category_irreducible_maps(cat)
 
 
 def test_irreducible_maps_are_built_once_per_category(monkeypatch, cl3_m45):
+    """The category builds the shared table (`repmod.irreducible_maps`)
+    on first use, over its own objects, and never again."""
     built = []
-    find = koszul.EndCategory._find_irreducible
+    find = koszul.irreducible_maps
 
-    def counted(cat):
-        built.append(cat)
-        return find(cat)
+    def counted(quiver, intervals, field):
+        built.append(intervals)
+        return find(quiver, intervals, field)
 
-    monkeypatch.setattr(koszul.EndCategory, "_find_irreducible", counted)
+    monkeypatch.setattr(koszul, "irreducible_maps", counted)
     cat = build_end_category(cl3_m45.quiver, None, QQ)
     table = betti_table_via_koszul(cl3_m45, cat=cat)
-    assert built == [cat]
+    assert built == [cat.objects]
     assert betti_table_via_koszul(cl3_m45, cat=cat) == table
-    assert built == [cat]
+    assert built == [cat.objects]
 
 
 # ---- minimal projective resolutions ----------------------------------------------

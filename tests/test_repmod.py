@@ -22,6 +22,7 @@ from intres import (
     hom_dim,
     identity_morphism,
     interval_module,
+    irreducible_maps,
     kernel,
     morphism_from_columns,
     zero_module,
@@ -31,6 +32,7 @@ from intres.modfile import parse_field_token
 from intres.poset import Interval
 
 from conftest import (
+    IRREDUCIBLE_TOTALS,
     digest,
     grid_hard_module,
     grid_quiver,
@@ -42,6 +44,7 @@ from conftest import (
     random_hom,
     random_interval_sum,
     shuffle_basis,
+    sub_family,
     tree_hard_module,
     tree_poset_quiver,
     zigzag_poset_quiver,
@@ -179,6 +182,84 @@ def test_good_components_are_disjoint_subsets_of_overlap():
                 assert comp <= overlap
                 assert not (comp & seen)
                 seen |= comp
+
+
+# ---- irreducible maps of an interval family ------------------------------------
+
+IRREDUCIBLE_TOTALS_BEYOND_LADDERS = {
+    "grid": (grid_quiver, 172),
+    "grid-op": (lambda: grid_quiver().opposite(), 172),
+    "zigzag": (zigzag_poset_quiver, 30),
+    "tree": (tree_poset_quiver, 36),
+}
+FIELDS = ("Q", "GF2", "GF3")
+
+
+def check_irreducible_maps(quiver, intervals, field):
+    """`irreducible_maps` against the rank definition, for every pair
+    s != t: the listed maps of hom(s, t) and rad^2(s, t), the span of the
+    composites of basis maps through every other member r, together span
+    hom(s, t), and their number is dim hom(s, t) - dim rad^2(s, t).  The
+    composite of the basis maps on C1 (s -> r) and C2 (r -> t) is the sum
+    of the good components of hom(s, t) inside C1 & C2.  Returns the
+    number of listed maps."""
+    n = len(intervals)
+    hom = {
+        (s, t): good_components(quiver, a, b)
+        for s, a in enumerate(intervals)
+        for t, b in enumerate(intervals)
+    }
+    listed = {}
+    for s, maps in irreducible_maps(quiver, intervals, field).items():
+        for t, k in maps:
+            listed.setdefault((s, t), []).append(k)
+    for (s, t), target in hom.items():
+        dim = len(target)
+        if s == t or not dim:
+            assert (s, t) not in listed
+            continue
+        rad2 = {
+            tuple(field.one() if c <= c1 & c2 else field.zero() for c in target)
+            for r in range(n)
+            if r not in (s, t)
+            for c1 in hom[(s, r)]
+            for c2 in hom[(r, t)]
+        }
+        units = [[field.one() if c == k else field.zero() for c in range(dim)]
+                 for k in listed.get((s, t), [])]
+        rank = Mat.from_rows(field, list(rad2), ncols=dim).rank()
+        assert len(units) == dim - rank
+        assert Mat.from_rows(field, list(rad2) + units, ncols=dim).rank() == dim
+    return sum(map(len, listed.values()))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", sorted(IRREDUCIBLE_TOTALS))
+def test_irreducible_maps_of_full_ladder_families(n, field):
+    q = commutative_ladder(n)
+    total = check_irreducible_maps(q, enumerate_intervals(q), parse_field_token(field))
+    assert total == IRREDUCIBLE_TOTALS[n]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", sorted(IRREDUCIBLE_TOTALS_BEYOND_LADDERS))
+def test_irreducible_maps_beyond_ladders(name, field):
+    """Where an interval has several sources or sinks, and on the opposite
+    of the grid, which a coresolution reads."""
+    build, want = IRREDUCIBLE_TOTALS_BEYOND_LADDERS[name]
+    q = build()
+    total = check_irreducible_maps(q, enumerate_intervals(q), parse_field_token(field))
+    assert total == want
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", (3, 4))
+def test_irreducible_maps_of_ladder_sub_families(n, field):
+    """Irreducibility depends on the family: a composite through a missing
+    interval no longer counts."""
+    q = commutative_ladder(n)
+    for seed in range(3):
+        check_irreducible_maps(q, sub_family(q, seed), parse_field_token(field))
 
 
 def test_hom_basis_zero_cases():

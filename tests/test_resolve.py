@@ -18,9 +18,11 @@ from intres import (
     direct_sum,
     enumerate_intervals,
     interval_module,
+    irreducible_maps,
     minimal_interval_coresolution,
     minimal_interval_resolution,
 )
+from intres import resolve
 from intres.modfile import parse_field_token
 from intres.poset import Interval
 
@@ -125,6 +127,52 @@ def test_random_resolutions_are_exact():
             m = random_commuting_module(quiver, rng)
             check_resolution_exact(minimal_interval_resolution(m))
             check_coresolution_exact(minimal_interval_coresolution(m))
+
+
+def test_one_table_of_irreducible_maps_per_resolution(table_builds, cl3_m45):
+    """A resolution builds the family's table once, over the module's
+    quiver; a coresolution once, over the opposite quiver of DM."""
+    q = cl3_m45.quiver
+    assert minimal_interval_resolution(cl3_m45).length > 0
+    assert table_builds == [("resolve", q)]
+    assert minimal_interval_coresolution(cl3_m45).length > 0
+    assert table_builds == [("resolve", q), ("resolve", q.opposite())]
+
+
+@pytest.mark.parametrize("build, opposite, caught", [
+    (minimal_interval_resolution, False, 3),
+    (minimal_interval_coresolution, True, 8),
+], ids=["resolution", "coresolution"])
+def test_a_missing_irreducible_map_is_caught_or_harmless(monkeypatch, cl3_m45,
+                                                          build, opposite,
+                                                          caught):
+    """Dropping one irreducible map from the table shrinks some radicals, so
+    an approximation may keep a summand too many; the minimality check must
+    then raise.  Each of the 44 drops on ladder 3 (over the opposite quiver
+    for a coresolution, which resolves DM) either raises or leaves the
+    terms and differentials as they were, never silently different ones."""
+    want = build(cl3_m45)
+    q = cl3_m45.quiver.opposite() if opposite else cl3_m45.quiver
+    full = irreducible_maps(q, enumerate_intervals(q), QQ)
+    drops = [(s, m) for s, maps in full.items() for m in maps]
+    assert len(drops) == 44
+    raised = 0
+    for s, m in drops:
+        def dropped(quiver, intervals, field):
+            table = irreducible_maps(quiver, intervals, field)
+            table[s].remove(m)
+            return table
+
+        monkeypatch.setattr(resolve, "irreducible_maps", dropped)
+        try:
+            got = build(cl3_m45)
+        except AssertionError as err:
+            assert str(err) == "resolution is not minimal"
+            raised += 1
+            continue
+        assert (got.terms, got.term_modules, got.diffs) == (
+            want.terms, want.term_modules, want.diffs)
+    assert raised == caught
 
 
 def test_cl3_fixture_resolution(cl3_m45):

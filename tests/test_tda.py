@@ -123,6 +123,18 @@ def test_decomposability_result_truthiness():
     assert bool(res) is True and res.certificate == {Interval(CL2, ["b1"]): 1}
 
 
+def test_decomposability_reads_a_warm_category_table(table_builds, cl3_m45):
+    """With `cat`, the radical is spanned along the category's table, so a
+    warm category builds none; without one, each call builds one."""
+    cat = EndCategory(cl3_m45.quiver, None, QQ)
+    cat.irreducible_maps()
+    table_builds.clear()
+    assert not is_interval_decomposable(cl3_m45, cat=cat)
+    assert table_builds == []
+    assert not is_interval_decomposable(cl3_m45)
+    assert table_builds == [("approx", cl3_m45.quiver)]
+
+
 def test_decomposability_refuses_a_category_over_another_quiver_or_field():
     """The family comes from `cat`, so `cat` must be over the module's quiver
     and field; a mismatch names both instead of answering for another
