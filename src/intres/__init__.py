@@ -18,6 +18,7 @@ from intres.poset import (
 )
 from intres.repmod import (
     CommutativityError,
+    IntervalFamily,
     ModMorphism,
     PersModule,
     cokernel,
@@ -27,9 +28,9 @@ from intres.repmod import (
     hom_basis,
     hom_basis_from_interval,
     hom_dim,
+    hom_dim_from_interval,
     identity_morphism,
     interval_module,
-    irreducible_maps,
     kernel,
     morphism_from_columns,
     zero_module,

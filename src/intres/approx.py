@@ -1,9 +1,11 @@
 """Right approximations by sums of interval modules.
 
-Everything is relative to a family of intervals, a plain list (`None`
-means all intervals of the quiver; an empty list is an empty family).
-Each call builds Hom(V_J, M) once per member J, solved from the sources of
-J (`hom_basis_from_interval`), and drops the members where it is zero.  A
+Everything is relative to a family of intervals, a `repmod.IntervalFamily`
+over the module's quiver and field: `None` means the family of all
+intervals that the quiver holds (`IntervalFamily.of`), and a plain list
+(an empty one is an empty family) is wrapped for the one call.  Each call
+builds Hom(V_J, M) once per member J, solved from the sources of J
+(`hom_basis_from_interval`), and drops the members where it is zero.  A
 right approximation of M is a morphism f from a sum of family interval
 modules such that post-composition with f is onto Hom(V_I, M) for every
 member I.  Left approximations are not computed here: a left
@@ -18,8 +20,9 @@ dim Hom(V_I, M) - dim rad(V_I, M).  The radical of the family's category
 is nilpotent, so every map between distinct members is a sum of composites
 of irreducible maps, and rad(V_I, M) is spanned by the composites h o g
 with g: V_I -> V_J irreducible and h: V_J -> M alone.  The irreducible
-maps are the family's table from `repmod.irreducible_maps`, built once per
-(co)resolution by `resolve`.  Each g is the indicator of a good component
+maps are the family's table (`IntervalFamily.irreducible_maps`), built
+once per family and read by every approximation over it.  Each g is the
+indicator of a good component
 C (`good_components`), so h o g is h cut down to C, and one elimination
 per interval picks the hom-basis elements that span a complement of the
 radical.  The multiplicities of the retained summands are the degree-0
@@ -31,14 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from intres.exactla import Mat
-from intres.poset import enumerate_intervals
 from intres.repmod import (
+    IntervalFamily,
     ModMorphism,
     direct_sum,
     good_components,
     hom_basis_from_interval,
     interval_module,
-    irreducible_maps,
     morphism_from_columns,
     zero_module,
 )
@@ -77,13 +79,11 @@ def _assemble(module, summand_index, parts):
 # ---- composites through interval modules ----------------------------------------
 
 
-def _homs(module, family):
-    """Basis of Hom(V_J, M) for every member J with a nonzero one, in family
-    order (all intervals of the quiver when `family` is None)."""
-    if family is None:
-        family = enumerate_intervals(module.quiver)
+def _homs(module, members):
+    """Basis of Hom(V_J, M) for every member J with a nonzero one, in
+    family order."""
     homs = {}
-    for j in family:
+    for j in members:
         basis = hom_basis_from_interval(j, module)
         if basis:
             homs[j] = basis
@@ -123,8 +123,9 @@ def is_right_interval_approximation(approx, family=None):
     family (all intervals when `family` is None).
     """
     module = approx.module
+    members = IntervalFamily.wrap(family, module.quiver, module.field).members
     pairs = list(zip(approx.summand_index, approx.parts))
-    for i, basis in _homs(module, family).items():
+    for i, basis in _homs(module, members).items():
         comps = {
             j: good_components(module.quiver, i, j) for j in set(approx.summand_index)
         }
@@ -157,24 +158,21 @@ def _top(module, i, homs, maps):
     return [basis[p - len(rad)] for p in pivots if p >= len(rad)]
 
 
-def minimal_right_approximation(module, family=None, irreducible=None):
+def minimal_right_approximation(module, family=None):
     """The projective cover of Hom(V_-, M) over the family, as a minimal
     right approximation of M.
 
-    `irreducible` is the family's table of irreducible maps over the
-    module's quiver and field (`repmod.irreducible_maps`, whose indices
-    refer to `family`); it is built here when None.
+    The radical is spanned along the family's table of irreducible maps,
+    which an `IntervalFamily` builds once and every call over it reads.
     """
-    if family is None:
-        family = enumerate_intervals(module.quiver)
-    if irreducible is None:
-        irreducible = irreducible_maps(module.quiver, family, module.field)
-    homs = _homs(module, family)
-    index = {i: s for s, i in enumerate(family)}
+    family = IntervalFamily.wrap(family, module.quiver, module.field)
+    members = family.members
+    irreducible = family.irreducible_maps()
+    homs = _homs(module, members)
     summand_index = []
     parts = []
     for i in homs:
-        maps = [(family[t], k) for t, k in irreducible[index[i]]]
+        maps = [(members[t], k) for t, k in irreducible[family.index[i]]]
         kept = _top(module, i, homs, maps)
         summand_index.extend([i] * len(kept))
         parts.extend(kept)

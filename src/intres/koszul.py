@@ -8,8 +8,8 @@ hom(J, -), kept only as a kernel basis of K(t) inside P(t) at every object t
 where P is nonzero, and acted on through the 0/1 composition constants of the
 category.  Each cover reads the top K/rad K, and rad K is spanned by the
 images of K under the irreducible maps alone (the arrows of the category's
-Gabriel quiver, a basis of rad/rad^2): `repmod.irreducible_maps`, the table
-the resolve route reads as well, built once per category.
+Gabriel quiver, a basis of rad/rad^2): the table of the category's
+`repmod.IntervalFamily`, the workspace the resolve route reads as well.
 The resolution pulls back, along the Yoneda correspondence for maps between
 representables, to a cochain
 
@@ -36,13 +36,13 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from intres.exactla import QQ, Mat
-from intres.poset import BoundQuiver, enumerate_intervals
+from intres.poset import BoundQuiver
 from intres.repmod import (
+    IntervalFamily,
     PersModule,
     component_morphism,
     good_components,
     hom_basis_from_interval,
-    irreducible_maps,
 )
 from intres.resolve import BettiTable, MaxLengthExceeded
 
@@ -53,26 +53,29 @@ from intres.resolve import BettiTable, MaxLengthExceeded
 class EndCategory:
     """Objects: intervals; hom(s, t) = basis of Hom(V_{I_s}, V_{I_t}).
 
-    Basis elements are indicator morphisms of good components, so all
-    composition structure constants are 0 or 1 and are independent of the
-    field.  Composition tensors are cached per object triple, the nonzero
-    hom dimensions per object, the table of irreducible maps once (it is
-    read over `field`, so it belongs to this category object), and
-    coresolutions per object: the category is the workspace that callers
-    pass along as `cat`.
+    The objects, their positions and the table of irreducible maps are
+    those of `family`, a `repmod.IntervalFamily` over `field`: without
+    `intervals`, the family of all intervals that the quiver holds
+    (`IntervalFamily.of`), so the category and the resolve route over the
+    same quiver and field share one enumeration and one table; a plain list
+    is wrapped for this category alone.  Basis elements are indicator
+    morphisms of good components, so all composition structure constants
+    are 0 or 1 and are independent of the field.  On top of the family the
+    category caches what the Koszul route alone needs: composition tensors
+    per object triple, the nonzero hom dimensions per object, and
+    coresolutions per object.  It is the workspace that callers pass along
+    as `cat`.
     """
 
     def __init__(self, quiver, intervals=None, field=None):
         self.quiver = quiver
         self.field = field or QQ
-        if intervals is None:
-            intervals = enumerate_intervals(quiver)
-        self.objects = list(intervals)
-        self.obj_index = {i: t for t, i in enumerate(self.objects)}
+        self.family = IntervalFamily.wrap(intervals, quiver, self.field)
+        self.objects = self.family.members
+        self.obj_index = self.family.index
         self._hom = {}
         self._tensor = {}
         self._dims_from = {}
-        self._irreducible = None
         self._coresolutions = {}
 
     def interval(self, s):
@@ -123,14 +126,10 @@ class EndCategory:
 
     def irreducible_maps(self):
         """The irreducible maps of the family over this category's field,
-        as out-adjacency s -> [(t, k), ...] (`repmod.irreducible_maps`):
-        every map between distinct objects is a sum of composites of them.
-        Built on first use, once per category."""
-        if self._irreducible is None:
-            self._irreducible = irreducible_maps(
-                self.quiver, self.objects, self.field
-            )
-        return self._irreducible
+        as out-adjacency: entry s lists (t, k)
+        (`IntervalFamily.irreducible_maps`); every map between distinct
+        objects is a sum of composites of them.  Built once per family."""
+        return self.family.irreducible_maps()
 
 
 def _composite(c1, c2, target):

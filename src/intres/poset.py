@@ -27,6 +27,7 @@ class BoundQuiver:
         "_reach",
         "_topo",
         "_op",
+        "_families",
     )
 
     def __init__(self, vertices, arrows):
@@ -62,6 +63,7 @@ class BoundQuiver:
         self._reach = self._reachability()
         self._check_hasse()
         self._op = None
+        self._families = {}  # field -> all intervals, see repmod.IntervalFamily.of
 
     def opposite(self):
         """The Hasse quiver of the opposite poset: the same vertex tuple and
@@ -176,6 +178,16 @@ class Interval:
     @property
     def vertex_set(self):
         return self._vset
+
+    def opposite(self):
+        """The same vertex set as an interval of the opposite quiver, with
+        the same vertex tuple and frozenset: connectivity and convexity do
+        not depend on the direction of the arrows, so nothing is checked."""
+        iv = object.__new__(Interval)
+        iv.quiver = self.quiver.opposite()
+        iv._vset = self._vset
+        iv.vertices = self.vertices
+        return iv
 
     def arrows(self):
         """Names of quiver arrows with both endpoints in the interval."""

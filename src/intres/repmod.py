@@ -10,14 +10,20 @@ resolution and Koszul machinery exploit heavily.  A space Hom(V_J, M) is
 solved from the sources of J alone (`hom_basis_from_interval`), which is
 how both routes compute it; the general `hom_basis` solves the full
 naturality system and is kept as the reference it is tested against.
+
+An `IntervalFamily` is the combinatorial workspace of a family of
+intervals over one field: its members, their vertex bitmasks and its table
+of irreducible maps.  Both routes read it; the family of all intervals of
+a quiver is held by the quiver, once per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from intres.exactla import Mat
-from intres.poset import Interval
+from intres.poset import Interval, enumerate_intervals
 
 
 class CommutativityError(ValueError):
@@ -369,6 +375,45 @@ def hom_dim(m, n):
     return len(hom_basis(m, n))
 
 
+def _source_system(interval, module):
+    """The system whose kernel is Hom(V_J, M), in the values y at the
+    sources of J, with the maps G_v (see `hom_basis_from_interval`): the
+    pair (system, {v: G_v}), or None when M is zero at every source."""
+    q = module.quiver
+    field = module.field
+    inside = interval.vertex_set
+    dims = module.dims
+    order = [v for v in q.topological_order() if v in inside]
+    sources = [
+        v for v in order if not any(u in inside for _, u in q.arrows_into(v))
+    ]
+    n = sum(dims[s] for s in sources)
+    if n == 0:
+        return None
+    values = {}
+    pos = 0
+    for s in sources:
+        g = Mat.zeros(field, dims[s], n)
+        for i in range(dims[s]):
+            g.data[i * n + pos + i] = field.one()
+        values[s] = g
+        pos += dims[s]
+    rows = []
+    for v in order:
+        for a, u in q.arrows_into(v):
+            if u not in inside:
+                continue
+            g = module.maps[a] * values[u]
+            if v not in values:
+                values[v] = g
+            else:
+                rows.append(g - values[v])
+        for a, w in q.arrows_from(v):
+            if w not in inside:
+                rows.append(module.maps[a] * values[v])
+    return Mat.vstack(field, rows, ncols=n), values
+
+
 def hom_basis_from_interval(interval, module):
     """Basis of Hom(V_J, M) for an interval J, solved from the sources of J.
 
@@ -392,40 +437,15 @@ def hom_basis_from_interval(interval, module):
     field = module.field
     if not isinstance(interval, Interval):
         interval = Interval(q, interval)
-    inside = interval.vertex_set
-    dims = module.dims
-    order = [v for v in q.topological_order() if v in inside]
-    sources = [
-        v for v in order if not any(u in inside for _, u in q.arrows_into(v))
-    ]
-    n = sum(dims[s] for s in sources)
-    if n == 0:
+    solved = _source_system(interval, module)
+    if solved is None:
         return []
-    values = {}
-    pos = 0
-    for s in sources:
-        g = Mat.zeros(field, dims[s], n)
-        for i in range(dims[s]):
-            g.data[i * n + pos + i] = field.one()
-        values[s] = g
-        pos += dims[s]
-    rows = []
-    for v in order:
-        for a, u in q.arrows_into(v):
-            if u not in inside:
-                continue
-            g = module.maps[a] * values[u]
-            if v not in values:
-                values[v] = g
-            else:
-                rows.append(g - values[v])
-        for a, w in q.arrows_from(v):
-            if w not in inside:
-                rows.append(module.maps[a] * values[v])
-    kernel = Mat.vstack(field, rows, ncols=n).kernel_basis()
+    system, values = solved
+    kernel = system.kernel_basis()
     if not kernel:
         return []
-    sol = Mat.from_columns(field, kernel, n)
+    sol = Mat.from_columns(field, kernel, system.ncols)
+    inside = interval.vertex_set
     blocks = [values[v] * sol for v in reversed(q.vertices) if v in inside]
     width = sum(b.nrows for b in blocks)
     flipped = [
@@ -440,6 +460,17 @@ def hom_basis_from_interval(interval, module):
         ModMorphism.from_flat(src, module, red.row(i)[::-1])
         for i in reversed(range(red.nrows))
     ]
+
+
+def hom_dim_from_interval(interval, module):
+    """dim Hom(V_J, M) for an interval J: the nullity of the system in the
+    values at the sources of J that `hom_basis_from_interval` solves, with
+    no basis built."""
+    solved = _source_system(interval, module)
+    if solved is None:
+        return 0
+    system, _ = solved
+    return system.ncols - system.rank()
 
 
 def good_components(quiver, i_interval, j_interval):
@@ -515,19 +546,11 @@ def _bits(mask):
         mask ^= low
 
 
-def irreducible_maps(quiver, intervals, field):
-    """The irreducible maps of an interval family, as out-adjacency
-    {s: [(t, k), ...]}, s and t indexing `intervals`, t increasing.
+def _irreducible_table(quiver, masks, field):
+    """The irreducible maps of the family whose members have the vertex
+    bitmasks `masks`, as out-adjacency: entry s lists the pairs (t, k), t
+    increasing, see `IntervalFamily.irreducible_maps`.
 
-    For s != t, the listed k index basis maps of hom(s, t) =
-    Hom(V_{I_s}, V_{I_t}), in `good_components` order, spanning a
-    complement of rad^2(s, t): the span, over `field`, of the composites of
-    basis maps through every other member r.  End(V_I) = k and the radical
-    is nilpotent, so every map between distinct members is a sum of
-    composites of these: they are the arrows of the Gabriel quiver of the
-    family (Auslander-Reiten-Smalo), and they alone span rad(V_I, M).
-
-    Vertex sets are bitmasks, bit i for the i-th vertex of the quiver.
     Each distinct meet I_s & I_t is split into components once; a component
     C is good (a basis map, see `good_components`) when no arrow leaves it
     into I_t \\ I_s and none enters it from I_s \\ I_t.  Components are
@@ -541,7 +564,6 @@ def irreducible_maps(quiver, intervals, field):
     bit = {v: 1 << i for i, v in enumerate(quiver.vertices)}
     succ = [sum(bit[w] for _, w in quiver.arrows_from(v)) for v in quiver.vertices]
     pred = [sum(bit[w] for _, w in quiver.arrows_into(v)) for v in quiver.vertices]
-    masks = [sum(bit[v] for v in iv.vertex_set) for iv in intervals]
     n = len(masks)
 
     split = {}  # meet -> [(component, arrow targets, arrow sources)]
@@ -600,9 +622,10 @@ def irreducible_maps(quiver, intervals, field):
             holders[comp] = members
         return holders[comp]
 
-    table = {}
+    table = []
     for s in range(n):
-        maps = table[s] = []
+        maps = []
+        table.append(maps)
         hom_s, span_s = hom[s], span[s]
         out_members = sum(1 << t for t in hom_s)
         for t, target in hom_s.items():
@@ -648,7 +671,118 @@ def irreducible_maps(quiver, intervals, field):
             unit = Mat.identity(field, dim).rows()
             _, pivots = Mat.from_columns(field, cols + unit, dim).rref()
             maps.extend((t, p - len(cols)) for p in pivots if p >= len(cols))
-    return table
+    return tuple(map(tuple, table))
+
+
+def _transpose(table):
+    """The out-adjacency of the reversed maps: (s, k) in entry t for every
+    (t, k) in entry s, s increasing."""
+    out = [[] for _ in table]
+    for s, maps in enumerate(table):
+        for t, k in maps:
+            out[t].append((s, k))
+    return tuple(map(tuple, out))
+
+
+class IntervalFamily:
+    """A family of intervals of one quiver over one field, the workspace
+    that both Betti routes read: the members in order, their vertex
+    bitmasks (bit i for the i-th vertex of the quiver), each member's
+    position (`index`), and the family's table of irreducible maps, built
+    on first use.  Members, bitmasks and table are tuples, so no caller can
+    change what the next one reads.
+
+    The family of all intervals of a quiver comes from `of`, which the
+    quiver holds per field, so every call over one quiver shares one
+    enumeration and one table.  A family built from a plain list is held
+    by whoever built it.
+
+    `opposite` is the same family over the opposite quiver, the family
+    that a coresolution resolves DM by: the same vertex sets in the same
+    order.  Hom over the opposite quiver from V_J to V_I is
+    Hom(V_I, V_J) on the same good components, so the two tables are
+    transposes: whichever of the two families is asked first builds its
+    table, and the other reads the transpose.
+    """
+
+    __slots__ = ("quiver", "field", "members", "masks", "index", "_table", "_op")
+
+    def __init__(self, quiver, intervals, field):
+        self.quiver = quiver
+        self.field = field
+        self.members = tuple(intervals)
+        bit = {v: 1 << i for i, v in enumerate(quiver.vertices)}
+        self.masks = tuple(sum(bit[v] for v in iv.vertex_set) for iv in self.members)
+        self.index = MappingProxyType({iv: s for s, iv in enumerate(self.members)})
+        self._table = None
+        self._op = None
+
+    @classmethod
+    def of(cls, quiver, field):
+        """All intervals of the quiver, as `enumerate_intervals` orders
+        them, held by the quiver per field; when the opposite quiver holds
+        its family already, this is that family's opposite."""
+        held = quiver._families
+        if field not in held:
+            op = quiver.opposite()._families.get(field)
+            if op is not None:
+                held[field] = op.opposite()
+            else:
+                held[field] = cls(quiver, enumerate_intervals(quiver), field)
+        return held[field]
+
+    @classmethod
+    def wrap(cls, family, quiver, field):
+        """The family a call works over: `of(quiver, field)` when `family`
+        is None, a plain list of intervals wrapped for this call alone, or
+        an IntervalFamily, which must be over `quiver` and `field`."""
+        if family is None:
+            return cls.of(quiver, field)
+        if not isinstance(family, cls):
+            return cls(quiver, family, field)
+        for mine, theirs in ((family.quiver, quiver), (family.field, field)):
+            if mine is not theirs and mine != theirs:
+                raise ValueError(
+                    f"the interval family is over {mine!r} but the module is "
+                    f"over {theirs!r}"
+                )
+        return family
+
+    def opposite(self):
+        """The family over `quiver.opposite()`: each member rebound to the
+        opposite quiver (`Interval.opposite`), in the same order.  Built
+        once; its opposite is this family."""
+        if self._op is None:
+            op = IntervalFamily(
+                self.quiver.opposite(),
+                (iv.opposite() for iv in self.members),
+                self.field,
+            )
+            op._op = self
+            self._op = op
+        return self._op
+
+    def irreducible_maps(self):
+        """The irreducible maps of the family, as out-adjacency: entry s
+        lists the pairs (t, k), s != t indexing `members` and t increasing.
+
+        The listed k index basis maps of hom(s, t) =
+        Hom(V_{I_s}, V_{I_t}), in `good_components` order, spanning a
+        complement of rad^2(s, t): the span, over the field, of the
+        composites of basis maps through every other member r.  End(V_I) =
+        k and the radical is nilpotent, so every map between distinct
+        members is a sum of composites of these: they are the arrows of the
+        Gabriel quiver of the family (Auslander-Reiten-Smalo), and they
+        alone span rad(V_I, M).  Built on first use, as the transpose of
+        the opposite family's table when that one is built already.
+        """
+        if self._table is None:
+            op = self._op
+            if op is not None and op._table is not None:
+                self._table = _transpose(op._table)
+            else:
+                self._table = _irreducible_table(self.quiver, self.masks, self.field)
+        return self._table
 
 
 # ---- kernels and cokernels ---------------------------------------------------

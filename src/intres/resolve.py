@@ -6,9 +6,12 @@ minimal resolution of DM over the opposite quiver (an interval of the
 opposite poset is the same vertex set) into a minimal coresolution of M.
 The multiplicity of each interval summand in the i-th term is the degree-i
 Betti (resp. co-Betti) number of the module at that interval.  The family
-is a plain list of intervals; without one, the intervals of the resolved
-module's quiver (the opposite quiver, for a coresolution) are enumerated
-once and used at every step.
+is a `repmod.IntervalFamily`, whose table of irreducible maps every step
+reads; without one, it is the family of all intervals that the module's
+quiver holds (`IntervalFamily.of`), and a plain list is wrapped for the
+one call.  A coresolution resolves over the family's `opposite`, whose
+table is the transpose, so `betti` and `cobetti` of one module share one
+enumeration and one table.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from intres.approx import minimal_right_approximation
-from intres.poset import Interval, enumerate_intervals
-from intres.repmod import irreducible_maps, kernel
+from intres.repmod import IntervalFamily, kernel
 
 
 class MaxLengthExceeded(RuntimeError):
@@ -106,17 +108,13 @@ def _require_minimal(tags, prev_tags, diff):
 
 def _resolve(module, max_len, family):
     """Terms, term modules and differentials of the minimal resolution of
-    `module` by members of `family` (all intervals of its quiver when None).
+    `module` by members of `family`, an IntervalFamily over its quiver.
 
-    The family's table of irreducible maps is built once and read by every
-    approximation; each differential X_i -> X_{i-1} is checked to be
-    minimal (`_require_minimal`), which a missing irreducible map would
-    break."""
+    Every approximation reads the family's table of irreducible maps; each
+    differential X_i -> X_{i-1} is checked to be minimal
+    (`_require_minimal`), which a missing irreducible map would break."""
     if max_len is None:
         max_len = _default_max_len(module.quiver)
-    if family is None:
-        family = enumerate_intervals(module.quiver)
-    irreducible = irreducible_maps(module.quiver, family, module.field)
     terms = []
     term_modules = []
     diffs = []
@@ -128,7 +126,7 @@ def _resolve(module, max_len, family):
                 f"resolution exceeded {max_len} terms; raise max_len if the "
                 "configuration is legitimate"
             )
-        approx = minimal_right_approximation(current, family, irreducible)
+        approx = minimal_right_approximation(current, family)
         f = approx.morphism
         tags = list(approx.summand_index)
         if embed is None:
@@ -154,23 +152,23 @@ def minimal_interval_resolution(module, max_len=None, family=None):
     are epimorphisms and the resolution is exact).  Raises MaxLengthExceeded
     if more than max_len terms are produced.
     """
+    family = IntervalFamily.wrap(family, module.quiver, module.field)
     return IntervalResolution(module, *_resolve(module, max_len, family))
 
 
 def minimal_interval_coresolution(module, max_len=None, family=None):
     """D of the minimal resolution of DM over the opposite quiver.
 
-    An interval of the opposite quiver is the same vertex set, so family
-    members are carried over and the terms back by vertex set; term modules
-    and differentials are dualized back onto the quiver of M.
+    An interval of the opposite quiver is the same vertex set, so DM is
+    resolved over the family's `opposite` and the terms are carried back
+    (`Interval.opposite`); term modules and differentials are dualized back
+    onto the quiver of M.
     """
-    q, dm = module.quiver, module.dual()
-    if family is not None:
-        family = [Interval(dm.quiver, i.vertices) for i in family]
-    terms, term_modules, diffs = _resolve(dm, max_len, family)
+    family = IntervalFamily.wrap(family, module.quiver, module.field)
+    terms, term_modules, diffs = _resolve(module.dual(), max_len, family.opposite())
     return IntervalCoresolution(
         module,
-        [[Interval(q, i.vertices) for i in tags] for tags in terms],
+        [[i.opposite() for i in tags] for tags in terms],
         [x.dual() for x in term_modules],
         [d.dual() for d in diffs],
     )

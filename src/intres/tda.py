@@ -26,7 +26,7 @@ from intres.approx import minimal_right_approximation
 from intres.exactla import Mat
 from intres.koszul import EndCategory, koszul_coresolution, require_over
 from intres.poset import ladder_length
-from intres.repmod import hom_basis_from_interval
+from intres.repmod import hom_dim_from_interval
 
 
 class RouteMismatchError(RuntimeError):
@@ -129,17 +129,17 @@ def is_interval_decomposable(module, cat=None):
     is such an approximation, so f is an isomorphism by minimality; hence M
     is decomposable exactly when f is bijective at every vertex, and the
     certificate lists the summands of X with multiplicity.  The family is
-    the objects of `cat`, whose table of irreducible maps spans the radical,
-    and all intervals when `cat` is None, with a table built for this call;
-    a `cat` over another quiver or field raises ValueError.
+    that of `cat`, whose table of irreducible maps spans the radical, and
+    the family of all intervals that the quiver holds when `cat` is None; a
+    `cat` over another quiver or field raises ValueError.
     """
-    family = irreducible = None
+    family = None
     if cat is not None:
         require_over(cat, module.quiver, module.field, "the module")
-        family, irreducible = cat.objects, cat.irreducible_maps()
+        family = cat.family
     if module.total_dim() == 0:
         return DecompositionResult(True, {})
-    approx = minimal_right_approximation(module, family, irreducible)
+    approx = minimal_right_approximation(module, family)
     if approx.morphism.is_iso():
         return DecompositionResult(True, approx.interval_multiset())
     return DecompositionResult(False, None)
@@ -164,7 +164,7 @@ def _euler_characteristic(module, interval, cat, dims):
     of the coresolution of V_I; `dims` {J: dim} is filled as J are met."""
     terms = koszul_coresolution(module.quiver, interval, cat=cat).terms
     for j in set().union(*terms) - dims.keys():
-        dims[j] = len(hom_basis_from_interval(j, module))
+        dims[j] = hom_dim_from_interval(j, module)
     return sum((-1) ** i * dims[j] for i, tags in enumerate(terms) for j in tags)
 
 
@@ -219,7 +219,8 @@ def interval_replacement(module, cat=None):
     identity c(I) = sum of delta(J) over J containing I, and, where joins
     of cover sets exist unambiguously, the cover-set alternating identity.
     Any violation raises RouteMismatchError, and a `cat` over another
-    quiver or field ValueError.  Hom(V_J, M) is solved once per member J.
+    quiver or field ValueError.  dim Hom(V_J, M) is read once per member J,
+    as a nullity (`hom_dim_from_interval`).
     """
     _require_ladder(module.quiver)
     if cat is None:

@@ -1,6 +1,7 @@
 """Shared helpers: fixture loading and seeded random module generators."""
 
 import hashlib
+import importlib
 import json
 import random
 from collections import Counter
@@ -180,19 +181,30 @@ def sub_family(quiver, seed, keep=0.6):
 
 
 @pytest.fixture
-def table_builds(monkeypatch):
-    """The quivers of the tables of irreducible maps built from here on, by
-    any module that builds one, as (module, quiver) in call order."""
-    from intres import approx, koszul, resolve
+def family_builds(monkeypatch):
+    """The interval enumerations and tables of irreducible maps made from
+    here on, by any intres module, as ("enumerate" or "table", quiver) in
+    call order."""
+    from intres import poset, repmod
 
     built = []
-    for module in (approx, koszul, resolve):
-        def counted(quiver, intervals, field, find=module.irreducible_maps,
-                    name=module.__name__.split(".")[-1]):
-            built.append((name, quiver))
-            return find(quiver, intervals, field)
+    find = poset.enumerate_intervals
 
-        monkeypatch.setattr(module, "irreducible_maps", counted)
+    def enumerated(quiver):
+        built.append(("enumerate", quiver))
+        return find(quiver)
+
+    for name in ("poset", "repmod", "approx", "resolve", "koszul", "tda", "cli"):
+        module = importlib.import_module(f"intres.{name}")
+        if hasattr(module, "enumerate_intervals"):
+            monkeypatch.setattr(module, "enumerate_intervals", enumerated)
+    build = repmod._irreducible_table
+
+    def tabulated(quiver, masks, field):
+        built.append(("table", quiver))
+        return build(quiver, masks, field)
+
+    monkeypatch.setattr(repmod, "_irreducible_table", tabulated)
     return built
 
 

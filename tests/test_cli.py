@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,14 @@ def test_betti_both_routes_agree(capsys):
     code, out, _ = run(capsys, "betti", "--file", CL3_FILE, "--route", "both")
     assert code == EXIT_OK
     assert out.splitlines()[0] == "route both"
+
+
+def test_betti_both_routes_share_one_family(capsys, family_builds):
+    """Both routes read the family that the parsed module's quiver holds:
+    one enumeration and one table of irreducible maps per process."""
+    code, _, _ = run(capsys, "betti", "--file", CL3_FILE, "--route", "both")
+    assert code == EXIT_OK
+    assert [kind for kind, _ in family_builds] == ["enumerate", "table"]
 
 
 def test_betti_route_mismatch_names_first_entry(capsys, monkeypatch):
@@ -257,6 +266,55 @@ def test_replace_requires_ladder(tmp_path, capsys):
     f.write_text(text)
     code, _, _ = run(capsys, "replace", "--file", str(f))
     assert code == EXIT_USAGE
+
+
+FUZZ_TOKENS = ["", "0", "1", "-1", "2", "1/2", "1/0", "x", "map", "dim", "t1",
+               "b9", "ta1", "field", "GF(2)", "quiver", "ladder", "explicit",
+               "99999999999999999999", "#"]
+
+
+def fuzzed(text, rng):
+    """`text` with one random edit: a line dropped, duplicated or moved, a
+    word replaced by a token of the format or by junk, or one character
+    replaced."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(5)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[rng.randrange(len(lines))])
+    elif kind == 2:
+        lines.insert(rng.randrange(len(lines)), lines.pop(i))
+    elif kind == 3:
+        words = lines[i].split() or [""]
+        words[rng.randrange(len(words))] = rng.choice(FUZZ_TOKENS)
+        lines[i] = " ".join(words)
+    else:
+        line = lines[i] or " "
+        j = rng.randrange(len(line))
+        lines[i] = line[:j] + rng.choice("0123456789 -/#xabt()\t") + line[j + 1:]
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_module_files_fail_with_an_exit_code(capsys, tmp_path):
+    """A seeded sweep of 200 one-edit mutations of cl3_m45.mod, each run
+    in-process through one of betti, decomposable, replace and intervals:
+    every run ends with an exit code, 1, 2 or 3 on failure, and prints no
+    traceback."""
+    rng = random.Random(5)
+    text = Path(CL3_FILE).read_text()
+    commands = ("betti", "decomposable", "replace", "intervals")
+    codes = set()
+    for k in range(200):
+        path = tmp_path / f"m{k}.mod"
+        path.write_text(fuzzed(text, rng))
+        code, _, err = run(capsys, commands[k % 4], "--file", str(path))
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_INTERNAL)
+        assert "Traceback" not in err
+        assert (code == EXIT_OK) == (err == ""), err
+        codes.add(code)
+    assert {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION} <= codes
 
 
 # ---- determinism and the installed script -----------------------------------------

@@ -34,7 +34,7 @@ from intres import (
     validate_koszul_coresolution,
     zero_morphism,
 )
-from intres import koszul
+from intres import koszul, repmod
 from intres.koszul import IntervalCochain, projective_cover_step
 from intres.modfile import parse_field_token
 from intres.poset import BoundQuiver, Interval, Poset
@@ -219,7 +219,7 @@ def check_category_irreducible_maps(cat):
     field, n = cat.field, len(cat.objects)
     dims = {(s, t): cat.hom_dim(s, t) for s in range(n) for t in range(n)}
     listed = {}
-    for s, maps in cat.irreducible_maps().items():
+    for s, maps in enumerate(cat.irreducible_maps()):
         for t, k in maps:
             listed.setdefault((s, t), []).append(k)
     for s in range(n):
@@ -262,22 +262,21 @@ def test_irreducible_maps_of_sub_families(n, field):
         check_category_irreducible_maps(cat)
 
 
-def test_irreducible_maps_are_built_once_per_category(monkeypatch, cl3_m45):
-    """The category builds the shared table (`repmod.irreducible_maps`)
-    on first use, over its own objects, and never again."""
-    built = []
-    find = koszul.irreducible_maps
-
-    def counted(quiver, intervals, field):
-        built.append(intervals)
-        return find(quiver, intervals, field)
-
-    monkeypatch.setattr(koszul, "irreducible_maps", counted)
-    cat = build_end_category(cl3_m45.quiver, None, QQ)
-    table = betti_table_via_koszul(cl3_m45, cat=cat)
-    assert built == [cat.objects]
-    assert betti_table_via_koszul(cl3_m45, cat=cat) == table
-    assert built == [cat.objects]
+def test_irreducible_maps_are_built_once_per_category(family_builds):
+    """Without a family, the category reads the one that its quiver holds
+    for its field: one enumeration and one table on first use, shared with
+    the resolve route over the same quiver and never built again.  The
+    module is parsed afresh, so that no held table comes from another
+    test."""
+    m = load_fixture("cl3_m45.mod")
+    q = m.quiver
+    cat = build_end_category(q, None, QQ)
+    assert family_builds == [("enumerate", q)]
+    table = betti_table_via_koszul(m, cat=cat)
+    assert family_builds == [("enumerate", q), ("table", q)]
+    assert betti_table_via_koszul(m, cat=cat) == table == betti(m)
+    assert build_end_category(q, None, QQ).irreducible_maps() is cat.irreducible_maps()
+    assert family_builds == [("enumerate", q), ("table", q)]
 
 
 # ---- minimal projective resolutions ----------------------------------------------
@@ -320,11 +319,12 @@ def test_cover_step_rejects_a_non_submodule():
     assert raised == 19
 
 
-def test_a_missing_irreducible_map_is_caught_or_harmless():
+def test_a_missing_irreducible_map_is_caught_or_harmless(monkeypatch):
     """Dropping one irreducible map from the table shrinks some radicals,
     so a cover may keep a generator too many; the minimality check must
     then raise.  Each of the 44 drops on ladder 3 either raises or leaves
-    every resolution as it was, never a silently different one."""
+    every resolution as it was, never a silently different one.  Each drop
+    is read over a fresh quiver, which holds no table yet."""
 
     def resolutions(cat):
         return [
@@ -332,14 +332,20 @@ def test_a_missing_irreducible_map_is_caught_or_harmless():
             for s in range(len(cat.objects))
         ]
 
-    full = build_end_category(CL3, None, QQ)
+    full = build_end_category(commutative_ladder(3), None, QQ)
     want = resolutions(full)
-    drops = [(s, m) for s, maps in full.irreducible_maps().items() for m in maps]
+    drops = [(s, m) for s, maps in enumerate(full.irreducible_maps()) for m in maps]
     assert len(drops) == 44
+    tabulate = repmod._irreducible_table
     raised = 0
     for s, m in drops:
-        cat = build_end_category(CL3, None, QQ)
-        cat.irreducible_maps()[s].remove(m)
+        def dropped(quiver, masks, field):
+            table = [list(maps) for maps in tabulate(quiver, masks, field)]
+            table[s].remove(m)
+            return tuple(map(tuple, table))
+
+        monkeypatch.setattr(repmod, "_irreducible_table", dropped)
+        cat = build_end_category(commutative_ladder(3), None, QQ)
         try:
             got = resolutions(cat)
         except AssertionError as err:

@@ -59,3 +59,9 @@ def test_routes_stay_independent():
         if target in banned
     ]
     assert crossings == []
+
+
+def test_poset_imports_no_other_intres_module():
+    """`poset` is the combinatorial base: the quiver holds its interval
+    families for `repmod`, and knows nothing of them."""
+    assert imports("poset") == []

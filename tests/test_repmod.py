@@ -8,9 +8,11 @@ from intres import (
     QQ,
     CommutativityError,
     Field,
+    IntervalFamily,
     Mat,
     ModMorphism,
     PersModule,
+    betti,
     cokernel,
     commutative_ladder,
     component_morphism,
@@ -20,9 +22,9 @@ from intres import (
     hom_basis,
     hom_basis_from_interval,
     hom_dim,
+    hom_dim_from_interval,
     identity_morphism,
     interval_module,
-    irreducible_maps,
     kernel,
     morphism_from_columns,
     zero_module,
@@ -196,7 +198,8 @@ FIELDS = ("Q", "GF2", "GF3")
 
 
 def check_irreducible_maps(quiver, intervals, field):
-    """`irreducible_maps` against the rank definition, for every pair
+    """`IntervalFamily.irreducible_maps` against the rank definition, for
+    every pair
     s != t: the listed maps of hom(s, t) and rad^2(s, t), the span of the
     composites of basis maps through every other member r, together span
     hom(s, t), and their number is dim hom(s, t) - dim rad^2(s, t).  The
@@ -210,7 +213,8 @@ def check_irreducible_maps(quiver, intervals, field):
         for t, b in enumerate(intervals)
     }
     listed = {}
-    for s, maps in irreducible_maps(quiver, intervals, field).items():
+    table = IntervalFamily(quiver, intervals, field).irreducible_maps()
+    for s, maps in enumerate(table):
         for t, k in maps:
             listed.setdefault((s, t), []).append(k)
     for (s, t), target in hom.items():
@@ -260,6 +264,94 @@ def test_irreducible_maps_of_ladder_sub_families(n, field):
     q = commutative_ladder(n)
     for seed in range(3):
         check_irreducible_maps(q, sub_family(q, seed), parse_field_token(field))
+
+
+TRANSPOSE_QUIVERS = {
+    **{f"ladder{n}": (lambda n=n: commutative_ladder(n)) for n in (2, 3, 4, 5)},
+    "grid": grid_quiver,
+    "zigzag": zigzag_poset_quiver,
+    "tree": tree_poset_quiver,
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", sorted(TRANSPOSE_QUIVERS))
+def test_opposite_family_is_a_fresh_family_over_the_opposite_quiver(name, field):
+    """The opposite of a family has the members of a family built afresh
+    over the opposite quiver, in the same order, with the same vertex
+    tuples and frozensets; its table, the transpose, equals the fresh
+    table entry for entry, whichever of the two sides is built first.  For
+    the full family and two random sub-families."""
+    q = TRANSPOSE_QUIVERS[name]()
+    op = q.opposite()
+    k = parse_field_token(field)
+    for seed in (None, 7, 8):
+        members = enumerate_intervals(q) if seed is None else sub_family(q, seed)
+        fresh = enumerate_intervals(op) if seed is None else sub_family(op, seed)
+        family = IntervalFamily(q, members, k)
+        family.irreducible_maps()
+        opposite = family.opposite()
+        assert opposite.quiver is op and opposite.opposite() is family
+        assert opposite.members == tuple(fresh)
+        assert all(
+            a.vertices is b.vertices and a.vertex_set is b.vertex_set
+            for a, b in zip(opposite.members, members)
+        )
+        fresh = IntervalFamily(op, fresh, k)
+        assert opposite.irreducible_maps() == fresh.irreducible_maps()
+        # built on the opposite side first, the table of the family itself
+        # is the transpose of the fresh opposite table
+        again = IntervalFamily(q, members, k)
+        assert again.opposite().irreducible_maps() == fresh.irreducible_maps()
+        assert again.irreducible_maps() == family.irreducible_maps()
+
+
+def test_a_quiver_holds_one_family_per_field(family_builds):
+    """`IntervalFamily.of` enumerates once per quiver and field; the
+    opposite quiver reads the opposite family, and another field has a
+    family of its own."""
+    q = commutative_ladder(3)
+    gf2 = Field.prime(2)
+    family = IntervalFamily.of(q, QQ)
+    assert IntervalFamily.of(q, QQ) is family
+    assert IntervalFamily.of(q.opposite(), QQ) is family.opposite()
+    assert IntervalFamily.of(q, gf2) is not family
+    assert family_builds == [("enumerate", q), ("enumerate", q)]
+    with pytest.raises(ValueError, match=r"over GF\(2\).*over Q\b"):
+        IntervalFamily.wrap(IntervalFamily.of(q, gf2), q, QQ)
+    with pytest.raises(ValueError, match="6 vertices.*4 vertices"):
+        IntervalFamily.wrap(family, CL2, QQ)
+
+
+def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
+    """`enumerate_intervals` returns a fresh list, and a held family's
+    members, positions and table cannot be changed, so what one caller
+    does to them leaves the next call's result as it was."""
+    q = cl3_m45.quiver
+    first = enumerate_intervals(q)
+    want = list(first)
+    first.reverse()
+    first.pop()
+    assert enumerate_intervals(q) == want
+    family = IntervalFamily.of(q, QQ)
+    table = family.irreducible_maps()
+    want_table = [list(maps) for maps in table]
+    s = next(s for s, maps in enumerate(table) if maps)
+    with pytest.raises(TypeError):
+        table[s] = ()
+    with pytest.raises(AttributeError):
+        table[s].remove(table[s][0])
+    with pytest.raises(TypeError):
+        family.members[0] = family.members[1]
+    with pytest.raises(TypeError):
+        family.index[family.members[0]] = 1
+    assert IntervalFamily.of(q, QQ).irreducible_maps() == tuple(map(tuple, want_table))
+    assert list(IntervalFamily.of(q, QQ).members) == want
+    # a plain list given as the family is wrapped for the call, not held
+    members = enumerate_intervals(q)
+    table = betti(cl3_m45, family=members)
+    members.clear()
+    assert betti(cl3_m45, family=want) == table == betti(cl3_m45)
 
 
 def test_hom_basis_zero_cases():
@@ -328,13 +420,15 @@ def test_interval_hom_digests(case, field, solve):
 def assert_matches_general_solver(m, intervals=None):
     """On every interval J (of m's quiver by default), Hom(V_J, M) from
     the sources of J equals `hom_basis`'s, morphism for morphism, and is
-    the identity on its distinct free columns."""
+    the identity on its distinct free columns; its dimension alone, a
+    nullity, is the length of that basis."""
     for j in intervals or enumerate_intervals(m.quiver):
         got = hom_basis_from_interval(j, m)
         want = general_solver(j, m)
         flats = [h.flat() for h in got]
         assert flats == [h.flat() for h in want]
         assert got == want
+        assert hom_dim_from_interval(j, m) == len(want)
         free = Mat.free_columns(flats)
         assert len(set(free)) == len(free)
         for r, vec in enumerate(flats):

@@ -18,11 +18,10 @@ from intres import (
     direct_sum,
     enumerate_intervals,
     interval_module,
-    irreducible_maps,
     minimal_interval_coresolution,
     minimal_interval_resolution,
 )
-from intres import resolve
+from intres import IntervalFamily, repmod
 from intres.modfile import parse_field_token
 from intres.poset import Interval
 
@@ -129,43 +128,59 @@ def test_random_resolutions_are_exact():
             check_coresolution_exact(minimal_interval_coresolution(m))
 
 
-def test_one_table_of_irreducible_maps_per_resolution(table_builds, cl3_m45):
-    """A resolution builds the family's table once, over the module's
-    quiver; a coresolution once, over the opposite quiver of DM."""
-    q = cl3_m45.quiver
-    assert minimal_interval_resolution(cl3_m45).length > 0
-    assert table_builds == [("resolve", q)]
-    assert minimal_interval_coresolution(cl3_m45).length > 0
-    assert table_builds == [("resolve", q), ("resolve", q.opposite())]
+def test_one_table_of_irreducible_maps_per_resolution(family_builds):
+    """The quiver holds its family, so `betti` and `cobetti` of one module
+    make one enumeration and one table between them, in either order: the
+    coresolution resolves DM over the opposite family, whose table is the
+    transpose.  Each module is parsed afresh, so that no held table comes
+    from another test."""
+    m = load_fixture("cl3_m45.mod")
+    q = m.quiver
+    assert minimal_interval_resolution(m).length > 0
+    assert family_builds == [("enumerate", q), ("table", q)]
+    assert minimal_interval_coresolution(m).length > 0
+    betti(m)
+    cobetti(m)
+    assert family_builds == [("enumerate", q), ("table", q)]
+    family_builds.clear()
+    m = load_fixture("cl3_m45.mod")
+    q = m.quiver
+    cobetti(m)
+    betti(m)
+    assert family_builds == [("enumerate", q), ("table", q.opposite())]
 
 
 @pytest.mark.parametrize("build, opposite, caught", [
     (minimal_interval_resolution, False, 3),
     (minimal_interval_coresolution, True, 8),
 ], ids=["resolution", "coresolution"])
-def test_a_missing_irreducible_map_is_caught_or_harmless(monkeypatch, cl3_m45,
-                                                          build, opposite,
-                                                          caught):
+def test_a_missing_irreducible_map_is_caught_or_harmless(monkeypatch, build,
+                                                          opposite, caught):
     """Dropping one irreducible map from the table shrinks some radicals, so
     an approximation may keep a summand too many; the minimality check must
     then raise.  Each of the 44 drops on ladder 3 (over the opposite quiver
     for a coresolution, which resolves DM) either raises or leaves the
-    terms and differentials as they were, never silently different ones."""
-    want = build(cl3_m45)
-    q = cl3_m45.quiver.opposite() if opposite else cl3_m45.quiver
-    full = irreducible_maps(q, enumerate_intervals(q), QQ)
-    drops = [(s, m) for s, maps in full.items() for m in maps]
+    terms and differentials as they were, never silently different ones.
+    Each drop reads a freshly parsed module, whose quiver holds no table."""
+    want = build(load_fixture("cl3_m45.mod"))
+    q = commutative_ladder(3)
+    if opposite:
+        q = q.opposite()
+    full = IntervalFamily(q, enumerate_intervals(q), QQ).irreducible_maps()
+    drops = [(s, m) for s, maps in enumerate(full) for m in maps]
     assert len(drops) == 44
+    tabulate = repmod._irreducible_table
     raised = 0
     for s, m in drops:
-        def dropped(quiver, intervals, field):
-            table = irreducible_maps(quiver, intervals, field)
+        def dropped(quiver, masks, field):
+            assert quiver == q
+            table = [list(maps) for maps in tabulate(quiver, masks, field)]
             table[s].remove(m)
-            return table
+            return tuple(map(tuple, table))
 
-        monkeypatch.setattr(resolve, "irreducible_maps", dropped)
+        monkeypatch.setattr(repmod, "_irreducible_table", dropped)
         try:
-            got = build(cl3_m45)
+            got = build(load_fixture("cl3_m45.mod"))
         except AssertionError as err:
             assert str(err) == "resolution is not minimal"
             raised += 1

@@ -123,16 +123,25 @@ def test_decomposability_result_truthiness():
     assert bool(res) is True and res.certificate == {Interval(CL2, ["b1"]): 1}
 
 
-def test_decomposability_reads_a_warm_category_table(table_builds, cl3_m45):
+def test_decomposability_reads_a_warm_category_table(family_builds):
     """With `cat`, the radical is spanned along the category's table, so a
-    warm category builds none; without one, each call builds one."""
-    cat = EndCategory(cl3_m45.quiver, None, QQ)
+    warm category builds none; without one, the call reads the family its
+    quiver holds, the category's own here, and builds none either.  The
+    module is parsed afresh, so that no held table comes from another
+    test."""
+    m = load_fixture("cl3_m45.mod")
+    q = m.quiver
+    cat = EndCategory(q, None, QQ)
     cat.irreducible_maps()
-    table_builds.clear()
-    assert not is_interval_decomposable(cl3_m45, cat=cat)
-    assert table_builds == []
-    assert not is_interval_decomposable(cl3_m45)
-    assert table_builds == [("approx", cl3_m45.quiver)]
+    assert family_builds == [("enumerate", q), ("table", q)]
+    family_builds.clear()
+    assert not is_interval_decomposable(m, cat=cat)
+    assert not is_interval_decomposable(m)
+    assert family_builds == []
+    # a category over a family of its own lends the call its own table
+    small = EndCategory(q, [i for i in cat.objects if len(i) <= 2], QQ)
+    assert not is_interval_decomposable(m, cat=small)
+    assert family_builds == [("table", q)]
 
 
 def test_decomposability_refuses_a_category_over_another_quiver_or_field():
@@ -362,17 +371,21 @@ def test_replacement_is_the_alternating_sum_of_koszul_homology(field):
 def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
     """`betti_table_via_koszul` builds 100 complexes of cl5_m and
     `interval_replacement` reads 100 coresolutions; each solves Hom(V_J, M)
-    at most once per member J, and the replacement builds no complex.  A
-    lone complex needs no shared dict."""
+    at most once per member J (the replacement only its dimension, as a
+    nullity), and the replacement builds no complex.  A lone complex needs
+    no shared dict."""
     solves = Counter()
-    solve = koszul.hom_basis_from_interval
 
-    def counted(interval, module):
-        solves[interval] += 1
-        return solve(interval, module)
+    def counted(solve):
+        def solve_once(interval, module):
+            solves[interval] += 1
+            return solve(interval, module)
+        return solve_once
 
-    monkeypatch.setattr(koszul, "hom_basis_from_interval", counted)
-    monkeypatch.setattr(tda, "hom_basis_from_interval", counted)
+    monkeypatch.setattr(koszul, "hom_basis_from_interval",
+                        counted(koszul.hom_basis_from_interval))
+    monkeypatch.setattr(tda, "hom_dim_from_interval",
+                        counted(tda.hom_dim_from_interval))
     cat = EndCategory(cl5_m.quiver, None, cl5_m.field)
     table = betti_table_via_koszul(cl5_m, cat=cat)
     assert solves and max(solves.values()) == 1
