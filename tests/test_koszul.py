@@ -421,6 +421,42 @@ def test_cochain_digests(n, field):
     assert digest == COCHAIN_DIGESTS[(n, field)]
 
 
+# sha256 of the dims and matrices of the Koszul complex of a fixture at every
+# interval, intervals in `EndCategory` order
+COMPLEX_DIGESTS = {
+    ("cl3_m45.mod", "Q"):
+        "dcadd6e578a79573aac66532859cb6f1d092578eb2adccd6c9b56b20dc8bb72c",
+    ("cl3_m45.mod", "GF2"):
+        "9f6470b72305e97faa9c9de831393eab5f5126fc00f5dafcad0ee34adcfcf3f5",
+    ("cl3_m45.mod", "GF3"):
+        "88aa230d75c3c80e03abb8ba4ace0477d2fb585ce62aae71529e4233b7f2c669",
+    ("cl5_m.mod", "Q"):
+        "a67acbaab636fc9efe5ef664a941e766c749c1873b8356262f2de1d290e8eb75",
+    ("cl5_m.mod", "GF2"):
+        "1d57f8b4aefb614df7aa478c9fd6447b5d120c3ec96f148de16ae8dbaf189b29",
+    ("cl5_m.mod", "GF3"):
+        "ad44347b2011ee9bafe4e5f3e6032ac49126ed3b43d42da0bb559c67c875a664",
+}
+
+
+@pytest.mark.parametrize("name, field", sorted(COMPLEX_DIGESTS))
+def test_complex_digests(name, field):
+    """Every Koszul complex of both fixtures, each matrix entry included, is
+    pinned over Q, GF(2) and GF(3)."""
+    m = load_fixture(name, parse_field_token(field))
+    cat = build_end_category(m.quiver, None, m.field)
+    data = []
+    for iv in cat.objects:
+        chain = koszul_complex(m, iv, cat)
+        data.append([
+            sorted(iv.vertex_set),
+            chain.dims,
+            [[x.nrows, x.ncols, [str(e) for e in x.data]] for x in chain.mats],
+        ])
+    digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+    assert digest == COMPLEX_DIGESTS[(name, field)]
+
+
 def test_coresolution_cached():
     """Coresolutions are cached on the category that is passed along, and
     only there: calls without one share no state."""
