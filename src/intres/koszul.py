@@ -21,7 +21,11 @@ the interval summands of each term, and per pair of summands the
 coefficients of the differential's block over the good-component basis of
 Hom(V_J, V_K).  Applying Hom(-, M) to it yields a chain of vector spaces
 whose homology computes the interval Betti numbers of M — the second,
-independent route beside `intres.resolve`.
+independent route beside `intres.resolve`.  What does not change from
+one complex to the next is computed once: each cochain holds the layout
+of its blocks (the coefficient at each vertex), and the complexes of one
+Betti table share one solved basis and one coordinate chart per space
+Hom(V_J, M).
 
 A lattice-indexed variant is included: for a family of intervals whose hom
 pattern matches the incidence category of a finite lattice L, the cochain
@@ -32,6 +36,7 @@ spaces and down-maps, the corresponding complex is built directly.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -318,16 +323,31 @@ class IntervalCochain:
     order that `ResolutionStep.blocks` uses.  The block is the morphism equal
     to the k-th coefficient on the k-th component and zero off them.  The
     coefficients are elements of `field`.
+
+    `layout()` gives each block's values by vertex, in the nesting of
+    `blocks`.  `_checked` keeps the layout that its check computes; any
+    other cochain computes it on first use.  Either way it is held, so the
+    blocks are not to be changed once the cochain is in use.
     """
 
     interval: object
     terms: list
     blocks: list
     field: object
+    _layout: tuple = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def length(self):
         return len(self.terms) - 1
+
+    def layout(self):
+        """layout()[i][u_new][u_prev]: the vertex -> coefficient map of
+        blocks[i][u_new][u_prev] (`_block_values`)."""
+        if self._layout is None:
+            self._layout = _block_layout(self.interval.quiver, self.terms, self.blocks)
+        return self._layout
 
 
 def _block_values(quiver, source, target, coeffs):
@@ -339,8 +359,22 @@ def _block_values(quiver, source, target, coeffs):
     return {v: c for comp, c in zip(comps, coeffs) for v in comp}
 
 
+def _block_layout(quiver, terms, blocks):
+    """The vertex -> coefficient map (`_block_values`) of every block, in
+    the nesting of `blocks`, as tuples."""
+    return tuple(
+        tuple(
+            tuple(_block_values(quiver, j, k, c) for j, c in zip(terms[i], row))
+            for k, row in zip(terms[i + 1], rows)
+        )
+        for i, rows in enumerate(blocks)
+    )
+
+
 def _cochain_defect(quiver, cochain):
-    """Why the blocks do not form a cochain of module morphisms, or None.
+    """(why the blocks do not form a cochain of module morphisms or None,
+    the layout checked), computed afresh from the blocks; the layout is
+    None when the blocks do not match the terms.
 
     A block is natural when, along every arrow u -> v with u in its source
     and v in its target, its values at u and v agree.  Consecutive
@@ -352,18 +386,17 @@ def _cochain_defect(quiver, cochain):
         len(rows) != len(terms[i + 1]) or any(len(r) != len(terms[i]) for r in rows)
         for i, rows in enumerate(blocks)
     ):
-        return "the blocks do not match the terms"
-    values = [
-        [[_block_values(quiver, j, k, c) for j, c in zip(terms[i], row)]
-         for k, row in zip(terms[i + 1], rows)]
-        for i, rows in enumerate(blocks)
-    ]
+        return "the blocks do not match the terms", None
+    values = _block_layout(quiver, terms, blocks)
     for i, rows in enumerate(values):
         for k, row in zip(terms[i + 1], rows):
             for j, val in zip(terms[i], row):
                 for u, v in quiver.arrows.values():
                     if u in j and v in k and field.coerce(val.get(u, 0) - val.get(v, 0)):
-                        return f"block {j!r} -> {k!r} is not natural along {u} -> {v}"
+                        return (
+                            f"block {j!r} -> {k!r} is not natural along {u} -> {v}",
+                            values,
+                        )
     for i, (first, second) in enumerate(zip(values, values[1:])):
         for row in second:
             for u_prev in range(len(terms[i])):
@@ -373,14 +406,17 @@ def _cochain_defect(quiver, cochain):
                         for m, x in enumerate(row)
                     )
                     if field.coerce(total):
-                        return "cochain differentials do not compose to zero"
-    return None
+                        return "cochain differentials do not compose to zero", values
+    return None, values
 
 
 def _checked(quiver, cochain):
-    defect = _cochain_defect(quiver, cochain)
+    """The cochain, holding the layout that was checked; AssertionError on
+    a defect."""
+    defect, layout = _cochain_defect(quiver, cochain)
     if defect:
         raise AssertionError(defect)
+    cochain._layout = layout
     return cochain
 
 
@@ -431,7 +467,7 @@ def validate_koszul_coresolution(cochain, interval, cat=None):
         cat = EndCategory(interval.quiver, None, cochain.field)
     require_over(cat, interval.quiver, cochain.field, "the cochain")
     quiver = cat.quiver
-    if _cochain_defect(quiver, cochain):
+    if _cochain_defect(quiver, cochain)[0]:
         return False
     for k_int in cat.objects:
         # the chain Hom(X^i, V_K) -> Hom(X^{i-1}, V_K)
@@ -513,9 +549,10 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None,
 
     The coresolution is `cochain` if given, else the one of I in the family
     of `cat` (all intervals of the module's quiver when `cat` is None).
-    `homs` is a dict {J: basis of Hom(V_J, M)} for this module, given the
-    summands V_J it lacks; callers that build several complexes of one
-    module pass the same dict, so each space is solved once."""
+    `homs` is a dict {J: (basis of Hom(V_J, M), its `_hom_chart` or None
+    when the basis is empty)} for this module, given the summands V_J it
+    lacks; callers that build several complexes of one module pass the
+    same dict, so each space is solved and charted once."""
     quiver = module.quiver
     if cat is None:
         cat = EndCategory(quiver, None, module.field)
@@ -529,10 +566,11 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None,
         )
     homs = {} if homs is None else homs
     for j in set().union(*cochain.terms) - homs.keys():
-        homs[j] = hom_basis_from_interval(j, module)
-    dims = [sum(len(homs[j]) for j in tags) for tags in cochain.terms]
+        basis = hom_basis_from_interval(j, module)
+        homs[j] = basis, _hom_chart(module.field, basis) if basis else None
+    dims = [sum(len(homs[j][0]) for j in tags) for tags in cochain.terms]
     mats = [
-        _precompose_matrix_module(quiver, module, cochain, i, homs)
+        _precompose_matrix_module(module, cochain, i, homs)
         for i in range(1, len(cochain.terms))
     ]
     return VecChain(dims, mats)
@@ -554,42 +592,46 @@ def _hom_coordinates(chart, flats):
     return basis_mat.coordinates(free, block)
 
 
-def _precompose_matrix_module(quiver, module, cochain, i, homs):
+def _precompose_matrix_module(module, cochain, i, homs):
     """Matrix of Hom(X^i, M) -> Hom(X^{i-1}, M), h -> h o d^{i-1}.
 
-    For a block V_J -> V_K and h: V_K -> M, h o block is h scaled by the
-    block's coefficient on each good component and zero off them.  It is
-    written as a flat vector of Hom(V_J, M), the dim M_v entries of each
-    vertex v of J in quiver order, and read in the `_hom_chart` of J.
+    For a block V_J -> V_K and h: V_K -> M, h o block is h times the
+    block's coefficient on each good component (the cochain's `layout`)
+    and zero off them.  It is written as a flat vector of Hom(V_J, M), the
+    dim M_v entries of each vertex v of J in quiver order, and read in the
+    `_hom_chart` of J.  A coefficient 1 copies h's entries and -1 negates
+    them, with no product; any other coefficient is multiplied in.
     """
     field = module.field
-    zero = field.zero()
+    zero, one, minus_one = field.zero(), field.one(), field.coerce(-1)
     cur_tags = cochain.terms[i]
-    blocks = cochain.blocks[i - 1]
-    charts = {}
+    layout = cochain.layout()[i - 1]
     row_blocks = []
     for u_prev, j_prev in enumerate(cochain.terms[i - 1]):
-        if not homs[j_prev]:
+        basis, chart = homs[j_prev]
+        if not basis:
             continue
-        if j_prev not in charts:
-            charts[j_prev] = _hom_chart(field, homs[j_prev])
         composites = []
         for u_cur, j_cur in enumerate(cur_tags):
-            values = _block_values(quiver, j_prev, j_cur, blocks[u_cur][u_prev])
-            for h in homs[j_cur]:
+            values = layout[u_cur][u_prev]
+            for h in homs[j_cur][0]:
                 vec = []
                 for v in j_prev.vertices:
-                    vec.extend(
-                        h.comps[v].scale(values[v]).data
-                        if v in values
-                        else [zero] * module.dims[v]
-                    )
+                    c = values.get(v)
+                    if not c:
+                        vec.extend([zero] * module.dims[v])
+                    elif c == one:
+                        vec.extend(h.comps[v].data)
+                    elif c == minus_one:
+                        vec.extend((-h.comps[v]).data)
+                    else:
+                        vec.extend(h.comps[v].scale(c).data)
                 composites.append(vec)
-        x = _hom_coordinates(charts[j_prev], composites)
+        x = _hom_coordinates(chart, composites)
         if x is None:
             raise AssertionError("hom expansion failed in complex")
         row_blocks.append(x)
-    ncols = sum(len(homs[j]) for j in cur_tags)
+    ncols = sum(len(homs[j][0]) for j in cur_tags)
     return Mat.vstack(field, row_blocks, ncols=ncols)
 
 

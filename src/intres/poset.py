@@ -10,6 +10,8 @@ the supports of the thin indecomposables used throughout the package.
 
 from __future__ import annotations
 
+_UNKNOWN = object()
+
 
 class BoundQuiver:
     """Hasse diagram of a finite poset, with named arrows.
@@ -28,6 +30,7 @@ class BoundQuiver:
         "_topo",
         "_op",
         "_families",
+        "_ladder",
     )
 
     def __init__(self, vertices, arrows):
@@ -64,6 +67,7 @@ class BoundQuiver:
         self._check_hasse()
         self._op = None
         self._families = {}  # field -> all intervals, see repmod.IntervalFamily.of
+        self._ladder = _UNKNOWN  # see ladder_length
 
     def opposite(self):
         """The Hasse quiver of the opposite poset: the same vertex tuple and
@@ -469,14 +473,12 @@ def commutative_ladder(n):
 
 
 def ladder_length(quiver):
-    """Recover n from a quiver built by commutative_ladder, else None."""
-    n2 = len(quiver.vertices)
-    if n2 % 2:
-        return None
-    n = n2 // 2
-    if quiver == commutative_ladder(n):
-        return n
-    return None
+    """Recover n from a quiver built by commutative_ladder, else None; the
+    quiver holds the answer once it is found."""
+    if quiver._ladder is _UNKNOWN:
+        n, odd = divmod(len(quiver.vertices), 2)
+        quiver._ladder = None if odd or quiver != commutative_ladder(n) else n
+    return quiver._ladder
 
 
 def cl_interval(quiver, top=None, bot=None):

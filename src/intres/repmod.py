@@ -12,14 +12,16 @@ how both routes compute it; the general `hom_basis` solves the full
 naturality system and is kept as the reference it is tested against.
 
 An `IntervalFamily` is the combinatorial workspace of a family of
-intervals over one field: its members, their vertex bitmasks and its table
-of irreducible maps.  Both routes read it; the family of all intervals of
-a quiver is held by the quiver, once per field.
+intervals over one field: its members, their vertex bitmasks, its table
+of irreducible maps and its containment structure.  Both routes and `tda`
+read it; the family of all intervals of a quiver is held by the quiver,
+once per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import MappingProxyType
 
 from intres.exactla import Mat
@@ -674,6 +676,47 @@ def _irreducible_table(quiver, masks, field):
     return tuple(map(tuple, table))
 
 
+def _containment_table(masks):
+    """The containment structure of the family whose members have the
+    vertex bitmasks `masks`: per member s, its up-set and its cover-set
+    plan, see `IntervalFamily.up_sets` and `IntervalFamily.cover_plans`.
+
+    The covers of s are the minimal members strictly containing it; the
+    join of a set of covers is the minimal member containing their union,
+    looked for in the up-set of s.
+    """
+
+    def minimal(ts):
+        return [
+            k for k in ts
+            if not any(masks[c] != masks[k] and not masks[c] & ~masks[k] for c in ts)
+        ]
+
+    up_sets, plans = [], []
+    for ms in masks:
+        up = tuple(t for t, mt in enumerate(masks) if not ms & ~mt)
+        above = [t for t in up if masks[t] != ms]
+        covers = minimal(above)
+        subsets = (
+            s for n in range(1, len(covers) + 1) for s in combinations(covers, n)
+        )
+        terms = []
+        for subset in subsets:
+            union = 0
+            for c in subset:
+                union |= masks[c]
+            joins = minimal([t for t in above if not union & ~masks[t]])
+            if len(joins) > 1:
+                plans.append(None)
+                break
+            if joins:
+                terms.append(((-1) ** len(subset), joins[0]))
+        else:
+            plans.append(tuple(terms))
+        up_sets.append(up)
+    return tuple(up_sets), tuple(plans)
+
+
 def _transpose(table):
     """The out-adjacency of the reversed maps: (s, k) in entry t for every
     (t, k) in entry s, s increasing."""
@@ -686,11 +729,13 @@ def _transpose(table):
 
 class IntervalFamily:
     """A family of intervals of one quiver over one field, the workspace
-    that both Betti routes read: the members in order, their vertex
-    bitmasks (bit i for the i-th vertex of the quiver), each member's
-    position (`index`), and the family's table of irreducible maps, built
-    on first use.  Members, bitmasks and table are tuples, so no caller can
-    change what the next one reads.
+    that both Betti routes and `tda` read: the members in order, their
+    vertex bitmasks (bit i for the i-th vertex of the quiver), each
+    member's position (`index`), and, each built on first use, the
+    family's table of irreducible maps and its containment structure (the
+    up-set and the cover-set plan of every member).  Members, bitmasks,
+    table and structure are tuples, so no caller can change what the next
+    one reads.
 
     The family of all intervals of a quiver comes from `of`, which the
     quiver holds per field, so every call over one quiver shares one
@@ -705,7 +750,10 @@ class IntervalFamily:
     table, and the other reads the transpose.
     """
 
-    __slots__ = ("quiver", "field", "members", "masks", "index", "_table", "_op")
+    __slots__ = (
+        "quiver", "field", "members", "masks", "index", "_table", "_containment",
+        "_op",
+    )
 
     def __init__(self, quiver, intervals, field):
         self.quiver = quiver
@@ -715,6 +763,7 @@ class IntervalFamily:
         self.masks = tuple(sum(bit[v] for v in iv.vertex_set) for iv in self.members)
         self.index = MappingProxyType({iv: s for s, iv in enumerate(self.members)})
         self._table = None
+        self._containment = None
         self._op = None
 
     @classmethod
@@ -783,6 +832,23 @@ class IntervalFamily:
             else:
                 self._table = _irreducible_table(self.quiver, self.masks, self.field)
         return self._table
+
+    def up_sets(self):
+        """Per member s, the positions t of the members containing it, s
+        included, t increasing: read off the bitmasks.  Built on first use,
+        with `cover_plans`."""
+        if self._containment is None:
+            self._containment = _containment_table(self.masks)
+        return self._containment[0]
+
+    def cover_plans(self):
+        """Per member s, its cover-set plan: the terms (sign, t) of the
+        alternating sum over the sets S of covers of s, sign (-1)^|S| and t
+        the position of the join of S, for the sets S whose join exists; or
+        None when some set of covers has several minimal upper bounds (an
+        ambiguous join).  Built on first use, with `up_sets`."""
+        self.up_sets()
+        return self._containment[1]
 
 
 # ---- kernels and cokernels ---------------------------------------------------

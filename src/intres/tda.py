@@ -7,20 +7,22 @@ Three ingredients tie together here:
    and the summands of that approximation are the certificate.
  - compression: the multiplicity c(I) is the rank of the canonical map
    from the limit to the colimit of M restricted to the interval I, read
-   at one vertex of I as a pairing with the limit of the dual module.
+   at one vertex of I as a pairing with the limit of DM|_I, which is
+   taken from M's own maps along the arrows inside I.
  - replacement: the signed interval vector delta, the Euler characteristic
    of the Koszul complex of M at each interval, must agree with the
    compressed multiplicities under Mobius inversion over the containment
    order; disagreement is reported as an internal error, never silently.
-   Covers and joins in that order are read off vertex sets: the covers of
-   J are the minimal members strictly containing J, and the join of a set
-   of members is the minimal member containing the union of their vertices.
+   The containment order is the family's (`repmod.IntervalFamily`): each
+   member's up-set and cover-set plan are built once per family from the
+   vertex bitmasks and read by every replacement.  The covers of J are the
+   minimal members strictly containing J, and the join of a set of members
+   is the minimal member containing the union of their vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from intres.approx import minimal_right_approximation
 from intres.exactla import Mat
@@ -41,16 +43,16 @@ def _require_ladder(quiver):
 # ---- compression ------------------------------------------------------------------
 
 
-def _limit_at(module, vertices, v):
-    """The values at v of a basis of lim M|_I, I the given vertices.
+def _limit_at(field, dims, arrows, vertices, v):
+    """The values at v of a basis of lim N, N the representation of the
+    given vertices with a matrix along each of `arrows`, triples (u, w,
+    N(a)) for the arrows a: u -> w among them.
 
-    lim M|_I is the space of families (x_u), u in I, with M(a) x_u = x_w
-    along every arrow a: u -> w inside I: the kernel of the map sending x
-    to (M(a) x_u - x_w) over those arrows.  The basis vectors' entries at v
-    are the columns of the returned dims[v] x (dim lim) matrix.
+    lim N is the space of families (x_u), u in the vertices, with
+    N(a) x_u = x_w along every arrow: the kernel of the map sending x to
+    (N(a) x_u - x_w) over the arrows.  The basis vectors' entries at v are
+    the columns of the returned dims[v] x (dim lim) matrix.
     """
-    field = module.field
-    dims = module.dims
     offs = {}
     total = 0
     for u in vertices:
@@ -59,15 +61,13 @@ def _limit_at(module, vertices, v):
     zero, minus_one = field.zero(), field.coerce(-1)
     data = []
     nrows = 0
-    for a, (u, w) in module.quiver.arrows.items():
-        if u in offs and w in offs:
-            m = module.maps[a]
-            for r in range(m.nrows):
-                row = [zero] * total
-                row[offs[u] : offs[u] + m.ncols] = m.row(r)
-                row[offs[w] + r] = minus_one
-                data.extend(row)
-            nrows += m.nrows
+    for u, w, m in arrows:
+        for r in range(m.nrows):
+            row = [zero] * total
+            row[offs[u] : offs[u] + m.ncols] = m.row(r)
+            row[offs[w] + r] = minus_one
+            data.extend(row)
+        nrows += m.nrows
     kernel = Mat(field, nrows, total, data).kernel_basis()
     at_v = [x[offs[v] : offs[v] + dims[v]] for x in kernel]
     return Mat.from_columns(field, at_v, dims[v])
@@ -81,7 +81,9 @@ def compressed_multiplicity(module, interval):
     quiver, and a family phi there pairs with x as phi_v(x_v), which does
     not depend on v since I is connected.  So c(I) is the rank of that
     pairing at one vertex v, taken of least dimension: the map factors
-    through M(v), so c(I) = 0 when M(v) = 0.
+    through M(v), so c(I) = 0 when M(v) = 0.  DM|_I is read off M's own
+    maps, each arrow inside I reversed and its matrix transposed; no dual
+    module is built.
 
     This is the generalized rank invariant of M at I, whose Moebius
     inversion over the containment order is a signed barcode
@@ -103,8 +105,16 @@ def compressed_multiplicity(module, interval):
     v = min(interval.vertices, key=module.dims.__getitem__)
     if module.dims[v] == 0:
         return 0
-    x = _limit_at(module, interval.vertices, v)
-    phi = _limit_at(module.dual(), interval.vertices, v)
+    inside = interval.vertex_set
+    arrows = [
+        (u, w, module.maps[a])
+        for a, (u, w) in module.quiver.arrows.items()
+        if u in inside and w in inside
+    ]
+    field, dims, vertices = module.field, module.dims, interval.vertices
+    x = _limit_at(field, dims, arrows, vertices, v)
+    dual = [(w, u, m.transpose()) for u, w, m in arrows]
+    phi = _limit_at(field, dims, dual, vertices, v)
     return (phi.transpose() * x).rank()
 
 
@@ -178,37 +188,20 @@ def replacement_at(module, interval, cat=None):
     return _euler_characteristic(module, interval, cat, {})
 
 
-def _minimal(members):
-    """The members that contain no other member."""
-    return [
-        k for k in members if not any(c.vertex_set < k.vertex_set for c in members)
-    ]
-
-
-def _cover_set_sums(intervals, values):
-    """{J: alternating sum of `values` over the joins of sets of covers of J}.
+def _cover_set_sums(family, values):
+    """{J: alternating sum of `values` over the joins of sets of covers of J}
+    for the members J of an `IntervalFamily`, read off its cover-set plans.
 
     The empty set contributes values[J]; a set S of covers contributes
     (-1)^|S| values[join S], or 0 when no member contains them all.  A J
     with an ambiguous join (several minimal candidates) is left out.
     """
-    out = {}
-    for j in intervals:
-        covers = _minimal([k for k in intervals if j.vertex_set < k.vertex_set])
-        subsets = (
-            s for n in range(1, len(covers) + 1) for s in combinations(covers, n)
-        )
-        total = values[j]
-        for subset in subsets:
-            union = frozenset().union(*(c.vertex_set for c in subset))
-            joins = _minimal([k for k in intervals if union <= k.vertex_set])
-            if len(joins) > 1:
-                break
-            if joins:
-                total += (-1) ** len(subset) * values[joins[0]]
-        else:
-            out[j] = total
-    return out
+    members = family.members
+    return {
+        j: values[j] + sum(sign * values[members[t]] for sign, t in plan)
+        for j, plan in zip(members, family.cover_plans())
+        if plan is not None
+    }
 
 
 def interval_replacement(module, cat=None):
@@ -226,22 +219,21 @@ def interval_replacement(module, cat=None):
     if cat is None:
         cat = EndCategory(module.quiver, None, module.field)
     require_over(cat, module.quiver, module.field, "the module")
-    intervals = cat.objects
+    family = cat.family
+    intervals = family.members
     dims = {}
     delta = {i: _euler_characteristic(module, i, cat, dims) for i in intervals}
     compressed = {i: compressed_multiplicity(module, i) for i in intervals}
     # inversion gate: summing delta over containing intervals reproduces c
-    for i in intervals:
-        total = sum(
-            delta[j] for j in intervals if i.vertex_set <= j.vertex_set
-        )
+    for i, up in zip(intervals, family.up_sets()):
+        total = sum(delta[intervals[t]] for t in up)
         if total != compressed[i]:
             raise RouteMismatchError(
                 f"replacement inversion failed at {i!r}: "
                 f"sum(delta)={total}, compressed={compressed[i]}"
             )
     # cover-set alternating cross-check, where joins are unambiguous
-    for j, total in _cover_set_sums(intervals, compressed).items():
+    for j, total in _cover_set_sums(family, compressed).items():
         if total != delta[j]:
             raise RouteMismatchError(
                 f"cover-set identity failed at {j!r}: {total} != {delta[j]}"

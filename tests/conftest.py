@@ -182,9 +182,10 @@ def sub_family(quiver, seed, keep=0.6):
 
 @pytest.fixture
 def family_builds(monkeypatch):
-    """The interval enumerations and tables of irreducible maps made from
-    here on, by any intres module, as ("enumerate" or "table", quiver) in
-    call order."""
+    """The interval enumerations, tables of irreducible maps and
+    containment structures made from here on, by any intres module, in
+    call order: ("enumerate" or "table", quiver), or ("containment",
+    the members' vertex bitmasks)."""
     from intres import poset, repmod
 
     built = []
@@ -205,6 +206,13 @@ def family_builds(monkeypatch):
         return build(quiver, masks, field)
 
     monkeypatch.setattr(repmod, "_irreducible_table", tabulated)
+    order = repmod._containment_table
+
+    def ordered(masks):
+        built.append(("containment", masks))
+        return order(masks)
+
+    monkeypatch.setattr(repmod, "_containment_table", ordered)
     return built
 
 

@@ -615,6 +615,58 @@ def test_cancelling_pair_invariance(cl3_m45):
         assert got + [0] * (n - len(got)) == want + [0] * (n - len(want))
 
 
+def test_warm_complexes_read_the_held_block_layouts(monkeypatch):
+    """A checked cochain holds the layout of its blocks, so a complex over
+    a warm category splits no good components; an unchecked cochain
+    computes its layout on first use and holds it too."""
+    m = load_fixture("cl3_m45.mod")
+    q = m.quiver
+    cat = build_end_category(q, None, QQ)
+    warm = [koszul_coresolution(q, iv, QQ, cat=cat) for iv in cat.objects]
+    calls = Counter()
+    split = koszul.good_components
+
+    def counted(*args):
+        calls["good_components"] += 1
+        return split(*args)
+
+    monkeypatch.setattr(koszul, "good_components", counted)
+    for iv, cochain in zip(cat.objects, warm):
+        chain = koszul_complex(m, iv, cat)
+        assert len(chain.mats) == cochain.length
+    assert calls["good_components"] == 0
+    iv = cl_interval(q, top=(2, 3), bot=(3, 3))
+    extra = cl_interval(q, top=(1, 1))
+    padded = with_cancelling_pair(warm[cat.obj_index[iv]], 1, extra)
+    first = koszul_complex(m, iv, cat, cochain=padded)
+    assert calls["good_components"] > 0
+    calls.clear()
+    again = koszul_complex(m, iv, cat, cochain=padded)
+    assert calls["good_components"] == 0
+    assert again.dims == first.dims and again.mats == first.mats
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_coresolutions_do_not_depend_on_the_field(n):
+    """Over GF(2), GF(3) and GF(5) the coresolution of every interval of
+    ladder n has the terms of the one over Q, and its coefficients are the
+    Q coefficients read mod p."""
+    q = commutative_ladder(n)
+    rational = build_end_category(q, None, QQ)
+    for p in (2, 3, 5):
+        k = Field.prime(p)
+        cat = build_end_category(q, None, k)
+        assert cat.objects == rational.objects
+        for iv in cat.objects:
+            want = koszul_coresolution(q, iv, QQ, cat=rational)
+            got = koszul_coresolution(q, iv, k, cat=cat)
+            assert got.terms == want.terms
+            assert got.blocks == [
+                [[[k.coerce(x) for x in b] for b in row] for row in rows]
+                for rows in want.blocks
+            ]
+
+
 def test_homology_ranks_each_differential_once(monkeypatch, cl5_m):
     """`VecChain.homology_dims` takes one rank per matrix of the complex,
     and its dimensions are still dims[i] - rank d_i - rank d_{i+1}."""

@@ -323,6 +323,21 @@ def test_a_quiver_holds_one_family_per_field(family_builds):
         IntervalFamily.wrap(family, CL2, QQ)
 
 
+@pytest.mark.parametrize("name", sorted(TRANSPOSE_QUIVERS))
+def test_up_sets_are_the_containing_members(name):
+    """A family's up-sets, read off its bitmasks, are the members whose
+    vertex sets contain the member's, in order: for the full family and a
+    random sub-family."""
+    q = TRANSPOSE_QUIVERS[name]()
+    for members in (enumerate_intervals(q), sub_family(q, 7)):
+        family = IntervalFamily(q, members, QQ)
+        want = tuple(
+            tuple(t for t, j in enumerate(members) if i.vertex_set <= j.vertex_set)
+            for i in members
+        )
+        assert family.up_sets() == want
+
+
 def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
     """`enumerate_intervals` returns a fresh list, and a held family's
     members, positions and table cannot be changed, so what one caller
@@ -345,6 +360,16 @@ def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
         family.members[0] = family.members[1]
     with pytest.raises(TypeError):
         family.index[family.members[0]] = 1
+    up_sets, plans = family.up_sets(), family.cover_plans()
+    assert family.up_sets() is up_sets and family.cover_plans() is plans
+    assert isinstance(up_sets, tuple) and isinstance(plans, tuple)
+    assert all(isinstance(up, tuple) for up in up_sets)
+    assert all(plan is None or isinstance(plan, tuple) for plan in plans)
+    assert all(isinstance(term, tuple) for plan in plans if plan for term in plan)
+    with pytest.raises(TypeError):
+        up_sets[0] = ()
+    with pytest.raises(AttributeError):
+        up_sets[0].append(0)
     assert IntervalFamily.of(q, QQ).irreducible_maps() == tuple(map(tuple, want_table))
     assert list(IntervalFamily.of(q, QQ).members) == want
     # a plain list given as the family is wrapped for the call, not held

@@ -29,6 +29,7 @@ from intres import (
 from intres import koszul, tda
 from intres.modfile import parse_field_token
 from intres.poset import Interval
+from intres.repmod import IntervalFamily
 from intres.tda import _cover_set_sums
 
 from conftest import (
@@ -239,16 +240,34 @@ def test_cover_set_sums_match_the_containment_poset():
     rng = random.Random(59)
     left_out = 0
     for n in (2, 3, 4, 5):
-        ivs = enumerate_intervals(commutative_ladder(n))
+        q = commutative_ladder(n)
+        ivs = enumerate_intervals(q)
         families = [ivs] + [
             [i for i in ivs if rng.random() < 0.5] for _ in range(2)
         ]
         for family in families:
             values = {j: rng.randint(-5, 5) for j in family}
             want = poset_cover_set_sums(family, values)
-            assert _cover_set_sums(family, values) == want
+            wrapped = IntervalFamily.wrap(family, q, QQ)
+            assert _cover_set_sums(wrapped, values) == want
             left_out += len(family) - len(want)
     assert left_out > 0
+
+
+def test_replacement_reads_one_containment_structure_per_family(family_builds):
+    """Replacements over one family share its containment structure, built
+    on first use; another family builds its own."""
+    m = load_fixture("cl3_m45.mod")
+    q = m.quiver
+    first = interval_replacement(m)
+    assert interval_replacement(m, cat=EndCategory(q, None, QQ)) == first
+    assert interval_replacement(m) == first
+    family = IntervalFamily.of(q, QQ)
+    sub = IntervalFamily(q, enumerate_intervals(q)[1:], QQ)
+    sub.up_sets(), sub.cover_plans(), sub.up_sets()
+    assert [b for b in family_builds if b[0] == "containment"] == [
+        ("containment", family.masks), ("containment", sub.masks)
+    ]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
