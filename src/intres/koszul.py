@@ -372,9 +372,9 @@ def _block_layout(quiver, terms, blocks):
 
 
 def _cochain_defect(quiver, cochain):
-    """(why the blocks do not form a cochain of module morphisms or None,
-    the layout checked), computed afresh from the blocks; the layout is
-    None when the blocks do not match the terms.
+    """The pair (why the blocks do not form a cochain of module morphisms,
+    or None; the layout that was checked), computed afresh from the
+    blocks.  The layout is None when the blocks do not match the terms.
 
     A block is natural when, along every arrow u -> v with u in its source
     and v in its target, its values at u and v agree.  Consecutive

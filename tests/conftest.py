@@ -206,13 +206,13 @@ def family_builds(monkeypatch):
         return build(quiver, masks, field)
 
     monkeypatch.setattr(repmod, "_irreducible_table", tabulated)
-    order = repmod._containment_table
+    contain = repmod._containment_table
 
-    def ordered(masks):
+    def contained(masks):
         built.append(("containment", masks))
-        return order(masks)
+        return contain(masks)
 
-    monkeypatch.setattr(repmod, "_containment_table", ordered)
+    monkeypatch.setattr(repmod, "_containment_table", contained)
     return built
 
 

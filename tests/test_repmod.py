@@ -340,8 +340,9 @@ def test_up_sets_are_the_containing_members(name):
 
 def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
     """`enumerate_intervals` returns a fresh list, and a held family's
-    members, positions and table cannot be changed, so what one caller
-    does to them leaves the next call's result as it was."""
+    members, positions, table and containment structure cannot be changed,
+    so what one caller does to them leaves the next call's result as it
+    was."""
     q = cl3_m45.quiver
     first = enumerate_intervals(q)
     want = list(first)

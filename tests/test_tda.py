@@ -10,6 +10,7 @@ from intres import (
     QQ,
     EndCategory,
     Field,
+    IntervalFamily,
     PersModule,
     betti,
     betti_table_via_koszul,
@@ -29,7 +30,6 @@ from intres import (
 from intres import koszul, tda
 from intres.modfile import parse_field_token
 from intres.poset import Interval
-from intres.repmod import IntervalFamily
 from intres.tda import _cover_set_sums
 
 from conftest import (
@@ -264,7 +264,8 @@ def test_replacement_reads_one_containment_structure_per_family(family_builds):
     assert interval_replacement(m) == first
     family = IntervalFamily.of(q, QQ)
     sub = IntervalFamily(q, enumerate_intervals(q)[1:], QQ)
-    sub.up_sets(), sub.cover_plans(), sub.up_sets()
+    assert sub.cover_plans() is sub.cover_plans()
+    assert len(sub.up_sets()) == len(sub.members)
     assert [b for b in family_builds if b[0] == "containment"] == [
         ("containment", family.masks), ("containment", sub.masks)
     ]
