@@ -6,10 +6,14 @@ minimal projective resolution of the one-dimensional simple at an interval I
 is built from syzygies: each is a submodule K of a sum P of representables
 hom(J, -), kept only as a kernel basis of K(t) inside P(t) at every object t
 where P is nonzero, and acted on through the 0/1 composition constants of the
-category.  Each cover reads the top K/rad K, and rad K is spanned by the
-images of K under the irreducible maps alone (the arrows of the category's
-Gabriel quiver, a basis of rad/rad^2): the table of the category's
-`repmod.IntervalFamily`, the workspace the resolve route reads as well.
+category.  The hom spaces are read from the hom table of the category's
+`repmod.IntervalFamily`, the workspace the resolve route reads as well:
+good components as vertex bitmasks, split once per family.  Each cover
+reads the top K/rad K, and rad K is spanned by the images of K under the
+irreducible maps alone (the arrows of the category's Gabriel quiver, a
+basis of rad/rad^2): the family's table of irreducible maps.  The check
+of a finished cochain and `validate_koszul_coresolution` split the good
+components afresh (`repmod.good_components`), independently of that table.
 The resolution pulls back, along the Yoneda correspondence for maps between
 representables, to a cochain
 
@@ -58,18 +62,19 @@ from intres.resolve import BettiTable, MaxLengthExceeded
 class EndCategory:
     """Objects: intervals; hom(s, t) = basis of Hom(V_{I_s}, V_{I_t}).
 
-    The objects, their positions and the table of irreducible maps are
-    those of `family`, a `repmod.IntervalFamily` over `field`: without
-    `intervals`, the family of all intervals that the quiver holds
-    (`IntervalFamily.of`), so the category and the resolve route over the
-    same quiver and field share one enumeration and one table; a plain list
-    is wrapped for this category alone.  Basis elements are indicator
-    morphisms of good components, so all composition structure constants
-    are 0 or 1 and are independent of the field.  On top of the family the
-    category caches what the Koszul route alone needs: composition tensors
-    per object triple, the nonzero hom dimensions per object, and
-    coresolutions per object.  It is the workspace that callers pass along
-    as `cat`.
+    The objects, their positions, the hom spaces and the table of
+    irreducible maps are those of `family`, a `repmod.IntervalFamily` over
+    `field`: without `intervals`, the family of all intervals that the
+    quiver holds (`IntervalFamily.of`), so the category and the resolve
+    route over the same quiver and field share one enumeration, one hom
+    table and one table of irreducible maps; a plain list is wrapped for
+    this category alone.  Basis elements are indicator morphisms of good
+    components, read from the family's hom table as vertex bitmasks, so
+    all composition structure constants are 0 or 1 and are independent of
+    the field.  On top of the family the category caches what the Koszul
+    route alone needs: composition tensors per object triple, the nonzero
+    hom dimensions per object, and coresolutions per object.  It is the
+    workspace that callers pass along as `cat`.
     """
 
     def __init__(self, quiver, intervals=None, field=None):
@@ -78,7 +83,7 @@ class EndCategory:
         self.family = IntervalFamily.wrap(intervals, quiver, self.field)
         self.objects = self.family.members
         self.obj_index = self.family.index
-        self._hom = {}
+        self._rows = {}
         self._tensor = {}
         self._dims_from = {}
         self._coresolutions = {}
@@ -86,29 +91,35 @@ class EndCategory:
     def interval(self, s):
         return self.objects[s]
 
+    def _row(self, s):
+        """{t: the basis of hom(s, t) as vertex bitmasks} over the objects t
+        with hom(s, t) != 0, in increasing t: row s of the family's
+        `hom_table`."""
+        if s not in self._rows:
+            self._rows[s] = dict(self.family.hom_table()[s])
+        return self._rows[s]
+
     def hom(self, s, t):
-        """Good components forming the basis of hom(s, t)."""
-        key = (s, t)
-        if key not in self._hom:
-            self._hom[key] = good_components(
-                self.quiver, self.objects[s], self.objects[t]
-            )
-        return self._hom[key]
+        """Good components forming the basis of hom(s, t), as vertex
+        frozensets in `good_components` order."""
+        vertices = self.quiver.vertices
+        return [
+            frozenset(v for i, v in enumerate(vertices) if comp >> i & 1)
+            for comp in self._row(s).get(t, ())
+        ]
 
     def hom_dim(self, s, t):
-        return len(self.hom(s, t))
+        return len(self._row(s).get(t, ()))
 
     def hom_dims_from(self, s):
         """{t: dim hom(s, t)} over the objects t with hom(s, t) != 0, s
         included, in increasing t."""
         if s not in self._dims_from:
-            dims = (len(self.hom(s, t)) for t in range(len(self.objects)))
-            self._dims_from[s] = {t: d for t, d in enumerate(dims) if d}
+            self._dims_from[s] = {t: len(comps) for t, comps in self._row(s).items()}
         return self._dims_from[s]
 
     def identity_index(self, s):
-        comps = self.hom(s, s)
-        if len(comps) != 1:
+        if self.hom_dim(s, s) != 1:
             raise AssertionError("endomorphism space of a thin module must be k")
         return 0
 
@@ -121,11 +132,12 @@ class EndCategory:
         """
         key = (s, t, u)
         if key not in self._tensor:
-            target = self.hom(s, u)
+            row = self._row(s)
+            target = row.get(u, ())
             self._tensor[key] = {
-                (a, b): _composite(c1, c2, target)
-                for a, c1 in enumerate(self.hom(s, t))
-                for b, c2 in enumerate(self.hom(t, u))
+                (a, b): [c for c, comp in enumerate(target) if not comp & ~(c1 & c2)]
+                for a, c1 in enumerate(row.get(t, ()))
+                for b, c2 in enumerate(self._row(t).get(u, ()))
             }
         return self._tensor[key]
 
@@ -135,13 +147,6 @@ class EndCategory:
         (`IntervalFamily.irreducible_maps`); every map between distinct
         objects is a sum of composites of them.  Built once per family."""
         return self.family.irreducible_maps()
-
-
-def _composite(c1, c2, target):
-    """Indices of the components in `target` whose indicators sum to the
-    composite of the indicators of c1 and c2."""
-    meet = c1 & c2
-    return [c for c, comp in enumerate(target) if comp <= meet]
 
 
 def build_end_category(quiver, intervals=None, field=None):

@@ -15,6 +15,9 @@ Format (one directive per line, `#` comments, blank lines ignored):
 Entries are integers or `a/b` rationals (`GF p` files take residues).  An
 absent `map` line means the zero matrix.  Serialization is canonical:
 parse-serialize round-trips are byte-stable after one normalization.
+All files parsed with `quiver ladder n` share one quiver per n, and with
+it the interval families that the quiver holds
+(`repmod.IntervalFamily.of`).
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from intres.poset import (
     ladder_length,
 )
 from intres.repmod import CommutativityError, PersModule
+
+
+# ladder length -> the quiver that every parsed `quiver ladder <n>` file
+# shares, so that parsed modules over one ladder read one held family
+_LADDERS = {}
 
 
 class ModuleFileError(ValueError):
@@ -98,7 +106,9 @@ def parse_module_text(text, field=None):
                     err(lineno, f"bad ladder length {toks[2]!r}")
                 if n < 1:
                     err(lineno, "ladder length must be >= 1")
-                quiver = commutative_ladder(n)
+                quiver = _LADDERS.get(n)
+                if quiver is None:
+                    quiver = _LADDERS[n] = commutative_ladder(n)
             elif len(toks) == 2 and toks[1] == "explicit":
                 pass  # vertices/arrows follow
             else:

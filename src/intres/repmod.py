@@ -12,8 +12,9 @@ how both routes compute it; the general `hom_basis` solves the full
 naturality system and is kept as the reference it is tested against.
 
 An `IntervalFamily` is the combinatorial workspace of a family of
-intervals over one field: its members, their vertex bitmasks, its table
-of irreducible maps and its containment structure.  Both routes and `tda`
+intervals over one field: its members, their vertex bitmasks, its hom
+table (the good components of every pair, as bitmasks), its table of
+irreducible maps and its containment structure.  Both routes and `tda`
 read it; the family of all intervals of a quiver is held by the quiver,
 once per field.
 """
@@ -548,25 +549,21 @@ def _bits(mask):
         mask ^= low
 
 
-def _irreducible_table(quiver, masks, field):
-    """The irreducible maps of the family whose members have the vertex
-    bitmasks `masks`, as out-adjacency: entry s lists the pairs (t, k), t
-    increasing, see `IntervalFamily.irreducible_maps`.
+def _hom_table(quiver, masks):
+    """The hom spaces of the family whose members have the vertex bitmasks
+    `masks`, as out-adjacency: entry s lists the pairs (t, components), t
+    increasing, for every t with Hom(V_{I_s}, V_{I_t}) != 0, s included;
+    the components are the good components of I_s & I_t (see
+    `good_components`) as vertex bitmasks, in `good_components` order.
 
     Each distinct meet I_s & I_t is split into components once; a component
-    C is good (a basis map, see `good_components`) when no arrow leaves it
-    into I_t \\ I_s and none enters it from I_s \\ I_t.  Components are
-    disjoint, so ordering them by lowest bit is `good_components`' order.
-    The composite of the basis maps on C1 (s -> r) and C2 (r -> t) is the
-    sum of the components of hom(s, t) inside C1 & C2, so only members r
-    containing a component of hom(s, t) are tried.  When hom(s, t) is
-    one-dimensional the first nonzero composite settles it; when it is
-    larger, a rank is taken unless every basis map is itself a composite.
+    C is good (a basis map) when no arrow leaves it into I_t \\ I_s and none
+    enters it from I_s \\ I_t.  Components are disjoint, so ordering them by
+    lowest bit is `good_components`' order.
     """
     bit = {v: 1 << i for i, v in enumerate(quiver.vertices)}
     succ = [sum(bit[w] for _, w in quiver.arrows_from(v)) for v in quiver.vertices]
     pred = [sum(bit[w] for _, w in quiver.arrows_into(v)) for v in quiver.vertices]
-    n = len(masks)
 
     split = {}  # meet -> [(component, arrow targets, arrow sources)]
 
@@ -590,30 +587,57 @@ def _irreducible_table(quiver, masks, field):
         split[meet] = parts
         return parts
 
-    containing = [0] * len(quiver.vertices)  # bit r: the vertex is in I_r
-    for r, mr in enumerate(masks):
-        for i in _bits(mr):
-            containing[i] |= 1 << r
-    hom = [{} for _ in range(n)]  # hom[s][t]: good components, t increasing
-    span = [{} for _ in range(n)]  # span[s][t]: their union
-    into_members = [0] * n  # bit s of into_members[t]: hom(s, t) != 0
-    for s, ms in enumerate(masks):
+    containing = _containing(len(quiver.vertices), masks)
+    table = []
+    for ms in masks:
         meeting = 0
         for i in _bits(ms):
             meeting |= containing[i]
-        hom_s, span_s = hom[s], span[s]
+        row = []
         for t in _bits(meeting):
             mt = masks[t]
             meet = ms & mt
-            good = [
+            good = tuple(
                 comp
                 for comp, out, into in split.get(meet) or components(meet)
                 if not out & mt & ~ms and not into & ms & ~mt
-            ]
+            )
             if good:
-                hom_s[t] = good
-                span_s[t] = sum(good)
-                into_members[t] |= 1 << s
+                row.append((t, good))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _containing(nvertices, masks):
+    """Per vertex i, the members containing it: bit r is set when bit i of
+    masks[r] is."""
+    containing = [0] * nvertices
+    for r, mr in enumerate(masks):
+        for i in _bits(mr):
+            containing[i] |= 1 << r
+    return containing
+
+
+def _irreducible_table(quiver, hom, field):
+    """The irreducible maps of the family whose hom spaces are `hom` (the
+    family's `_hom_table`), as out-adjacency: entry s lists the pairs (t,
+    k), t increasing, see `IntervalFamily.irreducible_maps`.
+
+    The composite of the basis maps on C1 (s -> r) and C2 (r -> t) is the
+    sum of the components of hom(s, t) inside C1 & C2, so only members r
+    containing a component of hom(s, t) are tried.  When hom(s, t) is
+    one-dimensional the first nonzero composite settles it; when it is
+    larger, a rank is taken unless every basis map is itself a composite.
+    """
+    n = len(hom)
+    rows = [dict(row) for row in hom]
+    # I_s is connected, so hom(s, s) has one good component: I_s itself
+    containing = _containing(len(quiver.vertices), [rows[s][s][0] for s in range(n)])
+    span = [{t: sum(good) for t, good in row.items()} for row in rows]  # unions
+    into_members = [0] * n  # bit s of into_members[t]: hom(s, t) != 0
+    for s, row in enumerate(rows):
+        for t in row:
+            into_members[t] |= 1 << s
     holders = {}  # component -> members containing it
 
     def held_by(comp):
@@ -628,7 +652,7 @@ def _irreducible_table(quiver, masks, field):
     for s in range(n):
         maps = []
         table.append(maps)
-        hom_s, span_s = hom[s], span[s]
+        hom_s, span_s = rows[s], span[s]
         out_members = sum(1 << t for t in hom_s)
         for t, target in hom_s.items():
             if t == s:
@@ -657,7 +681,7 @@ def _irreducible_table(quiver, masks, field):
                 c1 & c2 & union
                 for r in _bits(through & held)
                 for c1 in hom_s[r]
-                for c2 in hom[r][t]
+                for c2 in rows[r][t]
             }
             composites = {
                 tuple(k for k, c in enumerate(target) if not c & ~m) for m in meets
@@ -718,24 +742,25 @@ def _containment_table(masks):
 
 
 def _transpose(table):
-    """The out-adjacency of the reversed maps: (s, k) in entry t for every
-    (t, k) in entry s, s increasing."""
+    """The out-adjacency of the reversed pairs: (s, x) in entry t for every
+    (t, x) in entry s, s increasing."""
     out = [[] for _ in table]
-    for s, maps in enumerate(table):
-        for t, k in maps:
-            out[t].append((s, k))
+    for s, pairs in enumerate(table):
+        for t, x in pairs:
+            out[t].append((s, x))
     return tuple(map(tuple, out))
 
 
 class IntervalFamily:
     """A family of intervals of one quiver over one field, the workspace
-    that both Betti routes and `tda` read: the members in order, their
-    vertex bitmasks (bit i for the i-th vertex of the quiver), each
-    member's position (`index`), and, each built on first use, the
-    family's table of irreducible maps and its containment structure (the
-    up-set and the cover-set plan of every member).  Members, bitmasks,
-    table and structure are tuples, so no caller can change what the next
-    one reads.
+    that both Betti routes and `tda` read: the members in order, no member
+    twice, their vertex bitmasks (bit i for the i-th vertex of the quiver),
+    each member's position (`index`), and, each built on first use, the
+    family's hom table (the good components of every nonzero hom space),
+    its table of irreducible maps, read off the hom table, and its
+    containment structure (the up-set and the cover-set plan of every
+    member).  Members, bitmasks, tables and structure are tuples, so no
+    caller can change what the next one reads.
 
     The family of all intervals of a quiver comes from `of`, which the
     quiver holds per field, so every call over one quiver shares one
@@ -746,22 +771,29 @@ class IntervalFamily:
     that a coresolution resolves DM by: the same vertex sets in the same
     order.  Hom over the opposite quiver from V_J to V_I is
     Hom(V_I, V_J) on the same good components, so the two tables are
-    transposes: whichever of the two families is asked first builds its
-    table, and the other reads the transpose.
+    transposes, and so are the two hom tables: whichever of the two
+    families is asked first builds a table, and the other reads its
+    transpose.
     """
 
     __slots__ = (
-        "quiver", "field", "members", "masks", "index", "_table", "_containment",
-        "_op",
+        "quiver", "field", "members", "masks", "index", "_hom", "_table",
+        "_containment", "_op",
     )
 
     def __init__(self, quiver, intervals, field):
         self.quiver = quiver
         self.field = field
         self.members = tuple(intervals)
+        self.index = MappingProxyType({iv: s for s, iv in enumerate(self.members)})
+        if len(self.index) != len(self.members):
+            repeated = next(
+                iv for s, iv in enumerate(self.members) if self.index[iv] != s
+            )
+            raise ValueError(f"the interval family lists {repeated!r} more than once")
         bit = {v: 1 << i for i, v in enumerate(quiver.vertices)}
         self.masks = tuple(sum(bit[v] for v in iv.vertex_set) for iv in self.members)
-        self.index = MappingProxyType({iv: s for s, iv in enumerate(self.members)})
+        self._hom = None
         self._table = None
         self._containment = None
         self._op = None
@@ -811,6 +843,22 @@ class IntervalFamily:
             self._op = op
         return self._op
 
+    def hom_table(self):
+        """The hom spaces of the family, as out-adjacency: entry s lists the
+        pairs (t, components), t increasing, for every member t with
+        hom(s, t) = Hom(V_{I_s}, V_{I_t}) nonzero, s included.  The
+        components are the good components of I_s & I_t, a basis of
+        hom(s, t), as vertex bitmasks (`masks`) in `good_components` order.
+        Built on first use, as the transpose of the opposite family's table
+        when that one is built already."""
+        if self._hom is None:
+            op = self._op
+            if op is not None and op._hom is not None:
+                self._hom = _transpose(op._hom)
+            else:
+                self._hom = _hom_table(self.quiver, self.masks)
+        return self._hom
+
     def irreducible_maps(self):
         """The irreducible maps of the family, as out-adjacency: entry s
         lists the pairs (t, k), s != t indexing `members` and t increasing.
@@ -822,15 +870,18 @@ class IntervalFamily:
         k and the radical is nilpotent, so every map between distinct
         members is a sum of composites of these: they are the arrows of the
         Gabriel quiver of the family (Auslander-Reiten-Smalo), and they
-        alone span rad(V_I, M).  Built on first use, as the transpose of
-        the opposite family's table when that one is built already.
+        alone span rad(V_I, M).  Built on first use from `hom_table`, or as
+        the transpose of the opposite family's table when that one is built
+        already.
         """
         if self._table is None:
             op = self._op
             if op is not None and op._table is not None:
                 self._table = _transpose(op._table)
             else:
-                self._table = _irreducible_table(self.quiver, self.masks, self.field)
+                self._table = _irreducible_table(
+                    self.quiver, self.hom_table(), self.field
+                )
         return self._table
 
     def up_sets(self):

@@ -182,12 +182,14 @@ def sub_family(quiver, seed, keep=0.6):
 
 @pytest.fixture
 def family_builds(monkeypatch):
-    """The interval enumerations, tables of irreducible maps and
+    """The interval enumerations, hom tables, tables of irreducible maps and
     containment structures made from here on, by any intres module, in
-    call order: ("enumerate" or "table", quiver), or ("containment",
-    the members' vertex bitmasks)."""
-    from intres import poset, repmod
+    call order: ("enumerate", "hom" or "table", quiver), or ("containment",
+    the members' vertex bitmasks).  Module files parsed from here on get
+    ladder quivers of their own, which hold no family yet."""
+    from intres import modfile, poset, repmod
 
+    monkeypatch.setattr(modfile, "_LADDERS", {})
     built = []
     find = poset.enumerate_intervals
 
@@ -199,11 +201,18 @@ def family_builds(monkeypatch):
         module = importlib.import_module(f"intres.{name}")
         if hasattr(module, "enumerate_intervals"):
             monkeypatch.setattr(module, "enumerate_intervals", enumerated)
+    split = repmod._hom_table
+
+    def homs(quiver, masks):
+        built.append(("hom", quiver))
+        return split(quiver, masks)
+
+    monkeypatch.setattr(repmod, "_hom_table", homs)
     build = repmod._irreducible_table
 
-    def tabulated(quiver, masks, field):
+    def tabulated(quiver, hom, field):
         built.append(("table", quiver))
-        return build(quiver, masks, field)
+        return build(quiver, hom, field)
 
     monkeypatch.setattr(repmod, "_irreducible_table", tabulated)
     contain = repmod._containment_table

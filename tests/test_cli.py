@@ -67,10 +67,11 @@ def test_betti_both_routes_agree(capsys):
 
 def test_betti_both_routes_share_one_family(capsys, family_builds):
     """Both routes read the family that the parsed module's quiver holds:
-    one enumeration and one table of irreducible maps per process."""
+    one enumeration, one hom table and one table of irreducible maps per
+    process."""
     code, _, _ = run(capsys, "betti", "--file", CL3_FILE, "--route", "both")
     assert code == EXIT_OK
-    assert [kind for kind, _ in family_builds] == ["enumerate", "table"]
+    assert [kind for kind, _ in family_builds] == ["enumerate", "hom", "table"]
 
 
 def test_betti_route_mismatch_names_first_entry(capsys, monkeypatch):

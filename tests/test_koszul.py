@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -264,7 +265,8 @@ def test_irreducible_maps_of_sub_families(n, field):
 
 def test_irreducible_maps_are_built_once_per_category(family_builds):
     """Without a family, the category reads the one that its quiver holds
-    for its field: one enumeration and one table on first use, shared with
+    for its field: one enumeration, one hom table and one table of
+    irreducible maps on first use, shared with
     the resolve route over the same quiver and never built again.  The
     module is parsed afresh, so that no held table comes from another
     test."""
@@ -273,10 +275,19 @@ def test_irreducible_maps_are_built_once_per_category(family_builds):
     cat = build_end_category(q, None, QQ)
     assert family_builds == [("enumerate", q)]
     table = betti_table_via_koszul(m, cat=cat)
-    assert family_builds == [("enumerate", q), ("table", q)]
+    assert family_builds == [("enumerate", q), ("hom", q), ("table", q)]
     assert betti_table_via_koszul(m, cat=cat) == table == betti(m)
     assert build_end_category(q, None, QQ).irreducible_maps() is cat.irreducible_maps()
-    assert family_builds == [("enumerate", q), ("table", q)]
+    assert family_builds == [("enumerate", q), ("hom", q), ("table", q)]
+
+
+def test_a_category_refuses_a_repeated_member():
+    """A repeated object once met the cover step's bare "kernel not
+    invariant"; the category now refuses it and names it."""
+    ivs = enumerate_intervals(CL2)
+    m = interval_module(CL2, ivs[0], QQ)
+    with pytest.raises(ValueError, match=re.escape(f"lists {ivs[0]!r} more")):
+        betti_table_via_koszul(m, cat=build_end_category(CL2, ivs + [ivs[0]], QQ))
 
 
 # ---- minimal projective resolutions ----------------------------------------------
@@ -339,8 +350,8 @@ def test_a_missing_irreducible_map_is_caught_or_harmless(monkeypatch):
     tabulate = repmod._irreducible_table
     raised = 0
     for s, m in drops:
-        def dropped(quiver, masks, field):
-            table = [list(maps) for maps in tabulate(quiver, masks, field)]
+        def dropped(quiver, hom, field):
+            table = [list(maps) for maps in tabulate(quiver, hom, field)]
             table[s].remove(m)
             return tuple(map(tuple, table))
 
@@ -644,6 +655,39 @@ def test_warm_complexes_read_the_held_block_layouts(monkeypatch):
     again = koszul_complex(m, iv, cat, cochain=padded)
     assert calls["good_components"] == 0
     assert again.dims == first.dims and again.mats == first.mats
+
+
+def test_cold_tables_split_components_only_to_check_the_cochains(monkeypatch):
+    """The cover steps read the family's hom table, so resolving every
+    object of a fresh category splits no good components, and a cold
+    table of `cl5_m.mod` over GF(2) splits them only for the check at
+    construction, once per block: 771 calls, where reading each hom space
+    afresh made 10,771."""
+    calls = Counter()
+    split = repmod.good_components
+
+    def counted(*args):
+        calls["good_components"] += 1
+        return split(*args)
+
+    for module in (koszul, repmod):
+        monkeypatch.setattr(module, "good_components", counted)
+    gf2 = Field.prime(2)
+    q = commutative_ladder(3)
+    cat = build_end_category(q, enumerate_intervals(q), gf2)
+    for s in range(len(cat.objects)):
+        min_proj_resolution(cat, s)
+    assert calls["good_components"] == 0
+    m = load_fixture("cl5_m.mod", gf2)
+    cat = build_end_category(m.quiver, enumerate_intervals(m.quiver), gf2)
+    table = betti_table_via_koszul(m, cat=cat)
+    blocks = sum(
+        len(rows) * len(rows[0])
+        for cochain in cat._coresolutions.values()
+        for rows in cochain.blocks
+    )
+    assert calls["good_components"] == blocks == 771
+    assert table == betti(m)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

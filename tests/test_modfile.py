@@ -9,6 +9,7 @@ from intres import (
     BoundQuiver,
     CommutativityError,
     Field,
+    IntervalFamily,
     Mat,
     ModuleFileError,
     commutative_ladder,
@@ -173,6 +174,23 @@ def test_roundtrip_fixture_files():
         again = parse_module_text(canon)
         assert again == m
         assert serialize_module(again) == canon  # canonical form is stable
+
+
+def test_files_over_one_ladder_share_one_quiver(family_builds):
+    """Files parsed with the same `quiver ladder n` share one quiver, so
+    their modules read one held family: one enumeration and one hom table
+    for the two.  Another length, an explicit quiver and
+    `commutative_ladder` itself give quivers of their own."""
+    first = parse_module_text("field Q\nquiver ladder 3\ndim b1 1\n")
+    second = parse_module_text("field GF 2\nquiver ladder 3\ndim t2 1\n")
+    assert second.quiver is first.quiver
+    assert parse_module_text("quiver ladder 2\n").quiver is not first.quiver
+    assert commutative_ladder(3) is not first.quiver
+    explicit = "quiver explicit\nvertex x\nvertex y\narrow a x y\n"
+    assert parse_module_text(explicit).quiver is not parse_module_text(explicit).quiver
+    for m in (first, second):
+        IntervalFamily.of(m.quiver, QQ).hom_table()
+    assert family_builds == [("enumerate", first.quiver), ("hom", first.quiver)]
 
 
 def test_roundtrip_random_modules():

@@ -1,6 +1,7 @@
 """Representations: validation, hom spaces, (co)kernels, direct sums."""
 
 import random
+import re
 
 import pytest
 
@@ -299,11 +300,52 @@ def test_opposite_family_is_a_fresh_family_over_the_opposite_quiver(name, field)
         )
         fresh = IntervalFamily(op, fresh, k)
         assert opposite.irreducible_maps() == fresh.irreducible_maps()
-        # built on the opposite side first, the table of the family itself
-        # is the transpose of the fresh opposite table
+        assert opposite.hom_table() == fresh.hom_table()
+        # built on the opposite side first, the tables of the family itself
+        # are the transposes of the fresh opposite tables
         again = IntervalFamily(q, members, k)
         assert again.opposite().irreducible_maps() == fresh.irreducible_maps()
         assert again.irreducible_maps() == family.irreducible_maps()
+        assert again.hom_table() == family.hom_table()
+
+
+def vertex_sets(quiver, masks):
+    """The vertex bitmasks as frozensets of the quiver's vertices."""
+    return [
+        frozenset(v for i, v in enumerate(quiver.vertices) if mask >> i & 1)
+        for mask in masks
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPOSE_QUIVERS))
+def test_hom_table_is_the_good_components(name, family_builds):
+    """Row s of a family's hom table lists, t increasing, the members t
+    with Hom(V_{I_s}, V_{I_t}) != 0 and the good components of I_s & I_t as
+    bitmasks, which read back to `good_components` in its order: for the
+    full family and two random sub-families.  The table does not depend on
+    the field: the family over GF(2) builds one of its own, equal to the
+    one over Q.  The opposite family reads the transpose and builds none."""
+    q = TRANSPOSE_QUIVERS[name]()
+    for seed in (None, 7, 8):
+        members = enumerate_intervals(q) if seed is None else sub_family(q, seed)
+        family = IntervalFamily(q, members, QQ)
+        want = [
+            [(t, comps) for t, j in enumerate(members)
+             if (comps := good_components(q, i, j))]
+            for i in members
+        ]
+        table = family.hom_table()
+        assert [
+            [(t, vertex_sets(q, comps)) for t, comps in row] for row in table
+        ] == want
+        assert IntervalFamily(q, members, Field.prime(2)).hom_table() == table
+        transpose = family.opposite().hom_table()
+        assert [dict(row) for row in transpose] == [
+            {s: dict(row)[t] for s, row in enumerate(table) if t in dict(row)}
+            for t in range(len(members))
+        ]
+        assert family_builds == [("hom", q), ("hom", q)]
+        family_builds.clear()
 
 
 def test_a_quiver_holds_one_family_per_field(family_builds):
@@ -321,6 +363,17 @@ def test_a_quiver_holds_one_family_per_field(family_builds):
         IntervalFamily.wrap(IntervalFamily.of(q, gf2), q, QQ)
     with pytest.raises(ValueError, match="6 vertices.*4 vertices"):
         IntervalFamily.wrap(family, CL2, QQ)
+
+
+def test_a_family_refuses_a_repeated_member():
+    """A member listed twice would get two positions and a table with a
+    row for each; the family names it instead."""
+    members = enumerate_intervals(CL2)
+    with pytest.raises(ValueError, match=re.escape(f"lists {members[3]!r} more")):
+        IntervalFamily(CL2, members + [members[3]], QQ)
+    copy = Interval(CL2, members[0].vertices)
+    with pytest.raises(ValueError, match=re.escape(repr(members[0]))):
+        IntervalFamily(CL2, [copy] + members, QQ)
 
 
 @pytest.mark.parametrize("name", sorted(TRANSPOSE_QUIVERS))
@@ -371,6 +424,20 @@ def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
         up_sets[0] = ()
     with pytest.raises(AttributeError):
         up_sets[0].append(0)
+    hom = family.hom_table()
+    want_hom = [[(t, list(comps)) for t, comps in row] for row in hom]
+    assert family.hom_table() is hom and isinstance(hom, tuple)
+    assert all(isinstance(row, tuple) for row in hom)
+    assert all(
+        isinstance(pair, tuple) and isinstance(pair[1], tuple)
+        for row in hom for pair in row
+    )
+    with pytest.raises(TypeError):
+        hom[0] = ()
+    with pytest.raises(TypeError):
+        hom[0][0][1][0] = 0
+    assert [[(t, list(comps)) for t, comps in row]
+            for row in IntervalFamily.of(q, QQ).hom_table()] == want_hom
     assert IntervalFamily.of(q, QQ).irreducible_maps() == tuple(map(tuple, want_table))
     assert list(IntervalFamily.of(q, QQ).members) == want
     # a plain list given as the family is wrapped for the call, not held

@@ -1,6 +1,7 @@
 """Minimal interval resolutions/coresolutions and Betti tables."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from intres import (
     minimal_interval_coresolution,
     minimal_interval_resolution,
 )
-from intres import IntervalFamily, repmod
+from intres import IntervalFamily, modfile, repmod
 from intres.modfile import parse_field_token
 from intres.poset import Interval
 
@@ -128,26 +129,29 @@ def test_random_resolutions_are_exact():
             check_coresolution_exact(minimal_interval_coresolution(m))
 
 
-def test_one_table_of_irreducible_maps_per_resolution(family_builds):
+def test_one_table_of_irreducible_maps_per_resolution(family_builds, monkeypatch):
     """The quiver holds its family, so `betti` and `cobetti` of one module
-    make one enumeration and one table between them, in either order: the
-    coresolution resolves DM over the opposite family, whose table is the
-    transpose.  Each module is parsed afresh, so that no held table comes
-    from another test."""
+    make one enumeration, one hom table and one table of irreducible maps
+    between them, in either order: the coresolution resolves DM over the
+    opposite family, whose tables are the transposes.  Each module is
+    parsed over a ladder quiver of its own, so that no held table comes
+    from another test or the other order."""
     m = load_fixture("cl3_m45.mod")
     q = m.quiver
     assert minimal_interval_resolution(m).length > 0
-    assert family_builds == [("enumerate", q), ("table", q)]
+    assert family_builds == [("enumerate", q), ("hom", q), ("table", q)]
     assert minimal_interval_coresolution(m).length > 0
     betti(m)
     cobetti(m)
-    assert family_builds == [("enumerate", q), ("table", q)]
+    assert family_builds == [("enumerate", q), ("hom", q), ("table", q)]
     family_builds.clear()
+    monkeypatch.setattr(modfile, "_LADDERS", {})
     m = load_fixture("cl3_m45.mod")
     q = m.quiver
     cobetti(m)
     betti(m)
-    assert family_builds == [("enumerate", q), ("table", q.opposite())]
+    op = q.opposite()
+    assert family_builds == [("enumerate", q), ("hom", op), ("table", op)]
 
 
 @pytest.mark.parametrize("build, opposite, caught", [
@@ -161,7 +165,8 @@ def test_a_missing_irreducible_map_is_caught_or_harmless(monkeypatch, build,
     then raise.  Each of the 44 drops on ladder 3 (over the opposite quiver
     for a coresolution, which resolves DM) either raises or leaves the
     terms and differentials as they were, never silently different ones.
-    Each drop reads a freshly parsed module, whose quiver holds no table."""
+    Each drop reads a module parsed over a ladder quiver of its own, which
+    holds no table."""
     want = build(load_fixture("cl3_m45.mod"))
     q = commutative_ladder(3)
     if opposite:
@@ -172,13 +177,14 @@ def test_a_missing_irreducible_map_is_caught_or_harmless(monkeypatch, build,
     tabulate = repmod._irreducible_table
     raised = 0
     for s, m in drops:
-        def dropped(quiver, masks, field):
+        def dropped(quiver, hom, field):
             assert quiver == q
-            table = [list(maps) for maps in tabulate(quiver, masks, field)]
+            table = [list(maps) for maps in tabulate(quiver, hom, field)]
             table[s].remove(m)
             return tuple(map(tuple, table))
 
         monkeypatch.setattr(repmod, "_irreducible_table", dropped)
+        monkeypatch.setattr(modfile, "_LADDERS", {})
         try:
             got = build(load_fixture("cl3_m45.mod"))
         except AssertionError as err:
@@ -270,6 +276,18 @@ def test_family_restricted_resolution():
         assert set(tags) <= set(family)
     t = betti(m, family=family, resolution=res)
     assert t.degree(0) == {Interval(q, ["b1", "b2", "t1", "t2"]): 1}
+
+
+def test_a_repeated_family_member_is_refused():
+    """A family listing V_{b1} twice once gave V_{b1} the Betti table
+    {b1,b2} + {b1,t1} in degree 0 and {b1,b2,t1} in degree 1; both
+    directions now refuse it and name the repeated interval."""
+    ivs = enumerate_intervals(CL2)
+    m = interval_module(CL2, Interval(CL2, ["b1"]), QQ)
+    assert betti(m, family=ivs).entries == {(0, ivs[0]): 1}
+    for table in (betti, cobetti):
+        with pytest.raises(ValueError, match=re.escape(f"lists {ivs[0]!r} more")):
+            table(m, family=ivs + [ivs[0]])
 
 
 # ---- small fields ------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_decomposability_reads_a_warm_category_table(family_builds):
     q = m.quiver
     cat = EndCategory(q, None, QQ)
     cat.irreducible_maps()
-    assert family_builds == [("enumerate", q), ("table", q)]
+    assert family_builds == [("enumerate", q), ("hom", q), ("table", q)]
     family_builds.clear()
     assert not is_interval_decomposable(m, cat=cat)
     assert not is_interval_decomposable(m)
@@ -142,7 +142,7 @@ def test_decomposability_reads_a_warm_category_table(family_builds):
     # a category over a family of its own lends the call its own table
     small = EndCategory(q, [i for i in cat.objects if len(i) <= 2], QQ)
     assert not is_interval_decomposable(m, cat=small)
-    assert family_builds == [("table", q)]
+    assert family_builds == [("hom", q), ("table", q)]
 
 
 def test_decomposability_refuses_a_category_over_another_quiver_or_field():
