@@ -51,7 +51,6 @@ from intres.resolve import (
     minimal_interval_resolution,
 )
 from intres.koszul import (
-    EndCategory,
     IntervalCochain,
     LatticeModule,
     VecChain,

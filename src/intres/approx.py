@@ -123,7 +123,7 @@ def is_right_interval_approximation(approx, family=None):
     family (all intervals when `family` is None).
     """
     module = approx.module
-    members = IntervalFamily.wrap(family, module.quiver, module.field).members
+    members = IntervalFamily.wrap(family, module.quiver, module.field).objects
     pairs = list(zip(approx.summand_index, approx.parts))
     for i, basis in _homs(module, members).items():
         comps = {
@@ -166,7 +166,7 @@ def minimal_right_approximation(module, family=None):
     which an `IntervalFamily` builds once and every call over it reads.
     """
     family = IntervalFamily.wrap(family, module.quiver, module.field)
-    members = family.members
+    members = family.objects
     irreducible = family.irreducible_maps()
     homs = _homs(module, members)
     summand_index = []

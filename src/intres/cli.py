@@ -14,7 +14,6 @@ import sys
 
 from intres import modfile
 from intres.koszul import (
-    EndCategory,
     betti_table_via_koszul,
     koszul_complex,
     koszul_coresolution,
@@ -221,8 +220,7 @@ def cmd_koszul(args):
     quiver, module = _quiver_from_args(args)
     interval = _parse_interval(quiver, args.interval)
     field = module.field if module is not None else _field_from_args(args)
-    cat = EndCategory(quiver, None, field)
-    cochain = koszul_coresolution(quiver, interval, cat=cat, max_len=max_len)
+    cochain = koszul_coresolution(quiver, interval, field, max_len=max_len)
     lines = [f"interval {interval_name(interval)}"]
     degrees = []
     for i, tags in enumerate(cochain.terms):
@@ -231,13 +229,13 @@ def cmd_koszul(args):
         lines.append(f"degree {i}: " + ("; ".join(names) if names else "(zero)"))
     payload = {"interval": interval_name(interval), "degrees": degrees}
     if args.check:
-        ok = validate_koszul_coresolution(cochain, interval, cat=cat)
+        ok = validate_koszul_coresolution(cochain, interval)
         lines.append(f"validator {'pass' if ok else 'FAIL'}")
         payload["validator"] = bool(ok)
         if not ok:
             raise RouteMismatchError("koszul coresolution failed validation")
     if module is not None:
-        chain = koszul_complex(module, interval, cat, max_len)
+        chain = koszul_complex(module, interval, max_len=max_len)
         hom = chain.homology_dims()
         lines.append("complex dims " + " ".join(str(d) for d in chain.dims))
         lines.append("homology " + " ".join(str(h) for h in hom))

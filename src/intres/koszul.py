@@ -1,20 +1,26 @@
 """Koszul-type coresolutions of interval modules and their complexes.
 
-The category of interest has one object per interval, with hom spaces the
-(combinatorial) morphism spaces between the thin interval modules.  The
-minimal projective resolution of the one-dimensional simple at an interval I
-is built from syzygies: each is a submodule K of a sum P of representables
-hom(J, -), kept only as a kernel basis of K(t) inside P(t) at every object t
-where P is nonzero, and acted on through the 0/1 composition constants of the
-category.  The hom spaces are read from the hom table of the category's
+The category of interest has one object per member of an interval family,
+with hom spaces the (combinatorial) morphism spaces between the thin
+interval modules.  That category is the family itself, a
 `repmod.IntervalFamily`, the workspace the resolve route reads as well:
-good components as vertex bitmasks, split once per family.  Each cover
-reads the top K/rad K, and rad K is spanned by the images of K under the
-irreducible maps alone (the arrows of the category's Gabriel quiver, a
-basis of rad/rad^2): the family's table of irreducible maps.  The check
-of a finished cochain and `validate_koszul_coresolution` split the good
-components afresh (`repmod.good_components`), independently of that table.
-The resolution pulls back, along the Yoneda correspondence for maps between
+its hom table holds the good components of every hom space as vertex
+bitmasks, split once per family, and its composition constants are read
+off that table.  Every function here that takes `cat=` takes such a
+family (`IntervalFamily.wrap`): None means the family of all intervals
+that the quiver holds, so calls without `cat` share its coresolutions.
+
+The minimal projective resolution of the one-dimensional simple at an
+interval I is built from syzygies: each is a submodule K of a sum P of
+representables hom(J, -), kept only as a kernel basis of K(t) inside P(t)
+at every object t where P is nonzero, and acted on through the 0/1
+composition constants.  Each cover reads the top K/rad K, and rad K is
+spanned by the images of K under the irreducible maps alone (the arrows of
+the category's Gabriel quiver, a basis of rad/rad^2): the family's table
+of irreducible maps.  The check of a finished cochain and
+`validate_koszul_coresolution` split the good components afresh
+(`repmod.good_components`), independently of that table.  The resolution
+pulls back, along the Yoneda correspondence for maps between
 representables, to a cochain
 
     0 -> V_I -> X^1 -> X^2 -> ...
@@ -56,111 +62,11 @@ from intres.repmod import (
 from intres.resolve import BettiTable, MaxLengthExceeded
 
 
-# ---- the endomorphism category ------------------------------------------------
-
-
-class EndCategory:
-    """Objects: intervals; hom(s, t) = basis of Hom(V_{I_s}, V_{I_t}).
-
-    The objects, their positions, the hom spaces and the table of
-    irreducible maps are those of `family`, a `repmod.IntervalFamily` over
-    `field`: without `intervals`, the family of all intervals that the
-    quiver holds (`IntervalFamily.of`), so the category and the resolve
-    route over the same quiver and field share one enumeration, one hom
-    table and one table of irreducible maps; a plain list is wrapped for
-    this category alone.  Basis elements are indicator morphisms of good
-    components, read from the family's hom table as vertex bitmasks, so
-    all composition structure constants are 0 or 1 and are independent of
-    the field.  On top of the family the category caches what the Koszul
-    route alone needs: composition tensors per object triple, the nonzero
-    hom dimensions per object, and coresolutions per object.  It is the
-    workspace that callers pass along as `cat`.
-    """
-
-    def __init__(self, quiver, intervals=None, field=None):
-        self.quiver = quiver
-        self.field = field or QQ
-        self.family = IntervalFamily.wrap(intervals, quiver, self.field)
-        self.objects = self.family.members
-        self.obj_index = self.family.index
-        self._rows = {}
-        self._tensor = {}
-        self._dims_from = {}
-        self._coresolutions = {}
-
-    def interval(self, s):
-        return self.objects[s]
-
-    def _row(self, s):
-        """{t: the basis of hom(s, t) as vertex bitmasks} over the objects t
-        with hom(s, t) != 0, in increasing t: row s of the family's
-        `hom_table`."""
-        if s not in self._rows:
-            self._rows[s] = dict(self.family.hom_table()[s])
-        return self._rows[s]
-
-    def hom(self, s, t):
-        """Good components forming the basis of hom(s, t), as vertex
-        frozensets in `good_components` order."""
-        vertices = self.quiver.vertices
-        return [
-            frozenset(v for i, v in enumerate(vertices) if comp >> i & 1)
-            for comp in self._row(s).get(t, ())
-        ]
-
-    def hom_dim(self, s, t):
-        return len(self._row(s).get(t, ()))
-
-    def hom_dims_from(self, s):
-        """{t: dim hom(s, t)} over the objects t with hom(s, t) != 0, s
-        included, in increasing t."""
-        if s not in self._dims_from:
-            self._dims_from[s] = {t: len(comps) for t, comps in self._row(s).items()}
-        return self._dims_from[s]
-
-    def identity_index(self, s):
-        if self.hom_dim(s, s) != 1:
-            raise AssertionError("endomorphism space of a thin module must be k")
-        return 0
-
-    def compose_coeffs(self, s, t, u):
-        """Structure constants: (a, b) -> indices c with x_b o x_a = sum x_c.
-
-        a indexes hom(s, t), b indexes hom(t, u), c indexes hom(s, u); the
-        composite of two component indicators is the sum of the good
-        components of I_s & I_u contained in both.
-        """
-        key = (s, t, u)
-        if key not in self._tensor:
-            row = self._row(s)
-            target = row.get(u, ())
-            self._tensor[key] = {
-                (a, b): [c for c, comp in enumerate(target) if not comp & ~(c1 & c2)]
-                for a, c1 in enumerate(row.get(t, ()))
-                for b, c2 in enumerate(self._row(t).get(u, ()))
-            }
-        return self._tensor[key]
-
-    def irreducible_maps(self):
-        """The irreducible maps of the family over this category's field,
-        as out-adjacency: entry s lists (t, k)
-        (`IntervalFamily.irreducible_maps`); every map between distinct
-        objects is a sum of composites of them.  Built once per family."""
-        return self.family.irreducible_maps()
-
-
 def build_end_category(quiver, intervals=None, field=None):
-    return EndCategory(quiver, intervals, field)
-
-
-def require_over(cat, quiver, field, what):
-    """Raise ValueError unless the category is over `quiver` and `field`."""
-    for mine, theirs in ((cat.quiver, quiver), (cat.field, field)):
-        if mine != theirs:
-            raise ValueError(
-                f"the interval category is over {mine!r} but {what} is over "
-                f"{theirs!r}"
-            )
+    """The interval family that the Koszul route resolves in, over `field`
+    or Q: `IntervalFamily.wrap(intervals, quiver, field)`, so without
+    `intervals` the family of all intervals that the quiver holds."""
+    return IntervalFamily.wrap(intervals, quiver, field or QQ)
 
 
 # ---- minimal projective resolutions --------------------------------------------
@@ -173,17 +79,12 @@ class ResolutionStep:
     # hom basis in question: hom(tags_prev[u_prev], tags_new[u_new])
 
 
-@dataclass
-class ProjResolution:
-    steps: list  # ResolutionStep per degree (degree 0 blocks = None)
-
-
-def _act(cat, tags, offsets, vec, s, t, k):
+def _act(family, tags, offsets, vec, s, t, k):
     """Image in P(t) of a vector of P(s) under the k-th basis element of
     hom(s, t): coordinate (u, a) goes to the (u, c) with c in
     compose_coeffs(tags[u], s, t)[(a, k)].  The components a of
     I_{tags[u]} & I_s are disjoint, so no two of them reach the same c."""
-    out = [cat.field.zero()] * offsets[t][-1]
+    out = [family.field.zero()] * offsets[t][-1]
     for u, tag in enumerate(tags):
         start, target = offsets[s][u], offsets[t][u]
         coeffs = None
@@ -192,7 +93,7 @@ def _act(cat, tags, offsets, vec, s, t, k):
             if not x:
                 continue
             if coeffs is None:
-                coeffs = cat.compose_coeffs(tag, s, t)
+                coeffs = family.compose_coeffs(tag, s, t)
             for c in coeffs[(a, k)]:
                 out[target + c] = x
     return out
@@ -209,7 +110,7 @@ def _offsets(dims_from):
     }
 
 
-def projective_cover_step(cat, tags, syzygy):
+def projective_cover_step(family, tags, syzygy):
     """Cover a submodule K of P = sum_u hom(tags[u], -) by its top.
 
     K is given by `syzygy`: per object t, a `kernel_basis` of K(t) in the
@@ -217,21 +118,21 @@ def projective_cover_step(cat, tags, syzygy):
     hom(tags[u], t); objects where K is zero may be absent.  The top at t
     is the basis vectors on pivots of [rad K(t) | K(t)], where rad K(t)
     spans the images of the K(s) under the irreducible maps s -> t
-    (`EndCategory.irreducible_maps`); the same elimination checks that K is
+    (`IntervalFamily.irreducible_maps`); the same elimination checks that K is
     invariant under them, hence a submodule.  Returns the step (the top's
     objects as tags, each top vector sliced per summand of P as its blocks
     row) and the kernel of the cover, the next syzygy, in the same form.
     """
-    field = cat.field
-    irreducible = cat.irreducible_maps()
-    offsets = _offsets([cat.hom_dims_from(tag) for tag in tags])
+    field = family.field
+    irreducible = family.irreducible_maps()
+    offsets = _offsets([family.hom_dims_from(tag) for tag in tags])
     rad = {}
     for s, vecs in syzygy.items():
         for t, k in irreducible[s]:
             if t not in offsets:
                 continue
             for vec in vecs:
-                img = _act(cat, tags, offsets, vec, s, t, k)
+                img = _act(family, tags, offsets, vec, s, t, k)
                 if any(img):
                     rad.setdefault(t, []).append(img)
     gens = []
@@ -250,7 +151,7 @@ def projective_cover_step(cat, tags, syzygy):
         [vec[start:end] for start, end in zip(offsets[t], offsets[t][1:])]
         for t, vec in gens
     ]
-    new_dims_from = [cat.hom_dims_from(t) for t in new_tags]
+    new_dims_from = [family.hom_dims_from(t) for t in new_tags]
     # the cover P' -> K is visited wherever P' or K is nonzero; where K is
     # zero (P itself may be), the kernel is all of P'
     new_dims = {t: offs[-1] for t, offs in _offsets(new_dims_from).items()}
@@ -264,7 +165,7 @@ def projective_cover_step(cat, tags, syzygy):
         cols = []
         for (tag, vec), dims in zip(gens, new_dims_from):
             for k in range(dims.get(t, 0)):
-                img = _act(cat, tags, offsets, vec, tag, t, k)
+                img = _act(family, tags, offsets, vec, tag, t, k)
                 cols.append([img[r] for r in free])
         cover = Mat.from_columns(field, cols, len(basis))
         kernel_basis = cover.kernel_basis()
@@ -285,8 +186,9 @@ def _require_minimal(prev_tags, step):
                 raise AssertionError("resolution is not minimal")
 
 
-def min_proj_resolution(cat, s, max_len=None):
-    """Minimal projective resolution of the simple module at object s.
+def min_proj_resolution(family, s, max_len=None):
+    """Minimal projective resolution of the simple module at object s of
+    `family`, as its list of `ResolutionStep`s, one per degree.
 
     steps[0] is hom(s, -); the first syzygy is its radical, the identity
     basis at every t != s.  steps[i].tags are the projective summands of
@@ -295,12 +197,12 @@ def min_proj_resolution(cat, s, max_len=None):
     Each step is checked to be minimal (`_require_minimal`).
     """
     if max_len is None:
-        max_len = 4 * len(cat.objects) + 4
-    cat.identity_index(s)
+        max_len = 4 * len(family.objects) + 4
+    dims = family.hom_dims_from(s)
+    if dims.get(s) != 1:
+        raise AssertionError("endomorphism space of a thin module must be k")
     syzygy = {
-        t: Mat.identity(cat.field, d).rows()
-        for t, d in cat.hom_dims_from(s).items()
-        if t != s
+        t: Mat.identity(family.field, d).rows() for t, d in dims.items() if t != s
     }
     step = ResolutionStep([s], None)
     steps = []
@@ -309,8 +211,8 @@ def min_proj_resolution(cat, s, max_len=None):
             raise MaxLengthExceeded(f"resolution exceeded {max_len} steps")
         steps.append(step)
         if not syzygy:
-            return ProjResolution(steps)
-        step, syzygy = projective_cover_step(cat, step.tags, syzygy)
+            return steps
+        step, syzygy = projective_cover_step(family, step.tags, syzygy)
         _require_minimal(steps[-1].tags, step)
 
 
@@ -324,8 +226,8 @@ class IntervalCochain:
     terms[i] lists the interval summands of X^i; terms[0] = [I].
     blocks[i][u_new][u_prev] is the block of the differential X^i -> X^{i+1}
     from V_J, J = terms[i][u_prev], to V_K, K = terms[i+1][u_new]: a list of
-    coefficients over good_components(J, K), which is the `EndCategory.hom`
-    order that `ResolutionStep.blocks` uses.  The block is the morphism equal
+    coefficients over good_components(J, K), which is the `hom_table`
+    order of `repmod.IntervalFamily` that `ResolutionStep.blocks` uses.  The block is the morphism equal
     to the k-th coefficient on the k-th component and zero off them.  The
     coefficients are elements of `field`.
 
@@ -426,31 +328,32 @@ def _checked(quiver, cochain):
 
 
 def koszul_coresolution(quiver, interval, field=None, cat=None, max_len=None):
-    """Minimal coresolution of V_I in the family of `cat` (all intervals of
-    the quiver, over `field` or Q, when `cat` is None).
+    """Minimal coresolution of V_I in the interval family `cat` (see
+    `IntervalFamily.wrap`) over `field`: by default the family's field, or
+    Q when `cat` is not an `IntervalFamily`.
 
     Computed as the minimal projective resolution of the simple module at I
-    over the endomorphism category, pulled back through Yoneda: the terms
-    are the resolution's tags and the blocks its `ResolutionStep.blocks`.
-    Results are cached on the category object; a cached cochain longer
+    over the family's category, pulled back through Yoneda: the terms are
+    the resolution's tags and the blocks its `ResolutionStep.blocks`.
+    Results are held in the family's `coresolutions`; a held cochain longer
     than `max_len` raises as a fresh resolution would.
     """
-    if cat is None:
-        cat = EndCategory(quiver, None, field)
-    require_over(cat, quiver, field or cat.field, "the requested coresolution")
-    if interval not in cat.obj_index:
-        raise ValueError("interval is not an object of the chosen family")
-    s = cat.obj_index[interval]
-    if s not in cat._coresolutions:
-        res = min_proj_resolution(cat, s, max_len)
+    if field is None:
+        field = cat.field if isinstance(cat, IntervalFamily) else QQ
+    family = IntervalFamily.wrap(cat, quiver, field)
+    cochain = family.coresolutions.get(interval)
+    if cochain is None:
+        s = family.index.get(interval)
+        if s is None:
+            raise ValueError("interval is not an object of the chosen family")
+        steps = min_proj_resolution(family, s, max_len)
         cochain = IntervalCochain(
             interval,
-            [[cat.interval(t) for t in step.tags] for step in res.steps],
-            [step.blocks for step in res.steps[1:]],
-            cat.field,
+            [[family.objects[t] for t in step.tags] for step in steps],
+            [step.blocks for step in steps[1:]],
+            family.field,
         )
-        cat._coresolutions[s] = _checked(cat.quiver, cochain)
-    cochain = cat._coresolutions[s]
+        family.coresolutions[interval] = _checked(family.quiver, cochain)
     if max_len is not None and cochain.length > max_len:
         raise MaxLengthExceeded(f"resolution exceeded {max_len} steps")
     return cochain
@@ -463,27 +366,26 @@ def validate_koszul_coresolution(cochain, interval, cat=None):
     sequence whose end cokernel is one-dimensional for K = I and zero
     otherwise (this is exactness of the dual projective resolution of the
     simple at I, checked one graded piece at a time).  `cat` names the
-    family (all intervals when None) and must be over the cochain's quiver
-    and field; otherwise ValueError names both.
+    family (see `IntervalFamily.wrap`) and must be over the cochain's
+    quiver and field; otherwise ValueError names both.  The blocks are
+    checked and laid out afresh, and each Hom(V_J, V_K) is split once.
     """
     if cochain.terms[0] != [interval]:
         return False
-    if cat is None:
-        cat = EndCategory(interval.quiver, None, cochain.field)
-    require_over(cat, interval.quiver, cochain.field, "the cochain")
-    quiver = cat.quiver
-    if _cochain_defect(quiver, cochain)[0]:
+    family = IntervalFamily.wrap(cat, interval.quiver, cochain.field)
+    quiver, terms = family.quiver, cochain.terms
+    defect, layout = _cochain_defect(quiver, cochain)
+    if defect:
         return False
-    for k_int in cat.objects:
+    field, summands = cochain.field, set().union(*terms)
+    for k_int in family.objects:
+        comps = {j: good_components(quiver, j, k_int) for j in summands}
         # the chain Hom(X^i, V_K) -> Hom(X^{i-1}, V_K)
         chain = VecChain(
+            [sum(len(comps[j]) for j in tags) for tags in terms],
             [
-                sum(len(good_components(quiver, j, k_int)) for j in tags)
-                for tags in cochain.terms
-            ],
-            [
-                _precompose_matrix_interval(quiver, cochain, i, k_int)
-                for i in range(1, len(cochain.terms))
+                _precompose_matrix_interval(field, terms, layout[i - 1], i, comps)
+                for i in range(1, len(terms))
             ],
         )
         mats = chain.mats
@@ -496,39 +398,28 @@ def validate_koszul_coresolution(cochain, interval, cat=None):
     return True
 
 
-def _precompose_matrix_interval(quiver, cochain, i, k_int):
+def _precompose_matrix_interval(field, terms, values, i, comps):
     """Matrix of Hom(X^i, V_K) -> Hom(X^{i-1}, V_K), g -> g o d^{i-1}.
 
-    Bases: per summand, good components into K.  g o block is natural, hence
-    constant on each good component of the source summand: its coefficient
-    there is its value at any one vertex of it.
+    Bases: per summand J, the good components of J into K, `comps[J]`.
+    `values` is the layout of the blocks of d^{i-1} (`_block_layout`).
+    g o block is natural, hence constant on each good component of the
+    source summand: its coefficient there is its value at any one vertex
+    of it.
     """
-    zero = cochain.field.zero()
-    cur_tags = cochain.terms[i]
-    blocks = cochain.blocks[i - 1]
-    cols = [
-        (u, comp)
-        for u, j in enumerate(cur_tags)
-        for comp in good_components(quiver, j, k_int)
-    ]
+    zero = field.zero()
+    cols = [(u, comp) for u, j in enumerate(terms[i]) for comp in comps[j]]
     nrows = 0
     data = []
-    for u_prev, j in enumerate(cochain.terms[i - 1]):
-        comps = good_components(quiver, j, k_int)
-        if not comps:
-            continue
-        values = [
-            _block_values(quiver, j, k, blocks[u][u_prev])
-            for u, k in enumerate(cur_tags)
-        ]
-        for comp_prev in comps:
+    for u_prev, j in enumerate(terms[i - 1]):
+        for comp_prev in comps[j]:
             v0 = next(iter(comp_prev))
             data.extend(
-                values[u].get(v0, zero) if v0 in comp else zero
+                values[u][u_prev].get(v0, zero) if v0 in comp else zero
                 for u, comp in cols
             )
-        nrows += len(comps)
-    return Mat(cochain.field, nrows, len(cols), data)
+        nrows += len(comps[j])
+    return Mat(field, nrows, len(cols), data)
 
 
 # ---- Koszul complexes of a module ------------------------------------------------
@@ -548,28 +439,29 @@ class VecChain:
         return [n - ranks[i] - ranks[i + 1] for i, n in enumerate(self.dims)]
 
 
-def koszul_complex(module, interval, cat=None, max_len=None, cochain=None,
-                   homs=None):
+def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
     """Hom(K(V_I), M): spaces Hom(X^i, M), maps = precomposition with d.
 
-    The coresolution is `cochain` if given, else the one of I in the family
-    of `cat` (all intervals of the module's quiver when `cat` is None).
-    `homs` is a dict {J: (basis of Hom(V_J, M), its `_hom_chart` or None
-    when the basis is empty)} for this module, given the summands V_J it
-    lacks; callers that build several complexes of one module pass the
-    same dict, so each space is solved and charted once."""
+    The coresolution is `cochain` if given, else the one of I in the
+    interval family `cat` (see `IntervalFamily.wrap`), which must be over
+    the module's quiver and field."""
     quiver = module.quiver
-    if cat is None:
-        cat = EndCategory(quiver, None, module.field)
-    require_over(cat, quiver, module.field, "the module")
+    family = IntervalFamily.wrap(cat, quiver, module.field)
     if cochain is None:
-        cochain = koszul_coresolution(quiver, interval, cat=cat, max_len=max_len)
+        cochain = koszul_coresolution(quiver, interval, cat=family, max_len=max_len)
     if cochain.field != module.field:
         raise ValueError(
             f"the cochain is over {cochain.field!r} but the module is over "
             f"{module.field!r}"
         )
-    homs = {} if homs is None else homs
+    return _complex(module, cochain, {})
+
+
+def _complex(module, cochain, homs):
+    """Hom(cochain, M).  `homs` is a dict {J: (basis of Hom(V_J, M), its
+    `_hom_chart` or None when the basis is empty)} for this module, given
+    the summands V_J it lacks; complexes of one module that share the dict
+    solve and chart each space once."""
     for j in set().union(*cochain.terms) - homs.keys():
         basis = hom_basis_from_interval(j, module)
         homs[j] = basis, _hom_chart(module.field, basis) if basis else None
@@ -646,17 +538,18 @@ def betti_via_koszul(module, interval, cat=None, max_len=None):
 
 
 def betti_table_via_koszul(module, cat=None, max_len=None):
-    """Full Betti table of M, one Koszul complex per family interval.
+    """Full Betti table of M, one Koszul complex per member of the interval
+    family `cat` (see `IntervalFamily.wrap`).
 
     The complexes share one dict of hom spaces, so Hom(V_J, M) is solved
     at most once per member J of the family."""
-    if cat is None:
-        cat = EndCategory(module.quiver, None, module.field)
+    quiver = module.quiver
+    family = IntervalFamily.wrap(cat, quiver, module.field)
     table = BettiTable()
     homs = {}
-    for interval in cat.objects:
-        chain = koszul_complex(module, interval, cat, max_len, homs=homs)
-        for i, h in enumerate(chain.homology_dims()):
+    for interval in family.objects:
+        cochain = koszul_coresolution(quiver, interval, cat=family, max_len=max_len)
+        for i, h in enumerate(_complex(module, cochain, homs).homology_dims()):
             if h:
                 table.add(i, interval, h)
     return table

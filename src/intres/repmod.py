@@ -15,8 +15,9 @@ An `IntervalFamily` is the combinatorial workspace of a family of
 intervals over one field: its members, their vertex bitmasks, its hom
 table (the good components of every pair, as bitmasks), its table of
 irreducible maps and its containment structure.  Both routes and `tda`
-read it; the family of all intervals of a quiver is held by the quiver,
-once per field.
+read it, and it is the category the Koszul route resolves in, holding
+that route's composition constants and coresolutions; the family of all
+intervals of a quiver is held by the quiver, once per field.
 """
 
 from __future__ import annotations
@@ -753,19 +754,28 @@ def _transpose(table):
 
 class IntervalFamily:
     """A family of intervals of one quiver over one field, the workspace
-    that both Betti routes and `tda` read: the members in order, no member
-    twice, their vertex bitmasks (bit i for the i-th vertex of the quiver),
-    each member's position (`index`), and, each built on first use, the
-    family's hom table (the good components of every nonzero hom space),
-    its table of irreducible maps, read off the hom table, and its
+    that both Betti routes and `tda` read: the members in order (`objects`),
+    no member twice, their vertex bitmasks (bit i for the i-th vertex of
+    the quiver), each member's position (`index`), and, each built on first
+    use, the family's hom table (the good components of every nonzero hom
+    space), its table of irreducible maps, read off the hom table, and its
     containment structure (the up-set and the cover-set plan of every
     member).  Members, bitmasks, tables and structure are tuples, so no
     caller can change what the next one reads.
 
+    The family is also the endomorphism category that the Koszul route
+    resolves in: one object per member, with hom(s, t) =
+    Hom(V_{I_s}, V_{I_t}) spanned by the indicators of its good components.
+    What that route alone reads is held here as it is built, for callers
+    to read only: the composition constants per triple of members
+    (`compose_coeffs`), the hom dimensions per member (`hom_dims_from`), and
+    `coresolutions`, {member: its coresolution}, which
+    `koszul.koszul_coresolution` fills.
+
     The family of all intervals of a quiver comes from `of`, which the
     quiver holds per field, so every call over one quiver shares one
-    enumeration and one table.  A family built from a plain list is held
-    by whoever built it.
+    enumeration, one table and one coresolution per member.  A family built
+    from a plain list is held by whoever built it.
 
     `opposite` is the same family over the opposite quiver, the family
     that a coresolution resolves DM by: the same vertex sets in the same
@@ -777,23 +787,28 @@ class IntervalFamily:
     """
 
     __slots__ = (
-        "quiver", "field", "members", "masks", "index", "_hom", "_table",
-        "_containment", "_op",
+        "quiver", "field", "objects", "masks", "index", "coresolutions",
+        "_hom", "_rows", "_dims_from", "_compose", "_table", "_containment",
+        "_op",
     )
 
     def __init__(self, quiver, intervals, field):
         self.quiver = quiver
         self.field = field
-        self.members = tuple(intervals)
-        self.index = MappingProxyType({iv: s for s, iv in enumerate(self.members)})
-        if len(self.index) != len(self.members):
+        self.objects = tuple(intervals)
+        self.index = MappingProxyType({iv: s for s, iv in enumerate(self.objects)})
+        if len(self.index) != len(self.objects):
             repeated = next(
-                iv for s, iv in enumerate(self.members) if self.index[iv] != s
+                iv for s, iv in enumerate(self.objects) if self.index[iv] != s
             )
             raise ValueError(f"the interval family lists {repeated!r} more than once")
         bit = {v: 1 << i for i, v in enumerate(quiver.vertices)}
-        self.masks = tuple(sum(bit[v] for v in iv.vertex_set) for iv in self.members)
+        self.masks = tuple(sum(bit[v] for v in iv.vertex_set) for iv in self.objects)
+        self.coresolutions = {}
         self._hom = None
+        self._rows = None
+        self._dims_from = {}
+        self._compose = {}
         self._table = None
         self._containment = None
         self._op = None
@@ -824,8 +839,7 @@ class IntervalFamily:
         for mine, theirs in ((family.quiver, quiver), (family.field, field)):
             if mine is not theirs and mine != theirs:
                 raise ValueError(
-                    f"the interval family is over {mine!r} but the module is "
-                    f"over {theirs!r}"
+                    f"the interval family is over {mine!r}, not over {theirs!r}"
                 )
         return family
 
@@ -836,7 +850,7 @@ class IntervalFamily:
         if self._op is None:
             op = IntervalFamily(
                 self.quiver.opposite(),
-                (iv.opposite() for iv in self.members),
+                (iv.opposite() for iv in self.objects),
                 self.field,
             )
             op._op = self
@@ -859,9 +873,44 @@ class IntervalFamily:
                 self._hom = _hom_table(self.quiver, self.masks)
         return self._hom
 
+    def _hom_rows(self):
+        """Row s of `hom_table` as a dict {t: components}, per member s."""
+        if self._rows is None:
+            self._rows = tuple(dict(row) for row in self.hom_table())
+        return self._rows
+
+    def hom_dims_from(self, s):
+        """{t: dim hom(s, t)} over the members t with hom(s, t) != 0, s
+        included, t increasing."""
+        dims = self._dims_from.get(s)
+        if dims is None:
+            dims = {t: len(comps) for t, comps in self.hom_table()[s]}
+            self._dims_from[s] = dims
+        return dims
+
+    def compose_coeffs(self, s, t, u):
+        """Composition constants: (a, b) -> the indices c with x_b o x_a =
+        sum of the x_c, where x_a is the a-th basis map of hom(s, t), x_b the
+        b-th of hom(t, u) and x_c the c-th of hom(s, u), in `hom_table`
+        order.  The composite of two component indicators is the sum of the
+        good components of I_s & I_u contained in both, so every constant
+        is 0 or 1, whatever the field.  Built once per triple."""
+        key = (s, t, u)
+        coeffs = self._compose.get(key)
+        if coeffs is None:
+            rows = self._hom_rows()
+            target = rows[s].get(u, ())
+            coeffs = {
+                (a, b): [c for c, comp in enumerate(target) if not comp & ~(c1 & c2)]
+                for a, c1 in enumerate(rows[s].get(t, ()))
+                for b, c2 in enumerate(rows[t].get(u, ()))
+            }
+            self._compose[key] = coeffs
+        return coeffs
+
     def irreducible_maps(self):
         """The irreducible maps of the family, as out-adjacency: entry s
-        lists the pairs (t, k), s != t indexing `members` and t increasing.
+        lists the pairs (t, k), s != t indexing `objects` and t increasing.
 
         The listed k index basis maps of hom(s, t) =
         Hom(V_{I_s}, V_{I_t}), in `good_components` order, spanning a

@@ -18,6 +18,11 @@ Three ingredients tie together here:
    vertex bitmasks and read by every replacement.  The covers of J are the
    minimal members strictly containing J, and the join of a set of members
    is the minimal member containing the union of their vertices.
+
+Every entry point takes its interval family as `cat=`, a
+`repmod.IntervalFamily` or a plain list (`IntervalFamily.wrap`); without
+one it reads the family that the quiver holds, whose coresolutions the
+Koszul route computes once and every later call reads.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from dataclasses import dataclass
 
 from intres.approx import minimal_right_approximation
 from intres.exactla import Mat
-from intres.koszul import EndCategory, koszul_coresolution, require_over
+from intres.koszul import koszul_coresolution
 from intres.poset import ladder_length
-from intres.repmod import hom_dim_from_interval
+from intres.repmod import IntervalFamily, hom_dim_from_interval
 
 
 class RouteMismatchError(RuntimeError):
@@ -139,14 +144,11 @@ def is_interval_decomposable(module, cat=None):
     is such an approximation, so f is an isomorphism by minimality; hence M
     is decomposable exactly when f is bijective at every vertex, and the
     certificate lists the summands of X with multiplicity.  The family is
-    that of `cat`, whose table of irreducible maps spans the radical, and
-    the family of all intervals that the quiver holds when `cat` is None; a
-    `cat` over another quiver or field raises ValueError.
+    `cat` (see `IntervalFamily.wrap`), whose table of irreducible maps
+    spans the radical; a `cat` over another quiver or field raises
+    ValueError.
     """
-    family = None
-    if cat is not None:
-        require_over(cat, module.quiver, module.field, "the module")
-        family = cat.family
+    family = IntervalFamily.wrap(cat, module.quiver, module.field)
     if module.total_dim() == 0:
         return DecompositionResult(True, {})
     approx = minimal_right_approximation(module, family)
@@ -169,10 +171,11 @@ class ReplacementVector:
         )
 
 
-def _euler_characteristic(module, interval, cat, dims):
+def _euler_characteristic(module, interval, family, dims):
     """Sum of (-1)^i dim Hom(V_J, M) over the summands V_J of the i-th term
-    of the coresolution of V_I; `dims` {J: dim} is filled as J are met."""
-    terms = koszul_coresolution(module.quiver, interval, cat=cat).terms
+    of the coresolution of V_I in `family`; `dims` {J: dim} is filled as J
+    are met."""
+    terms = koszul_coresolution(module.quiver, interval, cat=family).terms
     for j in set().union(*terms) - dims.keys():
         dims[j] = hom_dim_from_interval(j, module)
     return sum((-1) ** i * dims[j] for i, tags in enumerate(terms) for j in tags)
@@ -181,11 +184,11 @@ def _euler_characteristic(module, interval, cat, dims):
 def replacement_at(module, interval, cat=None):
     """delta(I), the Euler characteristic of the Koszul complex of M at I:
     sum of (-1)^i dim Hom(X^i, M), by Euler-Poincare that of its homology.
-    A `cat` over another quiver or field raises ValueError."""
-    if cat is None:
-        cat = EndCategory(module.quiver, None, module.field)
-    require_over(cat, module.quiver, module.field, "the module")
-    return _euler_characteristic(module, interval, cat, {})
+    The coresolution is that of I in the interval family `cat` (see
+    `IntervalFamily.wrap`); one over another quiver or field raises
+    ValueError."""
+    family = IntervalFamily.wrap(cat, module.quiver, module.field)
+    return _euler_characteristic(module, interval, family, {})
 
 
 def _cover_set_sums(family, values):
@@ -196,7 +199,7 @@ def _cover_set_sums(family, values):
     (-1)^|S| values[join S], or 0 when no member contains them all.  A J
     with an ambiguous join (several minimal candidates) is left out.
     """
-    members = family.members
+    members = family.objects
     return {
         j: values[j] + sum(sign * values[members[t]] for sign, t in plan)
         for j, plan in zip(members, family.cover_plans())
@@ -211,18 +214,16 @@ def interval_replacement(module, cat=None):
     the limit-to-colimit rank over I; the two must satisfy the inversion
     identity c(I) = sum of delta(J) over J containing I, and, where joins
     of cover sets exist unambiguously, the cover-set alternating identity.
-    Any violation raises RouteMismatchError, and a `cat` over another
-    quiver or field ValueError.  dim Hom(V_J, M) is read once per member J,
-    as a nullity (`hom_dim_from_interval`).
+    The family is `cat` (see `IntervalFamily.wrap`).  Any violation raises
+    RouteMismatchError, and a `cat` over another quiver or field
+    ValueError.  dim Hom(V_J, M) is read once per member J, as a nullity
+    (`hom_dim_from_interval`).
     """
     _require_ladder(module.quiver)
-    if cat is None:
-        cat = EndCategory(module.quiver, None, module.field)
-    require_over(cat, module.quiver, module.field, "the module")
-    family = cat.family
-    intervals = family.members
+    family = IntervalFamily.wrap(cat, module.quiver, module.field)
+    intervals = family.objects
     dims = {}
-    delta = {i: _euler_characteristic(module, i, cat, dims) for i in intervals}
+    delta = {i: _euler_characteristic(module, i, family, dims) for i in intervals}
     compressed = {i: compressed_multiplicity(module, i) for i in intervals}
     # inversion gate: summing delta over containing intervals reproduces c
     for i, up in zip(intervals, family.up_sets()):

@@ -1,4 +1,5 @@
-"""Endomorphism category, Koszul coresolutions/complexes, lattice variants."""
+"""The interval family as a category, Koszul coresolutions/complexes,
+lattice variants."""
 
 import hashlib
 import json
@@ -11,6 +12,7 @@ import pytest
 from intres import (
     QQ,
     Field,
+    IntervalFamily,
     LatticeModule,
     Mat,
     betti,
@@ -27,10 +29,13 @@ from intres import (
     good_components,
     hom_dim,
     interval_module,
+    interval_replacement,
+    is_interval_decomposable,
     koszul_complex,
     koszul_coresolution,
     lattice_module_from_persistence,
     min_proj_resolution,
+    replacement_at,
     semilattice_koszul_complex,
     validate_koszul_coresolution,
     zero_morphism,
@@ -86,28 +91,38 @@ def with_cancelling_pair(cochain, degree, interval):
     return IntervalCochain(cochain.interval, terms, blocks, field)
 
 
+def hom(family, s, t):
+    """The basis of hom(s, t) as vertex sets: the good components that row s
+    of the family's hom table lists for t, read off their bitmasks."""
+    vertices = family.quiver.vertices
+    return [
+        frozenset(v for i, v in enumerate(vertices) if comp >> i & 1)
+        for comp in dict(family.hom_table()[s]).get(t, ())
+    ]
+
+
 def check_associativity(cat):
     """Exhaustively verify associativity of the composition tensors; cost
     grows with the fourth power of the object count."""
     n = len(cat.objects)
     for s in range(n):
         for t in range(n):
-            if not cat.hom(s, t):
+            if not hom(cat, s, t):
                 continue
             for u in range(n):
-                if not cat.hom(t, u):
+                if not hom(cat, t, u):
                     continue
                 for w in range(n):
-                    if not cat.hom(u, w):
+                    if not hom(cat, u, w):
                         continue
                     _check_assoc_triple(cat, s, t, u, w)
     return True
 
 
 def _check_assoc_triple(cat, s, t, u, w):
-    st = len(cat.hom(s, t))
-    tu = len(cat.hom(t, u))
-    uw = len(cat.hom(u, w))
+    st = len(hom(cat, s, t))
+    tu = len(hom(cat, t, u))
+    uw = len(hom(cat, u, w))
     t_stu = cat.compose_coeffs(s, t, u)
     t_suw = cat.compose_coeffs(s, u, w)
     t_tuw = cat.compose_coeffs(t, u, w)
@@ -131,20 +146,20 @@ def _check_assoc_triple(cat, s, t, u, w):
                     )
 
 
-# ---- endomorphism category ---------------------------------------------------------
+# ---- the interval family as a category ------------------------------------------
 
 
 def test_end_category_shape():
+    """The hom table holds the good components of every hom space, and
+    `hom_dims_from` counts them."""
     cat = build_end_category(CL2)
     assert len(cat.objects) == 11
-    for s in range(len(cat.objects)):
-        for t in range(len(cat.objects)):
-            assert cat.hom_dim(s, t) == len(
-                good_components(CL2, cat.interval(s), cat.interval(t))
-            )
+    for s, i in enumerate(cat.objects):
+        for t, j in enumerate(cat.objects):
+            assert hom(cat, s, t) == good_components(CL2, i, j)
+            assert cat.hom_dims_from(s).get(t, 0) == len(hom(cat, s, t))
         # the endomorphism space of each interval is one-dimensional
-        assert cat.hom_dim(s, s) == 1
-        assert cat.identity_index(s) == 0
+        assert hom(cat, s, s) == [i.vertex_set]
 
 
 def test_end_category_associativity():
@@ -155,16 +170,17 @@ def test_identity_composition_laws():
     cat = build_end_category(CL2)
     for s in range(len(cat.objects)):
         for t in range(len(cat.objects)):
-            d = cat.hom_dim(s, t)
+            d = len(hom(cat, s, t))
             if d == 0:
                 continue
-            # composing with identities is the identity permutation
+            # composing with identities (basis map 0 of hom(t, t)) is the
+            # identity permutation
             left = cat.compose_coeffs(s, t, t)
             for a in range(d):
-                assert left[(a, cat.identity_index(t))] == [a]
+                assert left[(a, 0)] == [a]
             right = cat.compose_coeffs(s, s, t)
             for b in range(d):
-                assert right[(cat.identity_index(s), b)] == [b]
+                assert right[(0, b)] == [b]
 
 
 def test_basis_morphisms_match_components():
@@ -176,12 +192,12 @@ def test_basis_morphisms_match_components():
 
     def cm(s, t, k):
         return component_morphism(
-            CL2, cat.interval(s), cat.interval(t), cat.hom(s, t)[k], QQ
+            CL2, cat.objects[s], cat.objects[t], hom(cat, s, t)[k], QQ
         )
 
     for s in range(n):
         for t in range(n):
-            comps = cat.hom(s, t)
+            comps = hom(cat, s, t)
             for k, comp in enumerate(comps):
                 h = cm(s, t, k)
                 h.validate_naturality()
@@ -194,13 +210,13 @@ def test_basis_morphisms_match_components():
     for s in range(n):
         for t in range(n):
             for u in range(n):
-                if not cat.hom(s, t) or not cat.hom(t, u):
+                if not hom(cat, s, t) or not hom(cat, t, u):
                     continue
                 tensor = cat.compose_coeffs(s, t, u)
                 for (a, b), cs in tensor.items():
                     want = zero_morphism(
-                        interval_module(CL2, cat.interval(s), QQ),
-                        interval_module(CL2, cat.interval(u), QQ),
+                        interval_module(CL2, cat.objects[s], QQ),
+                        interval_module(CL2, cat.objects[u], QQ),
                     )
                     for c in cs:
                         want = want + cm(s, u, c)
@@ -218,7 +234,7 @@ def check_category_irreducible_maps(cat):
     together span hom(s, t), and their number is dim hom(s, t) -
     dim rad^2(s, t).  Returns the number of listed maps."""
     field, n = cat.field, len(cat.objects)
-    dims = {(s, t): cat.hom_dim(s, t) for s in range(n) for t in range(n)}
+    dims = {(s, t): len(hom(cat, s, t)) for s in range(n) for t in range(n)}
     listed = {}
     for s, maps in enumerate(cat.irreducible_maps()):
         for t, k in maps:
@@ -296,9 +312,9 @@ def test_a_category_refuses_a_repeated_member():
 def test_min_proj_resolution_starts_at_cover():
     cat = build_end_category(CL2)
     for s in range(0, len(cat.objects), 3):
-        res = min_proj_resolution(cat, s)
-        assert res.steps[0].tags == [s]
-        assert res.steps[0].blocks is None
+        steps = min_proj_resolution(cat, s)
+        assert steps[0].tags == [s]
+        assert steps[0].blocks is None
 
 
 def test_cover_step_rejects_a_non_submodule():
@@ -310,16 +326,16 @@ def test_cover_step_rejects_a_non_submodule():
     raised = 0
     for s in range(n):
         rad = {
-            t: Mat.identity(QQ, cat.hom_dim(s, t)).rows()
-            for t in range(n) if t != s and cat.hom_dim(s, t)
+            t: Mat.identity(QQ, len(hom(cat, s, t))).rows()
+            for t in range(n) if t != s and hom(cat, s, t)
         }
         for t in rad:
             syzygy = {r: vecs for r, vecs in rad.items() if r != t}
             invariant = not any(
                 cat.compose_coeffs(s, r, t)[(a, k)]
                 for r in syzygy
-                for a in range(cat.hom_dim(s, r))
-                for k in range(cat.hom_dim(r, t))
+                for a in range(len(hom(cat, s, r)))
+                for k in range(len(hom(cat, r, t)))
             )
             if invariant:
                 projective_cover_step(cat, [s], syzygy)
@@ -339,7 +355,7 @@ def test_a_missing_irreducible_map_is_caught_or_harmless(monkeypatch):
 
     def resolutions(cat):
         return [
-            [(step.tags, step.blocks) for step in min_proj_resolution(cat, s).steps]
+            [(step.tags, step.blocks) for step in min_proj_resolution(cat, s)]
             for s in range(len(cat.objects))
         ]
 
@@ -402,7 +418,7 @@ def test_cl3_coresolution_terms(cl3_m45):
 
 
 # sha256 of the terms (vertex sets) and blocks of every interval's cochain,
-# intervals in `EndCategory` order
+# intervals in family order
 COCHAIN_DIGESTS = {
     (3, "Q"): "50a65af1c457bfd6dd5980f5f2754a3448e856b9485b9707f6c0ceb9f50c7cd2",
     (3, "GF2"): "5b80dc45fea3d5d2598ae86e30ab69d8915065666143730284abaadf34c47d3e",
@@ -433,7 +449,7 @@ def test_cochain_digests(n, field):
 
 
 # sha256 of the dims and matrices of the Koszul complex of a fixture at every
-# interval, intervals in `EndCategory` order
+# interval, intervals in family order
 COMPLEX_DIGESTS = {
     ("cl3_m45.mod", "Q"):
         "dcadd6e578a79573aac66532859cb6f1d092578eb2adccd6c9b56b20dc8bb72c",
@@ -469,17 +485,41 @@ def test_complex_digests(name, field):
 
 
 def test_coresolution_cached():
-    """Coresolutions are cached on the category that is passed along, and
-    only there: calls without one share no state."""
-    q = CL2
+    """Coresolutions are held by the family they are computed in: calls
+    without `cat` share the family that the quiver holds, and a family of
+    one's own holds its own."""
+    q = commutative_ladder(2)
     iv = cl_interval(q, top=(1, 2), bot=(1, 2))
-    cat = build_end_category(q, None, QQ)
-    first = koszul_coresolution(q, iv, QQ, cat=cat)
-    assert koszul_coresolution(q, iv, QQ, cat=cat) is first
-    assert koszul_coresolution(q, iv, cat=cat) is first
-    fresh = koszul_coresolution(q, iv, QQ)
-    assert fresh is not koszul_coresolution(q, iv, QQ)
-    assert fresh is not first and fresh == first
+    held = koszul_coresolution(q, iv, QQ)
+    assert koszul_coresolution(q, iv) is held
+    assert koszul_coresolution(q, iv, cat=IntervalFamily.of(q, QQ)) is held
+    assert IntervalFamily.of(q, QQ).coresolutions == {iv: held}
+    own = IntervalFamily(q, enumerate_intervals(q), QQ)
+    first = koszul_coresolution(q, iv, QQ, cat=own)
+    assert koszul_coresolution(q, iv, cat=own) is first
+    assert own.coresolutions == {iv: first}
+    assert first is not held and first == held
+    # a plain list is wrapped for the one call
+    assert koszul_coresolution(q, iv, cat=enumerate_intervals(q)) == held
+
+
+def test_calls_without_a_family_resolve_each_member_once(family_builds, monkeypatch):
+    """Two Koszul tables of one module without `cat` read the family that
+    the quiver holds, so together they resolve each member once.  The
+    module is parsed afresh, so that no held coresolution comes from
+    another test."""
+    m = load_fixture("cl3_m45.mod")
+    resolved = Counter()
+    resolve = koszul.min_proj_resolution
+
+    def counted(family, s, max_len=None):
+        resolved[family.objects[s]] += 1
+        return resolve(family, s, max_len)
+
+    monkeypatch.setattr(koszul, "min_proj_resolution", counted)
+    first = betti_table_via_koszul(m)
+    assert betti_table_via_koszul(m) == first == betti(m)
+    assert resolved == Counter(IntervalFamily.of(m.quiver, QQ).objects)
 
 
 def test_max_len_holds_for_cached_coresolutions():
@@ -648,7 +688,7 @@ def test_warm_complexes_read_the_held_block_layouts(monkeypatch):
     assert calls["good_components"] == 0
     iv = cl_interval(q, top=(2, 3), bot=(3, 3))
     extra = cl_interval(q, top=(1, 1))
-    padded = with_cancelling_pair(warm[cat.obj_index[iv]], 1, extra)
+    padded = with_cancelling_pair(warm[cat.index[iv]], 1, extra)
     first = koszul_complex(m, iv, cat, cochain=padded)
     assert calls["good_components"] > 0
     calls.clear()
@@ -659,10 +699,11 @@ def test_warm_complexes_read_the_held_block_layouts(monkeypatch):
 
 def test_cold_tables_split_components_only_to_check_the_cochains(monkeypatch):
     """The cover steps read the family's hom table, so resolving every
-    object of a fresh category splits no good components, and a cold
-    table of `cl5_m.mod` over GF(2) splits them only for the check at
+    object of a fresh family splits no good components, and a cold table
+    of `cl5_m.mod` over GF(2) splits them only for the check at
     construction, once per block: 771 calls, where reading each hom space
-    afresh made 10,771."""
+    afresh made 10,771.  Both families are private, so that they hold no
+    coresolution from another test."""
     calls = Counter()
     split = repmod.good_components
 
@@ -674,16 +715,16 @@ def test_cold_tables_split_components_only_to_check_the_cochains(monkeypatch):
         monkeypatch.setattr(module, "good_components", counted)
     gf2 = Field.prime(2)
     q = commutative_ladder(3)
-    cat = build_end_category(q, enumerate_intervals(q), gf2)
+    cat = IntervalFamily(q, enumerate_intervals(q), gf2)
     for s in range(len(cat.objects)):
         min_proj_resolution(cat, s)
     assert calls["good_components"] == 0
     m = load_fixture("cl5_m.mod", gf2)
-    cat = build_end_category(m.quiver, enumerate_intervals(m.quiver), gf2)
+    cat = IntervalFamily(m.quiver, enumerate_intervals(m.quiver), gf2)
     table = betti_table_via_koszul(m, cat=cat)
     blocks = sum(
         len(rows) * len(rows[0])
-        for cochain in cat._coresolutions.values()
+        for cochain in cat.coresolutions.values()
         for rows in cochain.blocks
     )
     assert calls["good_components"] == blocks == 771
@@ -694,12 +735,15 @@ def test_cold_tables_split_components_only_to_check_the_cochains(monkeypatch):
 def test_coresolutions_do_not_depend_on_the_field(n):
     """Over GF(2), GF(3) and GF(5) the coresolution of every interval of
     ladder n has the terms of the one over Q, and its coefficients are the
-    Q coefficients read mod p."""
+    Q coefficients read mod p.  Without intervals, `build_end_category` is
+    the family that the quiver holds for the field."""
     q = commutative_ladder(n)
-    rational = build_end_category(q, None, QQ)
+    rational = build_end_category(q)
+    assert rational is IntervalFamily.of(q, QQ)
     for p in (2, 3, 5):
         k = Field.prime(p)
         cat = build_end_category(q, None, k)
+        assert cat is IntervalFamily.of(q, k)
         assert cat.objects == rational.objects
         for iv in cat.objects:
             want = koszul_coresolution(q, iv, QQ, cat=rational)
@@ -733,43 +777,43 @@ def test_homology_ranks_each_differential_once(monkeypatch, cl5_m):
     assert ranks == [m.shape for m in chain.mats]
 
 
-def test_category_and_module_fields_must_agree():
-    """A category over another field or quiver than the module, or than the
-    coresolution asked for, is refused with both named."""
-    gf2 = Field.prime(2)
-    m = load_fixture("cl3_m45.mod", gf2)
-    q = m.quiver
-    cat = build_end_category(q, None, QQ)
-    with pytest.raises(ValueError, match=r"over Q\b.*over GF\(2\)"):
-        betti_table_via_koszul(m, cat=cat)
-    with pytest.raises(ValueError, match=r"over Q\b.*over GF\(2\)"):
-        koszul_complex(m, cat.interval(0), cat)
-    with pytest.raises(ValueError, match=r"over Q\b.*over GF\(7\)"):
-        koszul_coresolution(q, cat.interval(0), Field.prime(7), cat=cat)
-    cl2_cat = build_end_category(CL2, None, QQ)
-    quivers = (r"over BoundQuiver\(4 vertices, 4 arrows\).*"
-               r"over BoundQuiver\(6 vertices, 7 arrows\)")
-    with pytest.raises(ValueError, match=quivers):
-        betti_table_via_koszul(load_fixture("cl3_m45.mod"), cat=cl2_cat)
-    with pytest.raises(ValueError, match=quivers):
-        koszul_coresolution(q, cat.interval(0), QQ, cat=cl2_cat)
+# Every entry point that takes an interval family as `cat=`, called on the
+# module `m` over Q, an interval `i` and the coresolution `c` of i over Q.
+ENTRY_POINTS = {
+    "koszul_coresolution": lambda m, i, c, cat: koszul_coresolution(
+        m.quiver, i, QQ, cat=cat
+    ),
+    "validate_koszul_coresolution": lambda m, i, c, cat: (
+        validate_koszul_coresolution(c, i, cat=cat)
+    ),
+    "koszul_complex": lambda m, i, c, cat: koszul_complex(m, i, cat),
+    "betti_table_via_koszul": lambda m, i, c, cat: betti_table_via_koszul(m, cat=cat),
+    "replacement_at": lambda m, i, c, cat: replacement_at(m, i, cat=cat),
+    "interval_replacement": lambda m, i, c, cat: interval_replacement(m, cat=cat),
+    "is_interval_decomposable": lambda m, i, c, cat: is_interval_decomposable(
+        m, cat=cat
+    ),
+}
 
 
-def test_validation_refuses_a_category_over_another_quiver():
-    """Validating a ladder-3 cochain against a ladder-2 category raises a
-    ValueError naming both quivers, not a KeyError from a vertex lookup."""
-    iv = cl_interval(CL3, top=(1, 3), bot=(3, 3))
-    cochain = koszul_coresolution(CL3, iv, QQ)
-    cl2_cat = build_end_category(CL2, None, QQ)
-    quivers = (r"over BoundQuiver\(4 vertices, 4 arrows\).*"
-               r"over BoundQuiver\(6 vertices, 7 arrows\)")
-    with pytest.raises(ValueError, match=quivers):
-        validate_koszul_coresolution(cochain, iv, cat=cl2_cat)
-    cat = build_end_category(CL3, None, QQ)
-    gf2_cochain = koszul_coresolution(CL3, iv, Field.prime(2))
-    with pytest.raises(ValueError, match=r"over Q\b.*over GF\(2\)"):
-        validate_koszul_coresolution(gf2_cochain, iv, cat=cat)
-    assert validate_koszul_coresolution(cochain, iv, cat=cat)
+@pytest.mark.parametrize("over", ("quiver", "field"))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_a_family_over_another_quiver_or_field_is_refused(entry, over):
+    """A family over another quiver or field than the module, the cochain
+    or the coresolution asked for is refused with both named, not answered
+    for another family nor met with a KeyError from a vertex lookup."""
+    m = load_fixture("cl3_m45.mod")
+    i = cl_interval(m.quiver, top=(1, 3), bot=(3, 3))
+    c = koszul_coresolution(m.quiver, i, QQ)
+    if over == "quiver":
+        cat = IntervalFamily.of(CL2, QQ)
+        match = (r"over BoundQuiver\(4 vertices, 4 arrows\).*"
+                 r"over BoundQuiver\(6 vertices, 7 arrows\)")
+    else:
+        cat = IntervalFamily.of(m.quiver, Field.prime(2))
+        match = r"over GF\(2\).*over Q\b"
+    with pytest.raises(ValueError, match=match):
+        ENTRY_POINTS[entry](m, i, c, cat)
 
 
 def test_non_natural_block_is_rejected(monkeypatch):

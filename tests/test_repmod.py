@@ -293,10 +293,10 @@ def test_opposite_family_is_a_fresh_family_over_the_opposite_quiver(name, field)
         family.irreducible_maps()
         opposite = family.opposite()
         assert opposite.quiver is op and opposite.opposite() is family
-        assert opposite.members == tuple(fresh)
+        assert opposite.objects == tuple(fresh)
         assert all(
             a.vertices is b.vertices and a.vertex_set is b.vertex_set
-            for a, b in zip(opposite.members, members)
+            for a, b in zip(opposite.objects, members)
         )
         fresh = IntervalFamily(op, fresh, k)
         assert opposite.irreducible_maps() == fresh.irreducible_maps()
@@ -411,9 +411,9 @@ def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
     with pytest.raises(AttributeError):
         table[s].remove(table[s][0])
     with pytest.raises(TypeError):
-        family.members[0] = family.members[1]
+        family.objects[0] = family.objects[1]
     with pytest.raises(TypeError):
-        family.index[family.members[0]] = 1
+        family.index[family.objects[0]] = 1
     up_sets, plans = family.up_sets(), family.cover_plans()
     assert family.up_sets() is up_sets and family.cover_plans() is plans
     assert isinstance(up_sets, tuple) and isinstance(plans, tuple)
@@ -439,7 +439,7 @@ def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
     assert [[(t, list(comps)) for t, comps in row]
             for row in IntervalFamily.of(q, QQ).hom_table()] == want_hom
     assert IntervalFamily.of(q, QQ).irreducible_maps() == tuple(map(tuple, want_table))
-    assert list(IntervalFamily.of(q, QQ).members) == want
+    assert list(IntervalFamily.of(q, QQ).objects) == want
     # a plain list given as the family is wrapped for the call, not held
     members = enumerate_intervals(q)
     table = betti(cl3_m45, family=members)

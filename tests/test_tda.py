@@ -8,7 +8,6 @@ import pytest
 
 from intres import (
     QQ,
-    EndCategory,
     Field,
     IntervalFamily,
     PersModule,
@@ -125,40 +124,24 @@ def test_decomposability_result_truthiness():
 
 
 def test_decomposability_reads_a_warm_category_table(family_builds):
-    """With `cat`, the radical is spanned along the category's table, so a
-    warm category builds none; without one, the call reads the family its
-    quiver holds, the category's own here, and builds none either.  The
+    """With `cat`, the radical is spanned along the family's table, so a
+    warm family builds none; without one, the call reads the family its
+    quiver holds, the same family here, and builds none either.  The
     module is parsed afresh, so that no held table comes from another
     test."""
     m = load_fixture("cl3_m45.mod")
     q = m.quiver
-    cat = EndCategory(q, None, QQ)
+    cat = IntervalFamily.of(q, QQ)
     cat.irreducible_maps()
     assert family_builds == [("enumerate", q), ("hom", q), ("table", q)]
     family_builds.clear()
     assert not is_interval_decomposable(m, cat=cat)
     assert not is_interval_decomposable(m)
     assert family_builds == []
-    # a category over a family of its own lends the call its own table
-    small = EndCategory(q, [i for i in cat.objects if len(i) <= 2], QQ)
+    # a family of its own lends the call its own table
+    small = IntervalFamily(q, [i for i in cat.objects if len(i) <= 2], QQ)
     assert not is_interval_decomposable(m, cat=small)
     assert family_builds == [("hom", q), ("table", q)]
-
-
-def test_decomposability_refuses_a_category_over_another_quiver_or_field():
-    """The family comes from `cat`, so `cat` must be over the module's quiver
-    and field; a mismatch names both instead of answering for another
-    family."""
-    ivs = [Interval(CL3, ["b1"]), Interval(CL3, ["t3"])]
-    m = direct_sum([interval_module(CL3, i, QQ) for i in ivs])
-    quivers = (r"over BoundQuiver\(4 vertices, 4 arrows\).*"
-               r"over BoundQuiver\(6 vertices, 7 arrows\)")
-    with pytest.raises(ValueError, match=quivers):
-        is_interval_decomposable(m, cat=EndCategory(CL2, None, QQ))
-    with pytest.raises(ValueError, match=r"over GF\(2\).*over Q\b"):
-        is_interval_decomposable(m, cat=EndCategory(CL3, None, Field.prime(2)))
-    res = is_interval_decomposable(m, cat=EndCategory(CL3, None, QQ))
-    assert res and Counter(res.certificate) == Counter(ivs)
 
 
 def test_beta0_equals_resolution_degree_zero():
@@ -260,12 +243,12 @@ def test_replacement_reads_one_containment_structure_per_family(family_builds):
     m = load_fixture("cl3_m45.mod")
     q = m.quiver
     first = interval_replacement(m)
-    assert interval_replacement(m, cat=EndCategory(q, None, QQ)) == first
+    assert interval_replacement(m, cat=IntervalFamily.of(q, QQ)) == first
     assert interval_replacement(m) == first
     family = IntervalFamily.of(q, QQ)
     sub = IntervalFamily(q, enumerate_intervals(q)[1:], QQ)
     assert sub.cover_plans() is sub.cover_plans()
-    assert len(sub.up_sets()) == len(sub.members)
+    assert len(sub.up_sets()) == len(sub.objects)
     assert [b for b in family_builds if b[0] == "containment"] == [
         ("containment", family.masks), ("containment", sub.masks)
     ]
@@ -276,22 +259,6 @@ def test_replacement_over_small_fields_matches_rationals(p):
     want = interval_replacement(load_fixture("cl3_m45.mod", QQ))
     got = interval_replacement(load_fixture("cl3_m45.mod", Field.prime(p)))
     assert got.delta == want.delta and got.compressed == want.compressed
-
-
-def test_replacement_refuses_a_category_over_another_quiver_or_field(cl3_m45):
-    """The family comes from `cat`, so `cat` must be over the module's quiver
-    and field; a mismatch names both instead of answering for another
-    family."""
-    i = cl_interval(cl3_m45.quiver, top=(1, 3), bot=(3, 3))
-    quivers = (r"over BoundQuiver\(4 vertices, 4 arrows\).*"
-               r"over BoundQuiver\(6 vertices, 7 arrows\)")
-    fields = r"over GF\(2\).*over Q\b"
-    for cat, match in ((EndCategory(CL2, None, QQ), quivers),
-                       (EndCategory(CL3, None, Field.prime(2)), fields)):
-        with pytest.raises(ValueError, match=match):
-            interval_replacement(cl3_m45, cat=cat)
-        with pytest.raises(ValueError, match=match):
-            replacement_at(cl3_m45, i, cat=cat)
 
 
 def test_replacement_requires_ladder():
@@ -375,7 +342,7 @@ def test_replacement_is_the_alternating_sum_of_koszul_homology(field):
     assert not is_interval_decomposable(hard)
     for m in (load_fixture("cl3_m45.mod", k), load_fixture("cl5_m.mod", k),
               hard):
-        cat = EndCategory(m.quiver, None, k)
+        cat = IntervalFamily.of(m.quiver, k)
         table = betti_table_via_koszul(m, cat=cat)
         rep = interval_replacement(m, cat=cat)
         for i in cat.objects:
@@ -392,8 +359,9 @@ def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
     """`betti_table_via_koszul` builds 100 complexes of cl5_m and
     `interval_replacement` reads 100 coresolutions; each solves Hom(V_J, M)
     at most once per member J (the replacement only its dimension, as a
-    nullity), and the replacement builds no complex.  A lone complex needs
-    no shared dict."""
+    nullity), and the replacement builds no complex.  A lone complex
+    solves each of its own spaces once, and agrees with the table, whose
+    complexes shared theirs."""
     solves = Counter()
 
     def counted(solve):
@@ -406,24 +374,20 @@ def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
                         counted(koszul.hom_basis_from_interval))
     monkeypatch.setattr(tda, "hom_dim_from_interval",
                         counted(tda.hom_dim_from_interval))
-    cat = EndCategory(cl5_m.quiver, None, cl5_m.field)
+    cat = IntervalFamily.of(cl5_m.quiver, cl5_m.field)
     table = betti_table_via_koszul(cl5_m, cat=cat)
     assert solves and max(solves.values()) == 1
     assert set(solves) <= set(cat.objects)
+    solves.clear()
+    i = cl_interval(cl5_m.quiver, top=(3, 5), bot=(4, 5))
+    lone = koszul_complex(cl5_m, i, cat)
+    cochain = koszul.koszul_coresolution(cl5_m.quiver, i, cat=cat)
+    assert solves == Counter({j for tags in cochain.terms for j in tags})
+    hom = lone.homology_dims()
+    assert [table[(d, i)] for d in range(len(hom))] == hom
     solves.clear()
     monkeypatch.setattr(koszul, "_precompose_matrix_module", None)
     monkeypatch.setattr(koszul.VecChain, "homology_dims", None)
     rep = interval_replacement(cl5_m, cat=cat)
     assert solves == Counter(cat.objects)
-    monkeypatch.undo()
-    # a lone complex solves its own spaces, and agrees with a shared dict
-    i = cl_interval(cl5_m.quiver, top=(3, 5), bot=(4, 5))
-    homs = {}
-    shared = koszul_complex(cl5_m, i, cat, homs=homs)
-    lone = koszul_complex(cl5_m, i, cat)
-    cochain = koszul.koszul_coresolution(cl5_m.quiver, i, cat=cat)
-    assert set(homs) == {j for tags in cochain.terms for j in tags}
-    assert lone.dims == shared.dims and lone.mats == shared.mats
-    hom = lone.homology_dims()
-    assert [table[(d, i)] for d in range(len(hom))] == hom
     assert sum((-1) ** d * h for d, h in enumerate(hom)) == rep.delta[i]
