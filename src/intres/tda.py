@@ -9,8 +9,8 @@ Three ingredients tie together here:
    from the limit to the colimit of M restricted to the interval I, read
    at one vertex of I as a pairing with the limit of DM|_I, which is
    taken from M's own maps along the arrows inside I.
- - replacement: the signed interval vector delta, the Euler characteristic
-   of the Koszul complex of M at each interval, must agree with the
+ - replacement: delta, the Euler characteristic of the Koszul complex of M
+   at each interval, is H^-1 h (`replacement_at`) and must agree with the
    compressed multiplicities under Mobius inversion over the containment
    order; disagreement is reported as an internal error, never silently.
    The containment order is the family's (`repmod.IntervalFamily`): each
@@ -21,8 +21,7 @@ Three ingredients tie together here:
 
 Every entry point takes its interval family as `cat=`, a
 `repmod.IntervalFamily` or a plain list (`IntervalFamily.wrap`); without
-one it reads the family that the quiver holds, whose coresolutions the
-Koszul route computes once and every later call reads.
+one it reads the family that the quiver holds, hom table and all.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 
 from intres.approx import minimal_right_approximation
 from intres.exactla import Mat
-from intres.koszul import koszul_coresolution
 from intres.poset import ladder_length
 from intres.repmod import IntervalFamily, hom_dim_from_interval
 
@@ -171,24 +169,45 @@ class ReplacementVector:
         )
 
 
-def _euler_characteristic(module, interval, family, dims):
-    """Sum of (-1)^i dim Hom(V_J, M) over the summands V_J of the i-th term
-    of the coresolution of V_I in `family`; `dims` {J: dim} is filled as J
-    are met."""
-    terms = koszul_coresolution(module.quiver, interval, cat=family).terms
-    for j in set().union(*terms) - dims.keys():
-        dims[j] = hom_dim_from_interval(j, module)
-    return sum((-1) ** i * dims[j] for i, tags in enumerate(terms) for j in tags)
+def _replacement(module, family, root, delta):
+    """delta(I) for I at `root`, filling `delta` {s: delta(I_s)} in post-order
+    along the nonzero hom spaces of `family` from I: H(I, I) = 1, so delta(I)
+    = h(I) - sum of H(I, L) delta(L) over L != I.  A cycle raises ValueError."""
+    members, table = family.objects, family.hom_table()
+    path, stack = {root}, [] if root in delta else [(root, iter(table[root]))]
+    while stack:
+        s, out = stack[-1]
+        t = next((t for t, _ in out if t != s and t not in delta), None)
+        if t is None:
+            stack.pop()
+            path.discard(s)
+            h = hom_dim_from_interval(members[s], module)
+            delta[s] = h - sum(len(c) * delta[t] for t, c in table[s] if t != s)
+        elif t in path:
+            cycle = f"a cycle of nonzero hom spaces through {members[t]!r}"
+            raise ValueError(f"{cycle}, reached from {members[root]!r}")
+        else:
+            path.add(t)
+            stack.append((t, iter(table[t])))
+    return delta[root]
 
 
 def replacement_at(module, interval, cat=None):
     """delta(I), the Euler characteristic of the Koszul complex of M at I:
-    sum of (-1)^i dim Hom(X^i, M), by Euler-Poincare that of its homology.
-    The coresolution is that of I in the interval family `cat` (see
-    `IntervalFamily.wrap`); one over another quiver or field raises
-    ValueError."""
+    entry I of H^-1 h, H(K, L) = dim Hom(V_K, V_L) and h(K) = dim Hom(V_K,
+    M).  The interval classes form a basis of the relative Grothendieck
+    group (Blanchette-Bruestle-Hanson, "Homological approximations in
+    persistence theory"; Asashiba-Gauthier-Liu), so the alternating
+    multiplicities of the coresolution of V_I are row I of H^-1.  Solved by
+    back-substitution over the hom table of the family `cat` (see
+    `IntervalFamily.wrap`) from the members reachable from I, building no
+    coresolution.  A `cat` over another quiver or field, an I outside it,
+    or a cycle of nonzero hom spaces reachable from I raises ValueError."""
     family = IntervalFamily.wrap(cat, module.quiver, module.field)
-    return _euler_characteristic(module, interval, family, {})
+    s = family.index.get(interval)
+    if s is None:
+        raise ValueError("interval is not an object of the chosen family")
+    return _replacement(module, family, s, {})
 
 
 def _cover_set_sums(family, values):
@@ -210,20 +229,21 @@ def _cover_set_sums(family, values):
 def interval_replacement(module, cat=None):
     """The signed interval-replacement vector of a ladder module.
 
-    delta is `replacement_at` per interval; the compressed table c(I) is
-    the limit-to-colimit rank over I; the two must satisfy the inversion
-    identity c(I) = sum of delta(J) over J containing I, and, where joins
-    of cover sets exist unambiguously, the cover-set alternating identity.
-    The family is `cat` (see `IntervalFamily.wrap`).  Any violation raises
-    RouteMismatchError, and a `cat` over another quiver or field
+    delta is `replacement_at` per interval, solved once over the family,
+    and c(I) is the limit-to-colimit rank over I; the two share nothing but
+    `exactla` and must satisfy the inversion identity c(I) = sum of
+    delta(J) over J containing I, and, where joins of cover sets exist
+    unambiguously, the cover-set alternating identity.  The family is `cat`
+    (see `IntervalFamily.wrap`).  Any violation raises RouteMismatchError;
+    a `cat` over another quiver or field, or a cycle of nonzero hom spaces,
     ValueError.  dim Hom(V_J, M) is read once per member J, as a nullity
     (`hom_dim_from_interval`).
     """
     _require_ladder(module.quiver)
     family = IntervalFamily.wrap(cat, module.quiver, module.field)
     intervals = family.objects
-    dims = {}
-    delta = {i: _euler_characteristic(module, i, family, dims) for i in intervals}
+    known = {}
+    delta = {i: _replacement(module, family, s, known) for s, i in enumerate(intervals)}
     compressed = {i: compressed_multiplicity(module, i) for i in intervals}
     # inversion gate: summing delta over containing intervals reproduces c
     for i, up in zip(intervals, family.up_sets()):

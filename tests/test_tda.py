@@ -33,10 +33,14 @@ from intres.tda import _cover_set_sums
 
 from conftest import (
     digest,
+    grid_hard_module,
+    grid_quiver,
     load_fixture,
     random_commuting_module,
     random_interval_sum,
     shuffle_basis,
+    tree_hard_module,
+    tree_poset_quiver,
     zigzag_poset_quiver,
 )
 
@@ -352,16 +356,98 @@ def test_replacement_is_the_alternating_sum_of_koszul_homology(field):
             assert replacement_at(m, i, cat=cat) == want, i
 
 
+def test_replacement_refuses_an_interval_outside_the_family(cl3_m45):
+    first, *rest = enumerate_intervals(cl3_m45.quiver)
+    with pytest.raises(ValueError, match="not an object of the chosen family"):
+        replacement_at(cl3_m45, first, cat=rest)
+
+
+def test_replacement_beyond_ladders_is_the_koszul_euler_characteristic():
+    """Off ladders, delta = H^-1 h agrees with the Koszul homology wherever
+    the hom spaces reachable from I have no cycle: at every interval of the
+    tree and of a zigzag draw.  On the 3x3 grid 43 of the 83 intervals reach
+    a cycle, and each is refused with a ValueError that names the interval."""
+    zigzag = random_commuting_module(zigzag_poset_quiver(), random.Random(61))
+    for m in (tree_hard_module(QQ), zigzag):
+        cat = IntervalFamily.of(m.quiver, QQ)
+        table = betti_table_via_koszul(m, cat=cat)
+        for i in cat.objects:
+            want = sum((-1) ** d * table[(d, i)]
+                       for d in range(table.max_degree() + 1))
+            assert replacement_at(m, i, cat=cat) == want, i
+    grid = grid_hard_module(QQ)
+    refused = []
+    for i in enumerate_intervals(grid.quiver):
+        try:
+            replacement_at(grid, i)
+        except ValueError as e:
+            assert "cycle" in str(e) and repr(i) in str(e), e
+            refused.append(i)
+    assert len(refused) == 43
+    assert Interval(grid.quiver, ["g02"]) in refused
+
+
+def alternating_multiplicities(family, s):
+    """{position of K: C(I, K)} for I the member at s: the sum over i of
+    (-1)^i times the multiplicity of V_K in term i of the coresolution of
+    V_I."""
+    iv = family.objects[s]
+    c = Counter()
+    for d, tags in enumerate(
+        koszul.koszul_coresolution(family.quiver, iv, cat=family).terms
+    ):
+        for j in tags:
+            c[family.index[j]] += (-1) ** d
+    return c
+
+
+@pytest.mark.parametrize("quiver", [
+    *(commutative_ladder(n) for n in (2, 3, 4, 5)),
+    grid_quiver(), zigzag_poset_quiver(), tree_poset_quiver(),
+], ids=["ladder2", "ladder3", "ladder4", "ladder5", "grid", "zigzag", "tree"])
+def test_coresolutions_invert_the_hom_dimension_matrix(quiver):
+    """C.H = 1 as integer matrices, H(K, L) = dim Hom(V_K, V_L) counted off
+    the hom table: the identity behind delta = H^-1 h, checked on the
+    coresolutions that `replacement_at` no longer builds.  The terms do not
+    depend on the field, so GF(2) is the cheapest."""
+    family = IntervalFamily(quiver, enumerate_intervals(quiver), Field.prime(2))
+    h = [{t: len(comps) for t, comps in row} for row in family.hom_table()]
+    for s, iv in enumerate(family.objects):
+        product = Counter()
+        for k, c in alternating_multiplicities(family, s).items():
+            for u, dim in h[k].items():
+                product[u] += c * dim
+        assert {u: x for u, x in product.items() if x} == {s: 1}, iv
+
+
+def test_decomposability_certificates_are_the_replacement():
+    """On both fixtures and every replacement-digest module: a decomposable
+    verdict lists exactly the nonzero delta as its summands, and a negative
+    delta(J) comes with a non-decomposable verdict.  Both cases occur."""
+    seen = set()
+    for case, field in sorted(REPLACEMENT_DIGESTS):
+        for m in replacement_modules(case, parse_field_token(field)):
+            delta = interval_replacement(m).delta
+            verdict = is_interval_decomposable(m)
+            if verdict:
+                assert verdict.certificate == {j: d for j, d in delta.items() if d}
+            if min(delta.values()) < 0:
+                assert not verdict
+            seen.add((bool(verdict), min(delta.values()) < 0))
+    assert seen == {(True, False), (False, True)}
+
+
 # ---- hom spaces solved once per call ----------------------------------------------
 
 
 def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
     """`betti_table_via_koszul` builds 100 complexes of cl5_m and
-    `interval_replacement` reads 100 coresolutions; each solves Hom(V_J, M)
-    at most once per member J (the replacement only its dimension, as a
-    nullity), and the replacement builds no complex.  A lone complex
-    solves each of its own spaces once, and agrees with the table, whose
-    complexes shared theirs."""
+    `interval_replacement` reads the family's hom table; each solves
+    Hom(V_J, M) at most once per member J (the replacement only its
+    dimension, as a nullity).  The replacement builds no complex and no
+    coresolution: on a fresh private family it leaves `coresolutions` empty.
+    A lone complex solves each of its own spaces once, and agrees with the
+    table, whose complexes shared theirs."""
     solves = Counter()
 
     def counted(solve):
@@ -388,6 +474,10 @@ def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
     solves.clear()
     monkeypatch.setattr(koszul, "_precompose_matrix_module", None)
     monkeypatch.setattr(koszul.VecChain, "homology_dims", None)
+    monkeypatch.setattr(koszul, "min_proj_resolution", None)
     rep = interval_replacement(cl5_m, cat=cat)
     assert solves == Counter(cat.objects)
     assert sum((-1) ** d * h for d, h in enumerate(hom)) == rep.delta[i]
+    fresh = IntervalFamily(cl5_m.quiver, cat.objects, cl5_m.field)
+    assert interval_replacement(cl5_m, cat=fresh) == rep
+    assert fresh.coresolutions == {}
