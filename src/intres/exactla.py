@@ -3,8 +3,11 @@
 Everything downstream (hom spaces, kernels, projective covers, homology)
 reduces to row reduction of small dense matrices, so this module keeps a
 single canonical kernel per field: full reduced row echelon form with
-leftmost-pivot selection, in pure Python.  Entries are exact scalars:
-`fractions.Fraction` over Q and plain ints in [0, p) for GF(p).
+leftmost-pivot selection, in pure Python.  Entries are exact scalars.
+Over Q an entry is an int when it is integral and a `fractions.Fraction`
+only when it is not; `Fraction(2) == 2` and the two hash and print alike,
+so values never depend on the stored form, but integral entries stay off
+the slow Fraction arithmetic.  Over GF(p) entries are ints in [0, p).
 """
 
 from __future__ import annotations
@@ -12,8 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _q_inverse(x):
+    """The inverse of a nonzero rational, as an int when it is integral."""
+    n, d = x.numerator, x.denominator
+    if n == 1 or n == -1:
+        return n * d
+    return Fraction(d, n)
+
+
 def _rref_frac(data, nrows, ncols):
-    """In-place RREF for rational entries. Returns (data, pivot columns)."""
+    """In-place RREF for rational entries. Returns (data, pivot columns).
+
+    Every entry written is in the stored form: an int when integral."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -30,9 +43,12 @@ def _rref_frac(data, nrows, ncols):
                 data[pr + j], data[pp + j] = data[pp + j], data[pr + j]
         piv = data[r * ncols + c]
         if piv != 1:
+            inv = _q_inverse(piv)
             for j in range(c, ncols):
-                if data[r * ncols + j]:
-                    data[r * ncols + j] = data[r * ncols + j] / piv
+                x = data[r * ncols + j]
+                if x:
+                    x = x * inv
+                    data[r * ncols + j] = x.numerator if x.denominator == 1 else x
         for i in range(nrows):
             if i == r:
                 continue
@@ -43,7 +59,8 @@ def _rref_frac(data, nrows, ncols):
                 for j in range(c, ncols):
                     x = data[base + j]
                     if x:
-                        data[row + j] = data[row + j] - factor * x
+                        y = data[row + j] - factor * x
+                        data[row + j] = y.numerator if y.denominator == 1 else y
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -117,22 +134,30 @@ class Field:
         return 0 if self.kind == "Q" else self.p
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return 1
 
     def coerce(self, x):
-        """Coerce an int, Fraction or 'a/b' string into this field; over Q
-        the result is a Fraction."""
+        """Coerce an int, Fraction or 'a/b' string into this field.  Over Q
+        the result is an int when the value is integral and a Fraction
+        otherwise; over GF(p) it is an int in [0, p).  A float is refused
+        with TypeError: it is not an exact scalar."""
+        if type(x) is int:
+            return x if self.kind == "Q" else x % self.p
+        if isinstance(x, float):
+            raise TypeError(f"{x!r} is a float; pass an int, Fraction or 'a/b' string")
         if self.kind == "Q":
             if isinstance(x, str):
                 x = x.strip()
-                if "/" in x:
-                    num, den = x.split("/")
-                    return Fraction(int(num), int(den))
-                return Fraction(int(x))
-            return Fraction(x)
+                if "/" not in x:
+                    return int(x)
+                num, den = x.split("/")
+                x = Fraction(int(num), int(den))
+            elif not isinstance(x, Fraction):
+                x = Fraction(x)
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, str):
             x = x.strip()
             if "/" in x:
@@ -144,11 +169,11 @@ class Field:
         return int(x) % self.p
 
     def invert(self, x):
+        x = self.coerce(x)
+        if not x:
+            raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         if self.kind == "Q":
-            return 1 / x
-        x = int(x) % self.p
-        if x == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
+            return _q_inverse(x)
         return pow(x, self.p - 2, self.p)
 
     def __eq__(self, other):

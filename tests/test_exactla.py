@@ -42,6 +42,34 @@ def test_field_coerce_rationals():
     assert QQ.invert(QQ.coerce("5/7")) == Fraction(7, 5)
 
 
+def test_q_invert_is_exact():
+    """The inverse over Q is exact for an int argument, never a float, and
+    is an int when it is integral."""
+    half = QQ.invert(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert QQ.invert(-1) == -1 and type(QQ.invert(-1)) is int
+    assert QQ.invert(Fraction(-1, 3)) == -3 and type(QQ.invert(Fraction(-1, 3))) is int
+    assert QQ.invert(Fraction(-2, 3)) == Fraction(-3, 2)
+    for zero in (0, Fraction(0), "0"):
+        with pytest.raises(ZeroDivisionError):
+            QQ.invert(zero)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5])
+def test_coerce_refuses_floats(field):
+    """A float is not an exact scalar: it is refused, not rounded or read
+    off its binary expansion."""
+    for x in (0.5, 0.1, 2.0, -1.0):
+        with pytest.raises(TypeError, match="float"):
+            field.coerce(x)
+    with pytest.raises(TypeError):
+        Mat.from_rows(field, [[1, 0.5]])
+    with pytest.raises(TypeError):
+        Mat.identity(field, 2).scale(0.5)
+    with pytest.raises(TypeError):
+        field.invert(0.5)
+
+
 def test_field_coerce_gf():
     assert GF5.coerce(7) == 2
     assert GF5.coerce(-1) == 4
@@ -224,3 +252,81 @@ def test_coordinates_read_at_free_columns(field):
             refused += 1
             assert span.coordinates(free, outside) is None
     assert refused
+
+
+# ---- the stored form over Q: an int when integral ------------------------------
+
+
+def fraction_rref(rows, ncols):
+    """Reference RREF with every entry a Fraction: leftmost pivots, pivot
+    rows scaled to 1, every other row cleared.  Returns (rows, pivots)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+def in_stored_form(x):
+    """An int, or a Fraction that is not integral; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def rand_q_rows(nrows, ncols, rng):
+    """Rows over Q with denominators up to 6; about half the draws are
+    of low rank (later rows are combinations of the first few)."""
+    def entry():
+        return Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 1, 2, 3, 6)))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.5:
+        k = rng.randrange(1, nrows)
+        for i in range(k, nrows):
+            coeffs = [entry() for _ in range(k)]
+            rows[i] = [sum((a * rows[t][j] for t, a in enumerate(coeffs)), Fraction(0))
+                       for j in range(ncols)]
+    return rows
+
+
+def test_q_elimination_matches_a_fraction_reference_in_stored_form():
+    """Over Q the RREF equals a Fraction-only reference entry for entry,
+    with the same pivots, and every entry of the RREF, of the kernel basis
+    and of coerce and invert is an int or a non-integral Fraction."""
+    rng = random.Random(7)
+    fractional = integral_pivots = 0
+    for _ in range(150):
+        n, m = rng.randrange(0, 7), rng.randrange(0, 7)
+        rows = rand_q_rows(n, m, rng)
+        a = Mat.from_rows(QQ, rows, ncols=m)
+        assert all(in_stored_form(x) for x in a.data)
+        red, pivots = a.rref()
+        want, want_pivots = fraction_rref(rows, m)
+        assert pivots == want_pivots
+        assert red.rows() == want
+        assert all(in_stored_form(x) for x in red.data)
+        fractional += any(type(x) is Fraction for x in red.data)
+        integral_pivots += all(type(x) is int for x in red.data) and bool(pivots)
+        basis = a.kernel_basis()
+        assert len(basis) == m - len(pivots)
+        assert all(in_stored_form(x) for v in basis for x in v)
+        for x in a.data:
+            assert in_stored_form(QQ.coerce(x))
+            if x:
+                inv = QQ.invert(x)
+                assert in_stored_form(inv) and inv * x == 1
+    assert fractional and integral_pivots
+    for x in (3, -4, "6/3", " -5/10 ", "7", Fraction(8, 4), Fraction(2, 6)):
+        assert in_stored_form(QQ.coerce(x))
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
