@@ -84,7 +84,7 @@ def build_parser():
     )
     add_common(sp)
 
-    sp = sub.add_parser("replace", help="interval-replacement vector (ladders)")
+    sp = sub.add_parser("replace", help="interval-replacement vector")
     add_common(sp)
     return p
 

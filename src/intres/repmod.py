@@ -10,6 +10,8 @@ resolution and Koszul machinery exploit heavily.  A space Hom(V_J, M) is
 solved from the sources of J alone (`hom_basis_from_interval`), which is
 how both routes compute it; the general `hom_basis` solves the full
 naturality system and is kept as the reference it is tested against.
+The families compatible along the arrows inside a convex vertex set are
+solved in one place (`source_system`), which `tda` reads for its limits.
 
 An `IntervalFamily` is the combinatorial workspace of a family of
 intervals over one field: its members, their vertex bitmasks, its hom
@@ -379,43 +381,66 @@ def hom_dim(m, n):
     return len(hom_basis(m, n))
 
 
-def _source_system(interval, module):
-    """The system whose kernel is Hom(V_J, M), in the values y at the
-    sources of J, with the maps G_v (see `hom_basis_from_interval`): the
-    pair (system, {v: G_v}), or None when M is zero at every source."""
-    q = module.quiver
-    field = module.field
-    inside = interval.vertex_set
-    dims = module.dims
-    order = [v for v in q.topological_order() if v in inside]
-    sources = [
-        v for v in order if not any(u in inside for _, u in q.arrows_into(v))
-    ]
+def source_system(field, dims, order, into):
+    """The families (x_v) over a convex vertex set with x_v = m x_u along
+    each arrow u -> v inside it, solved in the values y at its sources.
+
+    `order` lists the set in topological order, `into[v]` the (u, m) of
+    each arrow into v from inside the set, and the sources are the v with
+    none.  Walking the order, x_v = G_v y with G_v = m G_u along the first
+    arrow into v, and each further arrow gives rows (m G_u - G_v) y = 0.
+    Returns those blocks of rows and {v: G_v}, all with a column per
+    unknown, or None when the sources carry none.  The reversed order with
+    every matrix transposed solves the dual.
+    """
+    sources = [v for v in order if not into[v]]
     n = sum(dims[s] for s in sources)
     if n == 0:
         return None
-    values = {}
-    pos = 0
+    eye, pos, values = Mat.identity(field, n).data, 0, {}
     for s in sources:
-        g = Mat.zeros(field, dims[s], n)
-        for i in range(dims[s]):
-            g.data[i * n + pos + i] = field.one()
-        values[s] = g
+        values[s] = Mat(field, dims[s], n, eye[pos * n : (pos + dims[s]) * n])
         pos += dims[s]
     rows = []
     for v in order:
-        for a, u in q.arrows_into(v):
-            if u not in inside:
-                continue
-            g = module.maps[a] * values[u]
+        for u, m in into[v]:
+            g = m * values[u]
             if v not in values:
                 values[v] = g
             else:
                 rows.append(g - values[v])
-        for a, w in q.arrows_from(v):
-            if w not in inside:
-                rows.append(module.maps[a] * values[v])
-    return Mat.vstack(field, rows, ncols=n), values
+    return rows, values
+
+
+def restriction(interval, module):
+    """The vertices of J in topological order and, per vertex v, the (u,
+    M(a)) of each arrow a: u -> v inside J: `source_system`'s input for
+    M|_J.  An interval over another quiver raises ValueError."""
+    q = module.quiver
+    if interval.quiver is not q and interval.quiver != q:
+        raise ValueError(
+            f"the interval is over {interval.quiver!r} but the module is over {q!r}"
+        )
+    inside = interval.vertex_set
+    order = [v for v in q.topological_order() if v in inside]
+    into = {v: [(u, module.maps[a]) for a, u in q.arrows_into(v) if u in inside]
+            for v in order}
+    return order, into
+
+
+def _source_system(interval, module):
+    """The system whose kernel is Hom(V_J, M) (see `hom_basis_from_interval`):
+    the `source_system` of M|_J and the rows M(a) G_v of each arrow a leaving
+    J, with {v: G_v}, or None when M is zero at every source."""
+    order, into = restriction(interval, module)
+    solved = source_system(module.field, module.dims, order, into)
+    if solved is None:
+        return None
+    rows, values = solved
+    q, inside = module.quiver, interval.vertex_set
+    rows += [module.maps[a] * values[v] for v in order
+             for a, w in q.arrows_from(v) if w not in inside]
+    return Mat.vstack(module.field, rows, ncols=values[order[0]].ncols), values
 
 
 def hom_basis_from_interval(interval, module):

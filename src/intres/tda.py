@@ -1,4 +1,4 @@
-"""Decomposability tests and interval replacement on commutative ladders.
+"""Decomposability tests and interval replacement over any finite poset.
 
 Three ingredients tie together here:
 
@@ -30,50 +30,14 @@ from dataclasses import dataclass
 
 from intres.approx import minimal_right_approximation
 from intres.exactla import Mat
-from intres.poset import ladder_length
-from intres.repmod import IntervalFamily, hom_dim_from_interval
+from intres.repmod import IntervalFamily, hom_dim_from_interval, restriction, source_system
 
 
 class RouteMismatchError(RuntimeError):
     """Two independent computation routes disagreed; indicates a defect."""
 
 
-def _require_ladder(quiver):
-    if ladder_length(quiver) is None:
-        raise ValueError("operation requires a commutative-ladder quiver")
-
-
 # ---- compression ------------------------------------------------------------------
-
-
-def _limit_at(field, dims, arrows, vertices, v):
-    """The values at v of a basis of lim N, N the representation of the
-    given vertices with a matrix along each of `arrows`, triples (u, w,
-    N(a)) for the arrows a: u -> w among them.
-
-    lim N is the space of families (x_u), u in the vertices, with
-    N(a) x_u = x_w along every arrow: the kernel of the map sending x to
-    (N(a) x_u - x_w) over the arrows.  The basis vectors' entries at v are
-    the columns of the returned dims[v] x (dim lim) matrix.
-    """
-    offs = {}
-    total = 0
-    for u in vertices:
-        offs[u] = total
-        total += dims[u]
-    zero, minus_one = field.zero(), field.coerce(-1)
-    data = []
-    nrows = 0
-    for u, w, m in arrows:
-        for r in range(m.nrows):
-            row = [zero] * total
-            row[offs[u] : offs[u] + m.ncols] = m.row(r)
-            row[offs[w] + r] = minus_one
-            data.extend(row)
-        nrows += m.nrows
-    kernel = Mat(field, nrows, total, data).kernel_basis()
-    at_v = [x[offs[v] : offs[v] + dims[v]] for x in kernel]
-    return Mat.from_columns(field, at_v, dims[v])
 
 
 def compressed_multiplicity(module, interval):
@@ -84,40 +48,44 @@ def compressed_multiplicity(module, interval):
     quiver, and a family phi there pairs with x as phi_v(x_v), which does
     not depend on v since I is connected.  So c(I) is the rank of that
     pairing at one vertex v, taken of least dimension: the map factors
-    through M(v), so c(I) = 0 when M(v) = 0.  DM|_I is read off M's own
-    maps, each arrow inside I reversed and its matrix transposed; no dual
-    module is built.
+    through M(v), so c(I) = 0 when M(v) = 0.  Both limits are solved from
+    the sources of I (`repmod.source_system`): lim M|_I in the values at the
+    minimal vertices of I, and lim DM|_I in the values at the maximal ones,
+    walking I in reverse with each matrix transposed, so no dual module is
+    built.
 
-    This is the generalized rank invariant of M at I, whose Moebius
-    inversion over the containment order is a signed barcode
-    (Botnan-Oppermann-Oudot, "Signed barcodes for multi-parameter
-    persistence via rank decompositions").  On a ladder it equals the
-    multiplicity of the full-support summand of the 5-vertex zigzag
-    restriction xi of M at I: the corners t_l <- t_k -> t_i <- b_i -> b_j
-    of a staircase I with rows [k, l] and [i, j], each arrow the path map
-    of M (Dey-Kim-Memoli, "Computing generalized rank invariants of
+    This is the generalized rank invariant of M at I (Kim-Memoli), defined
+    on any finite poset, whose Moebius inversion over the containment order
+    is a signed barcode (Botnan-Oppermann-Oudot, "Signed barcodes for
+    multi-parameter persistence via rank decompositions").  On a ladder it
+    equals the multiplicity of the full-support summand of the 5-vertex
+    zigzag restriction xi of M at I: the corners t_l <- t_k -> t_i <- b_i
+    -> b_j of a staircase I with rows [k, l] and [i, j], each arrow the path
+    map of M (Dey-Kim-Memoli, "Computing generalized rank invariants of
     2-parameter persistence modules via zigzag persistence").  An interval
     over another quiver raises ValueError.
     """
-    _require_ladder(module.quiver)
-    if interval.quiver != module.quiver:
-        raise ValueError(
-            f"the interval is over {interval.quiver!r} but the module is over "
-            f"{module.quiver!r}"
-        )
-    v = min(interval.vertices, key=module.dims.__getitem__)
-    if module.dims[v] == 0:
+    order, into = restriction(interval, module)
+    field, dims = module.field, module.dims
+    v = min(order, key=dims.__getitem__)
+    if dims[v] == 0:
         return 0
-    inside = interval.vertex_set
-    arrows = [
-        (u, w, module.maps[a])
-        for a, (u, w) in module.quiver.arrows.items()
-        if u in inside and w in inside
-    ]
-    field, dims, vertices = module.field, module.dims, interval.vertices
-    x = _limit_at(field, dims, arrows, vertices, v)
-    dual = [(w, u, m.transpose()) for u, w, m in arrows]
-    phi = _limit_at(field, dims, dual, vertices, v)
+    out = {u: [] for u in order}
+    for w in order:
+        for u, m in into[w]:
+            out[u].append((w, m.transpose()))
+    ends = []
+    for walk, arrows in ((order, into), (order[::-1], out)):
+        solved = source_system(field, dims, walk, arrows)
+        if solved is None:
+            return 0
+        rows, values = solved
+        n = values[v].ncols
+        kernel = Mat.vstack(field, rows, ncols=n).kernel_basis()
+        if not kernel:
+            return 0
+        ends.append(values[v] * Mat.from_columns(field, kernel, n))
+    x, phi = ends
     return (phi.transpose() * x).rank()
 
 
@@ -227,20 +195,23 @@ def _cover_set_sums(family, values):
 
 
 def interval_replacement(module, cat=None):
-    """The signed interval-replacement vector of a ladder module.
+    """The signed interval-replacement vector of M.
 
     delta is `replacement_at` per interval, solved once over the family,
     and c(I) is the limit-to-colimit rank over I; the two share nothing but
     `exactla` and must satisfy the inversion identity c(I) = sum of
     delta(J) over J containing I, and, where joins of cover sets exist
     unambiguously, the cover-set alternating identity.  The family is `cat`
-    (see `IntervalFamily.wrap`).  Any violation raises RouteMismatchError;
-    a `cat` over another quiver or field, or a cycle of nonzero hom spaces,
-    ValueError.  dim Hom(V_J, M) is read once per member J, as a nullity
-    (`hom_dim_from_interval`).
+    (see `IntervalFamily.wrap`), which must hold every interval of the
+    quiver: the identities hold over that family only.  Any violation
+    raises RouteMismatchError; a `cat` over another quiver or field or short
+    of an interval, or a cycle of nonzero hom spaces, ValueError.  dim
+    Hom(V_J, M) is read once per member J, as a nullity (`hom_dim_from_interval`).
     """
-    _require_ladder(module.quiver)
     family = IntervalFamily.wrap(cat, module.quiver, module.field)
+    full = IntervalFamily.of(module.quiver, module.field)
+    if family is not full and family.index.keys() != full.index.keys():
+        raise ValueError("interval replacement needs every interval of the quiver")
     intervals = family.objects
     known = {}
     delta = {i: _replacement(module, family, s, known) for s, i in enumerate(intervals)}

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from intres import QQ, serialize_module
 from intres.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, grid_hard_module
 
 CL3_FILE = str(FIXTURES / "cl3_m45.mod")
 CL5_FILE = str(FIXTURES / "cl5_m.mod")
@@ -258,15 +259,29 @@ def test_max_len_validation_exit(capsys):
     assert "validation error" in err
 
 
-def test_replace_requires_ladder(tmp_path, capsys):
+def test_replace_on_an_explicit_quiver(tmp_path, capsys):
+    """`replace` works on any finite poset: the interval module over the
+    two-vertex quiver a -> b is its own replacement."""
     text = (
         "quiver explicit\nvertex a\nvertex b\narrow f a b\n"
         "dim a 1\ndim b 1\nmap f\n1\n"
     )
-    f = tmp_path / "tree.mod"
+    f = tmp_path / "two.mod"
     f.write_text(text)
-    code, _, _ = run(capsys, "replace", "--file", str(f))
+    code, out, _ = run(capsys, "replace", "--file", str(f))
+    assert code == EXIT_OK
+    assert out == "delta {a,b} = 1\n"
+
+
+def test_replace_refuses_a_cycle_of_hom_spaces(tmp_path, capsys):
+    """Off ladders, an interval whose nonzero hom spaces reach a cycle has
+    no replacement yet: on the 3x3 grid `replace` exits with a usage error
+    that names the cycle, and prints nothing."""
+    f = tmp_path / "grid.mod"
+    f.write_text(serialize_module(grid_hard_module(QQ)))
+    code, out, err = run(capsys, "replace", "--file", str(f))
     assert code == EXIT_USAGE
+    assert out == "" and "a cycle of nonzero hom spaces" in err
 
 
 FUZZ_TOKENS = ["", "0", "1", "-1", "2", "1/2", "1/0", "x", "map", "dim", "t1",

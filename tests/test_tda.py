@@ -20,6 +20,8 @@ from intres import (
     containment_poset,
     direct_sum,
     enumerate_intervals,
+    hom_basis_from_interval,
+    hom_dim_from_interval,
     interval_module,
     interval_replacement,
     is_interval_decomposable,
@@ -55,11 +57,12 @@ CL3 = commutative_ladder(3)
 def test_compressed_multiplicity_is_containment_indicator(field):
     """For a single interval module V_J, the compressed multiplicity at I is
     1 exactly when I is contained in J, on ladders 2 to 4, where I has 1 to
-    8 vertices.  Over GF(p) this also checks that the rank does not pick up
-    the number of vertices of I as a factor, which is 0 when p divides it."""
+    8 vertices, and off ladders on the 3x3 grid, the zigzag and the tree.
+    Over GF(p) this also checks that the rank does not pick up the number
+    of vertices of I as a factor, which is 0 when p divides it."""
     k = parse_field_token(field)
-    for n in (2, 3, 4):
-        quiver = commutative_ladder(n)
+    for quiver in (*(commutative_ladder(n) for n in (2, 3, 4)),
+                   grid_quiver(), zigzag_poset_quiver(), tree_poset_quiver()):
         ivs = enumerate_intervals(quiver)
         for j in ivs:
             vj = interval_module(quiver, j, k)
@@ -80,25 +83,23 @@ def test_compressed_multiplicity_additive():
             )
 
 
-def test_compression_requires_ladder():
-    q = zigzag_poset_quiver()
-    iv = Interval(q, ["z1", "z2", "z3"])
-    m = interval_module(q, iv, QQ)
-    with pytest.raises(ValueError, match="commutative-ladder"):
-        compressed_multiplicity(m, iv)
-
-
 def test_compression_refuses_an_interval_over_another_quiver(cl3_m45):
     """A ladder-4 interval names a vertex the ladder-3 module lacks, and a
-    ladder-2 interval is a vertex set of ladder 3 too: both are refused,
-    naming both quivers, instead of answering for the vertex set."""
-    quivers = r"over BoundQuiver\({} vertices, {} arrows\).*" + (
-        r"over BoundQuiver\(6 vertices, 7 arrows\)")
-    for n, arrows in ((4, 10), (2, 4)):
-        q = commutative_ladder(n)
-        iv = cl_interval(q, top=(1, n), bot=(n, n))
-        with pytest.raises(ValueError, match=quivers.format(2 * n, arrows)):
-            compressed_multiplicity(cl3_m45, iv)
+    ladder-2 interval and an interval of the opposite quiver are vertex sets
+    of ladder 3 too: c(I), and the spaces Hom(V_J, M) that the replacement
+    reads, refuse all three, naming both quivers, instead of answering for
+    the vertex set."""
+    quivers = r"over BoundQuiver\({}\).*over BoundQuiver\(6 vertices, 7 arrows\)"
+    ivs = [(cl_interval(commutative_ladder(n), top=(1, n), bot=(n, n)),
+            f"{2 * n} vertices, {arrows} arrows") for n, arrows in ((4, 10), (2, 4))]
+    ivs.append((Interval(cl3_m45.quiver.opposite(), ["t1", "t2"]),
+                "6 vertices, 7 arrows"))
+    for iv, shape in ivs:
+        for call in (lambda: compressed_multiplicity(cl3_m45, iv),
+                     lambda: hom_basis_from_interval(iv, cl3_m45),
+                     lambda: hom_dim_from_interval(iv, cl3_m45)):
+            with pytest.raises(ValueError, match=quivers.format(shape)):
+                call()
 
 
 # ---- decomposability ----------------------------------------------------------------
@@ -265,11 +266,16 @@ def test_replacement_over_small_fields_matches_rationals(p):
     assert got.delta == want.delta and got.compressed == want.compressed
 
 
-def test_replacement_requires_ladder():
-    q = zigzag_poset_quiver()
-    m = interval_module(q, Interval(q, ["z1", "z2"]), QQ)
-    with pytest.raises(ValueError):
-        interval_replacement(m)
+def test_replacement_refuses_a_family_short_of_every_interval(cl3_m45):
+    """The inversion and cover-set gates are identities over the family of
+    every interval only, so a `cat` with fewer members is refused up front,
+    as a list or as a family; every interval in another order is accepted."""
+    q = cl3_m45.quiver
+    ivs = enumerate_intervals(q)
+    for cat in (ivs[:1], IntervalFamily(q, ivs[1:], QQ)):
+        with pytest.raises(ValueError, match="needs every interval of the quiver"):
+            interval_replacement(cl3_m45, cat=cat)
+    assert interval_replacement(cl3_m45, cat=ivs[::-1]) == interval_replacement(cl3_m45)
 
 
 def replacement_modules(case, field):
@@ -365,17 +371,23 @@ def test_replacement_refuses_an_interval_outside_the_family(cl3_m45):
 def test_replacement_beyond_ladders_is_the_koszul_euler_characteristic():
     """Off ladders, delta = H^-1 h agrees with the Koszul homology wherever
     the hom spaces reachable from I have no cycle: at every interval of the
-    tree and of a zigzag draw.  On the 3x3 grid 43 of the 83 intervals reach
-    a cycle, and each is refused with a ValueError that names the interval."""
+    tree and of a zigzag draw, one at a time and as the whole replacement,
+    which passes both gates.  On the 3x3 grid 43 of the 83 intervals reach
+    a cycle, and each is refused with a ValueError that names the interval;
+    so is the whole replacement."""
     zigzag = random_commuting_module(zigzag_poset_quiver(), random.Random(61))
     for m in (tree_hard_module(QQ), zigzag):
         cat = IntervalFamily.of(m.quiver, QQ)
         table = betti_table_via_koszul(m, cat=cat)
+        rep = interval_replacement(m, cat=cat)
         for i in cat.objects:
             want = sum((-1) ** d * table[(d, i)]
                        for d in range(table.max_degree() + 1))
             assert replacement_at(m, i, cat=cat) == want, i
+            assert rep.delta[i] == want, i
     grid = grid_hard_module(QQ)
+    with pytest.raises(ValueError, match="cycle"):
+        interval_replacement(grid)
     refused = []
     for i in enumerate_intervals(grid.quiver):
         try:
