@@ -83,6 +83,18 @@ def test_compressed_multiplicity_additive():
             )
 
 
+def test_compression_on_a_zigzag():
+    """The zigzag z1 -> z2 <- z3 -> ... is not a ladder, and c(I) is read
+    there too: for V_J + V_J with J = {z1, z2, z3}, c(I) = 2 exactly when I
+    is contained in J."""
+    q = zigzag_poset_quiver()
+    j = Interval(q, ["z1", "z2", "z3"])
+    m = direct_sum([interval_module(q, j, QQ)] * 2)
+    for i in enumerate_intervals(q):
+        want = 2 if set(i) <= set(j) else 0
+        assert compressed_multiplicity(m, i) == want, i
+
+
 def test_compression_refuses_an_interval_over_another_quiver(cl3_m45):
     """A ladder-4 interval names a vertex the ladder-3 module lacks, and a
     ladder-2 interval and an interval of the opposite quiver are vertex sets
@@ -276,6 +288,16 @@ def test_replacement_refuses_a_family_short_of_every_interval(cl3_m45):
         with pytest.raises(ValueError, match="needs every interval of the quiver"):
             interval_replacement(cl3_m45, cat=cat)
     assert interval_replacement(cl3_m45, cat=ivs[::-1]) == interval_replacement(cl3_m45)
+
+
+def test_replacement_on_a_zigzag():
+    """The interval replacement of an interval module V_J on the zigzag is
+    the indicator of J, as it is on a ladder."""
+    q = zigzag_poset_quiver()
+    j = Interval(q, ["z1", "z2"])
+    rep = interval_replacement(interval_module(q, j, QQ))
+    assert set(rep.delta) == set(enumerate_intervals(q))
+    assert {i: d for i, d in rep.delta.items() if d} == {j: 1}
 
 
 def replacement_modules(case, field):
