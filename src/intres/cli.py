@@ -264,11 +264,7 @@ def cmd_decomposable(args):
 
 
 def cmd_replace(args):
-    module = _load_module(args)
-    try:
-        vec = interval_replacement(module)
-    except ValueError as e:
-        raise UsageError(str(e))
+    vec = interval_replacement(_load_module(args))
     items = [
         (interval_name(i), d)
         for i, d in vec.sorted_items()

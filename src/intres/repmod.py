@@ -25,7 +25,6 @@ intervals of a quiver is held by the quiver, once per field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from types import MappingProxyType
 
 from intres.exactla import Mat
@@ -728,43 +727,11 @@ def _irreducible_table(quiver, hom, field):
 
 def _containment_table(masks):
     """The containment structure of the family whose members have the
-    vertex bitmasks `masks`: per member s, its up-set and its cover-set
-    plan, see `IntervalFamily.up_sets` and `IntervalFamily.cover_plans`.
-
-    The covers of s are the minimal members strictly containing it; the
-    join of a set of covers is the minimal member containing their union,
-    looked for in the up-set of s.
-    """
-
-    def minimal(ts):
-        return [
-            k for k in ts
-            if not any(masks[c] != masks[k] and not masks[c] & ~masks[k] for c in ts)
-        ]
-
-    up_sets, plans = [], []
-    for ms in masks:
-        up = tuple(t for t, mt in enumerate(masks) if not ms & ~mt)
-        above = [t for t in up if masks[t] != ms]
-        covers = minimal(above)
-        subsets = (
-            s for n in range(1, len(covers) + 1) for s in combinations(covers, n)
-        )
-        terms = []
-        for subset in subsets:
-            union = 0
-            for c in subset:
-                union |= masks[c]
-            joins = minimal([t for t in above if not union & ~masks[t]])
-            if len(joins) > 1:
-                plans.append(None)
-                break
-            if joins:
-                terms.append(((-1) ** len(subset), joins[0]))
-        else:
-            plans.append(tuple(terms))
-        up_sets.append(up)
-    return tuple(up_sets), tuple(plans)
+    vertex bitmasks `masks`: per member s, its up-set, see
+    `IntervalFamily.up_sets`."""
+    return tuple(
+        tuple(t for t, mt in enumerate(masks) if not ms & ~mt) for ms in masks
+    )
 
 
 def _transpose(table):
@@ -784,9 +751,9 @@ class IntervalFamily:
     the quiver), each member's position (`index`), and, each built on first
     use, the family's hom table (the good components of every nonzero hom
     space), its table of irreducible maps, read off the hom table, and its
-    containment structure (the up-set and the cover-set plan of every
-    member).  Members, bitmasks, tables and structure are tuples, so no
-    caller can change what the next one reads.
+    containment structure (the up-set of every member).  Members, bitmasks,
+    tables and structure are tuples, so no caller can change what the next
+    one reads.
 
     The family is also the endomorphism category that the Koszul route
     resolves in: one object per member, with hom(s, t) =
@@ -960,20 +927,11 @@ class IntervalFamily:
 
     def up_sets(self):
         """Per member s, the positions t of the members containing it, s
-        included, t increasing: read off the bitmasks.  Built on first use,
-        with `cover_plans`."""
+        included, t increasing: read off the bitmasks.  Built on first
+        use."""
         if self._containment is None:
             self._containment = _containment_table(self.masks)
-        return self._containment[0]
-
-    def cover_plans(self):
-        """Per member s, its cover-set plan: the terms (sign, t) of the
-        alternating sum over the sets S of covers of s, sign (-1)^|S| and t
-        the position of the join of S, for the sets S whose join exists; or
-        None when some set of covers has several minimal upper bounds (an
-        ambiguous join).  Built on first use, with `up_sets`."""
-        self.up_sets()
-        return self._containment[1]
+        return self._containment
 
 
 # ---- kernels and cokernels ---------------------------------------------------

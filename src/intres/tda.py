@@ -10,14 +10,14 @@ Three ingredients tie together here:
    at one vertex of I as a pairing with the limit of DM|_I, which is
    taken from M's own maps along the arrows inside I.
  - replacement: delta, the Euler characteristic of the Koszul complex of M
-   at each interval, is H^-1 h (`replacement_at`) and must agree with the
-   compressed multiplicities under Mobius inversion over the containment
-   order; disagreement is reported as an internal error, never silently.
-   The containment order is the family's (`repmod.IntervalFamily`): each
-   member's up-set and cover-set plan are built once per family from the
-   vertex bitmasks and read by every replacement.  The covers of J are the
-   minimal members strictly containing J, and the join of a set of members
-   is the minimal member containing the union of their vertices.
+   at each interval, is the Moebius inversion of c over the containment
+   order of the intervals, read off the family's up-sets
+   (`repmod.IntervalFamily.up_sets`), largest member first.  It is gated
+   by H delta = h, H(K, L) = dim Hom(V_K, V_L) counted off the family's
+   hom table and h(K) = dim Hom(V_K, M); disagreement is reported as an
+   internal error, never silently.  Containment is a partial order on
+   every poset, so the replacement answers on any finite poset, grids
+   included.
 
 Every entry point takes its interval family as `cat=`, a
 `repmod.IntervalFamily` or a plain list (`IntervalFamily.wrap`); without
@@ -137,97 +137,85 @@ class ReplacementVector:
         )
 
 
-def _replacement(module, family, root, delta):
-    """delta(I) for I at `root`, filling `delta` {s: delta(I_s)} in post-order
-    along the nonzero hom spaces of `family` from I: H(I, I) = 1, so delta(I)
-    = h(I) - sum of H(I, L) delta(L) over L != I.  A cycle raises ValueError."""
-    members, table = family.objects, family.hom_table()
-    path, stack = {root}, [] if root in delta else [(root, iter(table[root]))]
-    while stack:
-        s, out = stack[-1]
-        t = next((t for t, _ in out if t != s and t not in delta), None)
-        if t is None:
-            stack.pop()
-            path.discard(s)
-            h = hom_dim_from_interval(members[s], module)
-            delta[s] = h - sum(len(c) * delta[t] for t, c in table[s] if t != s)
-        elif t in path:
-            cycle = f"a cycle of nonzero hom spaces through {members[t]!r}"
-            raise ValueError(f"{cycle}, reached from {members[root]!r}")
-        else:
-            path.add(t)
-            stack.append((t, iter(table[t])))
-    return delta[root]
+def _require_every_interval(module, family):
+    """Refuse a `family` short of an interval of the module's quiver: the
+    containment order that delta inverts c over is that of every interval."""
+    full = IntervalFamily.of(module.quiver, module.field)
+    if family is not full and family.index.keys() != full.index.keys():
+        raise ValueError("interval replacement needs every interval of the quiver")
+
+
+def _replacement(module, family, targets):
+    """({t: delta(I_t)}, {t: c(I_t)}) over the up-sets of the members at the
+    positions `targets` and of the members in their hom rows, gated by H
+    delta = h at every target.
+
+    delta is the Moebius inversion of c over containment: c(I) is the sum
+    of delta(J) over the members J containing I, a unitriangular system on
+    any poset, read off largest member first.  The gate sums H(I, L)
+    delta(L) over the hom row of I, H(I, L) = dim Hom(V_I, V_L) counted off
+    the hom table, against h(I) = dim Hom(V_I, M), a nullity; a failure
+    raises RouteMismatchError naming I.
+    """
+    members, hom, up_sets = family.objects, family.hom_table(), family.up_sets()
+    reached = {u for s in targets for t, _ in hom[s] for u in up_sets[t]}
+    compressed = {t: compressed_multiplicity(module, members[t]) for t in reached}
+    delta = {}
+    for t in sorted(reached, key=lambda t: -len(members[t])):
+        delta[t] = compressed[t] - sum(delta[u] for u in up_sets[t] if u != t)
+    for s in targets:
+        h = hom_dim_from_interval(members[s], module)
+        total = sum(len(comps) * delta[t] for t, comps in hom[s])
+        if total != h:
+            raise RouteMismatchError(
+                f"replacement gate H.delta = h failed at {members[s]!r}: "
+                f"H.delta={total}, h={h}"
+            )
+    return delta, compressed
 
 
 def replacement_at(module, interval, cat=None):
-    """delta(I), the Euler characteristic of the Koszul complex of M at I:
-    entry I of H^-1 h, H(K, L) = dim Hom(V_K, V_L) and h(K) = dim Hom(V_K,
-    M).  The interval classes form a basis of the relative Grothendieck
-    group (Blanchette-Bruestle-Hanson, "Homological approximations in
-    persistence theory"; Asashiba-Gauthier-Liu), so the alternating
-    multiplicities of the coresolution of V_I are row I of H^-1.  Solved by
-    back-substitution over the hom table of the family `cat` (see
-    `IntervalFamily.wrap`) from the members reachable from I, building no
-    coresolution.  A `cat` over another quiver or field, an I outside it,
-    or a cycle of nonzero hom spaces reachable from I raises ValueError."""
+    """delta(I), the Euler characteristic of the Koszul complex of M at I.
+
+    delta is the Moebius inversion of the compressed multiplicities c over
+    the containment order of the intervals (Asashiba-Gauthier-Liu,
+    "Interval replacements of persistence modules"), read over the up-sets
+    of I and of the members that V_I maps to, building no coresolution.  It
+    is gated by H delta = h at I, H(K, L) = dim Hom(V_K, V_L) and h(K) =
+    dim Hom(V_K, M): the interval classes form a basis of the relative
+    Grothendieck group, on which dim Hom(V_K, -) is additive
+    (Blanchette-Bruestle-Hanson, "Homological approximations in persistence
+    theory"), so the alternating multiplicities of the coresolution of V_I
+    are row I of H^-1.  A failed gate raises RouteMismatchError.  The family
+    is `cat` (see `IntervalFamily.wrap`); a `cat` over another quiver or
+    field, an I outside it, or a `cat` short of an interval of the quiver
+    raises ValueError, in that order."""
     family = IntervalFamily.wrap(cat, module.quiver, module.field)
     s = family.index.get(interval)
     if s is None:
         raise ValueError("interval is not an object of the chosen family")
-    return _replacement(module, family, s, {})
-
-
-def _cover_set_sums(family, values):
-    """{J: alternating sum of `values` over the joins of sets of covers of J}
-    for the members J of an `IntervalFamily`, read off its cover-set plans.
-
-    The empty set contributes values[J]; a set S of covers contributes
-    (-1)^|S| values[join S], or 0 when no member contains them all.  A J
-    with an ambiguous join (several minimal candidates) is left out.
-    """
-    members = family.objects
-    return {
-        j: values[j] + sum(sign * values[members[t]] for sign, t in plan)
-        for j, plan in zip(members, family.cover_plans())
-        if plan is not None
-    }
+    _require_every_interval(module, family)
+    return _replacement(module, family, [s])[0][s]
 
 
 def interval_replacement(module, cat=None):
     """The signed interval-replacement vector of M.
 
-    delta is `replacement_at` per interval, solved once over the family,
-    and c(I) is the limit-to-colimit rank over I; the two share nothing but
-    `exactla` and must satisfy the inversion identity c(I) = sum of
-    delta(J) over J containing I, and, where joins of cover sets exist
-    unambiguously, the cover-set alternating identity.  The family is `cat`
-    (see `IntervalFamily.wrap`), which must hold every interval of the
-    quiver: the identities hold over that family only.  Any violation
-    raises RouteMismatchError; a `cat` over another quiver or field or short
-    of an interval, or a cycle of nonzero hom spaces, ValueError.  dim
-    Hom(V_J, M) is read once per member J, as a nullity (`hom_dim_from_interval`).
+    c(I) is the limit-to-colimit rank over I, and delta its Moebius
+    inversion over containment, gated by H delta = h at every interval, as
+    `replacement_at` is: c and the hom nullities h share nothing but
+    `repmod.source_system` and `exactla`, and a failed gate raises
+    RouteMismatchError.  dim Hom(V_J, M) is read once per member J, as a
+    nullity (`hom_dim_from_interval`).  The family is `cat` (see
+    `IntervalFamily.wrap`), which must hold every interval of the quiver; a
+    `cat` over another quiver or field or short of an interval raises
+    ValueError.
     """
     family = IntervalFamily.wrap(cat, module.quiver, module.field)
-    full = IntervalFamily.of(module.quiver, module.field)
-    if family is not full and family.index.keys() != full.index.keys():
-        raise ValueError("interval replacement needs every interval of the quiver")
+    _require_every_interval(module, family)
     intervals = family.objects
-    known = {}
-    delta = {i: _replacement(module, family, s, known) for s, i in enumerate(intervals)}
-    compressed = {i: compressed_multiplicity(module, i) for i in intervals}
-    # inversion gate: summing delta over containing intervals reproduces c
-    for i, up in zip(intervals, family.up_sets()):
-        total = sum(delta[intervals[t]] for t in up)
-        if total != compressed[i]:
-            raise RouteMismatchError(
-                f"replacement inversion failed at {i!r}: "
-                f"sum(delta)={total}, compressed={compressed[i]}"
-            )
-    # cover-set alternating cross-check, where joins are unambiguous
-    for j, total in _cover_set_sums(family, compressed).items():
-        if total != delta[j]:
-            raise RouteMismatchError(
-                f"cover-set identity failed at {j!r}: {total} != {delta[j]}"
-            )
-    return ReplacementVector(delta, compressed)
+    delta, compressed = _replacement(module, family, range(len(intervals)))
+    return ReplacementVector(
+        {i: delta[s] for s, i in enumerate(intervals)},
+        {i: compressed[s] for s, i in enumerate(intervals)},
+    )

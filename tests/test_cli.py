@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from intres import QQ, serialize_module
+from intres import QQ, serialize_module, tda
 from intres.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 from conftest import FIXTURES, grid_hard_module
@@ -273,15 +273,30 @@ def test_replace_on_an_explicit_quiver(tmp_path, capsys):
     assert out == "delta {a,b} = 1\n"
 
 
-def test_replace_refuses_a_cycle_of_hom_spaces(tmp_path, capsys):
-    """Off ladders, an interval whose nonzero hom spaces reach a cycle has
-    no replacement yet: on the 3x3 grid `replace` exits with a usage error
-    that names the cycle, and prints nothing."""
+def test_replace_on_a_grid(tmp_path, capsys):
+    """`replace` answers on the 3x3 grid, whose hom spaces have cycles:
+    the hard grid module has a negative entry."""
     f = tmp_path / "grid.mod"
     f.write_text(serialize_module(grid_hard_module(QQ)))
     code, out, err = run(capsys, "replace", "--file", str(f))
-    assert code == EXIT_USAGE
-    assert out == "" and "a cycle of nonzero hom spaces" in err
+    assert code == EXIT_OK and err == ""
+    assert any(line.split(" = ")[1].startswith("-") for line in out.splitlines())
+
+
+def test_replace_reports_a_failed_gate_as_an_internal_error(monkeypatch, capsys):
+    """A dim Hom(V_I, M) off by one at one interval breaks the gate H delta
+    = h: `replace` exits with EXIT_INTERNAL, names the interval and prints
+    no traceback and no vector."""
+    h = tda.hom_dim_from_interval
+
+    def wrong(interval, module):
+        return h(interval, module) + (set(interval.vertex_set) == {"t1"})
+
+    monkeypatch.setattr(tda, "hom_dim_from_interval", wrong)
+    code, out, err = run(capsys, "replace", "--file", CL3_FILE)
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error:") and "Interval{t1}" in err
+    assert "Traceback" not in err
 
 
 FUZZ_TOKENS = ["", "0", "1", "-1", "2", "1/2", "1/0", "x", "map", "dim", "t1",

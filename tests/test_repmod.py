@@ -414,12 +414,9 @@ def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
         family.objects[0] = family.objects[1]
     with pytest.raises(TypeError):
         family.index[family.objects[0]] = 1
-    up_sets, plans = family.up_sets(), family.cover_plans()
-    assert family.up_sets() is up_sets and family.cover_plans() is plans
-    assert isinstance(up_sets, tuple) and isinstance(plans, tuple)
+    up_sets = family.up_sets()
+    assert family.up_sets() is up_sets and isinstance(up_sets, tuple)
     assert all(isinstance(up, tuple) for up in up_sets)
-    assert all(plan is None or isinstance(plan, tuple) for plan in plans)
-    assert all(isinstance(term, tuple) for plan in plans if plan for term in plan)
     with pytest.raises(TypeError):
         up_sets[0] = ()
     with pytest.raises(AttributeError):

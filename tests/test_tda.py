@@ -1,8 +1,8 @@
 """Compressed multiplicities, decomposability, interval replacement."""
 
 import random
+import re
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -31,7 +31,6 @@ from intres import (
 from intres import koszul, tda
 from intres.modfile import parse_field_token
 from intres.poset import Interval
-from intres.tda import _cover_set_sums
 
 from conftest import (
     digest,
@@ -198,13 +197,14 @@ def test_replacement_of_interval_sum_is_multiplicity():
 
 def test_replacement_moebius_identity():
     """compressed = zeta * delta and delta = mu * compressed over the
-    containment order, recomputed here from scratch."""
+    containment order, recomputed here from scratch: on ladder-2 draws and
+    off ladders, on the hard grid and tree modules."""
     rng = random.Random(57)
-    ivs = enumerate_intervals(CL2)
-    poset = containment_poset(ivs)
-    mu = poset.mobius()
-    for _ in range(3):
-        m = random_commuting_module(CL2, rng)
+    draws = [random_commuting_module(CL2, rng) for _ in range(3)]
+    for m in (*draws, grid_hard_module(QQ), tree_hard_module(QQ)):
+        ivs = enumerate_intervals(m.quiver)
+        poset = containment_poset(ivs)
+        mu = poset.mobius()
         rep = interval_replacement(m)
         for i in ivs:
             upper = sum(rep.delta.get(j, 0) for j in ivs
@@ -213,45 +213,6 @@ def test_replacement_moebius_identity():
             inverted = sum(mu[(i, j)] * rep.compressed.get(j, 0)
                            for j in ivs if poset.leq(i, j))
             assert rep.delta.get(i, 0) == inverted
-
-
-def poset_cover_set_sums(intervals, values):
-    """Reference for the cover-set sums, from the containment `Poset`: its
-    covers, and joins as least upper bounds (a J with an upper-bounded
-    cover set that has no least upper bound is left out)."""
-    poset = containment_poset(intervals)
-    out = {}
-    for j in intervals:
-        covers = poset.covers_of(j)
-        subsets = [s for n in range(1, len(covers) + 1)
-                   for s in combinations(covers, n)]
-        bounded = [s for s in subsets if poset.upper_bounds(s)]
-        joins = [poset.join(s) for s in bounded]
-        if None not in joins:
-            out[j] = values[j] + sum((-1) ** len(s) * values[k]
-                                     for s, k in zip(bounded, joins))
-    return out
-
-
-def test_cover_set_sums_match_the_containment_poset():
-    """Covers and joins read off vertex sets agree with the `Poset`
-    reference on full families and seeded sub-families of ladders 2-5,
-    ambiguous joins included."""
-    rng = random.Random(59)
-    left_out = 0
-    for n in (2, 3, 4, 5):
-        q = commutative_ladder(n)
-        ivs = enumerate_intervals(q)
-        families = [ivs] + [
-            [i for i in ivs if rng.random() < 0.5] for _ in range(2)
-        ]
-        for family in families:
-            values = {j: rng.randint(-5, 5) for j in family}
-            want = poset_cover_set_sums(family, values)
-            wrapped = IntervalFamily.wrap(family, q, QQ)
-            assert _cover_set_sums(wrapped, values) == want
-            left_out += len(family) - len(want)
-    assert left_out > 0
 
 
 def test_replacement_reads_one_containment_structure_per_family(family_builds):
@@ -264,7 +225,7 @@ def test_replacement_reads_one_containment_structure_per_family(family_builds):
     assert interval_replacement(m) == first
     family = IntervalFamily.of(q, QQ)
     sub = IntervalFamily(q, enumerate_intervals(q)[1:], QQ)
-    assert sub.cover_plans() is sub.cover_plans()
+    assert sub.up_sets() is sub.up_sets()
     assert len(sub.up_sets()) == len(sub.objects)
     assert [b for b in family_builds if b[0] == "containment"] == [
         ("containment", family.masks), ("containment", sub.masks)
@@ -279,14 +240,18 @@ def test_replacement_over_small_fields_matches_rationals(p):
 
 
 def test_replacement_refuses_a_family_short_of_every_interval(cl3_m45):
-    """The inversion and cover-set gates are identities over the family of
-    every interval only, so a `cat` with fewer members is refused up front,
-    as a list or as a family; every interval in another order is accepted."""
+    """delta is the Moebius inversion of c over the containment order of
+    every interval, so a `cat` with fewer members is refused up front, as a
+    list or as a family, by the whole replacement and at one of its
+    members; every interval in another order is accepted."""
     q = cl3_m45.quiver
     ivs = enumerate_intervals(q)
-    for cat in (ivs[:1], IntervalFamily(q, ivs[1:], QQ)):
-        with pytest.raises(ValueError, match="needs every interval of the quiver"):
-            interval_replacement(cl3_m45, cat=cat)
+    for cat, member in ((ivs[:1], ivs[0]), (IntervalFamily(q, ivs[1:], QQ), ivs[1])):
+        for call in (lambda: interval_replacement(cl3_m45, cat=cat),
+                     lambda: replacement_at(cl3_m45, member, cat=cat)):
+            with pytest.raises(ValueError,
+                               match="needs every interval of the quiver"):
+                call()
     assert interval_replacement(cl3_m45, cat=ivs[::-1]) == interval_replacement(cl3_m45)
 
 
@@ -391,34 +356,49 @@ def test_replacement_refuses_an_interval_outside_the_family(cl3_m45):
 
 
 def test_replacement_beyond_ladders_is_the_koszul_euler_characteristic():
-    """Off ladders, delta = H^-1 h agrees with the Koszul homology wherever
-    the hom spaces reachable from I have no cycle: at every interval of the
-    tree and of a zigzag draw, one at a time and as the whole replacement,
-    which passes both gates.  On the 3x3 grid 43 of the 83 intervals reach
-    a cycle, and each is refused with a ValueError that names the interval;
-    so is the whole replacement."""
-    zigzag = random_commuting_module(zigzag_poset_quiver(), random.Random(61))
-    for m in (tree_hard_module(QQ), zigzag):
-        cat = IntervalFamily.of(m.quiver, QQ)
-        table = betti_table_via_koszul(m, cat=cat)
-        rep = interval_replacement(m, cat=cat)
-        for i in cat.objects:
-            want = sum((-1) ** d * table[(d, i)]
-                       for d in range(table.max_degree() + 1))
-            assert replacement_at(m, i, cat=cat) == want, i
-            assert rep.delta[i] == want, i
-    grid = grid_hard_module(QQ)
-    with pytest.raises(ValueError, match="cycle"):
-        interval_replacement(grid)
-    refused = []
-    for i in enumerate_intervals(grid.quiver):
-        try:
-            replacement_at(grid, i)
-        except ValueError as e:
-            assert "cycle" in str(e) and repr(i) in str(e), e
-            refused.append(i)
-    assert len(refused) == 43
-    assert Interval(grid.quiver, ["g02"]) in refused
+    """Off ladders, delta agrees with the Koszul homology at every interval
+    of the 3x3 grid, whose hom spaces have cycles, of the tree and of a
+    zigzag draw, over Q, GF(2) and GF(3), one at a time and as the whole
+    replacement, each passing the gate H delta = h.  The hard grid module
+    has a negative entry."""
+    for field in (QQ, Field.prime(2), Field.prime(3)):
+        zigzag = random_commuting_module(zigzag_poset_quiver(), random.Random(61),
+                                         field)
+        grid = grid_hard_module(field)
+        for m in (grid, tree_hard_module(field), zigzag):
+            cat = IntervalFamily.of(m.quiver, field)
+            table = betti_table_via_koszul(m, cat=cat)
+            rep = interval_replacement(m, cat=cat)
+            for i in cat.objects:
+                want = sum((-1) ** d * table[(d, i)]
+                           for d in range(table.max_degree() + 1))
+                assert replacement_at(m, i, cat=cat) == want, i
+                assert rep.delta[i] == want, i
+        delta = interval_replacement(grid).delta
+        assert len(delta) == 83 and min(delta.values()) < 0
+
+
+def test_replacement_gate_names_a_corrupted_interval(monkeypatch, cl3_m45):
+    """One c(I) or one dim Hom(V_I, M) off by one breaks H delta = h, and
+    both entry points raise RouteMismatchError naming I instead of
+    answering.  I = {b1} is a singleton at the source of the ladder, so a
+    wrong c(I) moves delta at I alone, and V_I is the only member that maps
+    to V_I: the gate fails at I alone."""
+    bad = Interval(cl3_m45.quiver, ["b1"])
+    c, h = tda.compressed_multiplicity, tda.hom_dim_from_interval
+    corrupt = {
+        "compressed_multiplicity": lambda m, i: c(m, i) + (i == bad),
+        "hom_dim_from_interval": lambda i, m: h(i, m) + (i == bad),
+    }
+    for name, wrong in corrupt.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(tda, name, wrong)
+            for call in (lambda: interval_replacement(cl3_m45),
+                         lambda: replacement_at(cl3_m45, bad)):
+                with pytest.raises(tda.RouteMismatchError,
+                                   match=re.escape(f"at {bad!r}:")):
+                    call()
+    assert interval_replacement(cl3_m45).delta[bad] == replacement_at(cl3_m45, bad)
 
 
 def alternating_multiplicities(family, s):
@@ -441,8 +421,8 @@ def alternating_multiplicities(family, s):
 ], ids=["ladder2", "ladder3", "ladder4", "ladder5", "grid", "zigzag", "tree"])
 def test_coresolutions_invert_the_hom_dimension_matrix(quiver):
     """C.H = 1 as integer matrices, H(K, L) = dim Hom(V_K, V_L) counted off
-    the hom table: the identity behind delta = H^-1 h, checked on the
-    coresolutions that `replacement_at` no longer builds.  The terms do not
+    the hom table: the identity behind the gate H delta = h, checked on
+    the coresolutions that `replacement_at` does not build.  The terms do not
     depend on the field, so GF(2) is the cheapest."""
     family = IntervalFamily(quiver, enumerate_intervals(quiver), Field.prime(2))
     h = [{t: len(comps) for t, comps in row} for row in family.hom_table()]
