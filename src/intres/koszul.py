@@ -5,16 +5,16 @@ with hom spaces the (combinatorial) morphism spaces between the thin
 interval modules.  That category is the family itself, a
 `repmod.IntervalFamily`, the workspace the resolve route reads as well:
 its hom table holds the good components of every hom space as vertex
-bitmasks, split once per family, and its composition constants are read
-off that table.  Every function here that takes `cat=` takes such a
+bitmasks, split once per family, and the cover steps read the action of
+a basis map off those bitmasks.  Every function here that takes `cat=` takes such a
 family (`IntervalFamily.wrap`): None means the family of all intervals
 that the quiver holds, so calls without `cat` share its coresolutions.
 
 The minimal projective resolution of the one-dimensional simple at an
 interval I is built from syzygies: each is a submodule K of a sum P of
 representables hom(J, -), kept only as a kernel basis of K(t) inside P(t)
-at every object t where P is nonzero, and acted on through the 0/1
-composition constants.  Each cover reads the top K/rad K, and rad K is
+at every object t where P is nonzero, and acted on at one vertex per good
+component (`_act`).  Each cover reads the top K/rad K, and rad K is
 spanned by the images of K under the irreducible maps alone (the arrows of
 the category's Gabriel quiver, a basis of rad/rad^2): the family's table
 of irreducible maps.  The check of a finished cochain and
@@ -47,6 +47,7 @@ spaces and down-maps, the corresponding complex is built directly.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -79,23 +80,28 @@ class ResolutionStep:
     # hom basis in question: hom(tags_prev[u_prev], tags_new[u_new])
 
 
-def _act(family, tags, offsets, vec, s, t, k):
-    """Image in P(t) of a vector of P(s) under the k-th basis element of
-    hom(s, t): coordinate (u, a) goes to the (u, c) with c in
-    compose_coeffs(tags[u], s, t)[(a, k)].  The components a of
-    I_{tags[u]} & I_s are disjoint, so no two of them reach the same c."""
-    out = [family.field.zero()] * offsets[t][-1]
-    for u, tag in enumerate(tags):
-        start, target = offsets[s][u], offsets[t][u]
-        coeffs = None
-        for a in range(offsets[s][u + 1] - start):
-            x = vec[start + a]
-            if not x:
-                continue
-            if coeffs is None:
-                coeffs = family.compose_coeffs(tag, s, t)
-            for c in coeffs[(a, k)]:
-                out[target + c] = x
+def _act(family, tags, offsets, vec, s, t, k, rows):
+    """The entries at `rows`, coordinates of P(t), of the image of a vector
+    of P(s) under x_k, the k-th basis map of hom(s, t), the indicator of a
+    component c2.  The entry (u, c) is read at one vertex r of the c-th
+    good component of I_{tags[u]} & I_t: the vector's entry (u, a) when r
+    lies in c2 and in c1, the a-th good component of I_{tags[u]} & I_s, and
+    zero otherwise.  x_k composed with the indicator of c1 is the indicator
+    of c1 & c2, a morphism, so c1 & c2 is a union of components of
+    I_{tags[u]} & I_t, and one vertex decides whether one lies inside."""
+    hom, zero = family.hom_rows(), family.field.zero()
+    c2, sources, targets = hom[s][t][k], offsets[s], offsets[t]
+    out = []
+    base = end = 0
+    for row in rows:
+        if not base <= row < end:
+            u = bisect_right(targets, row) - 1
+            base, end, start = targets[u], targets[u + 1], sources[u]
+            comps = hom[tags[u]][t]
+            at = family.component_at(tags[u], s)
+        r = comps[row - base]
+        a = at.get(r & -r) if r & -r & c2 else None
+        out.append(zero if a is None else vec[start + a])
     return out
 
 
@@ -132,7 +138,7 @@ def projective_cover_step(family, tags, syzygy):
             if t not in offsets:
                 continue
             for vec in vecs:
-                img = _act(family, tags, offsets, vec, s, t, k)
+                img = _act(family, tags, offsets, vec, s, t, k, range(offsets[t][-1]))
                 if any(img):
                     rad.setdefault(t, []).append(img)
     gens = []
@@ -165,8 +171,7 @@ def projective_cover_step(family, tags, syzygy):
         cols = []
         for (tag, vec), dims in zip(gens, new_dims_from):
             for k in range(dims.get(t, 0)):
-                img = _act(family, tags, offsets, vec, tag, t, k)
-                cols.append([img[r] for r in free])
+                cols.append(_act(family, tags, offsets, vec, tag, t, k, free))
         cover = Mat.from_columns(field, cols, len(basis))
         kernel_basis = cover.kernel_basis()
         if cover.ncols - len(kernel_basis) != len(basis):
@@ -442,13 +447,15 @@ class VecChain:
 def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
     """Hom(K(V_I), M): spaces Hom(X^i, M), maps = precomposition with d.
 
-    The coresolution is `cochain` if given, else the one of I in the
-    interval family `cat` (see `IntervalFamily.wrap`), which must be over
-    the module's quiver and field."""
+    The coresolution is `cochain` if given, which must begin at V_I, else
+    the one of I in the interval family `cat` (see `IntervalFamily.wrap`),
+    which must be over the module's quiver and field."""
     quiver = module.quiver
     family = IntervalFamily.wrap(cat, quiver, module.field)
     if cochain is None:
         cochain = koszul_coresolution(quiver, interval, cat=family, max_len=max_len)
+    elif cochain.terms[0] != [interval]:
+        raise ValueError(f"the cochain begins at {cochain.terms[0]}, not at {interval!r}")
     if cochain.field != module.field:
         raise ValueError(
             f"the cochain is over {cochain.field!r} but the module is over "
@@ -542,7 +549,9 @@ def betti_table_via_koszul(module, cat=None, max_len=None):
     family `cat` (see `IntervalFamily.wrap`).
 
     The complexes share one dict of hom spaces, so Hom(V_J, M) is solved
-    at most once per member J of the family."""
+    at most once per member J of the family.  `max_len` bounds each
+    coresolution K(V_I), which depends on the family, not on M: a bound
+    that M's own resolution meets may still raise here."""
     quiver = module.quiver
     family = IntervalFamily.wrap(cat, quiver, module.field)
     table = BettiTable()

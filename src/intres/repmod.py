@@ -18,7 +18,7 @@ intervals over one field: its members, their vertex bitmasks, its hom
 table (the good components of every pair, as bitmasks), its table of
 irreducible maps and its containment structure.  Both routes and `tda`
 read it, and it is the category the Koszul route resolves in, holding
-that route's composition constants and coresolutions; the family of all
+that route's per-pair component tables and coresolutions; the family of all
 intervals of a quiver is held by the quiver, once per field.
 """
 
@@ -759,10 +759,10 @@ class IntervalFamily:
     resolves in: one object per member, with hom(s, t) =
     Hom(V_{I_s}, V_{I_t}) spanned by the indicators of its good components.
     What that route alone reads is held here as it is built, for callers
-    to read only: the composition constants per triple of members
-    (`compose_coeffs`), the hom dimensions per member (`hom_dims_from`), and
-    `coresolutions`, {member: its coresolution}, which
-    `koszul.koszul_coresolution` fills.
+    to read only: the rows of the hom table as dicts (`hom_rows`), per pair
+    of members which good component holds each vertex (`component_at`),
+    the hom dimensions per member (`hom_dims_from`), and `coresolutions`,
+    {member: its coresolution}, which `koszul.koszul_coresolution` fills.
 
     The family of all intervals of a quiver comes from `of`, which the
     quiver holds per field, so every call over one quiver shares one
@@ -780,7 +780,7 @@ class IntervalFamily:
 
     __slots__ = (
         "quiver", "field", "objects", "masks", "index", "coresolutions",
-        "_hom", "_rows", "_dims_from", "_compose", "_table", "_containment",
+        "_hom", "_rows", "_dims_from", "_at", "_table", "_containment",
         "_op",
     )
 
@@ -800,7 +800,7 @@ class IntervalFamily:
         self._hom = None
         self._rows = None
         self._dims_from = {}
-        self._compose = {}
+        self._at = {}
         self._table = None
         self._containment = None
         self._op = None
@@ -865,7 +865,7 @@ class IntervalFamily:
                 self._hom = _hom_table(self.quiver, self.masks)
         return self._hom
 
-    def _hom_rows(self):
+    def hom_rows(self):
         """Row s of `hom_table` as a dict {t: components}, per member s."""
         if self._rows is None:
             self._rows = tuple(dict(row) for row in self.hom_table())
@@ -880,25 +880,16 @@ class IntervalFamily:
             self._dims_from[s] = dims
         return dims
 
-    def compose_coeffs(self, s, t, u):
-        """Composition constants: (a, b) -> the indices c with x_b o x_a =
-        sum of the x_c, where x_a is the a-th basis map of hom(s, t), x_b the
-        b-th of hom(t, u) and x_c the c-th of hom(s, u), in `hom_table`
-        order.  The composite of two component indicators is the sum of the
-        good components of I_s & I_u contained in both, so every constant
-        is 0 or 1, whatever the field.  Built once per triple."""
-        key = (s, t, u)
-        coeffs = self._compose.get(key)
-        if coeffs is None:
-            rows = self._hom_rows()
-            target = rows[s].get(u, ())
-            coeffs = {
-                (a, b): [c for c, comp in enumerate(target) if not comp & ~(c1 & c2)]
-                for a, c1 in enumerate(rows[s].get(t, ()))
-                for b, c2 in enumerate(rows[t].get(u, ()))
-            }
-            self._compose[key] = coeffs
-        return coeffs
+    def component_at(self, s, t):
+        """{bit: k} over the vertex bits of the k-th good component of
+        I_s & I_t, in `hom_table` order, read off the hom table's bitmasks.
+        Built once per pair."""
+        at = self._at.get((s, t))
+        if at is None:
+            comps = self.hom_rows()[s].get(t, ())
+            at = {1 << i: k for k, comp in enumerate(comps) for i in _bits(comp)}
+            self._at[s, t] = at
+        return at
 
     def irreducible_maps(self):
         """The irreducible maps of the family, as out-adjacency: entry s
