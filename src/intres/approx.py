@@ -5,7 +5,10 @@ over the module's quiver and field: `None` means the family of all
 intervals that the quiver holds (`IntervalFamily.of`), and a plain list
 (an empty one is an empty family) is wrapped for the one call.  Each call
 builds Hom(V_J, M) once per member J, solved from the sources of J
-(`hom_basis_from_interval`), and drops the members where it is zero.  A
+(`hom_basis_from_interval`), and drops the members where it is zero.  The
+hom bases stay flat vectors (`repmod.flat_offsets` gives their layout):
+composites and ranks read them directly, and a morphism V_I -> M is built
+only for a basis element that the approximation keeps.  A
 right approximation of M is a morphism f from a sum of family interval
 modules such that post-composition with f is onto Hom(V_I, M) for every
 member I.  Left approximations are not computed here: a left
@@ -23,7 +26,8 @@ with g: V_I -> V_J irreducible and h: V_J -> M alone.  The irreducible
 maps are the family's table (`IntervalFamily.irreducible_maps`), built
 once per family and read by every approximation over it.  Each g is the
 indicator of a good component
-C (`good_components`), so h o g is h cut down to C, and one elimination
+C (`good_components`), so h o g is h cut down to C (h's entries copied
+at the vertices of C), and one elimination
 per interval picks the hom-basis elements that span a complement of the
 radical.  The multiplicities of the retained summands are the degree-0
 Betti data used by `resolve`.
@@ -38,6 +42,7 @@ from intres.repmod import (
     IntervalFamily,
     ModMorphism,
     direct_sum,
+    flat_offsets,
     good_components,
     hom_basis_from_interval,
     interval_module,
@@ -67,50 +72,47 @@ class ApproxMorphism:
         return out
 
 
-def _assemble(module, summand_index, parts):
-    """The morphism from the direct sum of the tagged interval modules."""
-    if not summand_index:
+def _assemble(module, parts):
+    """The morphism from the direct sum of the parts' sources, in order."""
+    if not parts:
         zm = zero_module(module.quiver, module.field)
         return ModMorphism(zm, module, {}, check=False)
-    mods = [interval_module(module.quiver, i, module.field) for i in summand_index]
-    return morphism_from_columns(direct_sum(mods), module, parts)
+    return morphism_from_columns(direct_sum([p.src for p in parts]), module, parts)
 
 
 # ---- composites through interval modules ----------------------------------------
 
 
 def _homs(module, members):
-    """Basis of Hom(V_J, M) for every member J with a nonzero one, in
-    family order."""
+    """Basis of Hom(V_J, M), as flat vectors (`hom_basis_from_interval`),
+    and `flat_offsets` for every member J with a nonzero one, in family
+    order."""
     homs = {}
     for j in members:
         basis = hom_basis_from_interval(j, module)
         if basis:
-            homs[j] = basis
+            homs[j] = basis, flat_offsets(j, module.dims)[0]
     return homs
 
 
 def _composites(module, i, pieces):
     """Flat vectors, in the coordinates of Hom(V_I, M), of every h o g with
-    (C, h) in `pieces`: g: V_I -> V_J is the indicator of a good component
-    C of I & J and h: V_J -> M.
+    (C, h, offsets) in `pieces`: g: V_I -> V_J is the indicator of a good
+    component C of I & J and h: V_J -> M is a flat vector of Hom(V_J, M)
+    whose vertex v starts at offsets[v].
 
-    The composite agrees with h on C and vanishes off it.  At each vertex v
-    of I the hom space has dim M_v coordinates, which `ModMorphism.flat`
-    lists in quiver order.  Returns (vectors, width).
+    The composite agrees with h on C and vanishes off it, so it copies h's
+    entries at the vertices of C.  Returns (vectors, width).
     """
     dims = module.dims
-    offsets = {}
-    width = 0
-    for v in i.vertices:
-        offsets[v] = width
-        width += dims[v]
+    at, width = flat_offsets(i, dims)
     zero = module.field.zero()
     out = []
-    for comp, h in pieces:
+    for comp, h, offsets in pieces:
         vec = [zero] * width
         for v in comp:
-            vec[offsets[v] : offsets[v] + dims[v]] = h.comps[v].data
+            a, b = at[v], offsets[v]
+            vec[a : a + dims[v]] = h[b : b + dims[v]]
         out.append(vec)
     return out, width
 
@@ -124,12 +126,15 @@ def is_right_interval_approximation(approx, family=None):
     """
     module = approx.module
     members = IntervalFamily.wrap(family, module.quiver, module.field).objects
-    pairs = list(zip(approx.summand_index, approx.parts))
-    for i, basis in _homs(module, members).items():
+    pairs = [
+        (j, part.flat(), flat_offsets(j, module.dims)[0])
+        for j, part in zip(approx.summand_index, approx.parts)
+    ]
+    for i, (basis, _) in _homs(module, members).items():
         comps = {
             j: good_components(module.quiver, i, j) for j in set(approx.summand_index)
         }
-        pieces = [(c, h) for j, h in pairs for c in comps[j]]
+        pieces = [(c, h, offsets) for j, h, offsets in pairs for c in comps[j]]
         image, width = _composites(module, i, pieces)
         if Mat.from_columns(module.field, image, width).rank() != len(basis):
             return False
@@ -143,18 +148,18 @@ def _top(module, i, homs, maps):
     """Hom-basis elements at I spanning a complement of the radical, which
     is spanned by h o g over the irreducible maps g: V_I -> V_J, given in
     `maps` as (J, k) for the k-th good component of Hom(V_I, V_J), and the
-    basis maps h of Hom(V_J, M)."""
-    basis = homs[i]
+    basis maps h of Hom(V_J, M).  All are flat vectors."""
+    basis = homs[i][0]
     pieces = []
     for j, k in maps:
         if j in homs:
             comp = good_components(module.quiver, i, j)[k]
-            pieces.extend((comp, h) for h in homs[j])
+            hs, offsets = homs[j]
+            pieces.extend((comp, h, offsets) for h in hs)
     rad, width = _composites(module, i, pieces)
     if not rad:
         return basis
-    cols = rad + [h.flat() for h in basis]
-    _, pivots = Mat.from_columns(module.field, cols, width).rref()
+    _, pivots = Mat.from_columns(module.field, rad + basis, width).rref()
     return [basis[p - len(rad)] for p in pivots if p >= len(rad)]
 
 
@@ -164,6 +169,8 @@ def minimal_right_approximation(module, family=None):
 
     The radical is spanned along the family's table of irreducible maps,
     which an `IntervalFamily` builds once and every call over it reads.
+    Only the kept hom-basis elements become morphisms, one interval module
+    per member that keeps any.
     """
     family = IntervalFamily.wrap(family, module.quiver, module.field)
     members = family.objects
@@ -174,7 +181,9 @@ def minimal_right_approximation(module, family=None):
     for i in homs:
         maps = [(members[t], k) for t, k in irreducible[family.index[i]]]
         kept = _top(module, i, homs, maps)
-        summand_index.extend([i] * len(kept))
-        parts.extend(kept)
-    f = _assemble(module, summand_index, parts)
+        if kept:
+            src = interval_module(module.quiver, i, module.field)
+            summand_index.extend([i] * len(kept))
+            parts.extend(ModMorphism.from_flat(src, module, h) for h in kept)
+    f = _assemble(module, parts)
     return ApproxMorphism(module, summand_index, parts, f)

@@ -106,6 +106,8 @@ def _load_module(args):
 
 def _quiver_from_args(args):
     if getattr(args, "ladder", None) is not None:
+        if args.file is not None:
+            raise UsageError("give either --ladder or --file, not both")
         try:
             return commutative_ladder(args.ladder), None
         except ValueError as e:

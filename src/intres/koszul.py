@@ -55,10 +55,13 @@ from intres.exactla import QQ, Mat
 from intres.poset import BoundQuiver
 from intres.repmod import (
     IntervalFamily,
+    ModMorphism,
     PersModule,
     component_morphism,
+    flat_offsets,
     good_components,
     hom_basis_from_interval,
+    interval_module,
 )
 from intres.resolve import BettiTable, MaxLengthExceeded
 
@@ -465,13 +468,15 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
 
 
 def _complex(module, cochain, homs):
-    """Hom(cochain, M).  `homs` is a dict {J: (basis of Hom(V_J, M), its
-    `_hom_chart` or None when the basis is empty)} for this module, given
-    the summands V_J it lacks; complexes of one module that share the dict
-    solve and chart each space once."""
+    """Hom(cochain, M).  `homs` is a dict {J: (basis of Hom(V_J, M) as flat
+    vectors, its `_hom_chart` or None when the basis is empty, its
+    `flat_offsets`)} for this module, given the summands V_J it lacks;
+    complexes of one module that share the dict solve and chart each space
+    once."""
     for j in set().union(*cochain.terms) - homs.keys():
         basis = hom_basis_from_interval(j, module)
-        homs[j] = basis, _hom_chart(module.field, basis) if basis else None
+        chart = _hom_chart(module.field, basis) if basis else None
+        homs[j] = basis, chart, flat_offsets(j, module.dims)[0]
     dims = [sum(len(homs[j][0]) for j in tags) for tags in cochain.terms]
     mats = [
         _precompose_matrix_module(module, cochain, i, homs)
@@ -480,11 +485,10 @@ def _complex(module, cochain, homs):
     return VecChain(dims, mats)
 
 
-def _hom_chart(field, basis):
-    """The hom basis as columns of flat vectors, with their free columns
-    (`hom_basis_from_interval` returns it in `kernel_basis`'s canonical
-    form)."""
-    flats = [b.flat() for b in basis]
+def _hom_chart(field, flats):
+    """The hom basis, flat vectors in `kernel_basis`'s canonical form (as
+    `hom_basis_from_interval` returns it), as columns, with their free
+    columns."""
     return Mat.from_columns(field, flats, len(flats[0])), Mat.free_columns(flats)
 
 
@@ -503,33 +507,37 @@ def _precompose_matrix_module(module, cochain, i, homs):
     block's coefficient on each good component (the cochain's `layout`)
     and zero off them.  It is written as a flat vector of Hom(V_J, M), the
     dim M_v entries of each vertex v of J in quiver order, and read in the
-    `_hom_chart` of J.  A coefficient 1 copies h's entries and -1 negates
-    them, with no product; any other coefficient is multiplied in.
+    `_hom_chart` of J.  At a vertex v of a component, a coefficient 1 copies
+    h's entries at v and any other coefficient multiplies them, in the
+    field.
     """
     field = module.field
-    zero, one, minus_one = field.zero(), field.one(), field.coerce(-1)
+    dims = module.dims
+    zero, one = field.zero(), field.one()
+    p = field.p if field.kind == "GF" else None
     cur_tags = cochain.terms[i]
     layout = cochain.layout()[i - 1]
     row_blocks = []
     for u_prev, j_prev in enumerate(cochain.terms[i - 1]):
-        basis, chart = homs[j_prev]
+        basis, chart, at = homs[j_prev]
         if not basis:
             continue
+        width = len(basis[0])
         composites = []
         for u_cur, j_cur in enumerate(cur_tags):
             values = layout[u_cur][u_prev]
-            for h in homs[j_cur][0]:
-                vec = []
-                for v in j_prev.vertices:
-                    c = values.get(v)
+            hs, _, offsets = homs[j_cur]
+            for h in hs:
+                vec = [zero] * width
+                for v, c in values.items():
                     if not c:
-                        vec.extend([zero] * module.dims[v])
-                    elif c == one:
-                        vec.extend(h.comps[v].data)
-                    elif c == minus_one:
-                        vec.extend((-h.comps[v]).data)
-                    else:
-                        vec.extend(h.comps[v].scale(c).data)
+                        continue
+                    a, b = at[v], offsets[v]
+                    block = h[b : b + dims[v]]
+                    if c != one:
+                        block = ([x * c for x in block] if p is None
+                                 else [x * c % p for x in block])
+                    vec[a : a + dims[v]] = block
                 composites.append(vec)
         x = _hom_coordinates(chart, composites)
         if x is None:
@@ -818,7 +826,11 @@ def lattice_module_from_persistence(gauge, module):
     for (a, b) in poset.covers():
         if dims[a] == 0 or dims[b] == 0:
             continue
-        composites = [h.compose(gauge.p[(a, b)]).flat() for h in homs[b]]
+        src = interval_module(module.quiver, gauge.labelling[b], field)
+        composites = [
+            ModMorphism.from_flat(src, module, h).compose(gauge.p[(a, b)]).flat()
+            for h in homs[b]
+        ]
         x = _hom_coordinates(_hom_chart(field, homs[a]), composites)
         if x is None:
             raise AssertionError("precomposition left the hom space")

@@ -443,7 +443,9 @@ def _source_system(interval, module):
 
 
 def hom_basis_from_interval(interval, module):
-    """Basis of Hom(V_J, M) for an interval J, solved from the sources of J.
+    """Basis of Hom(V_J, M) for an interval J, solved from the sources of J,
+    as flat vectors: the dim M_v entries of each vertex v of J, vertices in
+    quiver order (`flat_offsets`), the layout of `ModMorphism.flat`.
 
     A morphism V_J -> M is a vector x_v in M(v) at every vertex v of J with
     x_v = M(a) x_u along each arrow a: u -> v inside J and M(a) x_u = 0
@@ -455,16 +457,17 @@ def hom_basis_from_interval(interval, module):
     y.  Its kernel, mapped through G, is brought into `kernel_basis`'s
     canonical form (the RREF of the flat vectors with the column order
     reversed, read back in reverse), which depends only on the space.  The
-    result therefore equals `hom_basis(interval_module(q, J, k), M)`
-    morphism for morphism, and `Mat.free_columns` reads coordinates in it.
+    result therefore equals the `flat()` vectors of
+    `hom_basis(interval_module(q, J, k), M)`, in order, and
+    `Mat.free_columns` reads coordinates in it.  No morphism is built:
+    `ModMorphism.from_flat(interval_module(q, J, k), M, vec)` recovers one.
 
     Over the opposite quiver, as for the dual module of a coresolution, the
     sources of J are its sinks in the original quiver.
     """
-    q = module.quiver
     field = module.field
     if not isinstance(interval, Interval):
-        interval = Interval(q, interval)
+        interval = Interval(module.quiver, interval)
     solved = _source_system(interval, module)
     if solved is None:
         return []
@@ -473,8 +476,7 @@ def hom_basis_from_interval(interval, module):
     if not kernel:
         return []
     sol = Mat.from_columns(field, kernel, system.ncols)
-    inside = interval.vertex_set
-    blocks = [values[v] * sol for v in reversed(q.vertices) if v in inside]
+    blocks = [values[v] * sol for v in reversed(interval.vertices)]
     width = sum(b.nrows for b in blocks)
     flipped = [
         x
@@ -483,11 +485,18 @@ def hom_basis_from_interval(interval, module):
         for x in reversed(b.col(j))
     ]
     red, _ = Mat(field, len(kernel), width, flipped).rref()
-    src = interval_module(q, interval, field)
-    return [
-        ModMorphism.from_flat(src, module, red.row(i)[::-1])
-        for i in reversed(range(red.nrows))
-    ]
+    return [red.row(i)[::-1] for i in reversed(range(red.nrows))]
+
+
+def flat_offsets(interval, dims):
+    """Where the entries of each vertex v of J start in a flat vector of
+    Hom(V_J, M) (`hom_basis_from_interval`), with `dims` those of M, and
+    the vector's length."""
+    offsets, width = {}, 0
+    for v in interval.vertices:
+        offsets[v] = width
+        width += dims[v]
+    return offsets, width
 
 
 def hom_dim_from_interval(interval, module):

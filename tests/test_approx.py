@@ -6,11 +6,16 @@ from collections import Counter
 
 from intres import (
     QQ,
+    ModMorphism,
+    betti,
+    cobetti,
     commutative_ladder,
     enumerate_intervals,
     is_right_interval_approximation,
     minimal_right_approximation,
 )
+from intres import approx as approx_module
+from intres import repmod, resolve
 from intres.approx import ApproxMorphism
 
 from conftest import (
@@ -138,3 +143,40 @@ def test_zero_module_approximations():
     assert mini.summand_index == [] and mini.morphism.is_iso()
     minl = minimal_right_approximation(z.dual())
     assert minl.summand_index == [] and minl.morphism.dual().is_iso()
+
+
+def test_morphisms_are_built_only_for_kept_summands(monkeypatch):
+    """`betti` and `cobetti` on `cl5_m.mod` keep 8 summands in all.  The
+    hom spaces are flat vectors, so only a kept basis element becomes a
+    morphism (one `ModMorphism.from_flat` each), and an interval module is
+    built at most twice per summand; building a morphism for every
+    hom-basis element made 180 and 144 such calls."""
+    calls = Counter()
+    kept = []
+    from_flat = ModMorphism.from_flat.__func__
+    build = repmod.interval_module
+    approximate = resolve.minimal_right_approximation
+
+    def counted_from_flat(cls, *args, **kwargs):
+        calls["from_flat"] += 1
+        return from_flat(cls, *args, **kwargs)
+
+    def counted_build(*args):
+        calls["interval_module"] += 1
+        return build(*args)
+
+    def recorded(*args):
+        result = approximate(*args)
+        kept.extend(result.summand_index)
+        return result
+
+    monkeypatch.setattr(ModMorphism, "from_flat", classmethod(counted_from_flat))
+    for mod in (repmod, approx_module):
+        monkeypatch.setattr(mod, "interval_module", counted_build)
+    monkeypatch.setattr(resolve, "minimal_right_approximation", recorded)
+    m = load_fixture("cl5_m.mod")
+    betti(m)
+    cobetti(m)
+    assert len(kept) == 8
+    assert calls["from_flat"] == len(kept)
+    assert calls["interval_module"] <= 2 * len(kept)

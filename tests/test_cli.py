@@ -197,6 +197,24 @@ def test_replace_golden(capsys, name, fmt, field):
     assert out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("field", [[], ["--field", "GF(2)"]], ids=["Q", "GF2"])
+@pytest.mark.parametrize("command, fmt, stem", [
+    (["betti", "--route", "both"], [], "betti_{}.txt"),
+    (["betti", "--route", "both"], ["--json"], "betti_{}.json"),
+    (["decomposable"], ["--json"], "decomposable_{}.json"),
+], ids=["betti-text", "betti-json", "decomposable-json"])
+@pytest.mark.parametrize("name", ["cl3_m45", "cl5_m"])
+def test_report_golden(capsys, name, command, fmt, stem, field):
+    """The Betti table of both routes (text and JSON) and the JSON
+    decomposability verdict are byte for byte the golden file, over Q and
+    GF(2)."""
+    golden = FIXTURES / "golden" / stem.format(name)
+    code, out, err = run(capsys, *command, "--file",
+                         str(FIXTURES / f"{name}.mod"), *fmt, *field)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.encode() == golden.read_bytes()
+
+
 # ---- exit codes -------------------------------------------------------------------
 
 
@@ -232,6 +250,17 @@ def test_usage_errors(capsys, tmp_path):
     ]:
         code, out, err = run(capsys, "koszul", "--ladder", "3", "--interval", spec)
         assert (code, out, err) == (EXIT_USAGE, "", want)
+
+
+@pytest.mark.parametrize("command", [
+    ["koszul", "--interval", "top=[1,2]"], ["intervals"],
+])
+def test_ladder_and_file_exclude_each_other(capsys, command):
+    """With both, the file was silently ignored: `koszul` printed a ladder-4
+    coresolution and no complex, and exited 0."""
+    code, out, err = run(capsys, *command, "--ladder", "4", "--file", CL3_FILE)
+    assert (code, out, err) == (
+        EXIT_USAGE, "", "error: give either --ladder or --file, not both\n")
 
 
 def test_unknown_subcommand_is_usage(capsys):

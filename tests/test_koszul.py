@@ -776,6 +776,37 @@ def test_warm_complexes_read_the_held_block_layouts(monkeypatch):
     assert again.dims == first.dims and again.mats == first.mats
 
 
+@pytest.mark.parametrize("field", ["Q", "GF5"])
+def test_complex_of_a_scaled_coresolution(field):
+    """Every block of every coresolution of both fixtures scaled by c = 2,
+    a coefficient that no minimal coresolution on a ladder has (theirs are
+    0 and +-1), so that each complex multiplies the entries of its hom
+    vectors: the scaled cochain passes the check, its complex has the same
+    homology, and each matrix is c times the unscaled one."""
+    k = parse_field_token(field)
+    c = k.coerce(2)
+    nonzero = 0
+    for name in ("cl3_m45.mod", "cl5_m.mod"):
+        m = load_fixture(name, k)
+        cat = IntervalFamily.of(m.quiver, k)
+        for iv in cat.objects:
+            cochain = koszul_coresolution(m.quiver, iv, cat=cat)
+            blocks = [[[[k.coerce(x * c) for x in coeffs] for coeffs in row]
+                       for row in rows] for rows in cochain.blocks]
+            scaled = koszul._checked(
+                m.quiver, IntervalCochain(iv, cochain.terms, blocks, k))
+            assert all(x not in (k.one(), k.coerce(-1))
+                       for rows in blocks for row in rows
+                       for coeffs in row for x in coeffs)
+            want = koszul_complex(m, iv, cat)
+            got = koszul_complex(m, iv, cat, cochain=scaled)
+            assert got.dims == want.dims
+            assert got.homology_dims() == want.homology_dims()
+            assert got.mats == [x.scale(c) for x in want.mats]
+            nonzero += sum(not x.is_zero() for x in want.mats)
+    assert nonzero > 0
+
+
 def test_cold_tables_split_components_only_to_check_the_cochains(monkeypatch):
     """The cover steps read the family's hom table, so resolving every
     object of a fresh family splits no good components, and a cold table

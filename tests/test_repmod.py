@@ -33,6 +33,7 @@ from intres import (
 )
 from intres.modfile import parse_field_token
 from intres.poset import Interval
+from intres.repmod import flat_offsets
 
 from conftest import (
     IRREDUCIBLE_TOTALS,
@@ -488,7 +489,9 @@ INTERVAL_HOM_DIGESTS = {
 
 
 def general_solver(j, m):
-    return hom_basis(interval_module(m.quiver, j, m.field), m)
+    """Hom(V_J, M) by the general solver, as the flat vectors of its basis
+    morphisms: the layout `hom_basis_from_interval` returns."""
+    return [h.flat() for h in hom_basis(interval_module(m.quiver, j, m.field), m)]
 
 
 @pytest.mark.parametrize("solve", [general_solver, hom_basis_from_interval],
@@ -503,7 +506,7 @@ def test_interval_hom_digests(case, field, solve):
         for j in enumerate_intervals(m.quiver):
             basis = solve(j, m)
             data.append([sorted(j.vertex_set),
-                         [[str(x) for x in h.flat()] for h in basis]])
+                         [[str(x) for x in h] for h in basis]])
     assert digest(data) == INTERVAL_HOM_DIGESTS[(case, field)]
 
 
@@ -513,11 +516,12 @@ def assert_matches_general_solver(m, intervals=None):
     the identity on its distinct free columns; its dimension alone, a
     nullity, is the length of that basis."""
     for j in intervals or enumerate_intervals(m.quiver):
-        got = hom_basis_from_interval(j, m)
-        want = general_solver(j, m)
-        flats = [h.flat() for h in got]
+        flats = hom_basis_from_interval(j, m)
+        src = interval_module(m.quiver, j, m.field)
+        want = hom_basis(src, m)
         assert flats == [h.flat() for h in want]
-        assert got == want
+        assert [ModMorphism.from_flat(src, m, vec) for vec in flats] == want
+        assert all(len(vec) == flat_offsets(j, m.dims)[1] for vec in flats)
         assert hom_dim_from_interval(j, m) == len(want)
         free = Mat.free_columns(flats)
         assert len(set(free)) == len(free)
