@@ -1,7 +1,7 @@
 """Exact computation of interval-relative Betti numbers of persistence
 modules on finite posets, by two independent routes (minimal interval
 resolutions and Koszul-type complexes), with interval-decomposability
-testing and interval replacement on commutative ladders."""
+testing and interval replacement."""
 
 from intres.exactla import QQ, Field, Mat
 from intres.poset import (
@@ -17,8 +17,10 @@ from intres.poset import (
     ladder_length,
 )
 from intres.repmod import (
+    BettiTable,
     CommutativityError,
     IntervalFamily,
+    MaxLengthExceeded,
     ModMorphism,
     PersModule,
     cokernel,
@@ -41,10 +43,8 @@ from intres.approx import (
     minimal_right_approximation,
 )
 from intres.resolve import (
-    BettiTable,
     IntervalCoresolution,
     IntervalResolution,
-    MaxLengthExceeded,
     betti,
     cobetti,
     minimal_interval_coresolution,

@@ -46,9 +46,8 @@ def build_parser():
     p = _Parser(prog="intres", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_module=True):
-        if with_module:
-            sp.add_argument("--file", help="module file to read")
+    def add_common(sp):
+        sp.add_argument("--file", help="module file to read")
         sp.add_argument(
             "--field",
             help="override the field (Q or GF<p>)",
@@ -307,7 +306,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModuleFileError, FileNotFoundError, IsADirectoryError) as e:
+    except (ModuleFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (RouteMismatchError, AssertionError) as e:

@@ -295,9 +295,6 @@ class Mat:
     def rows(self):
         return [self.row(i) for i in range(self.nrows)]
 
-    def copy(self):
-        return Mat(self.field, self.nrows, self.ncols, list(self.data))
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)

@@ -41,7 +41,10 @@ A lattice-indexed variant is included: for a family of intervals whose hom
 pattern matches the incidence category of a finite lattice L, the cochain
 can be written down in closed form from cover subsets and joins, with signs
 from the position of the removed cover; and for modules over L given by
-spaces and down-maps, the corresponding complex is built directly.
+spaces and down-maps, the corresponding complex is built directly.  Each
+hom space of such a family is spanned by the indicator of one good
+component, so its gauge is a table of vertex sets (`build_lattice_gauge`).
+This module imports only `exactla`, `poset` and `repmod`.
 """
 
 from __future__ import annotations
@@ -54,16 +57,14 @@ from itertools import accumulate, combinations
 from intres.exactla import QQ, Mat
 from intres.poset import BoundQuiver
 from intres.repmod import (
+    BettiTable,
     IntervalFamily,
-    ModMorphism,
+    MaxLengthExceeded,
     PersModule,
-    component_morphism,
     flat_offsets,
     good_components,
     hom_basis_from_interval,
-    interval_module,
 )
-from intres.resolve import BettiTable, MaxLengthExceeded
 
 
 def build_end_category(quiver, intervals=None, field=None):
@@ -605,27 +606,17 @@ class LatticeModule:
         for key in down:
             if key not in self.down:
                 raise ValueError(f"matrix given for non-cover pair {key!r}")
-        self._op_module = self._as_op_representation(check)
-
-    def _as_op_representation(self, check):
-        names = {a: f"x{idx}" for idx, a in enumerate(self.poset.elements)}
-        arrows = []
-        arrow_of = {}
-        for idx, (a, b) in enumerate(self.poset.covers()):
-            arrows.append((f"d{idx}", names[b], names[a]))
-            arrow_of[(a, b)] = f"d{idx}"
-        q = BoundQuiver([names[a] for a in self.poset.elements], arrows)
-        dims = {names[a]: self.dims[a] for a in self.poset.elements}
-        maps = {arrow_of[(a, b)]: self.down[(a, b)] for (a, b) in self.down}
-        self._names = names
-        return PersModule(q, self.field, dims, maps, check=check)
+        arrows = {f"d{idx}": (b, a) for idx, (a, b) in enumerate(self.down)}
+        maps = dict(zip(arrows, self.down.values()))
+        quiver = BoundQuiver(poset.elements, arrows)
+        self._op_module = PersModule(quiver, field, self.dims, maps, check=check)
 
     def dim(self, a):
         return self.dims[a]
 
     def path_down(self, top, bottom):
         """Composite of down maps along any path top -> ... -> bottom."""
-        return self._op_module.path_map(self._names[top], self._names[bottom])
+        return self._op_module.path_map(top, bottom)
 
 
 def _cover_subsets(poset, a):
@@ -696,84 +687,51 @@ def semilattice_koszul_complex(poset, a, lat_module):
 @dataclass
 class LatticeGauge:
     """Fixed isomorphism between a lattice's incidence category and the full
-    subcategory on a family of interval modules: one morphism p[a][b] per
-    related pair a <= b, compatible with composition."""
+    subcategory on a family of interval modules: per related pair a <= b,
+    the one good component C_ab of Hom(V_{I_a}, V_{I_b}), whose indicator
+    p_ab is the basis morphism; these compose like the lattice."""
 
     poset: object
     labelling: dict  # lattice element -> Interval
-    p: dict  # (a, b) -> ModMorphism V_{I_a} -> V_{I_b}
+    p: dict  # (a, b) -> C_ab, a frozenset of vertices
 
 
-def build_lattice_gauge(poset, labelling, field):
-    """Check the hom pattern matches the lattice and fix reference morphisms.
+def build_lattice_gauge(poset, labelling):
+    """Check that the hom pattern matches the lattice and composes like it.
 
-    dim Hom(V_{I_a}, V_{I_b}) must be 1 when a <= b and 0 otherwise; the
-    bottom element provides reference morphisms along which all p_{a,b} are
-    normalized, making compatibility with composition automatic.
+    dim Hom(V_{I_a}, V_{I_b}) must be 1 when a <= b and 0 otherwise, the
+    span of the indicator p_ab of one good component C_ab.  Indicators
+    compose by intersecting their components, so with bottom z the family
+    composes like the lattice exactly when C_ab & C_za = C_zb for all a <= b:
+    then p_bc o p_ab o p_za = p_zc, so p_bc o p_ab is a nonzero indicator in
+    the span of p_ac, which is p_ac.
     """
     elements = poset.elements
     if len(set(labelling[a] for a in elements)) != len(elements):
         raise ValueError("labelling must be injective")
-    sample = labelling[elements[0]]
-    quiver = sample.quiver
-    comp_cache = {}
-
-    def comps(a, b):
-        key = (a, b)
-        if key not in comp_cache:
-            comp_cache[key] = good_components(quiver, labelling[a], labelling[b])
-        return comp_cache[key]
-
-    for a in elements:
-        for b in elements:
-            want = 1 if poset.leq(a, b) else 0
-            if len(comps(a, b)) != want:
-                raise ValueError(
-                    "hom pattern does not match the lattice: "
-                    f"dim Hom at ({a!r}, {b!r}) is {len(comps(a, b))}, "
-                    f"expected {want}"
-                )
-    bottom = poset.bottom()
-    if bottom is None:
-        raise ValueError("the poset has no bottom element")
-
-    def indicator(a, b):
-        return component_morphism(
-            quiver, labelling[a], labelling[b], comps(a, b)[0], field
-        )
-
-    # reference morphisms from the bottom, along arbitrary cover chains
-    r = {bottom: indicator(bottom, bottom)}
-    order = sorted(
-        elements, key=lambda e: (sum(1 for x in elements if poset.lt(x, e)),
-                                 poset.index(e))
-    )
-    for e in order:
-        if e == bottom:
-            continue
-        below = [x for x in elements if poset.lt(x, e) and x in r]
-        if not below:
-            raise ValueError(f"element {e!r} is not above the bottom")
-        x = below[-1]
-        cand = indicator(x, e).compose(r[x])
-        if cand.is_zero():
-            raise ValueError(
-                "reference morphism vanishes; hom pattern does not compose "
-                "like the lattice"
-            )
-        r[e] = cand
+    quiver = labelling[elements[0]].quiver
     p = {}
     for a in elements:
         for b in elements:
-            if not poset.leq(a, b):
-                continue
-            cand = indicator(a, b)
-            if cand.compose(r[a]) != r[b]:
+            comps = good_components(quiver, labelling[a], labelling[b])
+            want = 1 if poset.leq(a, b) else 0
+            if len(comps) != want:
                 raise ValueError(
-                    f"basis morphism at ({a!r}, {b!r}) is not compatible "
-                    "with the reference normalization"
+                    "hom pattern does not match the lattice: "
+                    f"dim Hom at ({a!r}, {b!r}) is {len(comps)}, expected {want}"
                 )
-            p[(a, b)] = cand
+            if comps:
+                p[(a, b)] = comps[0]
+    bottom = poset.bottom()
+    if bottom is None:
+        raise ValueError("the poset has no bottom element")
+    for (a, b), comp in p.items():
+        if comp & p[(bottom, a)] != p[(bottom, b)]:
+            raise ValueError(
+                "hom pattern does not compose like the lattice: the basis "
+                f"morphism at ({a!r}, {b!r}) after the one at ({bottom!r}, "
+                f"{a!r}) is not the one at ({bottom!r}, {b!r})"
+            )
     return LatticeGauge(poset, dict(labelling), p)
 
 
@@ -790,7 +748,7 @@ def formal_koszul_coresolution(poset, a, embedding, field=None, gauge=None):
     if field is None:
         field = QQ
     if gauge is None:
-        build_lattice_gauge(poset, embedding, field)
+        build_lattice_gauge(poset, embedding)
     quiver = embedding[a].quiver
     subsets, joins = _cover_subsets(poset, a)
     terms = [[embedding[j] for j in js] for js in joins]
@@ -813,26 +771,28 @@ def formal_koszul_coresolution(poset, a, embedding, field=None, gauge=None):
 def lattice_module_from_persistence(gauge, module):
     """Spaces Hom(V_{I_a}, M) with down-maps by precomposition with p.
 
+    For h: V_{I_b} -> M, h o p_ab agrees with h on C_ab and vanishes off
+    it, so its flat vector copies h's entries at the vertices of C_ab.
     This is the bridge along which lattice-level homology computes the
     family-relative Betti numbers of the persistence module."""
-    poset = gauge.poset
-    field = module.field
-    homs = {
-        a: hom_basis_from_interval(gauge.labelling[a], module)
-        for a in poset.elements
-    }
-    dims = {a: len(homs[a]) for a in poset.elements}
+    poset, labelling = gauge.poset, gauge.labelling
+    field, dims = module.field, module.dims
+    zero = field.zero()
+    homs = {a: hom_basis_from_interval(labelling[a], module) for a in poset.elements}
     down = {}
     for (a, b) in poset.covers():
-        if dims[a] == 0 or dims[b] == 0:
+        if not homs[a] or not homs[b]:
             continue
-        src = interval_module(module.quiver, gauge.labelling[b], field)
-        composites = [
-            ModMorphism.from_flat(src, module, h).compose(gauge.p[(a, b)]).flat()
-            for h in homs[b]
-        ]
+        at, width = flat_offsets(labelling[a], dims)
+        offsets = flat_offsets(labelling[b], dims)[0]
+        composites = []
+        for h in homs[b]:
+            vec = [zero] * width
+            for v in gauge.p[(a, b)]:
+                vec[at[v] : at[v] + dims[v]] = h[offsets[v] : offsets[v] + dims[v]]
+            composites.append(vec)
         x = _hom_coordinates(_hom_chart(field, homs[a]), composites)
         if x is None:
             raise AssertionError("precomposition left the hom space")
         down[(a, b)] = x
-    return LatticeModule(poset, dims, down, field)
+    return LatticeModule(poset, {a: len(homs[a]) for a in poset.elements}, down, field)

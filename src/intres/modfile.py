@@ -4,7 +4,7 @@ Format (one directive per line, `#` comments, blank lines ignored):
 
     field Q                  # or: field GF 5
     quiver ladder 3          # or an explicit block:
-    # vertex a
+    # vertex a               # a name holds none of , { } =
     # vertex b
     # arrow f a b            # name src tgt (must form a Hasse diagram)
     dim b1 1                 # unlisted vertices default to 0
@@ -119,6 +119,9 @@ def parse_module_text(text, field=None):
                 err(lineno, "vertex directive after quiver was fixed")
             if len(toks) != 2:
                 err(lineno, "expected 'vertex <name>'")
+            if set(toks[1]) & set(",{}="):
+                err(lineno, f"vertex name {toks[1]!r} uses one of , {{ }} = "
+                            "(interval names are built from them)")
             vertices.append(toks[1])
             pos += 1
         elif head == "arrow":

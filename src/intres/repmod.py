@@ -20,10 +20,13 @@ irreducible maps and its containment structure.  Both routes and `tda`
 read it, and it is the category the Koszul route resolves in, holding
 that route's per-pair component tables and coresolutions; the family of all
 intervals of a quiver is held by the quiver, once per field.
+Both routes report in a `BettiTable` and raise `MaxLengthExceeded`, kept
+here so that neither route imports the other.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -1019,3 +1022,44 @@ def morphism_from_columns(source, target, parts):
             target.field, [p.comps[v] for p in parts], nrows=target.dims[v]
         ) if parts else Mat.zeros(target.field, target.dims[v], 0)
     return ModMorphism(source, target, comps, check=False)
+
+
+# ---- results shared by both routes ---------------------------------------------
+
+
+class MaxLengthExceeded(RuntimeError):
+    """The iteration did not terminate within the allowed number of steps."""
+
+
+@dataclass
+class BettiTable:
+    """Finitely supported table (degree, Interval) -> multiplicity."""
+
+    entries: dict = dataclasses.field(default_factory=dict)
+
+    def __getitem__(self, key):
+        return self.entries.get(key, 0)
+
+    def add(self, degree, interval, mult=1):
+        if mult:
+            key = (degree, interval)
+            self.entries[key] = self.entries.get(key, 0) + mult
+
+    def degree(self, i):
+        return {
+            interval: m for (d, interval), m in self.entries.items() if d == i
+        }
+
+    def max_degree(self):
+        return max((d for (d, _) in self.entries), default=-1)
+
+    def __eq__(self, other):
+        if not isinstance(other, BettiTable):
+            return NotImplemented
+        keys = set(self.entries) | set(other.entries)
+        return all(self[k] == other[k] for k in keys)
+
+    def sorted_items(self):
+        out = list(self.entries.items())
+        out.sort(key=lambda kv: (kv[0][0], kv[0][1].vertices))
+        return out

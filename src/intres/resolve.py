@@ -16,14 +16,10 @@ enumeration and one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from intres.approx import minimal_right_approximation
-from intres.repmod import IntervalFamily, kernel
-
-
-class MaxLengthExceeded(RuntimeError):
-    """The iteration did not terminate within the allowed number of steps."""
+from intres.repmod import BettiTable, IntervalFamily, MaxLengthExceeded, kernel
 
 
 def _default_max_len(quiver):
@@ -56,40 +52,6 @@ class IntervalCoresolution:
     @property
     def length(self):
         return len(self.terms) - 1 if self.terms else -1
-
-
-@dataclass
-class BettiTable:
-    """Finitely supported table (degree, Interval) -> multiplicity."""
-
-    entries: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.entries.get(key, 0)
-
-    def add(self, degree, interval, mult=1):
-        if mult:
-            key = (degree, interval)
-            self.entries[key] = self.entries.get(key, 0) + mult
-
-    def degree(self, i):
-        return {
-            interval: m for (d, interval), m in self.entries.items() if d == i
-        }
-
-    def max_degree(self):
-        return max((d for (d, _) in self.entries), default=-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, BettiTable):
-            return NotImplemented
-        keys = set(self.entries) | set(other.entries)
-        return all(self[k] == other[k] for k in keys)
-
-    def sorted_items(self):
-        out = list(self.entries.items())
-        out.sort(key=lambda kv: (kv[0][0], kv[0][1].vertices))
-        return out
 
 
 def _require_minimal(tags, prev_tags, diff):

@@ -253,7 +253,7 @@ def test_lattice_family_routes_and_semilattice_homology():
     numbers of random modules."""
     quiver, family, lattice, embedding = lattice_example()
     cat = build_end_category(quiver, intervals=family, field=QQ)
-    gauge = build_lattice_gauge(lattice, embedding, QQ)
+    gauge = build_lattice_gauge(lattice, embedding)
     for a in lattice.elements:
         formal = formal_koszul_coresolution(lattice, a, embedding, QQ,
                                             gauge=gauge)

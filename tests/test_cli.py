@@ -252,6 +252,16 @@ def test_usage_errors(capsys, tmp_path):
         assert (code, out, err) == (EXIT_USAGE, "", want)
 
 
+@pytest.mark.parametrize("path", [
+    pytest.param(CL3_FILE + "/x", id="through-a-file"),  # NotADirectoryError
+    pytest.param("m" * 300 + ".mod", id="name-too-long"),  # ENAMETOOLONG
+])
+def test_os_errors_on_the_module_file_are_usage_errors(capsys, path):
+    code, out, err = run(capsys, "betti", "--file", path)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["koszul", "--interval", "top=[1,2]"], ["intervals"],
 ])

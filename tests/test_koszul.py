@@ -959,6 +959,35 @@ def test_beta0_counts_minimal_generators(cl3_m45):
 # ---- lattice-indexed constructions ---------------------------------------------------
 
 
+CHAIN_XYZ = Poset.from_leq(
+    ("x", "y", "z"), lambda s, t: "xyz".index(s) <= "xyz".index(t)
+)
+
+
+@pytest.mark.parametrize("poset, labels, match", [
+    (CHAIN_XYZ, (["t2", "t3"], ["t2", "t3"], ["b2", "b3", "t2"]),
+     "labelling must be injective"),
+    (CHAIN_XYZ, (["b3", "t1", "t2", "t3"], ["t2", "t3"], ["b2", "b3", "t2"]),
+     "hom pattern does not match the lattice"),
+    (Poset.from_leq(("x", "y"), lambda s, t: s == t), (["t1"], ["b3"]),
+     "no bottom element"),
+    # every hom space is one-dimensional, but the composite x -> y -> z vanishes
+    (CHAIN_XYZ, (["t2", "t3"], ["b3", "t1", "t2", "t3"], ["b2", "b3", "t2"]),
+     "does not compose like the lattice"),
+])
+def test_the_lattice_gauge_refuses(poset, labels, match):
+    labelling = {e: Interval(CL3, vs) for e, vs in zip(poset.elements, labels)}
+    with pytest.raises(ValueError, match=match):
+        build_lattice_gauge(poset, labelling)
+
+
+def test_the_lattice_gauge_names_the_pair_that_does_not_compose():
+    labels = (["t2", "t3"], ["b3", "t1", "t2", "t3"], ["b2", "b3", "t2"])
+    labelling = {e: Interval(CL3, vs) for e, vs in zip("xyz", labels)}
+    with pytest.raises(ValueError, match=r"at \('y', 'z'\)"):
+        build_lattice_gauge(CHAIN_XYZ, labelling)
+
+
 def test_lattice_module_validation():
     p = Poset.from_leq((1, 2, 4), lambda a, b: b % a == 0)
     good = LatticeModule(
@@ -989,7 +1018,7 @@ def test_lattice_module_path_independence_enforced():
 def test_lattice_example_formal_vs_relative():
     quiver, family, lattice, embedding = lattice_example()
     cat = build_end_category(quiver, family, QQ)
-    gauge = build_lattice_gauge(lattice, embedding, QQ)
+    gauge = build_lattice_gauge(lattice, embedding)
     rng = random.Random(45)
     modules = [random_interval_sum(quiver, rng)[0] for _ in range(3)]
     for a in lattice.elements:
@@ -1022,7 +1051,7 @@ def test_lattice_example_bottom_terms():
 def test_semilattice_complex_matches_family_betti():
     rng = random.Random(43)
     quiver, family, lattice, embedding = lattice_example()
-    gauge = build_lattice_gauge(lattice, embedding, QQ)
+    gauge = build_lattice_gauge(lattice, embedding)
     for _ in range(3):
         m, _ = random_interval_sum(quiver, rng)
         lat = lattice_module_from_persistence(gauge, m)
@@ -1038,7 +1067,7 @@ def test_semilattice_complex_matches_family_betti():
 
 def test_lattice_module_from_persistence_dims():
     quiver, family, lattice, embedding = lattice_example()
-    gauge = build_lattice_gauge(lattice, embedding, QQ)
+    gauge = build_lattice_gauge(lattice, embedding)
     rng = random.Random(44)
     m, _ = random_interval_sum(quiver, rng)
     lat = lattice_module_from_persistence(gauge, m)

@@ -143,6 +143,16 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("name", ["a,b", "{a", "a}", "stop=1"])
+def test_vertex_names_that_break_interval_names_are_refused(name):
+    """`{a,b}` would name both the vertex `a,b` and two vertices, and
+    `{stop=1}` would read as a ladder row segment."""
+    with pytest.raises(ModuleFileError) as exc:
+        parse_module_text(f"quiver explicit\nvertex c\nvertex {name}\n")
+    assert exc.value.lineno == 3
+    assert f"vertex name {name!r}" in str(exc.value)
+
+
 def test_non_commuting_file_raises():
     text = """
 quiver ladder 2
