@@ -4,8 +4,9 @@ Everything is relative to a family of intervals, a `repmod.IntervalFamily`
 over the module's quiver and field: `None` means the family of all
 intervals that the quiver holds (`IntervalFamily.of`), and a plain list
 (an empty one is an empty family) is wrapped for the one call.  Each call
-builds Hom(V_J, M) once per member J, solved from the sources of J
-(`hom_basis_from_interval`), and drops the members where it is zero.  The
+builds Hom(V_J, M) once per member J, solved from the sources of J off one
+table of the module's path maps (`repmod.SourceSolves`), built for that
+call alone, and drops the members where it is zero.  The
 hom bases stay flat vectors (`repmod.flat_offsets` gives their layout):
 composites and ranks read them directly, and a morphism V_I -> M is built
 only for a basis element that the approximation keeps.  A
@@ -41,10 +42,10 @@ from intres.exactla import Mat
 from intres.repmod import (
     IntervalFamily,
     ModMorphism,
+    SourceSolves,
     direct_sum,
     flat_offsets,
     good_components,
-    hom_basis_from_interval,
     interval_module,
     morphism_from_columns,
     zero_module,
@@ -84,12 +85,13 @@ def _assemble(module, parts):
 
 
 def _homs(module, members):
-    """Basis of Hom(V_J, M), as flat vectors (`hom_basis_from_interval`),
+    """Basis of Hom(V_J, M), as flat vectors (`SourceSolves.hom_basis`),
     and `flat_offsets` for every member J with a nonzero one, in family
-    order."""
+    order, all read off one table of path maps."""
+    solves = SourceSolves(module)
     homs = {}
     for j in members:
-        basis = hom_basis_from_interval(j, module)
+        basis = solves.hom_basis(j)
         if basis:
             homs[j] = basis, flat_offsets(j, module.dims)[0]
     return homs

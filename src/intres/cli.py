@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands: intervals, betti, koszul, decomposable, replace.
-Exit codes: 0 success, 1 usage or parse error, 2 validation error
-(input module fails commutativity or shape checks), 3 internal
-cross-check failure (independent routes disagreed).
+Exit codes: 0 success (also when the reader of stdout goes away, as in
+`| head`, which ends a command quietly), 1 usage or parse error, 2
+validation error (input module fails commutativity or shape checks), 3
+internal cross-check failure (independent routes disagreed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from intres import modfile
@@ -302,10 +304,18 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at shutdown
+        return code
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader of stdout has gone (`| head`): stop quietly, with what
+        # is left unwritten going to devnull, so the flush at shutdown
+        # cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ModuleFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

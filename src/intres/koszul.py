@@ -34,8 +34,9 @@ whose homology computes the interval Betti numbers of M — the second,
 independent route beside `intres.resolve`.  What does not change from
 one complex to the next is computed once: each cochain holds the layout
 of its blocks (the coefficient at each vertex), and the complexes of one
-Betti table share one solved basis and one coordinate chart per space
-Hom(V_J, M).
+Betti table share one table of the module's path maps
+(`repmod.SourceSolves`), and one solved basis and one coordinate chart per
+space Hom(V_J, M).
 
 A lattice-indexed variant is included: for a family of intervals whose hom
 pattern matches the incidence category of a finite lattice L, the cochain
@@ -61,9 +62,9 @@ from intres.repmod import (
     IntervalFamily,
     MaxLengthExceeded,
     PersModule,
+    SourceSolves,
     flat_offsets,
     good_components,
-    hom_basis_from_interval,
 )
 
 
@@ -465,17 +466,19 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
             f"the cochain is over {cochain.field!r} but the module is over "
             f"{module.field!r}"
         )
-    return _complex(module, cochain, {})
+    return _complex(cochain, {}, SourceSolves(module))
 
 
-def _complex(module, cochain, homs):
-    """Hom(cochain, M).  `homs` is a dict {J: (basis of Hom(V_J, M) as flat
-    vectors, its `_hom_chart` or None when the basis is empty, its
+def _complex(cochain, homs, solves):
+    """Hom(cochain, M), M the module of `solves`, a table of its path maps
+    that solves the spaces.  `homs` is a dict {J: (basis of Hom(V_J, M) as
+    flat vectors, its `_hom_chart` or None when the basis is empty, its
     `flat_offsets`)} for this module, given the summands V_J it lacks;
-    complexes of one module that share the dict solve and chart each space
-    once."""
+    complexes of one module that share the dict and the table solve and
+    chart each space once."""
+    module = solves.module
     for j in set().union(*cochain.terms) - homs.keys():
-        basis = hom_basis_from_interval(j, module)
+        basis = solves.hom_basis(j)
         chart = _hom_chart(module.field, basis) if basis else None
         homs[j] = basis, chart, flat_offsets(j, module.dims)[0]
     dims = [sum(len(homs[j][0]) for j in tags) for tags in cochain.terms]
@@ -488,7 +491,7 @@ def _complex(module, cochain, homs):
 
 def _hom_chart(field, flats):
     """The hom basis, flat vectors in `kernel_basis`'s canonical form (as
-    `hom_basis_from_interval` returns it), as columns, with their free
+    `SourceSolves.hom_basis` returns it), as columns, with their free
     columns."""
     return Mat.from_columns(field, flats, len(flats[0])), Mat.free_columns(flats)
 
@@ -557,17 +560,18 @@ def betti_table_via_koszul(module, cat=None, max_len=None):
     """Full Betti table of M, one Koszul complex per member of the interval
     family `cat` (see `IntervalFamily.wrap`).
 
-    The complexes share one dict of hom spaces, so Hom(V_J, M) is solved
-    at most once per member J of the family.  `max_len` bounds each
-    coresolution K(V_I), which depends on the family, not on M: a bound
-    that M's own resolution meets may still raise here."""
+    The complexes share one dict of hom spaces and one table of path maps,
+    so Hom(V_J, M) is solved at most once per member J of the family.
+    `max_len` bounds each coresolution K(V_I), which depends on the
+    family, not on M: a bound that M's own resolution meets may still
+    raise here."""
     quiver = module.quiver
     family = IntervalFamily.wrap(cat, quiver, module.field)
     table = BettiTable()
-    homs = {}
+    homs, solves = {}, SourceSolves(module)
     for interval in family.objects:
         cochain = koszul_coresolution(quiver, interval, cat=family, max_len=max_len)
-        for i, h in enumerate(_complex(module, cochain, homs).homology_dims()):
+        for i, h in enumerate(_complex(cochain, homs, solves).homology_dims()):
             if h:
                 table.add(i, interval, h)
     return table
@@ -588,6 +592,9 @@ class LatticeModule:
         self.poset = poset
         self.field = field
         self.dims = {a: int(dims.get(a, 0)) for a in poset.elements}
+        for a in dims:
+            if a not in self.dims:
+                raise ValueError(f"dimension given for unknown element {a!r}")
         covers = poset.covers()
         self.down = {}
         for (a, b) in covers:
@@ -778,7 +785,8 @@ def lattice_module_from_persistence(gauge, module):
     poset, labelling = gauge.poset, gauge.labelling
     field, dims = module.field, module.dims
     zero = field.zero()
-    homs = {a: hom_basis_from_interval(labelling[a], module) for a in poset.elements}
+    solves = SourceSolves(module)
+    homs = {a: solves.hom_basis(labelling[a]) for a in poset.elements}
     down = {}
     for (a, b) in poset.covers():
         if not homs[a] or not homs[b]:

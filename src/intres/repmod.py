@@ -7,11 +7,13 @@ A `ModMorphism` is a vertex-indexed family of matrices natural in the arrows.
 Thin indecomposables supported on intervals (`interval_module`) have hom
 spaces with a purely combinatorial basis (`good_components`), which the
 resolution and Koszul machinery exploit heavily.  A space Hom(V_J, M) is
-solved from the sources of J alone (`hom_basis_from_interval`), which is
-how both routes compute it; the general `hom_basis` solves the full
-naturality system and is kept as the reference it is tested against.
-The families compatible along the arrows inside a convex vertex set are
-solved in one place (`source_system`), which `tda` reads for its limits.
+solved from the sources of J alone, off a table of the module's path maps
+that one call builds and reads for every interval it asks about
+(`SourceSolves`): both routes compute their hom spaces that way, and
+`tda` its hom dimensions and limits.  `hom_basis_from_interval` and
+`hom_dim_from_interval` answer for one interval on a table of their own.
+The general `hom_basis` solves the full naturality system and is kept as
+the reference it is tested against.
 
 An `IntervalFamily` is the combinatorial workspace of a family of
 intervals over one field: its members, their vertex bitmasks, its hom
@@ -97,45 +99,18 @@ class PersModule:
     def validate_commutativity(self):
         """Check every pair of parallel paths acts identically.
 
-        Walks vertices in topological order keeping, per start vertex, the
-        matrix of the first path found; every additional arrow into an
-        already-reached vertex must reproduce the stored matrix.
+        Walks vertices in topological order from each start vertex
+        (`_paths_from`), keeping the matrix of the first path found; every
+        additional arrow into an already-reached vertex must reproduce the
+        stored matrix.
         """
-        q = self.quiver
-        topo = q.topological_order()
-        for u in topo:
-            paths = {u: Mat.identity(self.field, self.dims[u])}
-            for w in topo:
-                if w not in paths:
-                    continue
-                for a, x in q.arrows_from(w):
-                    cand = self.maps[a] * paths[w]
-                    if x in paths:
-                        if paths[x] != cand:
-                            raise CommutativityError(
-                                f"paths from {u!r} to {x!r} do not commute"
-                            )
-                    else:
-                        paths[x] = cand
+        for u in self.quiver.topological_order():
+            _paths_from(self, u, check=True)
         return True
 
     def path_map(self, u, v):
         """Matrix of any directed path u -> v (all agree); None if u !<= v."""
-        if u == v:
-            return Mat.identity(self.field, self.dims[u])
-        if not self.quiver.lt(u, v):
-            return None
-        q = self.quiver
-        paths = {u: Mat.identity(self.field, self.dims[u])}
-        for w in q.topological_order():
-            if w not in paths:
-                continue
-            if w == v:
-                return paths[v]
-            for a, x in q.arrows_from(w):
-                if x not in paths:
-                    paths[x] = self.maps[a] * paths[w]
-        return paths[v]
+        return _paths_from(self, u).get(v)
 
     def dual(self):
         """D = Hom_k(-, k): the same spaces over the opposite quiver, every
@@ -157,6 +132,25 @@ class PersModule:
     def __repr__(self):
         dims = " ".join(f"{v}:{self.dims[v]}" for v in self.quiver.vertices)
         return f"PersModule({dims})"
+
+
+def _paths_from(module, u, check=False):
+    """{v: M(u -> v)} over the vertices v >= u, a fresh dict: walking the
+    quiver in topological order, each vertex gets the product along the
+    first arrow found into it.  With `check`, every further arrow into a
+    reached vertex must give the same product, else CommutativityError."""
+    q, maps = module.quiver, module.maps
+    paths = {u: Mat.identity(module.field, module.dims[u])}
+    for w in q.topological_order():
+        pw = paths.get(w)
+        if pw is None:
+            continue
+        for a, x in q._succ[w]:
+            if x not in paths:
+                paths[x] = maps[a] * pw
+            elif check and paths[x] != maps[a] * pw:
+                raise CommutativityError(f"paths from {u!r} to {x!r} do not commute")
+    return paths
 
 
 def zero_module(quiver, field):
@@ -335,7 +329,7 @@ def hom_basis(m, n):
     naturality.  Returns ModMorphisms in the canonical kernel-basis order;
     their `flat()` vectors are that kernel basis, so `Mat.free_columns` and
     `Mat.coordinates` read coordinates in it.  The library solves the
-    spaces Hom(V_J, M) with `hom_basis_from_interval`; this general solver
+    spaces Hom(V_J, M) with `SourceSolves.hom_basis`; this general solver
     is the reference that it must reproduce.
     """
     if m.quiver != n.quiver or m.field != n.field:
@@ -383,112 +377,196 @@ def hom_dim(m, n):
     return len(hom_basis(m, n))
 
 
-def source_system(field, dims, order, into):
-    """The families (x_v) over a convex vertex set with x_v = m x_u along
-    each arrow u -> v inside it, solved in the values y at its sources.
+class SourceSolves:
+    """One call's table of the path maps of a module, and every hom space
+    Hom(V_J, M), hom dimension and limit over an interval that the call
+    asks for, solved from it.
 
-    `order` lists the set in topological order, `into[v]` the (u, m) of
-    each arrow into v from inside the set, and the sources are the v with
-    none.  Walking the order, x_v = G_v y with G_v = m G_u along the first
-    arrow into v, and each further arrow gives rows (m G_u - G_v) y = 0.
-    Returns those blocks of rows and {v: G_v}, all with a column per
-    unknown, or None when the sources carry none.  The reversed order with
-    every matrix transposed solves the dual.
+    Every PersModule commutes (it is checked on construction, and kernels,
+    cokernels, duals and sums keep that), so a family (x_v) over an
+    interval J compatible along the arrows inside J is fixed by its values
+    y_s at the sources s of J, the vertices with no arrow into them from
+    inside J: x_v = P(s, v) y_s, P(s, v) = M(s -> v) the path map, for the
+    source s = root(v) that the first arrow into v from inside J leads back
+    to.  That value depends on (s, v) alone, not on J, so the table holds
+    the path maps from a vertex s, built in one walk (`_paths_from`) the
+    first time s is read, and every interval of the call reads them.  A
+    table belongs to one call: nothing is held on the module, and two
+    calls never share one.
+
+    The families are the kernel of a small system in y: per further arrow
+    u -> v inside J with root(u) != root(v), the rows [P(root(u), v) |
+    -P(root(v), v)] (when the roots agree the rows vanish, by
+    commutativity), once per (root(u), v).  Hom(V_J, M) adds, per arrow
+    v -> w leaving J, the rows P(root(v), w), once per (root(v), w).  The
+    limit of DM|_J over the opposite quiver is the mirror: unknowns at the
+    sinks of J, values P(v, t)^T for the sink t that the first arrow out of
+    v leads to.
     """
-    sources = [v for v in order if not into[v]]
-    n = sum(dims[s] for s in sources)
-    if n == 0:
-        return None
-    eye, pos, values = Mat.identity(field, n).data, 0, {}
-    for s in sources:
-        values[s] = Mat(field, dims[s], n, eye[pos * n : (pos + dims[s]) * n])
-        pos += dims[s]
-    rows = []
-    for v in order:
-        for u, m in into[v]:
-            g = m * values[u]
-            if v not in values:
-                values[v] = g
-            else:
-                rows.append(g - values[v])
-    return rows, values
+
+    __slots__ = ("module", "_paths")
+
+    def __init__(self, module):
+        self.module = module
+        self._paths = {}
+
+    def path(self, s, v):
+        """P(s, v) = M(s -> v) for s <= v, from the walk from s."""
+        paths = self._paths.get(s)
+        if paths is None:
+            paths = self._paths[s] = _paths_from(self.module, s)
+        return paths[v]
+
+    def _co_path(self, t, v):
+        """DM(t -> v) = P(v, t)^T over the opposite quiver, for v <= t."""
+        return self.path(v, t).transpose()
+
+    def _order(self, interval):
+        """The vertices of J in topological order.  An interval over
+        another quiver raises ValueError."""
+        q = self.module.quiver
+        if interval.quiver is not q and interval.quiver != q:
+            raise ValueError(
+                f"the interval is over {interval.quiver!r} but the module is over {q!r}"
+            )
+        inside = interval.vertex_set
+        return [v for v in q.topological_order() if v in inside]
+
+    def _system(self, interval, order, leaving=False, dual=False):
+        """(system, root, start) for the families over J, whose vertices in
+        topological order are `order`: the rows above in the values at J's
+        sources (at its sinks if `dual`), with the rows of the arrows
+        leaving J if `leaving`; root[v] the source (sink) that v's value is
+        read from, start[s] where the unknowns of s begin.  None when the
+        sources (sinks) carry no unknown."""
+        module = self.module
+        q, dims = module.quiver, module.dims
+        inside = interval.vertex_set
+        if dual:
+            order = order[::-1]
+            before, path = q._succ, self._co_path
+        else:
+            before, path = q._pred, self.path
+        root, start, n, blocks = {}, {}, 0, {}
+        for v in order:
+            prior = [u for _, u in before[v] if u in inside]
+            if not prior:
+                root[v], start[v] = v, n
+                n += dims[v]
+                continue
+            s = root[v] = root[prior[0]]
+            for u in prior[1:]:
+                r = root[u]
+                if r != s and (r, v) not in blocks:
+                    blocks[r, v] = ((r, path(r, v)), (s, -path(s, v)))
+        if n == 0:
+            return None
+        if leaving:
+            for v in order:
+                s = root[v]
+                for _, w in q._succ[v]:
+                    if w not in inside and (s, w) not in blocks:
+                        blocks[s, w] = ((s, path(s, w)),)
+        zero, data, nrows = module.field.zero(), [], 0
+        for parts in blocks.values():
+            height = parts[0][1].nrows
+            for i in range(height):
+                row = [zero] * n
+                for r, m in parts:
+                    row[start[r] : start[r] + m.ncols] = m.row(i)
+                data.extend(row)
+            nrows += height
+        return Mat(module.field, nrows, n, data), root, start
+
+    def hom_basis(self, interval):
+        """Basis of Hom(V_J, M) for an interval J, as flat vectors: the
+        dim M_v entries of each vertex v of J, vertices in quiver order
+        (`flat_offsets`), the layout of `ModMorphism.flat`.
+
+        A morphism V_J -> M is a family (x_v) over J compatible along the
+        arrows inside J with M(a) x_v = 0 along each arrow a leaving J.  The
+        kernel of the system in the values at the sources is carried to
+        every vertex v with one product P(root(v), v), and brought into
+        `kernel_basis`'s canonical form (the RREF of the flat vectors with
+        the column order reversed, read back in reverse), which depends
+        only on the space.  The result therefore equals the `flat()`
+        vectors of `hom_basis(interval_module(q, J, k), M)`, in order, and
+        `Mat.free_columns` reads coordinates in it.  No morphism is built:
+        `ModMorphism.from_flat(interval_module(q, J, k), M, vec)` recovers
+        one.
+
+        Over the opposite quiver, as for the dual module of a coresolution,
+        the sources of J are its sinks in the original quiver.
+        """
+        solved = self._system(interval, self._order(interval), leaving=True)
+        if solved is None:
+            return []
+        system, root, start = solved
+        kernel = system.kernel_basis()
+        if not kernel:
+            return []
+        field, dims = self.module.field, self.module.dims
+        at = {s: _rows_of(field, kernel, a, dims[s]) for s, a in start.items()}
+        blocks = [
+            at[v] if root[v] == v else self.path(root[v], v) * at[root[v]]
+            for v in reversed(interval.vertices)
+        ]
+        width = sum(b.nrows for b in blocks)
+        flipped = [
+            x
+            for j in range(len(kernel))
+            for b in blocks
+            for x in reversed(b.col(j))
+        ]
+        red, _ = Mat(field, len(kernel), width, flipped).rref()
+        return [red.row(i)[::-1] for i in reversed(range(red.nrows))]
+
+    def hom_dim(self, interval):
+        """dim Hom(V_J, M): the nullity of `hom_basis`'s system, with no
+        basis built."""
+        solved = self._system(interval, self._order(interval), leaving=True)
+        if solved is None:
+            return 0
+        system = solved[0]
+        return system.ncols - system.rank()
+
+    def limits(self, interval):
+        """(x, phi): the values at one vertex v of I, of least dim M_v, of
+        a basis of lim M|_I and of one of lim DM|_I over the opposite
+        quiver, each as the columns of a matrix; None when either limit is
+        zero, as it is when M_v = 0.  No dual module is built."""
+        order = self._order(interval)
+        field, dims = self.module.field, self.module.dims
+        v = min(order, key=dims.__getitem__)
+        if dims[v] == 0:
+            return None
+        ends = []
+        for dual, path in ((False, self.path), (True, self._co_path)):
+            solved = self._system(interval, order, dual=dual)
+            if solved is None:
+                return None
+            system, root, start = solved
+            kernel = system.kernel_basis()
+            if not kernel:
+                return None
+            s = root[v]
+            at = _rows_of(field, kernel, start[s], dims[s])
+            ends.append(at if s == v else path(s, v) * at)
+        return tuple(ends)
 
 
-def restriction(interval, module):
-    """The vertices of J in topological order and, per vertex v, the (u,
-    M(a)) of each arrow a: u -> v inside J: `source_system`'s input for
-    M|_J.  An interval over another quiver raises ValueError."""
-    q = module.quiver
-    if interval.quiver is not q and interval.quiver != q:
-        raise ValueError(
-            f"the interval is over {interval.quiver!r} but the module is over {q!r}"
-        )
-    inside = interval.vertex_set
-    order = [v for v in q.topological_order() if v in inside]
-    into = {v: [(u, module.maps[a]) for a, u in q.arrows_into(v) if u in inside]
-            for v in order}
-    return order, into
-
-
-def _source_system(interval, module):
-    """The system whose kernel is Hom(V_J, M) (see `hom_basis_from_interval`):
-    the `source_system` of M|_J and the rows M(a) G_v of each arrow a leaving
-    J, with {v: G_v}, or None when M is zero at every source."""
-    order, into = restriction(interval, module)
-    solved = source_system(module.field, module.dims, order, into)
-    if solved is None:
-        return None
-    rows, values = solved
-    q, inside = module.quiver, interval.vertex_set
-    rows += [module.maps[a] * values[v] for v in order
-             for a, w in q.arrows_from(v) if w not in inside]
-    return Mat.vstack(module.field, rows, ncols=values[order[0]].ncols), values
+def _rows_of(field, vectors, start, count):
+    """The rows start .. start + count - 1 of the matrix whose columns are
+    `vectors`."""
+    return Mat.from_columns(field, [x[start : start + count] for x in vectors], count)
 
 
 def hom_basis_from_interval(interval, module):
-    """Basis of Hom(V_J, M) for an interval J, solved from the sources of J,
-    as flat vectors: the dim M_v entries of each vertex v of J, vertices in
-    quiver order (`flat_offsets`), the layout of `ModMorphism.flat`.
-
-    A morphism V_J -> M is a vector x_v in M(v) at every vertex v of J with
-    x_v = M(a) x_u along each arrow a: u -> v inside J and M(a) x_u = 0
-    along each arrow a: u -> w leaving J.  So it is fixed by its values y at
-    the sources of J, the vertices with no arrow into them from inside J.
-    Walking J in topological order, x_v = G_v y with G_v = M(a) G_u along
-    the first arrow a: u -> v from inside J; every further arrow into v
-    from inside J and every arrow leaving J gives rows of a small system in
-    y.  Its kernel, mapped through G, is brought into `kernel_basis`'s
-    canonical form (the RREF of the flat vectors with the column order
-    reversed, read back in reverse), which depends only on the space.  The
-    result therefore equals the `flat()` vectors of
-    `hom_basis(interval_module(q, J, k), M)`, in order, and
-    `Mat.free_columns` reads coordinates in it.  No morphism is built:
-    `ModMorphism.from_flat(interval_module(q, J, k), M, vec)` recovers one.
-
-    Over the opposite quiver, as for the dual module of a coresolution, the
-    sources of J are its sinks in the original quiver.
-    """
-    field = module.field
+    """Basis of Hom(V_J, M) for an interval J (a vertex list is read as
+    one), as flat vectors: `SourceSolves.hom_basis` on a table of its own."""
     if not isinstance(interval, Interval):
         interval = Interval(module.quiver, interval)
-    solved = _source_system(interval, module)
-    if solved is None:
-        return []
-    system, values = solved
-    kernel = system.kernel_basis()
-    if not kernel:
-        return []
-    sol = Mat.from_columns(field, kernel, system.ncols)
-    blocks = [values[v] * sol for v in reversed(interval.vertices)]
-    width = sum(b.nrows for b in blocks)
-    flipped = [
-        x
-        for j in range(len(kernel))
-        for b in blocks
-        for x in reversed(b.col(j))
-    ]
-    red, _ = Mat(field, len(kernel), width, flipped).rref()
-    return [red.row(i)[::-1] for i in reversed(range(red.nrows))]
+    return SourceSolves(module).hom_basis(interval)
 
 
 def flat_offsets(interval, dims):
@@ -503,14 +581,9 @@ def flat_offsets(interval, dims):
 
 
 def hom_dim_from_interval(interval, module):
-    """dim Hom(V_J, M) for an interval J: the nullity of the system in the
-    values at the sources of J that `hom_basis_from_interval` solves, with
-    no basis built."""
-    solved = _source_system(interval, module)
-    if solved is None:
-        return 0
-    system, _ = solved
-    return system.ncols - system.rank()
+    """dim Hom(V_J, M) for an interval J: `SourceSolves.hom_dim` on a table
+    of its own."""
+    return SourceSolves(module).hom_dim(interval)
 
 
 def good_components(quiver, i_interval, j_interval):

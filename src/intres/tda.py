@@ -8,7 +8,7 @@ Three ingredients tie together here:
  - compression: the multiplicity c(I) is the rank of the canonical map
    from the limit to the colimit of M restricted to the interval I, read
    at one vertex of I as a pairing with the limit of DM|_I, which is
-   taken from M's own maps along the arrows inside I.
+   taken from M's own path maps, transposed.
  - replacement: delta, the Euler characteristic of the Koszul complex of M
    at each interval, is the Moebius inversion of c over the containment
    order of the intervals, read off the family's up-sets
@@ -17,7 +17,9 @@ Three ingredients tie together here:
    hom table and h(K) = dim Hom(V_K, M); disagreement is reported as an
    internal error, never silently.  Containment is a partial order on
    every poset, so the replacement answers on any finite poset, grids
-   included.
+   included.  One table of the module's path maps per call
+   (`repmod.SourceSolves`) gives both the limits behind c and the hom
+   dimensions h.
 
 Every entry point takes its interval family as `cat=`, a
 `repmod.IntervalFamily` or a plain list (`IntervalFamily.wrap`); without
@@ -26,11 +28,11 @@ one it reads the family that the quiver holds, hom table and all.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from intres.approx import minimal_right_approximation
-from intres.exactla import Mat
-from intres.repmod import IntervalFamily, hom_dim_from_interval, restriction, source_system
+from intres.repmod import IntervalFamily, SourceSolves
 
 
 class RouteMismatchError(RuntimeError):
@@ -48,10 +50,10 @@ def compressed_multiplicity(module, interval):
     quiver, and a family phi there pairs with x as phi_v(x_v), which does
     not depend on v since I is connected.  So c(I) is the rank of that
     pairing at one vertex v, taken of least dimension: the map factors
-    through M(v), so c(I) = 0 when M(v) = 0.  Both limits are solved from
-    the sources of I (`repmod.source_system`): lim M|_I in the values at the
-    minimal vertices of I, and lim DM|_I in the values at the maximal ones,
-    walking I in reverse with each matrix transposed, so no dual module is
+    through M(v), so c(I) = 0 when M(v) = 0.  Both limits are read off a
+    table of path maps (`repmod.SourceSolves.limits`): lim M|_I in the
+    values at the minimal vertices of I, and lim DM|_I in the values at the
+    maximal ones, through M's transposed path maps, so no dual module is
     built.
 
     This is the generalized rank invariant of M at I (Kim-Memoli), defined
@@ -65,26 +67,14 @@ def compressed_multiplicity(module, interval):
     2-parameter persistence modules via zigzag persistence").  An interval
     over another quiver raises ValueError.
     """
-    order, into = restriction(interval, module)
-    field, dims = module.field, module.dims
-    v = min(order, key=dims.__getitem__)
-    if dims[v] == 0:
+    return _compressed(SourceSolves(module), interval)
+
+
+def _compressed(solves, interval):
+    """c(I) from the path maps of `solves` (see `compressed_multiplicity`)."""
+    ends = solves.limits(interval)
+    if ends is None:
         return 0
-    out = {u: [] for u in order}
-    for w in order:
-        for u, m in into[w]:
-            out[u].append((w, m.transpose()))
-    ends = []
-    for walk, arrows in ((order, into), (order[::-1], out)):
-        solved = source_system(field, dims, walk, arrows)
-        if solved is None:
-            return 0
-        rows, values = solved
-        n = values[v].ncols
-        kernel = Mat.vstack(field, rows, ncols=n).kernel_basis()
-        if not kernel:
-            return 0
-        ends.append(values[v] * Mat.from_columns(field, kernel, n))
     x, phi = ends
     return (phi.transpose() * x).rank()
 
@@ -126,10 +116,33 @@ def is_interval_decomposable(module, cat=None):
 # ---- interval replacement ----------------------------------------------------------
 
 
+class _ByMember(Mapping):
+    """{member: value} over an interval family, read-only: one tuple of
+    values in family order beside the family's own `index`, so that a held
+    replacement vector costs a tuple per field, not a dict."""
+
+    __slots__ = ("_index", "_values")
+
+    def __init__(self, index, values):
+        self._index, self._values = index, values
+
+    def __getitem__(self, interval):
+        return self._values[self._index[interval]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 @dataclass
 class ReplacementVector:
-    delta: dict  # Interval -> signed integer
-    compressed: dict  # Interval -> nonnegative integer
+    delta: Mapping  # Interval -> signed integer
+    compressed: Mapping  # Interval -> nonnegative integer
 
     def sorted_items(self):
         return sorted(
@@ -155,16 +168,19 @@ def _replacement(module, family, targets):
     any poset, read off largest member first.  The gate sums H(I, L)
     delta(L) over the hom row of I, H(I, L) = dim Hom(V_I, V_L) counted off
     the hom table, against h(I) = dim Hom(V_I, M), a nullity; a failure
-    raises RouteMismatchError naming I.
+    raises RouteMismatchError naming I.  c and h are read off one table of
+    path maps (`repmod.SourceSolves`), built for this call alone.
     """
     members, hom, up_sets = family.objects, family.hom_table(), family.up_sets()
-    reached = {u for s in targets for t, _ in hom[s] for u in up_sets[t]}
-    compressed = {t: compressed_multiplicity(module, members[t]) for t in reached}
+    solves = SourceSolves(module)
+    rows = {t for s in targets for t, _ in hom[s]}
+    reached = set().union(*(up_sets[t] for t in rows))
+    compressed = {t: _compressed(solves, members[t]) for t in reached}
     delta = {}
     for t in sorted(reached, key=lambda t: -len(members[t])):
         delta[t] = compressed[t] - sum(delta[u] for u in up_sets[t] if u != t)
     for s in targets:
-        h = hom_dim_from_interval(members[s], module)
+        h = solves.hom_dim(members[s])
         total = sum(len(comps) * delta[t] for t, comps in hom[s])
         if total != h:
             raise RouteMismatchError(
@@ -203,19 +219,19 @@ def interval_replacement(module, cat=None):
 
     c(I) is the limit-to-colimit rank over I, and delta its Moebius
     inversion over containment, gated by H delta = h at every interval, as
-    `replacement_at` is: c and the hom nullities h share nothing but
-    `repmod.source_system` and `exactla`, and a failed gate raises
-    RouteMismatchError.  dim Hom(V_J, M) is read once per member J, as a
-    nullity (`hom_dim_from_interval`).  The family is `cat` (see
-    `IntervalFamily.wrap`), which must hold every interval of the quiver; a
-    `cat` over another quiver or field or short of an interval raises
-    ValueError.
+    `replacement_at` is: c and the hom nullities h share nothing but the
+    call's table of path maps (`repmod.SourceSolves`) and `exactla`, and a
+    failed gate raises RouteMismatchError.  dim Hom(V_J, M) is read once
+    per member J, as a nullity (`SourceSolves.hom_dim`).  The family is
+    `cat` (see `IntervalFamily.wrap`), which must hold every interval of
+    the quiver; a `cat` over another quiver or field or short of an
+    interval raises ValueError.
     """
     family = IntervalFamily.wrap(cat, module.quiver, module.field)
     _require_every_interval(module, family)
-    intervals = family.objects
-    delta, compressed = _replacement(module, family, range(len(intervals)))
+    members = range(len(family.objects))
+    delta, compressed = _replacement(module, family, members)
     return ReplacementVector(
-        {i: delta[s] for s, i in enumerate(intervals)},
-        {i: compressed[s] for s, i in enumerate(intervals)},
+        _ByMember(family.index, tuple(delta[s] for s in members)),
+        _ByMember(family.index, tuple(compressed[s] for s in members)),
     )

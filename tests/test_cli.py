@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from intres import QQ, serialize_module, tda
+from intres import QQ, serialize_module
 from intres.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from intres.repmod import SourceSolves
 
 from conftest import FIXTURES, grid_hard_module
 
@@ -326,12 +327,12 @@ def test_replace_reports_a_failed_gate_as_an_internal_error(monkeypatch, capsys)
     """A dim Hom(V_I, M) off by one at one interval breaks the gate H delta
     = h: `replace` exits with EXIT_INTERNAL, names the interval and prints
     no traceback and no vector."""
-    h = tda.hom_dim_from_interval
+    h = SourceSolves.hom_dim
 
-    def wrong(interval, module):
-        return h(interval, module) + (set(interval.vertex_set) == {"t1"})
+    def wrong(solves, interval):
+        return h(solves, interval) + (set(interval.vertex_set) == {"t1"})
 
-    monkeypatch.setattr(tda, "hom_dim_from_interval", wrong)
+    monkeypatch.setattr(SourceSolves, "hom_dim", wrong)
     code, out, err = run(capsys, "replace", "--file", CL3_FILE)
     assert code == EXIT_INTERNAL and out == ""
     assert err.startswith("internal error:") and "Interval{t1}" in err
@@ -414,6 +415,27 @@ def test_module_entry_point():
     proc = run_module("intervals", "--ladder", "2")
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 11
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    """The reader of stdout is gone before the command writes: it exits 0
+    and prints nothing on stderr, whether the write fails in a print
+    (unbuffered) or at the flush of its buffer."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "intres.cli", "intervals", "--ladder", "3"],
+                stdout=writer, stderr=subprocess.PIPE, text=True,
+                env=dict(base, PYTHONPATH=path, **extra),
+            )
+        finally:
+            os.close(writer)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), extra
 
 
 def test_interval_errors_do_not_depend_on_the_hash_seed():

@@ -1004,6 +1004,15 @@ def test_lattice_module_validation():
         LatticeModule(p, {1: 2, 2: 1}, {(1, 2): [[1]]}, QQ)  # bad shape
 
 
+def test_lattice_module_refuses_a_dimension_for_an_unknown_element():
+    """A dimension for an element outside the poset is refused, naming the
+    element, as `PersModule` refuses one for an unknown vertex, instead of
+    being dropped."""
+    p = Poset.from_leq((1, 2), lambda a, b: b % a == 0)
+    with pytest.raises(ValueError, match="unknown element 99"):
+        LatticeModule(p, {1: 1, 99: 3}, {}, QQ)
+
+
 def test_lattice_module_path_independence_enforced():
     # diamond 1 < 2,3 < 6: two down paths from 6 to 1 must agree
     p = Poset.from_leq((1, 2, 3, 6), lambda a, b: b % a == 0)

@@ -10,6 +10,7 @@ from intres import (
     QQ,
     Field,
     IntervalFamily,
+    Mat,
     PersModule,
     betti,
     betti_table_via_koszul,
@@ -20,17 +21,21 @@ from intres import (
     containment_poset,
     direct_sum,
     enumerate_intervals,
+    hom_basis,
     hom_basis_from_interval,
     hom_dim_from_interval,
     interval_module,
     interval_replacement,
     is_interval_decomposable,
+    kernel,
     koszul_complex,
+    minimal_interval_resolution,
     replacement_at,
 )
 from intres import koszul, tda
 from intres.modfile import parse_field_token
 from intres.poset import Interval
+from intres.repmod import SourceSolves
 
 from conftest import (
     digest,
@@ -111,6 +116,76 @@ def test_compression_refuses_an_interval_over_another_quiver(cl3_m45):
                      lambda: hom_dim_from_interval(iv, cl3_m45)):
             with pytest.raises(ValueError, match=quivers.format(shape)):
                 call()
+
+
+def brute_force_compression(m, iv):
+    """rank(lim M|_I -> colim M|_I) from the definitions, with no path map:
+    lim is the kernel of x_w - M(a) x_u over every arrow a: u -> w inside
+    I, in the unknowns at every vertex of I; colim is the sum of the M_v
+    modulo the relations i_w M(a) y - i_u y; the map sends x to the class
+    of x_v at the first vertex v of I."""
+    k, dims = m.field, m.dims
+    minus_one = k.coerce(-1)
+    at, n = {}, 0
+    for v in iv.vertices:
+        at[v], n = n, n + dims[v]
+    arrows = [(m.maps[a], u, w) for a, (u, w) in m.quiver.arrows.items()
+              if u in iv and w in iv]
+    rows = []
+    for mat, u, w in arrows:
+        for i in range(dims[w]):
+            row = [k.zero()] * n
+            row[at[w] + i] = k.one()
+            for j in range(dims[u]):
+                row[at[u] + j] = minus_one * mat[i, j]
+            rows.append(row)
+    lim = Mat.from_rows(k, rows, ncols=n).kernel_basis()
+    relations = []
+    for mat, u, w in arrows:
+        for j in range(dims[u]):
+            col = [k.zero()] * n
+            col[at[u] + j] = minus_one
+            for i in range(dims[w]):
+                col[at[w] + i] = mat[i, j]
+            relations.append(col)
+    v = iv.vertices[0]
+    images = [[x if at[v] <= r < at[v] + dims[v] else k.zero()
+               for r, x in enumerate(vec)] for vec in lim]
+
+    def rank(cols):
+        return Mat.from_columns(k, cols, n).rank() if cols else 0
+
+    return rank(relations + images) - rank(relations)
+
+
+@pytest.mark.parametrize("field", ["Q", "GF2", "GF3", "GF5"])
+def test_one_table_solves_every_hom_space_and_limit(field):
+    """One `SourceSolves` per module answers for every interval: its hom
+    bases are those of the general solver, in order, its dimensions their
+    lengths, and the pairing of its two limits has the rank of lim -> colim
+    computed from the definitions.  On the hard grid and tree modules, two
+    3x3 draws, the first syzygy of the hard grid module (a kernel built
+    unchecked) and the dual of the hard grid module over the opposite
+    quiver."""
+    k = parse_field_token(field)
+    rng = random.Random(33)
+    grid = grid_hard_module(k)
+    mods = [grid, tree_hard_module(k),
+            random_commuting_module(grid_quiver(), rng, k),
+            random_commuting_module(grid_quiver(), rng, k),
+            kernel(minimal_interval_resolution(grid).diffs[0]).module,
+            grid.dual()]
+    assert mods[4].total_dim() > 0
+    for m in mods:
+        solves = SourceSolves(m)
+        for iv in enumerate_intervals(m.quiver):
+            want = [h.flat() for h in hom_basis(interval_module(m.quiver, iv, k), m)]
+            assert solves.hom_basis(iv) == want, iv
+            assert solves.hom_dim(iv) == len(want), iv
+            ends = solves.limits(iv)
+            c = 0 if ends is None else (ends[1].transpose() * ends[0]).rank()
+            assert c == brute_force_compression(m, iv), iv
+            assert c == compressed_multiplicity(m, iv), iv
 
 
 # ---- decomposability ----------------------------------------------------------------
@@ -385,14 +460,14 @@ def test_replacement_gate_names_a_corrupted_interval(monkeypatch, cl3_m45):
     wrong c(I) moves delta at I alone, and V_I is the only member that maps
     to V_I: the gate fails at I alone."""
     bad = Interval(cl3_m45.quiver, ["b1"])
-    c, h = tda.compressed_multiplicity, tda.hom_dim_from_interval
+    c, h = tda._compressed, SourceSolves.hom_dim
     corrupt = {
-        "compressed_multiplicity": lambda m, i: c(m, i) + (i == bad),
-        "hom_dim_from_interval": lambda i, m: h(i, m) + (i == bad),
+        (tda, "_compressed"): lambda solves, i: c(solves, i) + (i == bad),
+        (SourceSolves, "hom_dim"): lambda solves, i: h(solves, i) + (i == bad),
     }
-    for name, wrong in corrupt.items():
+    for (owner, name), wrong in corrupt.items():
         with monkeypatch.context() as patch:
-            patch.setattr(tda, name, wrong)
+            patch.setattr(owner, name, wrong)
             for call in (lambda: interval_replacement(cl3_m45),
                          lambda: replacement_at(cl3_m45, bad)):
                 with pytest.raises(tda.RouteMismatchError,
@@ -465,15 +540,13 @@ def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
     solves = Counter()
 
     def counted(solve):
-        def solve_once(interval, module):
+        def solve_once(table, interval):
             solves[interval] += 1
-            return solve(interval, module)
+            return solve(table, interval)
         return solve_once
 
-    monkeypatch.setattr(koszul, "hom_basis_from_interval",
-                        counted(koszul.hom_basis_from_interval))
-    monkeypatch.setattr(tda, "hom_dim_from_interval",
-                        counted(tda.hom_dim_from_interval))
+    monkeypatch.setattr(SourceSolves, "hom_basis", counted(SourceSolves.hom_basis))
+    monkeypatch.setattr(SourceSolves, "hom_dim", counted(SourceSolves.hom_dim))
     cat = IntervalFamily.of(cl5_m.quiver, cl5_m.field)
     table = betti_table_via_koszul(cl5_m, cat=cat)
     assert solves and max(solves.values()) == 1
@@ -495,3 +568,30 @@ def test_each_hom_space_is_solved_once_per_call(monkeypatch, cl5_m):
     fresh = IntervalFamily(cl5_m.quiver, cat.objects, cl5_m.field)
     assert interval_replacement(cl5_m, cat=fresh) == rep
     assert fresh.coresolutions == {}
+
+
+def test_each_call_reads_a_table_of_its_own(monkeypatch, cl5_m):
+    """The decomposability test, the replacement and the Koszul table each
+    build one table of path maps and read no other: none outlives its
+    call, so no call reads a solve of an earlier one."""
+    built, read = [], []
+    init, path = SourceSolves.__init__, SourceSolves.path
+
+    def counted_init(table, module):
+        built.append(table)
+        init(table, module)
+
+    def logged_path(table, s, v):
+        read.append(table)
+        return path(table, s, v)
+
+    monkeypatch.setattr(SourceSolves, "__init__", counted_init)
+    monkeypatch.setattr(SourceSolves, "path", logged_path)
+    cat = IntervalFamily.of(cl5_m.quiver, cl5_m.field)
+    for call in (is_interval_decomposable, interval_replacement,
+                 betti_table_via_koszul, is_interval_decomposable):
+        before = len(built)
+        read.clear()
+        call(cl5_m, cat=cat)
+        assert len(built) == before + 1, call
+        assert read and all(table is built[-1] for table in read), call
