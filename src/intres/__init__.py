@@ -28,15 +28,11 @@ from intres.repmod import (
     direct_sum,
     good_components,
     hom_basis,
-    hom_basis_from_interval,
-    hom_dim,
-    hom_dim_from_interval,
     identity_morphism,
     interval_module,
     kernel,
     morphism_from_columns,
     zero_module,
-    zero_morphism,
 )
 from intres.approx import (
     is_right_interval_approximation,
@@ -55,7 +51,6 @@ from intres.koszul import (
     LatticeModule,
     VecChain,
     betti_table_via_koszul,
-    betti_via_koszul,
     build_end_category,
     build_lattice_gauge,
     formal_koszul_coresolution,

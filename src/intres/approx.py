@@ -26,12 +26,13 @@ of irreducible maps, and rad(V_I, M) is spanned by the composites h o g
 with g: V_I -> V_J irreducible and h: V_J -> M alone.  The irreducible
 maps are the family's table (`IntervalFamily.irreducible_maps`), built
 once per family and read by every approximation over it.  Each g is the
-indicator of a good component
-C (`good_components`), so h o g is h cut down to C (h's entries copied
-at the vertices of C), and one elimination
-per interval picks the hom-basis elements that span a complement of the
-radical.  The multiplicities of the retained summands are the degree-0
-Betti data used by `resolve`.
+indicator of a good component C of I & J, which the family's hom table
+holds as a vertex bitmask (`IntervalFamily.hom_rows`), so h o g is h cut
+down to C (h's entries copied at the bits of C), and one elimination per
+interval picks the hom-basis elements that span a complement of the
+radical.  `is_right_interval_approximation` splits the components afresh
+(`good_components`), independently of that table.  The multiplicities of
+the retained summands are the degree-0 Betti data used by `resolve`.
 """
 
 from __future__ import annotations
@@ -100,21 +101,25 @@ def _homs(module, members):
 def _composites(module, i, pieces):
     """Flat vectors, in the coordinates of Hom(V_I, M), of every h o g with
     (C, h, offsets) in `pieces`: g: V_I -> V_J is the indicator of a good
-    component C of I & J and h: V_J -> M is a flat vector of Hom(V_J, M)
-    whose vertex v starts at offsets[v].
+    component C of I & J, a vertex bitmask (bit n for the n-th vertex of
+    the quiver), and h: V_J -> M is a flat vector of Hom(V_J, M) whose
+    vertex v starts at offsets[v].
 
     The composite agrees with h on C and vanishes off it, so it copies h's
-    entries at the vertices of C.  Returns (vectors, width).
+    entries at the bits of C.  Returns (vectors, width).
     """
-    dims = module.dims
+    dims, vertices = module.dims, module.quiver.vertices
     at, width = flat_offsets(i, dims)
     zero = module.field.zero()
     out = []
     for comp, h, offsets in pieces:
         vec = [zero] * width
-        for v in comp:
+        while comp:
+            low = comp & -comp
+            v = vertices[low.bit_length() - 1]
             a, b = at[v], offsets[v]
             vec[a : a + dims[v]] = h[b : b + dims[v]]
+            comp ^= low
         out.append(vec)
     return out, width
 
@@ -127,14 +132,17 @@ def is_right_interval_approximation(approx, family=None):
     family (all intervals when `family` is None).
     """
     module = approx.module
-    members = IntervalFamily.wrap(family, module.quiver, module.field).objects
+    quiver = module.quiver
+    members = IntervalFamily.wrap(family, quiver, module.field).objects
     pairs = [
         (j, part.flat(), flat_offsets(j, module.dims)[0])
         for j, part in zip(approx.summand_index, approx.parts)
     ]
+    bit = {v: 1 << n for n, v in enumerate(quiver.vertices)}
     for i, (basis, _) in _homs(module, members).items():
         comps = {
-            j: good_components(module.quiver, i, j) for j in set(approx.summand_index)
+            j: [sum(bit[v] for v in c) for c in good_components(quiver, i, j)]
+            for j in set(approx.summand_index)
         }
         pieces = [(c, h, offsets) for j, h, offsets in pairs for c in comps[j]]
         image, width = _composites(module, i, pieces)
@@ -149,13 +157,13 @@ def is_right_interval_approximation(approx, family=None):
 def _top(module, i, homs, maps):
     """Hom-basis elements at I spanning a complement of the radical, which
     is spanned by h o g over the irreducible maps g: V_I -> V_J, given in
-    `maps` as (J, k) for the k-th good component of Hom(V_I, V_J), and the
-    basis maps h of Hom(V_J, M).  All are flat vectors."""
+    `maps` as (J, C) for the indicator of the good component C of I & J,
+    a vertex bitmask, and the basis maps h of Hom(V_J, M).  All are flat
+    vectors."""
     basis = homs[i][0]
     pieces = []
-    for j, k in maps:
+    for j, comp in maps:
         if j in homs:
-            comp = good_components(module.quiver, i, j)[k]
             hs, offsets = homs[j]
             pieces.extend((comp, h, offsets) for h in hs)
     rad, width = _composites(module, i, pieces)
@@ -170,18 +178,20 @@ def minimal_right_approximation(module, family=None):
     right approximation of M.
 
     The radical is spanned along the family's table of irreducible maps,
-    which an `IntervalFamily` builds once and every call over it reads.
+    with their components read off its hom table, both of which an
+    `IntervalFamily` builds once and every call over it reads.
     Only the kept hom-basis elements become morphisms, one interval module
     per member that keeps any.
     """
     family = IntervalFamily.wrap(family, module.quiver, module.field)
     members = family.objects
-    irreducible = family.irreducible_maps()
+    irreducible, rows = family.irreducible_maps(), family.hom_rows()
     homs = _homs(module, members)
     summand_index = []
     parts = []
     for i in homs:
-        maps = [(members[t], k) for t, k in irreducible[family.index[i]]]
+        s = family.index[i]
+        maps = [(members[t], rows[s][t][k]) for t, k in irreducible[s]]
         kept = _top(module, i, homs, maps)
         if kept:
             src = interval_module(module.quiver, i, module.field)

@@ -157,15 +157,10 @@ def cmd_intervals(args):
 
 
 def _betti_rows(table):
-    rows = []
-    for (degree, interval), mult in table.sorted_items():
-        rows.append(
-            {
-                "degree": degree,
-                "interval": interval_name(interval),
-                "multiplicity": mult,
-            }
-        )
+    rows = [
+        {"degree": degree, "interval": interval_name(interval), "multiplicity": mult}
+        for (degree, interval), mult in table.entries.items()
+    ]
     rows.sort(key=lambda r: (r["degree"], r["interval"]))
     return rows
 
@@ -268,12 +263,7 @@ def cmd_decomposable(args):
 
 def cmd_replace(args):
     vec = interval_replacement(_load_module(args))
-    items = [
-        (interval_name(i), d)
-        for i, d in vec.sorted_items()
-        if d != 0
-    ]
-    items.sort()
+    items = sorted((interval_name(i), d) for i, d in vec.delta.items() if d != 0)
     lines = [f"delta {name} = {d}" for name, d in items]
     if not lines:
         lines = ["delta identically zero"]

@@ -110,13 +110,14 @@ def _act(family, tags, offsets, vec, s, t, k, rows):
     return out
 
 
-def _offsets(dims_from):
-    """Per object t where the sum of the representables with these
-    `hom_dims_from` is nonzero, in increasing t: where each summand's
-    coordinates start at t, then the dimension of the sum at t."""
-    objects = sorted(set().union(*dims_from))
+def _offsets(rows):
+    """Per object t where the sum of the representables hom(s, -), whose
+    `hom_rows` entries are `rows`, is nonzero, in increasing t: where each
+    summand's coordinates start at t, then the dimension of the sum at t.
+    The dimension of hom(s, t) is the number of its good components."""
+    objects = sorted(set().union(*rows))
     return {
-        t: list(accumulate((dims.get(t, 0) for dims in dims_from), initial=0))
+        t: list(accumulate((len(row.get(t, ())) for row in rows), initial=0))
         for t in objects
     }
 
@@ -134,9 +135,9 @@ def projective_cover_step(family, tags, syzygy):
     objects as tags, each top vector sliced per summand of P as its blocks
     row) and the kernel of the cover, the next syzygy, in the same form.
     """
-    field = family.field
+    field, hom = family.field, family.hom_rows()
     irreducible = family.irreducible_maps()
-    offsets = _offsets([family.hom_dims_from(tag) for tag in tags])
+    offsets = _offsets([hom[tag] for tag in tags])
     rad = {}
     for s, vecs in syzygy.items():
         for t, k in irreducible[s]:
@@ -162,10 +163,10 @@ def projective_cover_step(family, tags, syzygy):
         [vec[start:end] for start, end in zip(offsets[t], offsets[t][1:])]
         for t, vec in gens
     ]
-    new_dims_from = [family.hom_dims_from(t) for t in new_tags]
+    new_rows = [hom[t] for t in new_tags]
     # the cover P' -> K is visited wherever P' or K is nonzero; where K is
     # zero (P itself may be), the kernel is all of P'
-    new_dims = {t: offs[-1] for t, offs in _offsets(new_dims_from).items()}
+    new_dims = {t: offs[-1] for t, offs in _offsets(new_rows).items()}
     kernel = {}
     for t in sorted(new_dims.keys() | syzygy.keys()):
         basis = syzygy.get(t, [])
@@ -174,8 +175,8 @@ def projective_cover_step(family, tags, syzygy):
             continue
         free = Mat.free_columns(basis)
         cols = []
-        for (tag, vec), dims in zip(gens, new_dims_from):
-            for k in range(dims.get(t, 0)):
+        for (tag, vec), row in zip(gens, new_rows):
+            for k in range(len(row.get(t, ()))):
                 cols.append(_act(family, tags, offsets, vec, tag, t, k, free))
         cover = Mat.from_columns(field, cols, len(basis))
         kernel_basis = cover.kernel_basis()
@@ -208,11 +209,13 @@ def min_proj_resolution(family, s, max_len=None):
     """
     if max_len is None:
         max_len = 4 * len(family.objects) + 4
-    dims = family.hom_dims_from(s)
-    if dims.get(s) != 1:
+    row = family.hom_rows()[s]
+    if len(row.get(s, ())) != 1:
         raise AssertionError("endomorphism space of a thin module must be k")
     syzygy = {
-        t: Mat.identity(family.field, d).rows() for t, d in dims.items() if t != s
+        t: Mat.identity(family.field, len(comps)).rows()
+        for t, comps in row.items()
+        if t != s
     }
     step = ResolutionStep([s], None)
     steps = []
@@ -466,21 +469,27 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
             f"the cochain is over {cochain.field!r} but the module is over "
             f"{module.field!r}"
         )
-    return _complex(cochain, {}, SourceSolves(module))
+    summands = dict.fromkeys(j for tags in cochain.terms for j in tags)
+    return _complex(module, cochain, _solved(module, summands))
 
 
-def _complex(cochain, homs, solves):
-    """Hom(cochain, M), M the module of `solves`, a table of its path maps
-    that solves the spaces.  `homs` is a dict {J: (basis of Hom(V_J, M) as
-    flat vectors, its `_hom_chart` or None when the basis is empty, its
-    `flat_offsets`)} for this module, given the summands V_J it lacks;
-    complexes of one module that share the dict and the table solve and
-    chart each space once."""
-    module = solves.module
-    for j in set().union(*cochain.terms) - homs.keys():
+def _solved(module, intervals):
+    """{J: (basis of Hom(V_J, M) as flat vectors, its `_hom_chart` or None
+    when the basis is empty, its `flat_offsets`)} over the `intervals`,
+    each solved once off one table of M's path maps (`SourceSolves`)."""
+    solves, field, dims = SourceSolves(module), module.field, module.dims
+    homs = {}
+    for j in intervals:
         basis = solves.hom_basis(j)
-        chart = _hom_chart(module.field, basis) if basis else None
-        homs[j] = basis, chart, flat_offsets(j, module.dims)[0]
+        chart = _hom_chart(field, basis) if basis else None
+        homs[j] = basis, chart, flat_offsets(j, dims)[0]
+    return homs
+
+
+def _complex(module, cochain, homs):
+    """Hom(cochain, M), reading each space Hom(V_J, M) in `homs` (see
+    `_solved`), which holds every summand V_J of the cochain; complexes of
+    one module that share the dict share its solves and charts."""
     dims = [sum(len(homs[j][0]) for j in tags) for tags in cochain.terms]
     mats = [
         _precompose_matrix_module(module, cochain, i, homs)
@@ -551,27 +560,23 @@ def _precompose_matrix_module(module, cochain, i, homs):
     return Mat.vstack(field, row_blocks, ncols=ncols)
 
 
-def betti_via_koszul(module, interval, cat=None, max_len=None):
-    """Betti numbers of M at I as homology dimensions of the Koszul complex."""
-    return koszul_complex(module, interval, cat, max_len).homology_dims()
-
-
 def betti_table_via_koszul(module, cat=None, max_len=None):
     """Full Betti table of M, one Koszul complex per member of the interval
     family `cat` (see `IntervalFamily.wrap`).
 
-    The complexes share one dict of hom spaces and one table of path maps,
-    so Hom(V_J, M) is solved at most once per member J of the family.
+    Every summand of a coresolution is a member, so Hom(V_J, M) is solved
+    once per member J of the family, off one table of path maps, before
+    any complex is built, and the complexes share those spaces.
     `max_len` bounds each coresolution K(V_I), which depends on the
     family, not on M: a bound that M's own resolution meets may still
     raise here."""
     quiver = module.quiver
     family = IntervalFamily.wrap(cat, quiver, module.field)
     table = BettiTable()
-    homs, solves = {}, SourceSolves(module)
+    homs = _solved(module, family.objects)
     for interval in family.objects:
         cochain = koszul_coresolution(quiver, interval, cat=family, max_len=max_len)
-        for i, h in enumerate(_complex(cochain, homs, solves).homology_dims()):
+        for i, h in enumerate(_complex(module, cochain, homs).homology_dims()):
             if h:
                 table.add(i, interval, h)
     return table
@@ -742,7 +747,7 @@ def build_lattice_gauge(poset, labelling):
     return LatticeGauge(poset, dict(labelling), p)
 
 
-def formal_koszul_coresolution(poset, a, embedding, field=None, gauge=None):
+def formal_koszul_coresolution(poset, a, embedding, field=None):
     """Closed-form coresolution of V_{I_a} from cover subsets and joins.
 
     `embedding` maps lattice elements to intervals; degree i sums V at the
@@ -750,12 +755,11 @@ def formal_koszul_coresolution(poset, a, embedding, field=None, gauge=None):
     S is (-1)^(removed position) times the one basis morphism when T is S
     minus one cover, and zero otherwise.  Requires the hom pattern of the
     embedded family to match the lattice, which `build_lattice_gauge`
-    checks unless a gauge is given.
+    checks.
     """
     if field is None:
         field = QQ
-    if gauge is None:
-        build_lattice_gauge(poset, embedding)
+    build_lattice_gauge(poset, embedding)
     quiver = embedding[a].quiver
     subsets, joins = _cover_subsets(poset, a)
     terms = [[embedding[j] for j in js] for js in joins]

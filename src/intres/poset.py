@@ -129,9 +129,6 @@ class BoundQuiver:
     def arrows_into(self, v):
         return list(self._pred[v])
 
-    def arrow_ends(self, name):
-        return self.arrows[name]
-
     def sorted_vertices(self, vs):
         return sorted(vs, key=self._vindex.__getitem__)
 

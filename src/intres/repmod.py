@@ -10,10 +10,10 @@ resolution and Koszul machinery exploit heavily.  A space Hom(V_J, M) is
 solved from the sources of J alone, off a table of the module's path maps
 that one call builds and reads for every interval it asks about
 (`SourceSolves`): both routes compute their hom spaces that way, and
-`tda` its hom dimensions and limits.  `hom_basis_from_interval` and
-`hom_dim_from_interval` answer for one interval on a table of their own.
-The general `hom_basis` solves the full naturality system and is kept as
-the reference it is tested against.
+`tda` its hom dimensions and limits.  A lone space is solved on a table
+of its own, `SourceSolves(M).hom_basis(J)`.  The general `hom_basis`
+solves the full naturality system and is kept as the reference it is
+tested against.
 
 An `IntervalFamily` is the combinatorial workspace of a family of
 intervals over one field: its members, their vertex bitmasks, its hom
@@ -83,12 +83,6 @@ class PersModule:
             self.maps[a] = m
         if check:
             self.validate_commutativity()
-
-    def map(self, a):
-        return self.maps[a]
-
-    def dim_vector(self):
-        return dict(self.dims)
 
     def total_dim(self):
         return sum(self.dims.values())
@@ -315,10 +309,6 @@ def identity_morphism(m):
     )
 
 
-def zero_morphism(src, tgt):
-    return ModMorphism(src, tgt, {}, check=False)
-
-
 # ---- hom spaces -------------------------------------------------------------
 
 
@@ -371,10 +361,6 @@ def hom_basis(m, n):
         sys = Mat(field, len(rows), total, [x for r in rows for x in r])
     basis = sys.kernel_basis()
     return [ModMorphism.from_flat(m, n, vec) for vec in basis]
-
-
-def hom_dim(m, n):
-    return len(hom_basis(m, n))
 
 
 class SourceSolves:
@@ -561,29 +547,15 @@ def _rows_of(field, vectors, start, count):
     return Mat.from_columns(field, [x[start : start + count] for x in vectors], count)
 
 
-def hom_basis_from_interval(interval, module):
-    """Basis of Hom(V_J, M) for an interval J (a vertex list is read as
-    one), as flat vectors: `SourceSolves.hom_basis` on a table of its own."""
-    if not isinstance(interval, Interval):
-        interval = Interval(module.quiver, interval)
-    return SourceSolves(module).hom_basis(interval)
-
-
 def flat_offsets(interval, dims):
     """Where the entries of each vertex v of J start in a flat vector of
-    Hom(V_J, M) (`hom_basis_from_interval`), with `dims` those of M, and
+    Hom(V_J, M) (`SourceSolves.hom_basis`), with `dims` those of M, and
     the vector's length."""
     offsets, width = {}, 0
     for v in interval.vertices:
         offsets[v] = width
         width += dims[v]
     return offsets, width
-
-
-def hom_dim_from_interval(interval, module):
-    """dim Hom(V_J, M) for an interval J: `SourceSolves.hom_dim` on a table
-    of its own."""
-    return SourceSolves(module).hom_dim(interval)
 
 
 def good_components(quiver, i_interval, j_interval):
@@ -843,11 +815,13 @@ class IntervalFamily:
     The family is also the endomorphism category that the Koszul route
     resolves in: one object per member, with hom(s, t) =
     Hom(V_{I_s}, V_{I_t}) spanned by the indicators of its good components.
-    What that route alone reads is held here as it is built, for callers
-    to read only: the rows of the hom table as dicts (`hom_rows`), per pair
-    of members which good component holds each vertex (`component_at`),
-    the hom dimensions per member (`hom_dims_from`), and `coresolutions`,
-    {member: its coresolution}, which `koszul.koszul_coresolution` fills.
+    What that route reads is held here as it is built, for callers to
+    read only: the rows of the hom table as dicts (`hom_rows`, whose
+    entries' lengths are the hom dimensions and whose bitmasks the
+    approximations of the resolve route read as well), per pair of
+    members which good component holds each vertex (`component_at`), and
+    `coresolutions`, {member: its coresolution}, which
+    `koszul.koszul_coresolution` fills.
 
     The family of all intervals of a quiver comes from `of`, which the
     quiver holds per field, so every call over one quiver shares one
@@ -865,7 +839,7 @@ class IntervalFamily:
 
     __slots__ = (
         "quiver", "field", "objects", "masks", "index", "coresolutions",
-        "_hom", "_rows", "_dims_from", "_at", "_table", "_containment",
+        "_hom", "_rows", "_at", "_table", "_containment",
         "_op",
     )
 
@@ -884,7 +858,6 @@ class IntervalFamily:
         self.coresolutions = {}
         self._hom = None
         self._rows = None
-        self._dims_from = {}
         self._at = {}
         self._table = None
         self._containment = None
@@ -955,15 +928,6 @@ class IntervalFamily:
         if self._rows is None:
             self._rows = tuple(dict(row) for row in self.hom_table())
         return self._rows
-
-    def hom_dims_from(self, s):
-        """{t: dim hom(s, t)} over the members t with hom(s, t) != 0, s
-        included, t increasing."""
-        dims = self._dims_from.get(s)
-        if dims is None:
-            dims = {t: len(comps) for t, comps in self.hom_table()[s]}
-            self._dims_from[s] = dims
-        return dims
 
     def component_at(self, s, t):
         """{bit: k} over the vertex bits of the k-th good component of

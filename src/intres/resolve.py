@@ -144,16 +144,12 @@ def _table(terms):
     return table
 
 
-def betti(module, max_len=None, family=None, resolution=None):
+def betti(module, max_len=None, family=None):
     """Betti table: multiplicity of each interval in each resolution term."""
-    if resolution is None:
-        resolution = minimal_interval_resolution(module, max_len, family)
-    return _table(resolution.terms)
+    return _table(minimal_interval_resolution(module, max_len, family).terms)
 
 
-def cobetti(module, max_len=None, family=None, coresolution=None):
+def cobetti(module, max_len=None, family=None):
     """Co-Betti table: multiplicity of each interval in each term of the
     minimal coresolution."""
-    if coresolution is None:
-        coresolution = minimal_interval_coresolution(module, max_len, family)
-    return _table(coresolution.terms)
+    return _table(minimal_interval_coresolution(module, max_len, family).terms)

@@ -144,11 +144,6 @@ class ReplacementVector:
     delta: Mapping  # Interval -> signed integer
     compressed: Mapping  # Interval -> nonnegative integer
 
-    def sorted_items(self):
-        return sorted(
-            self.delta.items(), key=lambda kv: (len(kv[0]), kv[0].vertices)
-        )
-
 
 def _require_every_interval(module, family):
     """Refuse a `family` short of an interval of the module's quiver: the

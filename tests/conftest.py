@@ -23,7 +23,6 @@ from intres import (
     interval_module,
     parse_module_file,
     zero_module,
-    zero_morphism,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -99,7 +98,7 @@ def shuffle_basis(module, rng):
         uinv[v] = inverse(m)
     maps = {}
     for a, (s, t) in module.quiver.arrows.items():
-        maps[a] = u[t] * module.map(a) * uinv[s]
+        maps[a] = u[t] * module.maps[a] * uinv[s]
     return PersModule(module.quiver, field, dict(module.dims), maps)
 
 
@@ -118,7 +117,7 @@ def random_interval_sum(quiver, rng, field=QQ, max_summands=3, intervals=None,
 
 
 def random_hom(src, tgt, rng):
-    out = zero_morphism(src, tgt)
+    out = ModMorphism(src, tgt)
     for b in hom_basis(src, tgt):
         out = out + b.scale(rand_scalar(src.field, rng))
     return out

@@ -22,7 +22,6 @@ from intres import (
     QQ,
     betti,
     betti_table_via_koszul,
-    betti_via_koszul,
     build_end_category,
     build_lattice_gauge,
     cl_interval,
@@ -99,7 +98,7 @@ def test_ladder3_wide_interval_koszul_degrees_betti_and_replacement(cl3_m45):
         cl_interval(q, top=(1, 2), bot=(2, 3)),
     ])
     assert len(cores.terms) == 3
-    hom = betti_via_koszul(cl3_m45, i_a)
+    hom = koszul_complex(cl3_m45, i_a).homology_dims()
     assert hom[0] == 1 and all(h == 0 for h in hom[1:])
     table = betti(cl3_m45)
     assert table[(0, i_a)] == 1
@@ -136,7 +135,7 @@ def test_ladder5_fixture_betti_replacement_and_coresolution(cl5_m):
     start = time.monotonic()
     q = cl5_m.quiver
     iv = cl_interval(q, top=(4, 5), bot=(5, 5))
-    hom = betti_via_koszul(cl5_m, iv)
+    hom = koszul_complex(cl5_m, iv).homology_dims()
     assert hom[1] == 1
     assert all(h == 0 for d, h in enumerate(hom) if d != 1)
     table = betti(cl5_m)
@@ -255,8 +254,7 @@ def test_lattice_family_routes_and_semilattice_homology():
     cat = build_end_category(quiver, intervals=family, field=QQ)
     gauge = build_lattice_gauge(lattice, embedding)
     for a in lattice.elements:
-        formal = formal_koszul_coresolution(lattice, a, embedding, QQ,
-                                            gauge=gauge)
+        formal = formal_koszul_coresolution(lattice, a, embedding, QQ)
         relative = koszul_coresolution(quiver, a, QQ, cat=cat)
         assert len(formal.terms) == len(relative.terms)
         for d in range(len(formal.terms)):

@@ -60,11 +60,11 @@ def test_parse_fixture_file(cl3_m45):
     m = cl3_m45
     assert m.field == QQ
     assert m.dims == {"t1": 1, "t2": 2, "t3": 1, "b1": 0, "b2": 1, "b3": 1}
-    assert m.map("ta1") == Mat.from_rows(QQ, [[1], [1]])
-    assert m.map("ta2") == Mat.from_rows(QQ, [[0, 1]])
-    assert m.map("v2") == Mat.from_rows(QQ, [[0], [1]])
+    assert m.maps["ta1"] == Mat.from_rows(QQ, [[1], [1]])
+    assert m.maps["ta2"] == Mat.from_rows(QQ, [[0, 1]])
+    assert m.maps["v2"] == Mat.from_rows(QQ, [[0], [1]])
     # absent maps on zero-dimensional slots are zero-shaped
-    assert m.map("a1").shape == (1, 0)
+    assert m.maps["a1"].shape == (1, 0)
 
 
 def test_parse_explicit_quiver():
@@ -88,7 +88,7 @@ map g
     m = parse_module_text(text)
     assert m.field == Field.prime(2)
     assert m.dims == {"p": 1, "q": 2, "r": 1}
-    assert m.map("g") == Mat.from_rows(Field.prime(2), [[1, 1]])
+    assert m.maps["g"] == Mat.from_rows(Field.prime(2), [[1, 1]])
 
 
 def test_parse_rational_entries():
@@ -101,7 +101,7 @@ map v1
 3/4
 """
     m = parse_module_text(text)
-    assert m.map("v1")[0, 0] == QQ.coerce("3/4")
+    assert m.maps["v1"][0, 0] == QQ.coerce("3/4")
 
 
 def test_field_argument_overrides_declaration():

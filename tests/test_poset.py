@@ -28,7 +28,7 @@ def test_quiver_construction_and_order():
     q = BoundQuiver(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")])
     assert q.leq("a", "c") and q.lt("a", "c") and not q.leq("c", "a")
     assert q.leq("b", "b") and not q.lt("b", "b")
-    assert q.arrow_ends("x") == ("a", "b")
+    assert q.arrows["x"] == ("a", "b")
     assert set(q.arrows_from("b")) == {("y", "c")}
     assert set(q.arrows_into("b")) == {("x", "a")}
 
@@ -194,9 +194,9 @@ def test_ladder_shape():
     q = commutative_ladder(3)
     assert ladder_length(q) == 3
     assert set(q.vertices) == {"b1", "b2", "b3", "t1", "t2", "t3"}
-    assert q.arrow_ends("a1") == ("b1", "b2")
-    assert q.arrow_ends("ta2") == ("t2", "t3")
-    assert q.arrow_ends("v2") == ("b2", "t2")
+    assert q.arrows["a1"] == ("b1", "b2")
+    assert q.arrows["ta2"] == ("t2", "t3")
+    assert q.arrows["v2"] == ("b2", "t2")
     assert ladder_length(BoundQuiver(["x"], [])) is None
 
 

@@ -104,7 +104,7 @@ def test_interval_module_resolves_instantly():
         res = minimal_interval_resolution(m)
         assert res.length == 0 and res.terms == [[iv]]
         assert res.diffs[0].is_iso()
-        t = betti(m, resolution=res)
+        t = betti(m)
         assert t.entries == {(0, iv): 1}
 
 
@@ -274,7 +274,7 @@ def test_family_restricted_resolution():
     res = minimal_interval_resolution(m, family=family)
     for tags in res.terms:
         assert set(tags) <= set(family)
-    t = betti(m, family=family, resolution=res)
+    t = betti(m, family=family)
     assert t.degree(0) == {Interval(q, ["b1", "b2", "t1", "t2"]): 1}
 
 

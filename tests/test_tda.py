@@ -14,7 +14,6 @@ from intres import (
     PersModule,
     betti,
     betti_table_via_koszul,
-    betti_via_koszul,
     cl_interval,
     commutative_ladder,
     compressed_multiplicity,
@@ -22,8 +21,6 @@ from intres import (
     direct_sum,
     enumerate_intervals,
     hom_basis,
-    hom_basis_from_interval,
-    hom_dim_from_interval,
     interval_module,
     interval_replacement,
     is_interval_decomposable,
@@ -112,8 +109,8 @@ def test_compression_refuses_an_interval_over_another_quiver(cl3_m45):
                 "6 vertices, 7 arrows"))
     for iv, shape in ivs:
         for call in (lambda: compressed_multiplicity(cl3_m45, iv),
-                     lambda: hom_basis_from_interval(iv, cl3_m45),
-                     lambda: hom_dim_from_interval(iv, cl3_m45)):
+                     lambda: SourceSolves(cl3_m45).hom_basis(iv),
+                     lambda: SourceSolves(cl3_m45).hom_dim(iv)):
             with pytest.raises(ValueError, match=quivers.format(shape)):
                 call()
 
@@ -241,7 +238,7 @@ def test_beta0_equals_resolution_degree_zero():
         m = random_commuting_module(CL2, rng)
         table = betti(m)
         for i in enumerate_intervals(CL2):
-            assert betti_via_koszul(m, i)[0] == table[(0, i)]
+            assert koszul_complex(m, i).homology_dims()[0] == table[(0, i)]
 
 
 # ---- interval replacement ------------------------------------------------------------
