@@ -17,11 +17,10 @@ at every object t where P is nonzero, and acted on at one vertex per good
 component (`_act`).  Each cover reads the top K/rad K, and rad K is
 spanned by the images of K under the irreducible maps alone (the arrows of
 the category's Gabriel quiver, a basis of rad/rad^2): the family's table
-of irreducible maps.  The check of a finished cochain and
-`validate_koszul_coresolution` split the good components afresh
-(`repmod.good_components`), independently of that table.  The resolution
-pulls back, along the Yoneda correspondence for maps between
-representables, to a cochain
+of irreducible maps.  The check of a finished cochain splits the good
+components afresh (`repmod.good_components`), independently of that
+table.  The resolution pulls back, along the Yoneda correspondence for
+maps between representables, to a cochain
 
     0 -> V_I -> X^1 -> X^2 -> ...
 
@@ -31,12 +30,14 @@ the interval summands of each term, and per pair of summands the
 coefficients of the differential's block over the good-component basis of
 Hom(V_J, V_K).  Applying Hom(-, M) to it yields a chain of vector spaces
 whose homology computes the interval Betti numbers of M — the second,
-independent route beside `intres.resolve`.  What does not change from
-one complex to the next is computed once: each cochain holds the layout
-of its blocks (the coefficient at each vertex), and the complexes of one
-Betti table share one table of the module's path maps
-(`repmod.SourceSolves`), and one solved basis and one coordinate chart per
-space Hom(V_J, M).
+independent route beside `intres.resolve`.  One precomposition builder
+(`_precomposed`) reads every composite h o b in the chart of Hom(V_J, M),
+for the complexes, the lattice bridge and the validator, which is the
+Koszul complex of each V_K, whose homology must be δ_IK in degree 0.
+What does not change from one complex to the next is computed once: each
+cochain holds the layout of its blocks (the coefficient at each vertex),
+and the complexes of one Betti table share one table of the module's path
+maps (`repmod.SourceSolves`), and one basis and chart per Hom(V_J, M).
 
 A lattice-indexed variant is included: for a family of intervals whose hom
 pattern matches the incidence category of a finite lattice L, the cochain
@@ -63,8 +64,10 @@ from intres.repmod import (
     MaxLengthExceeded,
     PersModule,
     SourceSolves,
+    dimension_vector,
     flat_offsets,
     good_components,
+    interval_module,
 )
 
 
@@ -245,9 +248,10 @@ class IntervalCochain:
     coefficients are elements of `field`.
 
     `layout()` gives each block's values by vertex, in the nesting of
-    `blocks`.  `_checked` keeps the layout that its check computes; any
-    other cochain computes it on first use.  Either way it is held, so the
-    blocks are not to be changed once the cochain is in use.
+    `blocks`.  `_checked` and the validator keep the layout that their
+    check computes; any other cochain computes it on first use.  Either way
+    it is held, so the blocks are not to be changed once the cochain is in
+    use.
     """
 
     interval: object
@@ -375,64 +379,31 @@ def koszul_coresolution(quiver, interval, field=None, cat=None, max_len=None):
 def validate_koszul_coresolution(cochain, interval, cat=None):
     """Check the defining property, independently of how the cochain arose.
 
-    Applying Hom(-, V_K) for every family interval K must give an exact
-    sequence whose end cokernel is one-dimensional for K = I and zero
-    otherwise (this is exactness of the dual projective resolution of the
-    simple at I, checked one graded piece at a time).  `cat` names the
-    family (see `IntervalFamily.wrap`) and must be over the cochain's
-    quiver and field; otherwise ValueError names both.  The blocks are
-    checked and laid out afresh, and each Hom(V_J, V_K) is split once.
+    The validator is the Koszul complex of each V_K, whose homology must be
+    δ_IK in degree 0, since the Betti numbers of V_K are 1 at (0, K) and 0
+    elsewhere: for every member K of the family `cat` (see
+    `IntervalFamily.wrap`), Hom(X^•, V_K) must compose to zero and have
+    homology [δ_IK, 0, ...].  `cat` must be over the cochain's quiver and
+    field; otherwise ValueError names both.  The blocks are checked and laid
+    out afresh, and the cochain holds that layout.
     """
     if cochain.terms[0] != [interval]:
         return False
     family = IntervalFamily.wrap(cat, interval.quiver, cochain.field)
-    quiver, terms = family.quiver, cochain.terms
-    defect, layout = _cochain_defect(quiver, cochain)
+    defect, layout = _cochain_defect(family.quiver, cochain)
     if defect:
         return False
-    field, summands = cochain.field, set().union(*terms)
+    cochain._layout = layout
     for k_int in family.objects:
-        comps = {j: good_components(quiver, j, k_int) for j in summands}
-        # the chain Hom(X^i, V_K) -> Hom(X^{i-1}, V_K)
-        chain = VecChain(
-            [sum(len(comps[j]) for j in tags) for tags in terms],
-            [
-                _precompose_matrix_interval(field, terms, layout[i - 1], i, comps)
-                for i in range(1, len(terms))
-            ],
-        )
+        target = interval_module(family.quiver, k_int, cochain.field)
+        chain = koszul_complex(target, interval, family, cochain=cochain)
         mats = chain.mats
-        if any(not (mats[i] * mats[i + 1]).is_zero() for i in range(len(mats) - 1)):
+        if any(not (a * b).is_zero() for a, b in zip(mats, mats[1:])):
             return False
-        # exact except for the cokernel at degree 0
         expect = [1 if k_int == interval else 0] + [0] * cochain.length
         if chain.homology_dims() != expect:
             return False
     return True
-
-
-def _precompose_matrix_interval(field, terms, values, i, comps):
-    """Matrix of Hom(X^i, V_K) -> Hom(X^{i-1}, V_K), g -> g o d^{i-1}.
-
-    Bases: per summand J, the good components of J into K, `comps[J]`.
-    `values` is the layout of the blocks of d^{i-1} (`_block_layout`).
-    g o block is natural, hence constant on each good component of the
-    source summand: its coefficient there is its value at any one vertex
-    of it.
-    """
-    zero = field.zero()
-    cols = [(u, comp) for u, j in enumerate(terms[i]) for comp in comps[j]]
-    nrows = 0
-    data = []
-    for u_prev, j in enumerate(terms[i - 1]):
-        for comp_prev in comps[j]:
-            v0 = next(iter(comp_prev))
-            data.extend(
-                values[u][u_prev].get(v0, zero) if v0 in comp else zero
-                for u, comp in cols
-            )
-        nrows += len(comps[j])
-    return Mat(field, nrows, len(cols), data)
 
 
 # ---- Koszul complexes of a module ------------------------------------------------
@@ -474,14 +445,17 @@ def koszul_complex(module, interval, cat=None, max_len=None, cochain=None):
 
 
 def _solved(module, intervals):
-    """{J: (basis of Hom(V_J, M) as flat vectors, its `_hom_chart` or None
-    when the basis is empty, its `flat_offsets`)} over the `intervals`,
-    each solved once off one table of M's path maps (`SourceSolves`)."""
+    """{J: (basis of Hom(V_J, M) as flat vectors, its chart, its
+    `flat_offsets`)} over the `intervals`, each solved once off one table of
+    M's path maps (`SourceSolves`).  The chart, None for an empty basis, is
+    the basis as columns with its free columns, read by `_precomposed`."""
     solves, field, dims = SourceSolves(module), module.field, module.dims
     homs = {}
     for j in intervals:
         basis = solves.hom_basis(j)
-        chart = _hom_chart(field, basis) if basis else None
+        chart = None
+        if basis:
+            chart = Mat.from_columns(field, basis, len(basis[0])), Mat.free_columns(basis)
         homs[j] = basis, chart, flat_offsets(j, dims)[0]
     return homs
 
@@ -498,66 +472,55 @@ def _complex(module, cochain, homs):
     return VecChain(dims, mats)
 
 
-def _hom_chart(field, flats):
-    """The hom basis, flat vectors in `kernel_basis`'s canonical form (as
-    `SourceSolves.hom_basis` returns it), as columns, with their free
-    columns."""
-    return Mat.from_columns(field, flats, len(flats[0])), Mat.free_columns(flats)
+def _precomposed(module, source, blocks):
+    """The coordinates of composites h o b in the chart of Hom(V_J, M), one
+    column each: the one place where composites are built and read in a
+    chart.  `source` is the `_solved` entry of J, with a nonempty basis;
+    `blocks` pairs each block b: V_J -> V_K, a vertex -> coefficient map,
+    with the `_solved` entry of K, whose basis elements h run in order.
 
-
-def _hom_coordinates(chart, flats):
-    """Coordinates of flat morphism vectors in a `_hom_chart`, one column
-    each; None if one of them is not in the span."""
-    basis_mat, free = chart
-    block = Mat.from_columns(basis_mat.field, flats, basis_mat.nrows)
-    return basis_mat.coordinates(free, block)
+    h o b is h times b's coefficient at each vertex of b, zero off them,
+    written as a flat vector of Hom(V_J, M) (`flat_offsets`): at a vertex,
+    a coefficient 1 copies h's entries and any other multiplies them.
+    """
+    field, dims = module.field, module.dims
+    zero, one = field.zero(), field.one()
+    p = field.p if field.kind == "GF" else None
+    basis, (basis_mat, free), at = source
+    width = len(basis[0])
+    composites = []
+    for values, (hs, _, offsets) in blocks:
+        for h in hs:
+            vec = [zero] * width
+            for v, c in values.items():
+                if not c:
+                    continue
+                a, b = at[v], offsets[v]
+                block = h[b : b + dims[v]]
+                if c != one:
+                    block = ([x * c for x in block] if p is None
+                             else [x * c % p for x in block])
+                vec[a : a + dims[v]] = block
+            composites.append(vec)
+    x = basis_mat.coordinates(free, Mat.from_columns(field, composites, width))
+    if x is None:
+        raise AssertionError("precomposition left the hom space")
+    return x
 
 
 def _precompose_matrix_module(module, cochain, i, homs):
-    """Matrix of Hom(X^i, M) -> Hom(X^{i-1}, M), h -> h o d^{i-1}.
-
-    For a block V_J -> V_K and h: V_K -> M, h o block is h times the
-    block's coefficient on each good component (the cochain's `layout`)
-    and zero off them.  It is written as a flat vector of Hom(V_J, M), the
-    dim M_v entries of each vertex v of J in quiver order, and read in the
-    `_hom_chart` of J.  At a vertex v of a component, a coefficient 1 copies
-    h's entries at v and any other coefficient multiplies them, in the
-    field.
-    """
-    field = module.field
-    dims = module.dims
-    zero, one = field.zero(), field.one()
-    p = field.p if field.kind == "GF" else None
-    cur_tags = cochain.terms[i]
+    """Matrix of Hom(X^i, M) -> Hom(X^{i-1}, M), h -> h o d^{i-1}: per
+    summand V_J of X^{i-1} with Hom(V_J, M) nonzero, the rows of the
+    composites with its blocks (the cochain's `layout`), `_precomposed`."""
     layout = cochain.layout()[i - 1]
-    row_blocks = []
-    for u_prev, j_prev in enumerate(cochain.terms[i - 1]):
-        basis, chart, at = homs[j_prev]
-        if not basis:
-            continue
-        width = len(basis[0])
-        composites = []
-        for u_cur, j_cur in enumerate(cur_tags):
-            values = layout[u_cur][u_prev]
-            hs, _, offsets = homs[j_cur]
-            for h in hs:
-                vec = [zero] * width
-                for v, c in values.items():
-                    if not c:
-                        continue
-                    a, b = at[v], offsets[v]
-                    block = h[b : b + dims[v]]
-                    if c != one:
-                        block = ([x * c for x in block] if p is None
-                                 else [x * c % p for x in block])
-                    vec[a : a + dims[v]] = block
-                composites.append(vec)
-        x = _hom_coordinates(chart, composites)
-        if x is None:
-            raise AssertionError("hom expansion failed in complex")
-        row_blocks.append(x)
-    ncols = sum(len(homs[j][0]) for j in cur_tags)
-    return Mat.vstack(field, row_blocks, ncols=ncols)
+    targets = [homs[k] for k in cochain.terms[i]]
+    row_blocks = [
+        _precomposed(module, homs[j], zip([row[u] for row in layout], targets))
+        for u, j in enumerate(cochain.terms[i - 1])
+        if homs[j][0]
+    ]
+    ncols = sum(len(target[0]) for target in targets)
+    return Mat.vstack(module.field, row_blocks, ncols=ncols)
 
 
 def betti_table_via_koszul(module, cat=None, max_len=None):
@@ -596,10 +559,7 @@ class LatticeModule:
     def __init__(self, poset, dims, down, field, check=True):
         self.poset = poset
         self.field = field
-        self.dims = {a: int(dims.get(a, 0)) for a in poset.elements}
-        for a in dims:
-            if a not in self.dims:
-                raise ValueError(f"dimension given for unknown element {a!r}")
+        self.dims = dimension_vector(dims, poset.elements, "element")
         covers = poset.covers()
         self.down = {}
         for (a, b) in covers:
@@ -783,28 +743,17 @@ def lattice_module_from_persistence(gauge, module):
     """Spaces Hom(V_{I_a}, M) with down-maps by precomposition with p.
 
     For h: V_{I_b} -> M, h o p_ab agrees with h on C_ab and vanishes off
-    it, so its flat vector copies h's entries at the vertices of C_ab.
+    it: each down map is one call of the precomposition builder
+    (`_precomposed`) with the single block {v: 1 for v in C_ab}.
     This is the bridge along which lattice-level homology computes the
     family-relative Betti numbers of the persistence module."""
-    poset, labelling = gauge.poset, gauge.labelling
-    field, dims = module.field, module.dims
-    zero = field.zero()
-    solves = SourceSolves(module)
-    homs = {a: solves.hom_basis(labelling[a]) for a in poset.elements}
+    poset, labelling, field = gauge.poset, gauge.labelling, module.field
+    homs = _solved(module, labelling.values())
     down = {}
     for (a, b) in poset.covers():
-        if not homs[a] or not homs[b]:
-            continue
-        at, width = flat_offsets(labelling[a], dims)
-        offsets = flat_offsets(labelling[b], dims)[0]
-        composites = []
-        for h in homs[b]:
-            vec = [zero] * width
-            for v in gauge.p[(a, b)]:
-                vec[at[v] : at[v] + dims[v]] = h[offsets[v] : offsets[v] + dims[v]]
-            composites.append(vec)
-        x = _hom_coordinates(_hom_chart(field, homs[a]), composites)
-        if x is None:
-            raise AssertionError("precomposition left the hom space")
-        down[(a, b)] = x
-    return LatticeModule(poset, {a: len(homs[a]) for a in poset.elements}, down, field)
+        source, target = homs[labelling[a]], homs[labelling[b]]
+        if source[0] and target[0]:
+            block = dict.fromkeys(gauge.p[(a, b)], field.one())
+            down[(a, b)] = _precomposed(module, source, [(block, target)])
+    dims = {a: len(homs[labelling[a]][0]) for a in poset.elements}
+    return LatticeModule(poset, dims, down, field)

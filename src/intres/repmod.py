@@ -40,6 +40,25 @@ class CommutativityError(ValueError):
     """Two parallel paths of the quiver act differently."""
 
 
+def dimension_vector(dims, keys, noun):
+    """{key: dims.get(key, 0)} over `keys`.  ValueError, naming the `noun`
+    and the key, on a dimension that is not an int (1.7 or "2" is not
+    truncated or parsed), on a negative one, and on one given for a key
+    outside `keys`."""
+    out = {}
+    for key in keys:
+        d = dims.get(key, 0)
+        if not isinstance(d, int):
+            raise ValueError(f"dimension at {noun} {key!r} is {d!r}, not an int")
+        if d < 0:
+            raise ValueError(f"negative dimension at {noun} {key!r}")
+        out[key] = d
+    for key in dims:
+        if key not in out:
+            raise ValueError(f"dimension given for unknown {noun} {key!r}")
+    return out
+
+
 class PersModule:
     """A representation: spaces over vertices, matrices along arrows.
 
@@ -53,15 +72,7 @@ class PersModule:
     def __init__(self, quiver, field, dims, maps=None, check=True):
         self.quiver = quiver
         self.field = field
-        self.dims = {}
-        for v in quiver.vertices:
-            d = int(dims.get(v, 0))
-            if d < 0:
-                raise ValueError(f"negative dimension at vertex {v!r}")
-            self.dims[v] = d
-        for v in dims:
-            if v not in self.dims:
-                raise ValueError(f"dimension given for unknown vertex {v!r}")
+        self.dims = dimension_vector(dims, quiver.vertices, "vertex")
         maps = maps or {}
         for a in maps:
             if a not in quiver.arrows:

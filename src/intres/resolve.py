@@ -19,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from intres.approx import minimal_right_approximation
-from intres.repmod import BettiTable, IntervalFamily, MaxLengthExceeded, kernel
+from intres.repmod import (
+    BettiTable,
+    IntervalFamily,
+    MaxLengthExceeded,
+    ModMorphism,
+    kernel,
+)
 
 
 def _default_max_len(quiver):
@@ -118,21 +124,32 @@ def minimal_interval_resolution(module, max_len=None, family=None):
     return IntervalResolution(module, *_resolve(module, max_len, family))
 
 
-def minimal_interval_coresolution(module, max_len=None, family=None):
-    """D of the minimal resolution of DM over the opposite quiver.
-
-    An interval of the opposite quiver is the same vertex set, so DM is
-    resolved over the family's `opposite` and the terms are carried back
-    (`Interval.opposite`); term modules and differentials are dualized back
-    onto the quiver of M.
-    """
+def _resolve_dual(module, max_len, family):
+    """`_resolve` of DM over the family's `opposite`, with the tags carried
+    back to the quiver of M (`Interval.opposite`): an interval of the
+    opposite quiver is the same vertex set."""
     family = IntervalFamily.wrap(family, module.quiver, module.field)
     terms, term_modules, diffs = _resolve(module.dual(), max_len, family.opposite())
+    return [[i.opposite() for i in tags] for tags in terms], term_modules, diffs
+
+
+def minimal_interval_coresolution(module, max_len=None, family=None):
+    """D of the minimal resolution of DM over the opposite quiver
+    (`_resolve_dual`).  Each term module is dualized back onto the quiver
+    of M once, and the differentials, every component transposed, run
+    between those duals, starting at `module` itself.
+    """
+    terms, term_modules, diffs = _resolve_dual(module, max_len, family)
+    ends = [module] + [x.dual() for x in term_modules]
     return IntervalCoresolution(
         module,
-        [[i.opposite() for i in tags] for tags in terms],
-        [x.dual() for x in term_modules],
-        [d.dual() for d in diffs],
+        terms,
+        ends[1:],
+        [
+            ModMorphism(src, tgt, {v: m.transpose() for v, m in d.comps.items()},
+                        check=False)
+            for src, tgt, d in zip(ends, ends[1:], diffs)
+        ],
     )
 
 
@@ -151,5 +168,6 @@ def betti(module, max_len=None, family=None):
 
 def cobetti(module, max_len=None, family=None):
     """Co-Betti table: multiplicity of each interval in each term of the
-    minimal coresolution."""
-    return _table(minimal_interval_coresolution(module, max_len, family).terms)
+    minimal coresolution, read off the tags of the resolution of DM
+    (`_resolve_dual`), with no module dualized back."""
+    return _table(_resolve_dual(module, max_len, family)[0])

@@ -48,6 +48,7 @@ from intres.resolve import MaxLengthExceeded
 from conftest import (
     IRREDUCIBLE_TOTALS,
     cochain_differentials,
+    digest,
     grid_quiver,
     lattice_example,
     load_fixture,
@@ -640,6 +641,43 @@ def test_validator_rejects_truncation():
     assert not validate_koszul_coresolution(cut, i_a)
 
 
+def scaled_degree(cochain, degree, c):
+    """A fresh cochain with every block of one differential multiplied by
+    c, holding no layout."""
+    field = cochain.field
+    blocks = list(cochain.blocks)
+    blocks[degree] = [[[field.coerce(x * c) for x in coeffs] for coeffs in row]
+                      for row in blocks[degree]]
+    return IntervalCochain(cochain.interval, cochain.terms, blocks, field)
+
+
+@pytest.mark.parametrize("field", ["Q", "GF3"])
+def test_validator_checks_exactness(field):
+    """The homology test does what no check of the blocks can.  With its
+    last differential zeroed, a coresolution still has natural blocks and
+    d o d = 0, so it passes `_cochain_defect`, but Hom(-, V_K) is no longer
+    exact, and the validator refuses it.  Scaled by 2 (a unit over Q and
+    GF(3)) in one degree, it is still a coresolution, and the validator
+    accepts it."""
+    k = parse_field_token(field)
+    q = CL3
+    cat = IntervalFamily.of(q, k)
+    lengths = Counter()
+    for iv in cat.objects:
+        cochain = koszul_coresolution(q, iv, cat=cat)
+        if cochain.length == 0:
+            continue
+        lengths[cochain.length] += 1
+        zeroed = scaled_degree(cochain, -1, 0)
+        assert koszul._cochain_defect(q, zeroed)[0] is None
+        assert not validate_koszul_coresolution(zeroed, iv, cat=cat)
+        for degree in range(cochain.length):
+            scaled = scaled_degree(cochain, degree, 2)
+            assert scaled.blocks != cochain.blocks
+            assert validate_koszul_coresolution(scaled, iv, cat=cat)
+    assert lengths[1] and lengths[2]
+
+
 def test_gf_coresolution():
     """Everything is exact over a prime field as well."""
     gf2 = Field.prime(2)
@@ -1012,6 +1050,15 @@ def test_lattice_module_refuses_a_dimension_for_an_unknown_element():
         LatticeModule(p, {1: 1, 99: 3}, {}, QQ)
 
 
+@pytest.mark.parametrize("dim", [1.7, "2"])
+def test_lattice_module_refuses_a_dimension_that_is_not_an_int(dim):
+    """1.7 once read 1 and "2" read 2; both are refused, naming the
+    element."""
+    p = Poset.from_leq((1, 2), lambda a, b: b % a == 0)
+    with pytest.raises(ValueError, match="dimension at element 2 is .*not an int"):
+        LatticeModule(p, {1: 1, 2: dim}, {}, QQ)
+
+
 def test_lattice_module_path_independence_enforced():
     # diamond 1 < 2,3 < 6: two down paths from 6 to 1 must agree
     p = Poset.from_leq((1, 2, 3, 6), lambda a, b: b % a == 0)
@@ -1070,6 +1117,36 @@ def test_semilattice_complex_matches_family_betti():
             for (d, iv), mult in table.entries.items():
                 if iv == a and d >= len(h):
                     assert mult == 0
+
+
+# sha256 of every down map of `lattice_module_from_persistence` on the
+# lattice example, three `random_interval_sum` draws per field, covers sorted
+LATTICE_BRIDGE_DIGESTS = {
+    "Q": "c847d5a0aed1af1d15acf7e642738fa1ba1fd5945a0d2bf509fbc8ddd4d323fb",
+    "GF3": "d412c2ac87158b0c6e42e2a5231a60b7baaad46b3b7d681608f15154d34cdd37",
+}
+
+
+@pytest.mark.parametrize("field", sorted(LATTICE_BRIDGE_DIGESTS))
+def test_lattice_bridge_digests(field):
+    """The down maps of the lattice bridge, every matrix entry included,
+    are pinned over Q and GF(3); some of them are nonzero."""
+    k = parse_field_token(field)
+    quiver, _, lattice, embedding = lattice_example()
+    gauge = build_lattice_gauge(lattice, embedding)
+    rng = random.Random(46)
+    data, nonzero = [], 0
+    for _ in range(3):
+        m, _ = random_interval_sum(quiver, rng, k)
+        lat = lattice_module_from_persistence(gauge, m)
+        nonzero += sum(not x.is_zero() for x in lat.down.values())
+        data.append(sorted(
+            [sorted(a.vertex_set), sorted(b.vertex_set), x.nrows, x.ncols,
+             [str(e) for e in x.data]]
+            for (a, b), x in lat.down.items()
+        ))
+    assert nonzero > 0
+    assert digest(data) == LATTICE_BRIDGE_DIGESTS[field]
 
 
 def test_lattice_module_from_persistence_dims():

@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -96,6 +97,19 @@ def test_commutativity_enforced():
     # but check=False admits it
     PersModule(CL2, QQ, dims, {k: Mat.from_rows(QQ, v)
                                for k, v in bad.items()}, check=False)
+
+
+@pytest.mark.parametrize("dim", [1.7, "2", Fraction(2)])
+def test_a_dimension_that_is_not_an_int_is_refused(dim):
+    """A dimension is an int: 1.7 once read 1 and "2" read 2, without a
+    word.  Both are refused, naming the vertex, as `Field.coerce` refuses
+    a float; a negative one and one for an unknown vertex still are."""
+    with pytest.raises(ValueError, match=r"dimension at vertex 'b1' is .*not an int"):
+        PersModule(CL2, QQ, {"b1": dim})
+    with pytest.raises(ValueError, match="negative dimension at vertex 'b1'"):
+        PersModule(CL2, QQ, {"b1": -1})
+    with pytest.raises(ValueError, match="unknown vertex 'x9'"):
+        PersModule(CL2, QQ, {"x9": 1})
 
 
 def test_map_shape_validation():

@@ -258,6 +258,37 @@ def test_coresolution_digests(name, field):
     assert digest(data) == CORESOLUTION_DIGESTS[(name, field)]
 
 
+def test_coresolutions_dualize_each_module_once(monkeypatch):
+    """A coresolution dualizes M and each term module once, and its
+    differentials run between the modules it holds, starting at M itself;
+    `cobetti`, which reads only the tags, dualizes M alone.  On
+    `cl5_m.mod`, dualizing both ends of every differential again made 7
+    `PersModule.dual` calls for either."""
+    m = load_fixture("cl5_m.mod")
+    calls = []
+    dual = repmod.PersModule.dual
+
+    def counted(self):
+        calls.append(self)
+        return dual(self)
+
+    monkeypatch.setattr(repmod.PersModule, "dual", counted)
+    cores = minimal_interval_coresolution(m)
+    assert cores.length == 1
+    assert len(calls) == 1 + len(cores.term_modules) == 3
+    ends = [m] + cores.term_modules
+    for i, d in enumerate(cores.diffs):
+        assert d.src is ends[i] and d.tgt is ends[i + 1]
+    calls.clear()
+    table = cobetti(m)
+    assert calls == [m]
+    want = BettiTable()
+    for degree, tags in enumerate(cores.terms):
+        for iv in tags:
+            want.add(degree, iv)
+    assert table == want
+
+
 def test_max_len_enforced(cl3_m45):
     with pytest.raises(MaxLengthExceeded):
         minimal_interval_resolution(cl3_m45, max_len=0)
