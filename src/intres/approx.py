@@ -6,7 +6,13 @@ intervals that the quiver holds (`IntervalFamily.of`), and a plain list
 (an empty one is an empty family) is wrapped for the one call.  Each call
 builds Hom(V_J, M) once per member J, solved from the sources of J off one
 table of the module's path maps (`repmod.SourceSolves`), built for that
-call alone, and drops the members where it is zero.  The
+call alone, and drops the members where it is zero.  A caller that knows
+the dimensions passes them (`hom_dims=`), and only the members where
+they are nonzero are solved, each checked against its dimension: a right
+approximation f: X -> M makes 0 -> Hom(V_J, ker f) -> Hom(V_J, X) ->
+Hom(V_J, M) -> 0 exact, so every approximation gives its kernel's
+(`ApproxMorphism.kernel_hom_dims`), which is how each step of `resolve`
+after the first is solved.  The
 hom bases stay flat vectors (`repmod.flat_offsets` gives their layout):
 composites and ranks read them directly, and a morphism V_I -> M is built
 only for a basis element that the approximation keeps.  A
@@ -28,11 +34,14 @@ maps are the family's table (`IntervalFamily.irreducible_maps`), built
 once per family and read by every approximation over it.  Each g is the
 indicator of a good component C of I & J, which the family's hom table
 holds as a vertex bitmask (`IntervalFamily.hom_rows`), so h o g is h cut
-down to C (h's entries copied at the bits of C), and one elimination per
-interval picks the hom-basis elements that span a complement of the
-radical.  `is_right_interval_approximation` splits the components afresh
-(`good_components`), independently of that table.  The multiplicities of
-the retained summands are the degree-0 Betti data used by `resolve`.
+down to C.  It lies in Hom(V_I, M), so it is read in the coordinates of
+the hom basis at I, its entries at the basis's free columns: h's entries
+there inside C, zero outside.  One elimination per interval, over those
+dim Hom(V_I, M) coordinates, picks the hom-basis elements that span a
+complement of the radical.  `is_right_interval_approximation` splits the
+components afresh (`good_components`), independently of that table.  The
+multiplicities of the retained summands are the degree-0 Betti data used
+by `resolve`.
 """
 
 from __future__ import annotations
@@ -59,18 +68,40 @@ class ApproxMorphism:
 
     `summand_index[t]` names the interval of the t-th block; `parts[t]` is
     the component morphism V_I -> M; `morphism` is the assembled map from
-    the direct sum of the blocks, in order.
+    the direct sum of the blocks, in order; `hom_dims` is {J: dim
+    Hom(V_J, M)} over the family members where it is nonzero, in family
+    order, when the approximation was computed.
     """
 
     module: object
     summand_index: list
     parts: list
     morphism: ModMorphism = None
+    hom_dims: dict = None
 
     def interval_multiset(self):
         out = {}
         for i in self.summand_index:
             out[i] = out.get(i, 0) + 1
+        return out
+
+    def kernel_hom_dims(self, family):
+        """{J: dim Hom(V_J, ker f)} over the members J of `family` where it
+        is nonzero, in family order, for this right approximation f: X -> M
+        over the IntervalFamily `family`.  Post-composition with f is onto
+        Hom(V_J, M), so 0 -> Hom(V_J, ker f) -> Hom(V_J, X) -> Hom(V_J, M)
+        -> 0 is exact, and the dimension is sum_u dim hom(J, I_u) -
+        dim Hom(V_J, M) over the summands V_{I_u} of X, read off the
+        family's hom table (`IntervalFamily.hom_sums`) and `hom_dims`.  A
+        negative one raises AssertionError."""
+        sums = family.hom_sums(self.interval_multiset())
+        out = {}
+        for j, total in zip(family.objects, sums):
+            e = total - self.hom_dims.get(j, 0)
+            if e < 0:
+                raise AssertionError(f"dim Hom(V_J, ker f) would be {e} at {j!r}")
+            if e:
+                out[j] = e
         return out
 
 
@@ -85,14 +116,24 @@ def _assemble(module, parts):
 # ---- composites through interval modules ----------------------------------------
 
 
-def _homs(module, members):
+def _homs(module, members, dims=None):
     """Basis of Hom(V_J, M), as flat vectors (`SourceSolves.hom_basis`),
     and `flat_offsets` for every member J with a nonzero one, in family
-    order, all read off one table of path maps."""
+    order, all read off one table of path maps.  With `dims`, {J: dim
+    Hom(V_J, M)} over the members where it is nonzero, only those members
+    are solved, and a space of another dimension raises AssertionError."""
     solves = SourceSolves(module)
     homs = {}
     for j in members:
+        want = None if dims is None else dims.get(j, 0)
+        if want == 0:
+            continue
         basis = solves.hom_basis(j)
+        if want is not None and len(basis) != want:
+            raise AssertionError(
+                f"dim Hom(V_J, M) is {len(basis)}, not {want} as exactness "
+                f"gives, at {j!r}"
+            )
         if basis:
             homs[j] = basis, flat_offsets(j, module.dims)[0]
     return homs
@@ -154,26 +195,43 @@ def is_right_interval_approximation(approx, family=None):
 # ---- construction ------------------------------------------------------------
 
 
-def _top(module, i, homs, maps):
+def _top(module, i, homs, maps, bit):
     """Hom-basis elements at I spanning a complement of the radical, which
     is spanned by h o g over the irreducible maps g: V_I -> V_J, given in
     `maps` as (J, C) for the indicator of the good component C of I & J,
-    a vertex bitmask, and the basis maps h of Hom(V_J, M).  All are flat
-    vectors."""
-    basis = homs[i][0]
-    pieces = []
-    for j, comp in maps:
-        if j in homs:
-            hs, offsets = homs[j]
-            pieces.extend((comp, h, offsets) for h in hs)
-    rad, width = _composites(module, i, pieces)
-    if not rad:
+    a vertex bitmask (`bit` gives each vertex's bit), and the basis maps h
+    of Hom(V_J, M).  All are flat vectors.
+
+    Each h o g lies in Hom(V_I, M), whose basis is the identity at its free
+    columns (`Mat.free_columns`), so its coordinates are its entries there:
+    h's entry at a free column whose vertex lies in C, zero off C.  The
+    pivots of [rad | I_d] over the d = dim Hom(V_I, M) coordinate rows are
+    those of [rad | basis] over the full vectors."""
+    basis, at = homs[i]
+    pieces = [
+        (comp, h, offsets)
+        for j, comp in maps
+        if j in homs
+        for hs, offsets in (homs[j],)
+        for h in hs
+    ]
+    if not pieces:
         return basis
-    _, pivots = Mat.from_columns(module.field, rad + basis, width).rref()
-    return [basis[p - len(rad)] for p in pivots if p >= len(rad)]
+    field, dims = module.field, module.dims
+    place = [(bit[v], v, k) for v in i.vertices for k in range(dims[v])]
+    zero, one = field.zero(), field.one()
+    d, data = len(basis), []
+    for c, f in enumerate(Mat.free_columns(basis)):
+        b, v, k = place[f]
+        data.extend(h[offsets[v] + k] if comp & b else zero
+                    for comp, h, offsets in pieces)
+        data.extend(one if c == x else zero for x in range(d))
+    r = len(pieces)
+    _, pivots = Mat(field, d, r + d, data).rref()
+    return [basis[p - r] for p in pivots if p >= r]
 
 
-def minimal_right_approximation(module, family=None):
+def minimal_right_approximation(module, family=None, *, hom_dims=None):
     """The projective cover of Hom(V_-, M) over the family, as a minimal
     right approximation of M.
 
@@ -182,20 +240,28 @@ def minimal_right_approximation(module, family=None):
     `IntervalFamily` builds once and every call over it reads.
     Only the kept hom-basis elements become morphisms, one interval module
     per member that keeps any.
+
+    `hom_dims`, keyword-only, is {J: dim Hom(V_J, M)} over the members
+    where it is nonzero, for a caller that knows it already, as `resolve`
+    does for a kernel (`ApproxMorphism.kernel_hom_dims`): only those
+    members are solved, and a solved space of another dimension raises
+    AssertionError.  Without it every member is solved.
     """
     family = IntervalFamily.wrap(family, module.quiver, module.field)
     members = family.objects
     irreducible, rows = family.irreducible_maps(), family.hom_rows()
-    homs = _homs(module, members)
+    homs = _homs(module, members, hom_dims)
+    bit = {v: 1 << n for n, v in enumerate(module.quiver.vertices)}
     summand_index = []
     parts = []
     for i in homs:
         s = family.index[i]
         maps = [(members[t], rows[s][t][k]) for t, k in irreducible[s]]
-        kept = _top(module, i, homs, maps)
+        kept = _top(module, i, homs, maps, bit)
         if kept:
             src = interval_module(module.quiver, i, module.field)
             summand_index.extend([i] * len(kept))
             parts.extend(ModMorphism.from_flat(src, module, h) for h in kept)
     f = _assemble(module, parts)
-    return ApproxMorphism(module, summand_index, parts, f)
+    dims = {j: len(basis) for j, (basis, _) in homs.items()}
+    return ApproxMorphism(module, summand_index, parts, f, dims)

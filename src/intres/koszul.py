@@ -532,7 +532,8 @@ def betti_table_via_koszul(module, cat=None, max_len=None):
     any complex is built, and the complexes share those spaces.
     `max_len` bounds each coresolution K(V_I), which depends on the
     family, not on M: a bound that M's own resolution meets may still
-    raise here."""
+    raise here.  The table is checked against those dimensions, H chi = h
+    at every member (`IntervalFamily.require_hom_identity`)."""
     quiver = module.quiver
     family = IntervalFamily.wrap(cat, quiver, module.field)
     table = BettiTable()
@@ -542,6 +543,7 @@ def betti_table_via_koszul(module, cat=None, max_len=None):
         for i, h in enumerate(_complex(module, cochain, homs).homology_dims()):
             if h:
                 table.add(i, interval, h)
+    family.require_hom_identity(table, {j: len(hom[0]) for j, hom in homs.items()})
     return table
 
 

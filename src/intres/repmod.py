@@ -984,6 +984,35 @@ class IntervalFamily:
             self._containment = _containment_table(self.masks)
         return self._containment
 
+    def hom_sums(self, weights):
+        """H w: per member I, in family order, the sum over the members J
+        of weights[J] dim hom(I, J), read off the hom table, for `weights`
+        {member: weight}."""
+        at = [(self.index[j], w) for j, w in weights.items() if w]
+        return [
+            sum(w * len(row[t]) for t, w in at if t in row)
+            for row in self.hom_rows()
+        ]
+
+    def require_hom_identity(self, table, hom_dims):
+        """Raise AssertionError unless H chi = h at every member I, naming
+        the first one, in family order, where it fails: chi(J) = sum_i
+        (-1)^i table[i, J] for a `BettiTable` over the family, H(I, J) =
+        dim hom(I, J) (`hom_sums`), and h(I) = hom_dims.get(I, 0), with
+        `hom_dims` {J: dim Hom(V_J, M)}.  A relative resolution of M stays
+        exact under Hom(V_I, -) for every member I (Auslander-Solberg), so
+        its Betti table satisfies this."""
+        chi = {}
+        for (degree, j), mult in table.entries.items():
+            chi[j] = chi.get(j, 0) + (-mult if degree % 2 else mult)
+        for i, total in zip(self.objects, self.hom_sums(chi)):
+            want = hom_dims.get(i, 0)
+            if total != want:
+                raise AssertionError(
+                    f"H chi = h fails at {i!r}: H chi is {total}, "
+                    f"dim Hom(V_I, M) is {want}"
+                )
+
 
 # ---- kernels and cokernels ---------------------------------------------------
 
@@ -1034,7 +1063,9 @@ def cokernel(f):
 
 
 def direct_sum(mods):
-    """The block-diagonal direct sum of modules, in the order given."""
+    """The block-diagonal direct sum of modules, in the order given: each
+    summand's map along an arrow is written once at its offsets, into a
+    matrix of zeros."""
     mods = list(mods)
     if not mods:
         raise ValueError("direct sum needs at least the quiver; pass summands")
@@ -1044,19 +1075,20 @@ def direct_sum(mods):
         if m.quiver != q or m.field != field:
             raise ValueError("summands live on different quivers or fields")
     dims = {v: sum(m.dims[v] for m in mods) for v in q.vertices}
+    zero = field.zero()
     maps = {}
     for a, (u, v) in q.arrows.items():
-        # block diagonal
-        blocks = []
-        for r, mr in enumerate(mods):
-            row = []
-            for c, mc in enumerate(mods):
-                if r == c:
-                    row.append(mr.maps[a])
-                else:
-                    row.append(Mat.zeros(field, mr.dims[v], mc.dims[u]))
-            blocks.append(row)
-        maps[a] = Mat.block(field, blocks)
+        width = dims[u]
+        data = [zero] * (dims[v] * width)
+        row = col = 0
+        for m in mods:
+            block = m.maps[a]
+            for r in range(block.nrows):
+                at = (row + r) * width + col
+                data[at : at + block.ncols] = block.row(r)
+            row += block.nrows
+            col += block.ncols
+        maps[a] = Mat(field, dims[v], width, data)
     return PersModule(q, field, dims, maps, check=False)
 
 

@@ -1,11 +1,20 @@
 """Minimal resolutions and coresolutions by interval modules.
 
 A resolution is built by repeatedly taking a minimal right approximation and
-passing to its kernel.  A coresolution is its dual: D = Hom_k(-, k) turns a
-minimal resolution of DM over the opposite quiver (an interval of the
-opposite poset is the same vertex set) into a minimal coresolution of M.
-The multiplicity of each interval summand in the i-th term is the degree-i
-Betti (resp. co-Betti) number of the module at that interval.  The family
+passing to its kernel.  Each approximation f: X -> K is onto Hom(V_J, K)
+for every member J, so dim Hom(V_J, ker f) is known before the next step:
+sum_u dim hom(J, I_u) - dim Hom(V_J, K) over the summands V_{I_u} of X.
+Only the first step solves every member; each later one solves the
+members where that dimension is nonzero, and checks it.  The same
+exactness, for the whole resolution, is H chi = h: the hom dimensions
+between members times the Euler characteristic of the Betti table give
+dim Hom(V_I, M) at every member I, which every table is checked against.
+
+A coresolution is its dual: D = Hom_k(-, k) turns a minimal resolution
+of DM over the opposite quiver (an interval of the opposite poset is the
+same vertex set) into a minimal coresolution of M.  The multiplicity of
+each interval summand in the i-th term is the degree-i Betti (resp.
+co-Betti) number of the module at that interval.  The family
 is a `repmod.IntervalFamily`, whose table of irreducible maps every step
 reads; without one, it is the family of all intervals that the module's
 quiver holds (`IntervalFamily.of`), and a plain list is wrapped for the
@@ -80,7 +89,13 @@ def _resolve(module, max_len, family):
 
     Every approximation reads the family's table of irreducible maps; each
     differential X_i -> X_{i-1} is checked to be minimal
-    (`_require_minimal`), which a missing irreducible map would break."""
+    (`_require_minimal`), which a missing irreducible map would break.
+    The first approximation solves Hom(V_J, M) at every member J; each
+    later one solves only the members where its kernel's hom space is
+    nonzero, with the dimensions that exactness gives
+    (`ApproxMorphism.kernel_hom_dims`), and checks them.  The Betti table
+    is checked against the first dimensions
+    (`IntervalFamily.require_hom_identity`)."""
     if max_len is None:
         max_len = _default_max_len(module.quiver)
     terms = []
@@ -94,11 +109,13 @@ def _resolve(module, max_len, family):
                 f"resolution exceeded {max_len} terms; raise max_len if the "
                 "configuration is legitimate"
             )
-        approx = minimal_right_approximation(current, family)
+        hom_dims = None if embed is None else approx.kernel_hom_dims(family)
+        approx = minimal_right_approximation(current, family, hom_dims=hom_dims)
         f = approx.morphism
         tags = list(approx.summand_index)
         if embed is None:
             diffs.append(f)
+            first = approx.hom_dims
         else:
             diffs.append(embed.compose(f))
             _require_minimal(tags, terms[-1], diffs[-1])
@@ -110,6 +127,8 @@ def _resolve(module, max_len, family):
         ker.inclusion.validate_naturality()
         current = ker.module
         embed = ker.inclusion
+    if terms:
+        family.require_hom_identity(_table(terms), first)
     return terms, term_modules, diffs
 
 

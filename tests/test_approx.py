@@ -166,8 +166,8 @@ def test_morphisms_are_built_only_for_kept_summands(monkeypatch):
         calls["interval_module"] += 1
         return build(*args)
 
-    def recorded(*args):
-        result = approximate(*args)
+    def recorded(*args, **kwargs):
+        result = approximate(*args, **kwargs)
         kept.extend(result.summand_index)
         return result
 

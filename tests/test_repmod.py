@@ -713,6 +713,36 @@ def test_morphism_assembly():
         assert start == len(cols)
 
 
+@pytest.mark.parametrize("field", ["Q", "GF3"])
+def test_direct_sum_is_the_block_diagonal_matrix(field):
+    """Along every arrow the map of a direct sum is the block-diagonal
+    matrix of the summands' maps, as `Mat.block` assembles it from explicit
+    zero blocks: with summands that vanish at some vertices or everywhere,
+    and a lone summand."""
+    k = parse_field_token(field)
+    rng = random.Random(41)
+    q = CL3
+    ivs = enumerate_intervals(q)
+    pieces = [
+        random_commuting_module(q, rng, k),
+        zero_module(q, k),
+        interval_module(q, rng.choice(ivs), k),
+        random_commuting_module(q, rng, k),
+        zero_module(q, k),
+    ]
+    for mods in (pieces, pieces[:1], pieces[1:2], pieces[1:3]):
+        s = direct_sum(mods)
+        assert s.dims == {v: sum(m.dims[v] for m in mods) for v in q.vertices}
+        for a, (u, v) in q.arrows.items():
+            grid = [
+                [m.maps[a] if r == c else Mat.zeros(k, m.dims[v], n.dims[u])
+                 for c, n in enumerate(mods)]
+                for r, m in enumerate(mods)
+            ]
+            assert s.maps[a] == Mat.block(k, grid)
+        s.validate_commutativity()
+
+
 # ---- duality ----------------------------------------------------------------------
 
 

@@ -22,17 +22,19 @@ from intres import (
     minimal_interval_coresolution,
     minimal_interval_resolution,
 )
-from intres import IntervalFamily, modfile, repmod
+from intres import IntervalFamily, koszul, modfile, repmod, resolve
 from intres.modfile import parse_field_token
 from intres.poset import Interval
 
 from conftest import (
     digest,
+    hard_ladder_module,
     load_fixture,
     module_data,
     morphism_data,
     random_commuting_module,
     random_interval_sum,
+    sub_family,
 )
 
 CL2 = commutative_ladder(2)
@@ -287,6 +289,145 @@ def test_coresolutions_dualize_each_module_once(monkeypatch):
         for iv in tags:
             want.add(degree, iv)
     assert table == want
+
+
+RESOLUTION_DIGESTS = {
+    ("cl3_m45.mod", "Q"):
+        "ab7012f27aa4d2a1b8de3502ccd82c275190a9820bcfd9d12c3b60aa17f6ede2",
+    ("cl3_m45.mod", "GF3"):
+        "3c753a1f534b1bb783a4d16249acf0edb3786549b894d54f2e4686b034fbb937",
+    ("cl5_m.mod", "Q"):
+        "458fc86639ca2097b5e43c0b803cdb33eb26bae36bf0df00a2eb0f179170875b",
+    ("cl5_m.mod", "GF3"):
+        "d4acd8b9ac1855ea27476177d44f17f3aa5b82341b0542ac10c781d8ae7688ae",
+    ("hard-ladder-4/1", "Q"):
+        "548302602775426fb73a45489a68028b609593ce728009cf3da3606aa83fac97",
+    ("hard-ladder-4/1", "GF3"):
+        "17b182dd45d12a9d9fa43f5a224407be7995693a2164e30272aeab6e310ed65b",
+    ("hard-ladder-4/2", "Q"):
+        "832c6f5356c918fe29a78ac949a2ec3dab1a54d6b7c7d23ae4ac8f9afb8dd9a4",
+    ("hard-ladder-4/2", "GF3"):
+        "6dbee2a8150a3ba03f6aa46115332d4b053e07ca4e9beaddaedf2b6ffa3dffba",
+    ("cl3_m45.mod/9", "Q"):
+        "f25dcfc96f2cc41870a041aa770f5e8f6e3ba4383a683d4a78eed68f990a536a",
+    ("cl3_m45.mod/9", "GF3"):
+        "91fc5ee01f810a89ff45634dc691776da62b244748e5f846baaff2cbf70a0cfd",
+    ("cl5_m.mod/3", "Q"):
+        "5cc46bfcab189b9fb0fb8a1c5710ac07b2b52f89662b717d3610738bf88181de",
+    ("cl5_m.mod/3", "GF3"):
+        "93b7d8b64070924c3937f8d6df83c95a1d402f50cc772d9c732eb7b12c43a22c",
+}
+
+
+def resolution_subject(name, field):
+    """(module, family) of a digest case: `hard-ladder-4/s` is the
+    `hard_ladder_module` draw on ladder 4 from `Random(s)`, a fixture name
+    is that fixture over all intervals, and `fixture/s` is the fixture over
+    `sub_family(quiver, s)`."""
+    if name.startswith("hard-ladder-4/"):
+        return hard_ladder_module(4, random.Random(int(name[-1])), field), None
+    fixture, _, seed = name.partition("/")
+    m = load_fixture(fixture, field)
+    return m, (sub_family(m.quiver, int(seed)) if seed else None)
+
+
+@pytest.mark.parametrize("name, field", sorted(RESOLUTION_DIGESTS))
+def test_resolution_digests(name, field):
+    """The minimal resolution and the minimal coresolution are pinned: the
+    terms as vertex sets, every term module's maps and every differential.
+    Over the sub-families the coresolutions of `cl3_m45.mod` and `cl5_m.mod`
+    run to length 3 and 6, so that many steps read their hom dimensions
+    from exactness."""
+    m, family = resolution_subject(name, parse_field_token(field))
+    data = []
+    for build in (minimal_interval_resolution, minimal_interval_coresolution):
+        res = build(m, family=family)
+        data.append([
+            [[sorted(t.vertex_set) for t in tags] for tags in res.terms],
+            [module_data(x) for x in res.term_modules],
+            [morphism_data(d) for d in res.diffs],
+        ])
+    assert digest(data) == RESOLUTION_DIGESTS[(name, field)]
+
+
+def test_later_steps_solve_only_the_nonzero_hom_spaces(monkeypatch):
+    """`betti` and `cobetti` on `cl5_m.mod` solve Hom(V_J, -) at all 100
+    members in the first step of each, and after it only where exactness
+    gives a nonzero dimension: 259 solves, none empty after the first
+    step.  Solving every member at every step made 400, 264 of them
+    empty."""
+    first_step, solved = [], []
+    approximate = resolve.minimal_right_approximation
+    hom_basis = repmod.SourceSolves.hom_basis
+
+    def flagged(*args, **kwargs):
+        first_step.append(kwargs.get("hom_dims") is None)
+        return approximate(*args, **kwargs)
+
+    def counted(self, interval):
+        basis = hom_basis(self, interval)
+        solved.append((first_step[-1], len(basis)))
+        return basis
+
+    monkeypatch.setattr(resolve, "minimal_right_approximation", flagged)
+    monkeypatch.setattr(repmod.SourceSolves, "hom_basis", counted)
+    m = load_fixture("cl5_m.mod")
+    betti(m)
+    cobetti(m)
+    assert first_step == [True, False, True, False]
+    assert len(solved) == 259
+    assert sum(first for first, _ in solved) == 200
+    assert all(dim for first, dim in solved if not first)
+
+
+def first_reached(family, interval):
+    """The first member I, in family order, with hom(I, J) nonzero for the
+    member J = `interval`: where H chi = h fails first when chi(J) is
+    off."""
+    t = family.index[interval]
+    return next(i for i, row in zip(family.objects, family.hom_rows()) if t in row)
+
+
+def test_a_corrupted_table_entry_fails_the_hom_identity(monkeypatch):
+    """Every Betti and co-Betti table is checked against H chi = h, with
+    the hom dimensions of M that its route solves.  One entry of the
+    table raised by one makes `betti`, `cobetti` and
+    `betti_table_via_koszul` raise AssertionError, naming the first member
+    reached from the corrupted one."""
+    m = load_fixture("cl5_m.mod")
+    family = IntervalFamily.of(m.quiver, m.field)
+    resolved = minimal_interval_resolution(m).terms[0][0]
+    coresolved = minimal_interval_coresolution(m).terms[0][0].opposite()
+    tabulate = resolve._table
+
+    def corrupted(terms):
+        table = tabulate(terms)
+        table.add(1, terms[0][0])
+        return table
+
+    monkeypatch.setattr(resolve, "_table", corrupted)
+    for table, fam, interval in ((betti, family, resolved),
+                                 (cobetti, family.opposite(), coresolved)):
+        want = f"H chi = h fails at {first_reached(fam, interval)!r}:"
+        with pytest.raises(AssertionError, match=re.escape(want)):
+            table(m)
+    monkeypatch.undo()
+
+    build = koszul._complex
+    chosen = family.objects[-1]
+
+    def off_by_one(module, cochain, homs):
+        chain = build(module, cochain, homs)
+        if cochain.terms[0] == [chosen]:
+            dims = chain.homology_dims()
+            dims[0] += 1
+            chain.homology_dims = lambda: dims
+        return chain
+
+    monkeypatch.setattr(koszul, "_complex", off_by_one)
+    want = f"H chi = h fails at {first_reached(family, chosen)!r}:"
+    with pytest.raises(AssertionError, match=re.escape(want)):
+        betti_table_via_koszul(m)
 
 
 def test_max_len_enforced(cl3_m45):
