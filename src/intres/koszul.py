@@ -25,10 +25,13 @@ maps between representables, to a cochain
     0 -> V_I -> X^1 -> X^2 -> ...
 
 of interval-decomposable persistence modules (the coresolution of V_I).
-Such a cochain is kept as the resolution data itself (`IntervalCochain`):
-the interval summands of each term, and per pair of summands the
-coefficients of the differential's block over the good-component basis of
-Hom(V_J, V_K).  Applying Hom(-, M) to it yields a chain of vector spaces
+Such a cochain is the resolution data itself (`IntervalCochain`), and the
+cover steps build it directly, one degree each: the interval summands of
+the term are the top's objects, and per pair of summands the coefficients
+of the differential's block over the good-component basis of Hom(V_J,
+V_K) are the top vector's slice.  A cochain is laid out by vertex only by
+its check (`_checked`), so no complex is built over blocks that do not
+form a cochain.  Applying Hom(-, M) to it yields a chain of vector spaces
 whose homology computes the interval Betti numbers of M — the second,
 independent route beside `intres.resolve`.  One precomposition builder
 (`_precomposed`) reads every composite h o b in the chart of Hom(V_J, M),
@@ -81,13 +84,6 @@ def build_end_category(quiver, intervals=None, field=None):
 # ---- minimal projective resolutions --------------------------------------------
 
 
-@dataclass
-class ResolutionStep:
-    tags: list  # object indices, one per projective summand
-    blocks: list  # blocks[u_new][u_prev] = coefficient list over hom basis
-    # hom basis in question: hom(tags_prev[u_prev], tags_new[u_new])
-
-
 def _act(family, tags, offsets, vec, s, t, k, rows):
     """The entries at `rows`, coordinates of P(t), of the image of a vector
     of P(s) under x_k, the k-th basis map of hom(s, t), the indicator of a
@@ -134,9 +130,11 @@ def projective_cover_step(family, tags, syzygy):
     is the basis vectors on pivots of [rad K(t) | K(t)], where rad K(t)
     spans the images of the K(s) under the irreducible maps s -> t
     (`IntervalFamily.irreducible_maps`); the same elimination checks that K is
-    invariant under them, hence a submodule.  Returns the step (the top's
-    objects as tags, each top vector sliced per summand of P as its blocks
-    row) and the kernel of the cover, the next syzygy, in the same form.
+    invariant under them, hence a submodule.  Returns (tags, blocks,
+    kernel): the top's objects, one per summand of the cover; each top
+    vector sliced per summand of P, the `IntervalCochain.blocks` of one
+    degree; and the kernel of the cover, the next syzygy, in the same form
+    as `syzygy`.
     """
     field, hom = family.field, family.hom_rows()
     irreducible = family.irreducible_maps()
@@ -187,14 +185,14 @@ def projective_cover_step(family, tags, syzygy):
             raise AssertionError("projective cover is not surjective")
         if kernel_basis:
             kernel[t] = kernel_basis
-    return ResolutionStep(new_tags, blocks), kernel
+    return new_tags, blocks, kernel
 
 
-def _require_minimal(prev_tags, step):
-    """Raise unless the step maps into the radical: no block between two
-    summands with the same tag has a nonzero coefficient, which would be an
-    isomorphism component (hom(s, s) = k is spanned by the identity)."""
-    for tag, row in zip(step.tags, step.blocks):
+def _require_minimal(prev_tags, tags, blocks):
+    """Raise unless a cover step maps into the radical: no block between
+    two summands with the same tag has a nonzero coefficient, which would
+    be an isomorphism component (hom(s, s) = k is spanned by the identity)."""
+    for tag, row in zip(tags, blocks):
         for prev, coeffs in zip(prev_tags, row):
             if tag == prev and any(coeffs):
                 raise AssertionError("resolution is not minimal")
@@ -202,13 +200,14 @@ def _require_minimal(prev_tags, step):
 
 def min_proj_resolution(family, s, max_len=None):
     """Minimal projective resolution of the simple module at object s of
-    `family`, as its list of `ResolutionStep`s, one per degree.
+    `family`, as the `IntervalCochain` it pulls back to through Yoneda, the
+    coresolution of V_I, I = family.objects[s], not yet checked.
 
-    steps[0] is hom(s, -); the first syzygy is its radical, the identity
-    basis at every t != s.  steps[i].tags are the projective summands of
-    the i-th term; steps[i].blocks (i >= 1) give the differential into term
-    i-1 as coefficient lists over hom(tags_{i-1}[u_prev], tags_i[u_new]).
-    Each step is checked to be minimal (`_require_minimal`).
+    Term 0 is hom(s, -), that is [I]; the first syzygy is its radical, the
+    identity basis at every t != s.  Each cover step
+    (`projective_cover_step`) gives the next term, the members at its tags,
+    and the blocks of the differential into it, and is checked to be
+    minimal (`_require_minimal`).
     """
     if max_len is None:
         max_len = 4 * len(family.objects) + 4
@@ -220,16 +219,17 @@ def min_proj_resolution(family, s, max_len=None):
         for t, comps in row.items()
         if t != s
     }
-    step = ResolutionStep([s], None)
-    steps = []
-    while True:
-        if len(steps) > max_len:
+    objects = family.objects
+    tags, terms, blocks = [s], [[objects[s]]], []
+    while syzygy:
+        new_tags, coeffs, syzygy = projective_cover_step(family, tags, syzygy)
+        _require_minimal(tags, new_tags, coeffs)
+        if len(terms) > max_len:
             raise MaxLengthExceeded(f"resolution exceeded {max_len} steps")
-        steps.append(step)
-        if not syzygy:
-            return steps
-        step, syzygy = projective_cover_step(family, step.tags, syzygy)
-        _require_minimal(steps[-1].tags, step)
+        tags = new_tags
+        terms.append([objects[t] for t in tags])
+        blocks.append(coeffs)
+    return IntervalCochain(objects[s], terms, blocks, family.field)
 
 
 # ---- interval cochains ----------------------------------------------------------
@@ -243,15 +243,15 @@ class IntervalCochain:
     blocks[i][u_new][u_prev] is the block of the differential X^i -> X^{i+1}
     from V_J, J = terms[i][u_prev], to V_K, K = terms[i+1][u_new]: a list of
     coefficients over good_components(J, K), which is the `hom_table`
-    order of `repmod.IntervalFamily` that `ResolutionStep.blocks` uses.  The block is the morphism equal
-    to the k-th coefficient on the k-th component and zero off them.  The
-    coefficients are elements of `field`.
+    order of `repmod.IntervalFamily` that the cover steps write.  The block
+    is the morphism equal to the k-th coefficient on the k-th component and
+    zero off them.  The coefficients are elements of `field`.
 
     `layout()` gives each block's values by vertex, in the nesting of
-    `blocks`.  `_checked` and the validator keep the layout that their
-    check computes; any other cochain computes it on first use.  Either way
-    it is held, so the blocks are not to be changed once the cochain is in
-    use.
+    `blocks`.  A layout comes only from a check: `_checked` and the
+    validator keep the one their check computes, and a cochain made by
+    hand is checked on first use (`AssertionError` on a defect).  It is
+    held, so the blocks are not to be changed once the cochain is in use.
     """
 
     interval: object
@@ -268,9 +268,9 @@ class IntervalCochain:
 
     def layout(self):
         """layout()[i][u_new][u_prev]: the vertex -> coefficient map of
-        blocks[i][u_new][u_prev] (`_block_values`)."""
+        blocks[i][u_new][u_prev] (`_block_values`), held from the check."""
         if self._layout is None:
-            self._layout = _block_layout(self.interval.quiver, self.terms, self.blocks)
+            _checked(self.interval.quiver, self)
         return self._layout
 
 
@@ -283,22 +283,11 @@ def _block_values(quiver, source, target, coeffs):
     return {v: c for comp, c in zip(comps, coeffs) for v in comp}
 
 
-def _block_layout(quiver, terms, blocks):
-    """The vertex -> coefficient map (`_block_values`) of every block, in
-    the nesting of `blocks`, as tuples."""
-    return tuple(
-        tuple(
-            tuple(_block_values(quiver, j, k, c) for j, c in zip(terms[i], row))
-            for k, row in zip(terms[i + 1], rows)
-        )
-        for i, rows in enumerate(blocks)
-    )
-
-
 def _cochain_defect(quiver, cochain):
     """The pair (why the blocks do not form a cochain of module morphisms,
-    or None; the layout that was checked), computed afresh from the
-    blocks.  The layout is None when the blocks do not match the terms.
+    or None; the layout that was checked, every block's `_block_values` in
+    the nesting of `blocks`, as tuples), computed afresh from the blocks.
+    The layout is None when the blocks do not match the terms.
 
     A block is natural when, along every arrow u -> v with u in its source
     and v in its target, its values at u and v agree.  Consecutive
@@ -311,7 +300,13 @@ def _cochain_defect(quiver, cochain):
         for i, rows in enumerate(blocks)
     ):
         return "the blocks do not match the terms", None
-    values = _block_layout(quiver, terms, blocks)
+    values = tuple(
+        tuple(
+            tuple(_block_values(quiver, j, k, c) for j, c in zip(terms[i], row))
+            for k, row in zip(terms[i + 1], rows)
+        )
+        for i, rows in enumerate(blocks)
+    )
     for i, rows in enumerate(values):
         for k, row in zip(terms[i + 1], rows):
             for j, val in zip(terms[i], row):
@@ -350,10 +345,10 @@ def koszul_coresolution(quiver, interval, field=None, cat=None, max_len=None):
     Q when `cat` is not an `IntervalFamily`.
 
     Computed as the minimal projective resolution of the simple module at I
-    over the family's category, pulled back through Yoneda: the terms are
-    the resolution's tags and the blocks its `ResolutionStep.blocks`.
-    Results are held in the family's `coresolutions`; a held cochain longer
-    than `max_len` raises as a fresh resolution would.
+    over the family's category, which `min_proj_resolution` writes as the
+    cochain pulled back through Yoneda, and checked (`_checked`) before it
+    is held in the family's `coresolutions`; a held cochain longer than
+    `max_len` raises as a fresh resolution would.
     """
     if field is None:
         field = cat.field if isinstance(cat, IntervalFamily) else QQ
@@ -363,14 +358,8 @@ def koszul_coresolution(quiver, interval, field=None, cat=None, max_len=None):
         s = family.index.get(interval)
         if s is None:
             raise ValueError("interval is not an object of the chosen family")
-        steps = min_proj_resolution(family, s, max_len)
-        cochain = IntervalCochain(
-            interval,
-            [[family.objects[t] for t in step.tags] for step in steps],
-            [step.blocks for step in steps[1:]],
-            family.field,
-        )
-        family.coresolutions[interval] = _checked(family.quiver, cochain)
+        cochain = _checked(family.quiver, min_proj_resolution(family, s, max_len))
+        family.coresolutions[interval] = cochain
     if max_len is not None and cochain.length > max_len:
         raise MaxLengthExceeded(f"resolution exceeded {max_len} steps")
     return cochain
@@ -558,7 +547,7 @@ class LatticeModule:
     opposite Hasse diagram.
     """
 
-    def __init__(self, poset, dims, down, field, check=True):
+    def __init__(self, poset, dims, down, field):
         self.poset = poset
         self.field = field
         self.dims = dimension_vector(dims, poset.elements, "element")
@@ -583,7 +572,7 @@ class LatticeModule:
         arrows = {f"d{idx}": (b, a) for idx, (a, b) in enumerate(self.down)}
         maps = dict(zip(arrows, self.down.values()))
         quiver = BoundQuiver(poset.elements, arrows)
-        self._op_module = PersModule(quiver, field, self.dims, maps, check=check)
+        self._op_module = PersModule(quiver, field, self.dims, maps)
 
     def dim(self, a):
         return self.dims[a]

@@ -234,33 +234,20 @@ def is_connected(quiver, vset):
 
 
 def is_convex(quiver, vset):
-    """True when x <= z <= y with x, y in the set forces z into the set."""
-    vset = set(vset)
-    for z in quiver.vertices:
-        if z in vset:
-            continue
-        below = any(quiver.leq(x, z) for x in vset)
-        above = any(quiver.leq(z, y) for y in vset)
-        if below and above:
-            return False
-    return True
+    """True when x <= z <= y with x, y in the set forces z into the set:
+    the set is its own `convex_closure`."""
+    return convex_closure(quiver, vset) == set(vset)
 
 
 def convex_closure(quiver, vset):
-    """Smallest convex superset of a vertex set."""
-    cur = set(vset)
-    changed = True
-    while changed:
-        changed = False
-        for z in quiver.vertices:
-            if z in cur:
-                continue
-            if any(quiver.leq(x, z) for x in cur) and any(
-                quiver.leq(z, y) for y in cur
-            ):
-                cur.add(z)
-                changed = True
-    return frozenset(cur)
+    """Smallest convex superset of a vertex set S: the z with x <= z <= y
+    for some x, y in S, that is, z in S or above S with reach[z] meeting S.
+    That set is convex already (x <= a <= z <= b <= y for a, b in it), so
+    one pass over the quiver's reachability sets is final."""
+    vset = frozenset(vset)
+    reach = quiver._reach
+    above = vset.union(*(reach[x] for x in vset))
+    return frozenset(z for z in above if z in vset or not reach[z].isdisjoint(vset))
 
 
 def enumerate_intervals(quiver):

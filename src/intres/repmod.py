@@ -226,15 +226,6 @@ class ModMorphism:
             check=False,
         )
 
-    def __sub__(self, other):
-        self._check_parallel(other)
-        return ModMorphism(
-            self.src,
-            self.tgt,
-            {v: self.comps[v] - other.comps[v] for v in self.comps},
-            check=False,
-        )
-
     def scale(self, c):
         return ModMorphism(
             self.src,
@@ -284,7 +275,7 @@ class ModMorphism:
         return out
 
     @classmethod
-    def from_flat(cls, src, tgt, coords, check=False):
+    def from_flat(cls, src, tgt, coords):
         comps = {}
         pos = 0
         for v in src.quiver.vertices:
@@ -293,7 +284,7 @@ class ModMorphism:
             pos += n
         if pos != len(coords):
             raise ValueError("flat coordinate vector has wrong length")
-        return cls(src, tgt, comps, check=check)
+        return cls(src, tgt, comps, check=False)
 
     def _check_parallel(self, other):
         if self.src != other.src or self.tgt != other.tgt:
@@ -539,10 +530,7 @@ class SourceSolves:
             return None
         ends = []
         for dual, path in ((False, self.path), (True, self._co_path)):
-            solved = self._system(interval, order, dual=dual)
-            if solved is None:
-                return None
-            system, root, start = solved
+            system, root, start = self._system(interval, order, dual=dual)
             kernel = system.kernel_basis()
             if not kernel:
                 return None

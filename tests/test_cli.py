@@ -150,6 +150,21 @@ def test_koszul_json(capsys):
     assert payload["degrees"][0] == ["top=[1,2]"]
 
 
+def test_a_failed_koszul_check_is_an_internal_error(capsys, monkeypatch):
+    """When the validator refuses the coresolution, `koszul --check` exits
+    with EXIT_INTERNAL, says so on stderr and prints no report."""
+    import intres.cli
+
+    monkeypatch.setattr(intres.cli, "validate_koszul_coresolution",
+                        lambda cochain, interval: False)
+    code, out, err = run(
+        capsys, "koszul", "--ladder", "3",
+        "--interval", "top=[1,3] bot=[3,3]", "--check",
+    )
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == "internal error: koszul coresolution failed validation\n"
+
+
 # ---- decomposable / replace -------------------------------------------------------
 
 
@@ -277,6 +292,16 @@ def test_ladder_and_file_exclude_each_other(capsys, command):
 def test_unknown_subcommand_is_usage(capsys):
     assert main(["nosuch-command"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_replace_on_the_zero_module(tmp_path, capsys):
+    """A module file whose dimensions are all 0 has the zero replacement,
+    which the text report states in one line."""
+    f = tmp_path / "zero.mod"
+    f.write_text("quiver ladder 2\n")
+    code, out, err = run(capsys, "replace", "--file", str(f))
+    assert code == EXIT_OK and err == ""
+    assert out == "delta identically zero\n"
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

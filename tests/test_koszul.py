@@ -331,9 +331,9 @@ def test_a_category_refuses_a_repeated_member():
 def test_min_proj_resolution_starts_at_cover():
     cat = build_end_category(CL2)
     for s in range(0, len(cat.objects), 3):
-        steps = min_proj_resolution(cat, s)
-        assert steps[0].tags == [s]
-        assert steps[0].blocks is None
+        cochain = min_proj_resolution(cat, s)
+        assert cochain.terms[0] == [cat.objects[s]]
+        assert len(cochain.blocks) == cochain.length
 
 
 def test_cover_step_rejects_a_non_submodule():
@@ -373,10 +373,8 @@ def test_a_missing_irreducible_map_is_caught_or_harmless(monkeypatch):
     is read over a fresh quiver, which holds no table yet."""
 
     def resolutions(cat):
-        return [
-            [(step.tags, step.blocks) for step in min_proj_resolution(cat, s)]
-            for s in range(len(cat.objects))
-        ]
+        cochains = [min_proj_resolution(cat, s) for s in range(len(cat.objects))]
+        return [(cochain.terms, cochain.blocks) for cochain in cochains]
 
     full = build_end_category(commutative_ladder(3), None, QQ)
     want = resolutions(full)
@@ -678,6 +676,26 @@ def test_validator_checks_exactness(field):
     assert lengths[1] and lengths[2]
 
 
+def test_a_complex_refuses_a_hand_made_non_cochain(cl3_m45):
+    """A cochain made by hand is laid out only by the check: with one
+    nonzero block of degree 1 scaled by 2, the coresolution of V_{t2}
+    no longer composes to zero, and its complex raises where it once
+    returned homology."""
+    q = cl3_m45.quiver
+    t2 = Interval(q, ["t2"])
+    cochain = koszul_coresolution(q, t2)
+    assert cochain.length >= 2
+    blocks = [list(map(list, rows)) for rows in cochain.blocks]
+    u, v = next((u, v) for u, row in enumerate(blocks[1])
+                for v, coeffs in enumerate(row) if any(coeffs))
+    blocks[1][u][v] = [QQ.coerce(2 * x) for x in blocks[1][u][v]]
+    bad = IntervalCochain(t2, cochain.terms, blocks, QQ)
+    message = "cochain differentials do not compose to zero"
+    assert koszul._cochain_defect(q, bad)[0] == message
+    with pytest.raises(AssertionError, match=message):
+        koszul_complex(cl3_m45, t2, cochain=bad)
+
+
 def test_gf_coresolution():
     """Everything is exact over a prime field as well."""
     gf2 = Field.prime(2)
@@ -784,8 +802,8 @@ def test_cancelling_pair_invariance(cl3_m45):
 
 def test_warm_complexes_read_the_held_block_layouts(monkeypatch):
     """A checked cochain holds the layout of its blocks, so a complex over
-    a warm category splits no good components; an unchecked cochain
-    computes its layout on first use and holds it too."""
+    a warm category splits no good components; an unchecked cochain is
+    checked on first use and holds the layout of that check too."""
     m = load_fixture("cl3_m45.mod")
     q = m.quiver
     cat = build_end_category(q, None, QQ)

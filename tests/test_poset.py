@@ -20,6 +20,8 @@ from intres import (
 )
 from intres.poset import convex_closure, is_connected, is_convex
 
+from conftest import grid_quiver, tree_poset_quiver, zigzag_poset_quiver
+
 
 # ---- bound quivers -------------------------------------------------------------
 
@@ -121,6 +123,32 @@ def test_convex_closure():
     # smallest such set: everything between b1 and t3
     assert c == {v for v in q.vertices
                  if q.leq("b1", v) and q.leq(v, "t3")} | {"b1", "t3"}
+
+
+@pytest.mark.parametrize("name", ["ladder2", "ladder4", "grid", "zigzag", "tree"])
+def test_convex_closure_is_everything_between_two_members(name):
+    """On seeded random vertex subsets S of each poset, the closure is
+    {z : x <= z <= y for some x, y in S}, found by brute force from `leq`,
+    and S is convex exactly when it is that set.  Every subset of the
+    zigzag, whose chains have at most two elements, is convex."""
+    quiver = {
+        "ladder2": commutative_ladder(2),
+        "ladder4": commutative_ladder(4),
+        "grid": grid_quiver(),
+        "zigzag": zigzag_poset_quiver(),
+        "tree": tree_poset_quiver(),
+    }[name]
+    rng = random.Random(11)
+    vs = quiver.vertices
+    convex = 0
+    for _ in range(200):
+        s = set(rng.sample(vs, rng.randint(0, len(vs))))
+        want = {z for z in vs
+                if any(quiver.leq(x, z) and quiver.leq(z, y) for x in s for y in s)}
+        assert convex_closure(quiver, s) == want
+        assert is_convex(quiver, s) == (s == want)
+        convex += s == want
+    assert convex and (convex < 200) == (name != "zigzag")
 
 
 # ---- posets and Moebius functions ------------------------------------------------

@@ -99,6 +99,15 @@ def test_commutativity_enforced():
                                for k, v in bad.items()}, check=False)
 
 
+def test_naturality_enforced():
+    """A morphism of V_{b1,b2} to itself that is 1 at b1 and 0 at b2 is
+    not natural along the arrow a1: b1 -> b2, and is refused by name."""
+    v = interval_module(CL2, Interval(CL2, ["b1", "b2"]), QQ)
+    ModMorphism(v, v, {"b1": [[1]], "b2": [[1]]})
+    with pytest.raises(ValueError, match="naturality fails along arrow 'a1'"):
+        ModMorphism(v, v, {"b1": [[1]], "b2": [[0]]})
+
+
 @pytest.mark.parametrize("dim", [1.7, "2", Fraction(2)])
 def test_a_dimension_that_is_not_an_int_is_refused(dim):
     """A dimension is an int: 1.7 once read 1 and "2" read 2, without a
