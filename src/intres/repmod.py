@@ -701,76 +701,71 @@ def _containing(nvertices, masks):
 
 def _irreducible_table(quiver, hom, field):
     """The irreducible maps of the family whose hom spaces are `hom` (the
-    family's `_hom_table`), as out-adjacency: entry s lists the pairs (t,
-    k), t increasing, see `IntervalFamily.irreducible_maps`.
+    family's `_hom_table` over `quiver`), as out-adjacency: entry s lists
+    the pairs (t, k), t increasing, see `IntervalFamily.irreducible_maps`.
 
     The composite of the basis maps on C1 (s -> r) and C2 (r -> t) is the
-    sum of the components of hom(s, t) inside C1 & C2, so only members r
-    containing a component of hom(s, t) are tried.  When hom(s, t) is
-    one-dimensional the first nonzero composite settles it; when it is
-    larger, a rank is taken unless every basis map is itself a composite.
+    sum of the basis maps of hom(s, t) on the components inside C1 & C2, so
+    these sums span rad^2(s, t).  The basis map on a component that is a
+    member is one of them.  Let C be a good component of I_s & I_t that is
+    a member I_r, r != s, t:
+    - I_s & I_r = C is connected;
+    - no arrow enters C from I_s \\ I_r: goodness for (s, t) rules out
+      I_s \\ I_t, and C is a whole component of I_s & I_t; no arrow leaves
+      C into I_r \\ I_s, which is empty;
+    - so C is the good component of hom(s, r), and in the same way of
+      hom(r, t);
+    - the composite of those two basis maps is the indicator of C, so the
+      basis map on C lies in rad^2(s, t).
+    A hom space of dimension >= 2 has no component equal to I_s or I_t:
+    either would make I_s & I_t that one connected set.  Every good
+    component is an interval, so over the family of all intervals every
+    multi-dimensional pair is settled without a search.
+
+    Per pair s != t the composites start as the unit vectors of the
+    components that are members other than I_s and I_t.  The members r
+    with hom(s, r) and hom(r, t) nonzero add their sums until every unit
+    vector is a composite.  The listed maps complete the composites to a
+    basis: none when every unit is one, all when there is no composite,
+    and the unit columns that are pivots of [composites | I] otherwise.
     """
-    n = len(hom)
     rows = [dict(row) for row in hom]
     # I_s is connected, so hom(s, s) has one good component: I_s itself
-    containing = _containing(len(quiver.vertices), [rows[s][s][0] for s in range(n)])
-    span = [{t: sum(good) for t, good in row.items()} for row in rows]  # unions
-    into_members = [0] * n  # bit s of into_members[t]: hom(s, t) != 0
+    position = {row[s][0]: s for s, row in enumerate(rows)}
+    into_members = [0] * len(rows)  # bit s of into_members[t]: hom(s, t) != 0
     for s, row in enumerate(rows):
         for t in row:
             into_members[t] |= 1 << s
-    holders = {}  # component -> members containing it
-
-    def held_by(comp):
-        if comp not in holders:
-            members = -1
-            for i in _bits(comp):
-                members &= containing[i]
-            holders[comp] = members
-        return holders[comp]
-
     table = []
-    for s in range(n):
+    for s, hom_s in enumerate(rows):
         maps = []
         table.append(maps)
-        hom_s, span_s = rows[s], span[s]
         out_members = sum(1 << t for t in hom_s)
         for t, target in hom_s.items():
             if t == s:
                 continue
-            through = out_members & into_members[t] & ~(1 << s | 1 << t)
-            if len(target) == 1:
-                # c is connected, so it lies in one component of I_s & I_r
-                # and one of I_r & I_t: in good ones exactly when in their
-                # unions
-                (c,) = target
-                rest = through & held_by(c)
-                while rest:
-                    low = rest & -rest
-                    r = low.bit_length() - 1
-                    if not c & ~(span_s[r] & span[r][t]):
-                        break
-                    rest ^= low
-                else:
-                    maps.append((t, 0))
-                continue
-            held = union = 0
-            for c in target:
-                held |= held_by(c)
-                union |= c
-            meets = {
-                c1 & c2 & union
-                for r in _bits(through & held)
-                for c1 in hom_s[r]
-                for c2 in rows[r][t]
-            }
-            composites = {
-                tuple(k for k, c in enumerate(target) if not c & ~m) for m in meets
-            }
             dim = len(target)
-            if all((k,) in composites for k in range(dim)):
-                continue  # every basis map of hom(s, t) is a composite
+            units = [(k,) for k in range(dim)]
+            composites = {
+                (k,)
+                for k, c in enumerate(target)
+                if position.get(c) not in (None, s, t)
+            }
+            for r in _bits(out_members & into_members[t] & ~(1 << s | 1 << t)):
+                if composites.issuperset(units):
+                    break
+                for c1 in hom_s[r]:
+                    for c2 in rows[r][t]:
+                        meet = c1 & c2
+                        composites.add(
+                            tuple(k for k, c in enumerate(target) if not c & ~meet)
+                        )
             composites.discard(())
+            if composites.issuperset(units):
+                continue
+            if not composites:
+                maps.extend((t, k) for k in range(dim))
+                continue
             cols = [
                 [field.one() if k in cs else field.zero() for k in range(dim)]
                 for cs in composites
@@ -803,13 +798,13 @@ def _transpose(table):
 class IntervalFamily:
     """A family of intervals of one quiver over one field, the workspace
     that both Betti routes and `tda` read: the members in order (`objects`),
-    no member twice, their vertex bitmasks (bit i for the i-th vertex of
-    the quiver), each member's position (`index`), and, each built on first
-    use, the family's hom table (the good components of every nonzero hom
-    space), its table of irreducible maps, read off the hom table, and its
-    containment structure (the up-set of every member).  Members, bitmasks,
-    tables and structure are tuples, so no caller can change what the next
-    one reads.
+    each over `quiver` and no member twice, their vertex bitmasks (bit i
+    for the i-th vertex of the quiver), each member's position (`index`),
+    and, each built on first use, the family's hom table (the good
+    components of every nonzero hom space), its table of irreducible maps,
+    read off the hom table, and its containment structure (the up-set of
+    every member).  Members, bitmasks, tables and structure are tuples, so
+    no caller can change what the next one reads.
 
     The family is also the endomorphism category that the Koszul route
     resolves in: one object per member, with hom(s, t) =
@@ -846,6 +841,11 @@ class IntervalFamily:
         self.quiver = quiver
         self.field = field
         self.objects = tuple(intervals)
+        for iv in self.objects:
+            if iv.quiver is not quiver and iv.quiver != quiver:
+                raise ValueError(
+                    f"the interval family member {iv!r} is over another quiver"
+                )
         self.index = MappingProxyType({iv: s for s, iv in enumerate(self.objects)})
         if len(self.index) != len(self.objects):
             repeated = next(
@@ -950,9 +950,14 @@ class IntervalFamily:
         k and the radical is nilpotent, so every map between distinct
         members is a sum of composites of these: they are the arrows of the
         Gabriel quiver of the family (Auslander-Reiten-Smalo), and they
-        alone span rad(V_I, M).  Built on first use from `hom_table`, or as
-        the transpose of the opposite family's table when that one is built
-        already.
+        alone span rad(V_I, M).
+
+        A basis map whose component is a member other than I_s and I_t is
+        a composite through that member (see `_irreducible_table`), so over
+        the family of all intervals the members settle every pair with no
+        elimination, and a rank is taken only where members are missing.
+        Built on first use from `hom_table`, or as the transpose of the
+        opposite family's table when that one is built already.
         """
         if self._table is None:
             op = self._op

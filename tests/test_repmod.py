@@ -272,11 +272,32 @@ def test_irreducible_maps_of_full_ladder_families(n, field):
 @pytest.mark.parametrize("name", sorted(IRREDUCIBLE_TOTALS_BEYOND_LADDERS))
 def test_irreducible_maps_beyond_ladders(name, field):
     """Where an interval has several sources or sinks, and on the opposite
-    of the grid, which a coresolution reads."""
+    of the grid, which a coresolution reads.  The full family is settled by
+    its members alone; three random sub-families lack some, so a rank
+    settles the pairs that no member does (on the grid's draws 4, 2 and 5
+    eliminations)."""
     build, want = IRREDUCIBLE_TOTALS_BEYOND_LADDERS[name]
     q = build()
     total = check_irreducible_maps(q, enumerate_intervals(q), parse_field_token(field))
     assert total == want
+    for seed in range(3):
+        check_irreducible_maps(q, sub_family(q, seed), parse_field_token(field))
+
+
+# sha256 of `irreducible_maps()` of the full family of the rows x cols grid
+# over Q, past the grids that `check_irreducible_maps` can afford
+IRREDUCIBLE_GRID_DIGESTS = {
+    (3, 4): "d3a7a4938029aa647f07073d9f15ef1dfc775ef77353c46d4039d55532f1023f",
+    (4, 4): "9afb4ffa736c089670e3199b0d9f14bf3b29e69380efaa52c33f869f30d79bc8",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(IRREDUCIBLE_GRID_DIGESTS))
+def test_irreducible_map_digests_of_grids(shape):
+    """The tables of the 3x4 and 4x4 grids, 518 and 1,988 maps, are pinned."""
+    q = grid_quiver(*shape)
+    table = IntervalFamily(q, enumerate_intervals(q), QQ).irreducible_maps()
+    assert digest(table) == IRREDUCIBLE_GRID_DIGESTS[shape]
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -396,6 +417,25 @@ def test_a_family_refuses_a_repeated_member():
     copy = Interval(CL2, members[0].vertices)
     with pytest.raises(ValueError, match=re.escape(repr(members[0]))):
         IntervalFamily(CL2, [copy] + members, QQ)
+
+
+def test_a_family_refuses_a_member_over_another_quiver():
+    """Bitmasks are read by vertex name, so members over the opposite quiver
+    would pass for members over the quiver: a coresolution over them is
+    wrong (one term where there are three).  The family names the first
+    one instead.  A member over an equal quiver built apart is accepted."""
+    members = enumerate_intervals(CL2)
+    flipped = [iv.opposite() for iv in members]
+    foreign = re.escape(f"member {flipped[0]!r} is over another quiver")
+    with pytest.raises(ValueError, match=foreign):
+        IntervalFamily(CL2, flipped, QQ)
+    foreign = re.escape(f"member {flipped[2]!r} is over another quiver")
+    with pytest.raises(ValueError, match=foreign):
+        IntervalFamily(CL2, members[:2] + flipped[2:], QQ)
+    twin = commutative_ladder(2)
+    assert twin is not CL2 and twin == CL2
+    family = IntervalFamily(twin, members, QQ)
+    assert family.objects == tuple(members)
 
 
 @pytest.mark.parametrize("name", sorted(TRANSPOSE_QUIVERS))
