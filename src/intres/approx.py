@@ -174,15 +174,14 @@ def is_right_interval_approximation(approx, family=None):
     """
     module = approx.module
     quiver = module.quiver
-    members = IntervalFamily.wrap(family, quiver, module.field).objects
+    family = IntervalFamily.wrap(family, quiver, module.field)
     pairs = [
         (j, part.flat(), flat_offsets(j, module.dims)[0])
         for j, part in zip(approx.summand_index, approx.parts)
     ]
-    bit = {v: 1 << n for n, v in enumerate(quiver.vertices)}
-    for i, (basis, _) in _homs(module, members).items():
+    for i, (basis, _) in _homs(module, family.objects).items():
         comps = {
-            j: [sum(bit[v] for v in c) for c in good_components(quiver, i, j)]
+            j: [sum(family.bits[v] for v in c) for c in good_components(quiver, i, j)]
             for j in set(approx.summand_index)
         }
         pieces = [(c, h, offsets) for j, h, offsets in pairs for c in comps[j]]
@@ -199,8 +198,8 @@ def _top(module, i, homs, maps, bit):
     """Hom-basis elements at I spanning a complement of the radical, which
     is spanned by h o g over the irreducible maps g: V_I -> V_J, given in
     `maps` as (J, C) for the indicator of the good component C of I & J,
-    a vertex bitmask (`bit` gives each vertex's bit), and the basis maps h
-    of Hom(V_J, M).  All are flat vectors.
+    a vertex bitmask (`bit`, the family's `bits`, gives each vertex's
+    bit), and the basis maps h of Hom(V_J, M).  All are flat vectors.
 
     Each h o g lies in Hom(V_I, M), whose basis is the identity at its free
     columns (`Mat.free_columns`), so its coordinates are its entries there:
@@ -251,13 +250,12 @@ def minimal_right_approximation(module, family=None, *, hom_dims=None):
     members = family.objects
     irreducible, rows = family.irreducible_maps(), family.hom_rows()
     homs = _homs(module, members, hom_dims)
-    bit = {v: 1 << n for n, v in enumerate(module.quiver.vertices)}
     summand_index = []
     parts = []
     for i in homs:
         s = family.index[i]
         maps = [(members[t], rows[s][t][k]) for t, k in irreducible[s]]
-        kept = _top(module, i, homs, maps, bit)
+        kept = _top(module, i, homs, maps, family.bits)
         if kept:
             src = interval_module(module.quiver, i, module.field)
             summand_index.extend([i] * len(kept))

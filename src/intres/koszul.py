@@ -55,7 +55,6 @@ This module imports only `exactla`, `poset` and `repmod`.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -84,28 +83,28 @@ def build_end_category(quiver, intervals=None, field=None):
 # ---- minimal projective resolutions --------------------------------------------
 
 
-def _act(family, tags, offsets, vec, s, t, k, rows):
-    """The entries at `rows`, coordinates of P(t), of the image of a vector
-    of P(s) under x_k, the k-th basis map of hom(s, t), the indicator of a
-    component c2.  The entry (u, c) is read at one vertex r of the c-th
-    good component of I_{tags[u]} & I_t: the vector's entry (u, a) when r
-    lies in c2 and in c1, the a-th good component of I_{tags[u]} & I_s, and
-    zero otherwise.  x_k composed with the indicator of c1 is the indicator
-    of c1 & c2, a morphism, so c1 & c2 is a union of components of
-    I_{tags[u]} & I_t, and one vertex decides whether one lies inside."""
+def _act(family, tags, offsets, vec, s, t, k):
+    """The image in P(t) of a vector of P(s) under x_k, the k-th basis map
+    of hom(s, t), the indicator of c2.  After the indicator of c1, the a-th
+    good component of I_{tags[u]} & I_s, x_k is the indicator of c1 & c2, a
+    morphism, so a union of good components of I_{tags[u]} & I_t (both lists
+    are the row of tags[u] in the hom table): the entry (u, c) is the vector's
+    entry (u, a) when c1 & c2 holds the c-th one's lowest vertex, else zero."""
     hom, zero = family.hom_rows(), family.field.zero()
-    c2, sources, targets = hom[s][t][k], offsets[s], offsets[t]
+    c2 = hom[s][t][k]
     out = []
-    base = end = 0
-    for row in rows:
-        if not base <= row < end:
-            u = bisect_right(targets, row) - 1
-            base, end, start = targets[u], targets[u + 1], sources[u]
-            comps = hom[tags[u]][t]
-            at = family.component_at(tags[u], s)
-        r = comps[row - base]
-        a = at.get(r & -r) if r & -r & c2 else None
-        out.append(zero if a is None else vec[start + a])
+    for tag, start in zip(tags, offsets[s]):
+        row = hom[tag]
+        sources = row.get(s, ())
+        for comp in row.get(t, ()):
+            low, a = comp & -comp & c2, start
+            for c1 in sources:
+                if c1 & low:
+                    out.append(vec[a])
+                    break
+                a += 1
+            else:
+                out.append(zero)
     return out
 
 
@@ -145,7 +144,7 @@ def projective_cover_step(family, tags, syzygy):
             if t not in offsets:
                 continue
             for vec in vecs:
-                img = _act(family, tags, offsets, vec, s, t, k, range(offsets[t][-1]))
+                img = _act(family, tags, offsets, vec, s, t, k)
                 if any(img):
                     rad.setdefault(t, []).append(img)
     gens = []
@@ -178,7 +177,8 @@ def projective_cover_step(family, tags, syzygy):
         cols = []
         for (tag, vec), row in zip(gens, new_rows):
             for k in range(len(row.get(t, ()))):
-                cols.append(_act(family, tags, offsets, vec, tag, t, k, free))
+                img = _act(family, tags, offsets, vec, tag, t, k)
+                cols.append([img[r] for r in free])
         cover = Mat.from_columns(field, cols, len(basis))
         kernel_basis = cover.kernel_basis()
         if cover.ncols - len(kernel_basis) != len(basis):

@@ -20,8 +20,8 @@ intervals over one field: its members, their vertex bitmasks, its hom
 table (the good components of every pair, as bitmasks), its table of
 irreducible maps and its containment structure.  Both routes and `tda`
 read it, and it is the category the Koszul route resolves in, holding
-that route's per-pair component tables and coresolutions; the family of all
-intervals of a quiver is held by the quiver, once per field.
+that route's coresolutions; the family of all intervals of a quiver is
+held by the quiver, once per field.
 Both routes report in a `BettiTable` and raise `MaxLengthExceeded`, kept
 here so that neither route imports the other.
 """
@@ -411,11 +411,12 @@ class SourceSolves:
 
     def _order(self, interval):
         """The vertices of J in topological order.  An interval over
-        another quiver raises ValueError."""
+        another quiver raises ValueError, naming both (`_quiver_names`)."""
         q = self.module.quiver
         if interval.quiver is not q and interval.quiver != q:
+            this, that = _quiver_names(interval.quiver, q)
             raise ValueError(
-                f"the interval is over {interval.quiver!r} but the module is over {q!r}"
+                f"the interval is over {this} but the module is over {that}"
             )
         inside = interval.vertex_set
         return [v for v in q.topological_order() if v in inside]
@@ -540,6 +541,23 @@ class SourceSolves:
         return tuple(ends)
 
 
+def _quiver_names(mine, theirs):
+    """The reprs of two quivers (or fields) that differ; where two quivers'
+    read alike (a repr counts vertices and arrows), one is marked as the
+    opposite quiver, else by the first arrow the other lacks, else by vertices."""
+    names = [repr(mine), repr(theirs)]
+    if names[0] != names[1]:
+        return names
+    if mine == theirs.opposite():
+        return [f"{names[0]} (the opposite quiver)", names[1]]
+    for side, (q, other) in enumerate(((mine, theirs), (theirs, mine))):
+        for a, (src, tgt) in q.arrows.items():
+            if other.arrows.get(a) != (src, tgt):
+                names[side] += f" (which has arrow {a!r}: {src!r} -> {tgt!r})"
+                return names
+    return [f"{n} (on vertices {q.vertices!r})" for n, q in zip(names, (mine, theirs))]
+
+
 def _rows_of(field, vectors, start, count):
     """The rows start .. start + count - 1 of the matrix whose columns are
     `vectors`."""
@@ -642,9 +660,9 @@ def _hom_table(quiver, masks):
     enters it from I_s \\ I_t.  Components are disjoint, so ordering them by
     lowest bit is `good_components`' order.
     """
-    bit = {v: 1 << i for i, v in enumerate(quiver.vertices)}
-    succ = [sum(bit[w] for _, w in quiver.arrows_from(v)) for v in quiver.vertices]
-    pred = [sum(bit[w] for _, w in quiver.arrows_into(v)) for v in quiver.vertices]
+    index = quiver._vindex
+    succ = [sum(1 << index[w] for _, w in quiver._succ[v]) for v in quiver.vertices]
+    pred = [sum(1 << index[w] for _, w in quiver._pred[v]) for v in quiver.vertices]
 
     split = {}  # meet -> [(component, arrow targets, arrow sources)]
 
@@ -701,7 +719,7 @@ def _containing(nvertices, masks):
 
 def _irreducible_table(quiver, hom, field):
     """The irreducible maps of the family whose hom spaces are `hom` (the
-    family's `_hom_table` over `quiver`), as out-adjacency: entry s lists
+    family's `hom_rows` over `quiver`), as out-adjacency: entry s lists
     the pairs (t, k), t increasing, see `IntervalFamily.irreducible_maps`.
 
     The composite of the basis maps on C1 (s -> r) and C2 (r -> t) is the
@@ -729,15 +747,14 @@ def _irreducible_table(quiver, hom, field):
     basis: none when every unit is one, all when there is no composite,
     and the unit columns that are pivots of [composites | I] otherwise.
     """
-    rows = [dict(row) for row in hom]
     # I_s is connected, so hom(s, s) has one good component: I_s itself
-    position = {row[s][0]: s for s, row in enumerate(rows)}
-    into_members = [0] * len(rows)  # bit s of into_members[t]: hom(s, t) != 0
-    for s, row in enumerate(rows):
+    position = {row[s][0]: s for s, row in enumerate(hom)}
+    into_members = [0] * len(hom)  # bit s of into_members[t]: hom(s, t) != 0
+    for s, row in enumerate(hom):
         for t in row:
             into_members[t] |= 1 << s
     table = []
-    for s, hom_s in enumerate(rows):
+    for s, hom_s in enumerate(hom):
         maps = []
         table.append(maps)
         out_members = sum(1 << t for t in hom_s)
@@ -755,7 +772,7 @@ def _irreducible_table(quiver, hom, field):
                 if composites.issuperset(units):
                     break
                 for c1 in hom_s[r]:
-                    for c2 in rows[r][t]:
+                    for c2 in hom[r][t]:
                         meet = c1 & c2
                         composites.add(
                             tuple(k for k, c in enumerate(target) if not c & ~meet)
@@ -798,24 +815,21 @@ def _transpose(table):
 class IntervalFamily:
     """A family of intervals of one quiver over one field, the workspace
     that both Betti routes and `tda` read: the members in order (`objects`),
-    each over `quiver` and no member twice, their vertex bitmasks (bit i
-    for the i-th vertex of the quiver), each member's position (`index`),
-    and, each built on first use, the family's hom table (the good
-    components of every nonzero hom space), its table of irreducible maps,
-    read off the hom table, and its containment structure (the up-set of
-    every member).  Members, bitmasks, tables and structure are tuples, so
-    no caller can change what the next one reads.
+    each over `quiver` and no member twice, their vertex bitmasks (`masks`,
+    sums of `bits`, bit i for the i-th vertex of the quiver), each member's
+    position (`index`), and, each built on first use, the family's hom table
+    (the good components of every nonzero hom space), its table of
+    irreducible maps, read off the hom table, and its containment structure
+    (the up-set of every member).  Members, bitmasks, tables and structure
+    are tuples, so no caller can change what the next one reads.
 
     The family is also the endomorphism category that the Koszul route
-    resolves in: one object per member, with hom(s, t) =
-    Hom(V_{I_s}, V_{I_t}) spanned by the indicators of its good components.
-    What that route reads is held here as it is built, for callers to
-    read only: the rows of the hom table as dicts (`hom_rows`, whose
-    entries' lengths are the hom dimensions and whose bitmasks the
-    approximations of the resolve route read as well), per pair of
-    members which good component holds each vertex (`component_at`), and
-    `coresolutions`, {member: its coresolution}, which
-    `koszul.koszul_coresolution` fills.
+    resolves in: one object per member, with hom(s, t) = Hom(V_{I_s},
+    V_{I_t}) spanned by the indicators of its good components.  It holds,
+    for callers to read only, the rows of the hom table as dicts
+    (`hom_rows`: their entries' lengths are the hom dimensions, and both
+    routes read their bitmasks) and `coresolutions`, {member: its
+    coresolution}, which `koszul.koszul_coresolution` fills.
 
     The family of all intervals of a quiver comes from `of`, which the
     quiver holds per field, so every call over one quiver shares one
@@ -832,9 +846,8 @@ class IntervalFamily:
     """
 
     __slots__ = (
-        "quiver", "field", "objects", "masks", "index", "coresolutions",
-        "_hom", "_rows", "_at", "_table", "_containment",
-        "_op",
+        "quiver", "field", "objects", "bits", "masks", "index", "coresolutions",
+        "_hom", "_rows", "_table", "_containment", "_op",
     )
 
     def __init__(self, quiver, intervals, field):
@@ -852,12 +865,12 @@ class IntervalFamily:
                 iv for s, iv in enumerate(self.objects) if self.index[iv] != s
             )
             raise ValueError(f"the interval family lists {repeated!r} more than once")
-        bit = {v: 1 << i for i, v in enumerate(quiver.vertices)}
-        self.masks = tuple(sum(bit[v] for v in iv.vertex_set) for iv in self.objects)
+        bits = {v: 1 << i for i, v in enumerate(quiver.vertices)}
+        self.bits = MappingProxyType(bits)
+        self.masks = tuple(sum(bits[v] for v in iv.vertex_set) for iv in self.objects)
         self.coresolutions = {}
         self._hom = None
         self._rows = None
-        self._at = {}
         self._table = None
         self._containment = None
         self._op = None
@@ -887,9 +900,8 @@ class IntervalFamily:
             return cls(quiver, family, field)
         for mine, theirs in ((family.quiver, quiver), (family.field, field)):
             if mine is not theirs and mine != theirs:
-                raise ValueError(
-                    f"the interval family is over {mine!r}, not over {theirs!r}"
-                )
+                this, that = _quiver_names(mine, theirs)
+                raise ValueError(f"the interval family is over {this}, not over {that}")
         return family
 
     def opposite(self):
@@ -928,17 +940,6 @@ class IntervalFamily:
             self._rows = tuple(dict(row) for row in self.hom_table())
         return self._rows
 
-    def component_at(self, s, t):
-        """{bit: k} over the vertex bits of the k-th good component of
-        I_s & I_t, in `hom_table` order, read off the hom table's bitmasks.
-        Built once per pair."""
-        at = self._at.get((s, t))
-        if at is None:
-            comps = self.hom_rows()[s].get(t, ())
-            at = {1 << i: k for k, comp in enumerate(comps) for i in _bits(comp)}
-            self._at[s, t] = at
-        return at
-
     def irreducible_maps(self):
         """The irreducible maps of the family, as out-adjacency: entry s
         lists the pairs (t, k), s != t indexing `objects` and t increasing.
@@ -956,7 +957,7 @@ class IntervalFamily:
         a composite through that member (see `_irreducible_table`), so over
         the family of all intervals the members settle every pair with no
         elimination, and a rank is taken only where members are missing.
-        Built on first use from `hom_table`, or as the transpose of the
+        Built on first use from `hom_rows`, or as the transpose of the
         opposite family's table when that one is built already.
         """
         if self._table is None:
@@ -965,7 +966,7 @@ class IntervalFamily:
                 self._table = _transpose(op._table)
             else:
                 self._table = _irreducible_table(
-                    self.quiver, self.hom_table(), self.field
+                    self.quiver, self.hom_rows(), self.field
                 )
         return self._table
 

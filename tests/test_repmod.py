@@ -29,7 +29,7 @@ from intres import (
     zero_module,
 )
 from intres.modfile import parse_field_token
-from intres.poset import Interval
+from intres.poset import BoundQuiver, Interval
 from intres.repmod import SourceSolves, flat_offsets
 
 from conftest import (
@@ -436,6 +436,39 @@ def test_a_family_refuses_a_member_over_another_quiver():
     assert twin is not CL2 and twin == CL2
     family = IntervalFamily(twin, members, QQ)
     assert family.objects == tuple(members)
+
+
+def test_wrap_names_the_quiver_that_differs():
+    """A family over the opposite ladder, or over a ladder with one arrow
+    renamed, has the same vertex and arrow counts as the ladder, so the
+    two reprs read alike; the refusal says which quiver differs."""
+    q = commutative_ladder(3)
+    shape = "BoundQuiver(6 vertices, 7 arrows)"
+    flipped = IntervalFamily.of(q.opposite(), QQ)
+    want = f"over {shape} (the opposite quiver), not over {shape}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        IntervalFamily.wrap(flipped, q, QQ)
+    first = next(iter(q.arrows))
+    renamed = BoundQuiver(
+        q.vertices, {("x" if a == first else a): st for a, st in q.arrows.items()}
+    )
+    src, tgt = q.arrows[first]
+    want = f"over {shape} (which has arrow 'x': {src!r} -> {tgt!r}), not over {shape}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        IntervalFamily.wrap(IntervalFamily.of(renamed, QQ), q, QQ)
+    want = f"over {shape} (which has arrow {first!r}: {src!r} -> {tgt!r}), not"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        IntervalFamily.wrap(IntervalFamily.of(q, QQ), renamed, QQ)
+
+
+def test_a_hom_solve_names_the_opposite_quiver(cl3_m45):
+    """An interval of the opposite ladder is refused by the module's
+    table of path maps, which says that its quiver is the opposite one."""
+    iv = Interval(cl3_m45.quiver.opposite(), ["t1", "t2"])
+    shape = "BoundQuiver(6 vertices, 7 arrows)"
+    want = f"over {shape} (the opposite quiver) but the module is over {shape}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        SourceSolves(cl3_m45).hom_basis(iv)
 
 
 @pytest.mark.parametrize("name", sorted(TRANSPOSE_QUIVERS))
