@@ -33,7 +33,7 @@ with g: V_I -> V_J irreducible and h: V_J -> M alone.  The irreducible
 maps are the family's table (`IntervalFamily.irreducible_maps`), built
 once per family and read by every approximation over it.  Each g is the
 indicator of a good component C of I & J, which the family's hom table
-holds as a vertex bitmask (`IntervalFamily.hom_rows`), so h o g is h cut
+holds as a vertex bitmask (`IntervalFamily.hom_table`), so h o g is h cut
 down to C.  It lies in Hom(V_I, M), so it is read in the coordinates of
 the hom basis at I, its entries at the basis's free columns: h's entries
 there inside C, zero outside.  One elimination per interval, over those
@@ -248,7 +248,7 @@ def minimal_right_approximation(module, family=None, *, hom_dims=None):
     """
     family = IntervalFamily.wrap(family, module.quiver, module.field)
     members = family.objects
-    irreducible, rows = family.irreducible_maps(), family.hom_rows()
+    irreducible, rows = family.irreducible_maps(), family.hom_table()
     homs = _homs(module, members, hom_dims)
     summand_index = []
     parts = []

@@ -5,8 +5,9 @@ with hom spaces the (combinatorial) morphism spaces between the thin
 interval modules.  That category is the family itself, a
 `repmod.IntervalFamily`, the workspace the resolve route reads as well:
 its hom table holds the good components of every hom space as vertex
-bitmasks, split once per family, and the cover steps read the action of
-a basis map off those bitmasks.  Every function here that takes `cat=` takes such a
+bitmasks, split once per family, in one read-only mapping
+{t: components} per member, and the cover steps read the action of a
+basis map off those bitmasks.  Every function here that takes `cat=` takes such a
 family (`IntervalFamily.wrap`): None means the family of all intervals
 that the quiver holds, so calls without `cat` share its coresolutions.
 
@@ -90,7 +91,7 @@ def _act(family, tags, offsets, vec, s, t, k):
     morphism, so a union of good components of I_{tags[u]} & I_t (both lists
     are the row of tags[u] in the hom table): the entry (u, c) is the vector's
     entry (u, a) when c1 & c2 holds the c-th one's lowest vertex, else zero."""
-    hom, zero = family.hom_rows(), family.field.zero()
+    hom, zero = family.hom_table(), family.field.zero()
     c2 = hom[s][t][k]
     out = []
     for tag, start in zip(tags, offsets[s]):
@@ -110,7 +111,7 @@ def _act(family, tags, offsets, vec, s, t, k):
 
 def _offsets(rows):
     """Per object t where the sum of the representables hom(s, -), whose
-    `hom_rows` entries are `rows`, is nonzero, in increasing t: where each
+    `hom_table` rows are `rows`, is nonzero, in increasing t: where each
     summand's coordinates start at t, then the dimension of the sum at t.
     The dimension of hom(s, t) is the number of its good components."""
     objects = sorted(set().union(*rows))
@@ -135,7 +136,7 @@ def projective_cover_step(family, tags, syzygy):
     degree; and the kernel of the cover, the next syzygy, in the same form
     as `syzygy`.
     """
-    field, hom = family.field, family.hom_rows()
+    field, hom = family.field, family.hom_table()
     irreducible = family.irreducible_maps()
     offsets = _offsets([hom[tag] for tag in tags])
     rad = {}
@@ -211,7 +212,7 @@ def min_proj_resolution(family, s, max_len=None):
     """
     if max_len is None:
         max_len = 4 * len(family.objects) + 4
-    row = family.hom_rows()[s]
+    row = family.hom_table()[s]
     if len(row.get(s, ())) != 1:
         raise AssertionError("endomorphism space of a thin module must be k")
     syzygy = {

@@ -650,8 +650,8 @@ def _bits(mask):
 
 def _hom_table(quiver, masks):
     """The hom spaces of the family whose members have the vertex bitmasks
-    `masks`, as out-adjacency: entry s lists the pairs (t, components), t
-    increasing, for every t with Hom(V_{I_s}, V_{I_t}) != 0, s included;
+    `masks`, as out-adjacency: row s is a read-only mapping {t: components},
+    t increasing, over every t with Hom(V_{I_s}, V_{I_t}) != 0, s included;
     the components are the good components of I_s & I_t (see
     `good_components`) as vertex bitmasks, in `good_components` order.
 
@@ -692,7 +692,7 @@ def _hom_table(quiver, masks):
         meeting = 0
         for i in _bits(ms):
             meeting |= containing[i]
-        row = []
+        row = {}
         for t in _bits(meeting):
             mt = masks[t]
             meet = ms & mt
@@ -702,8 +702,8 @@ def _hom_table(quiver, masks):
                 if not out & mt & ~ms and not into & ms & ~mt
             )
             if good:
-                row.append((t, good))
-        table.append(tuple(row))
+                row[t] = good
+        table.append(MappingProxyType(row))
     return tuple(table)
 
 
@@ -719,7 +719,7 @@ def _containing(nvertices, masks):
 
 def _irreducible_table(quiver, hom, field):
     """The irreducible maps of the family whose hom spaces are `hom` (the
-    family's `hom_rows` over `quiver`), as out-adjacency: entry s lists
+    family's `hom_table` over `quiver`), as out-adjacency: entry s lists
     the pairs (t, k), t increasing, see `IntervalFamily.irreducible_maps`.
 
     The composite of the basis maps on C1 (s -> r) and C2 (r -> t) is the
@@ -803,8 +803,17 @@ def _containment_table(masks):
 
 
 def _transpose(table):
-    """The out-adjacency of the reversed pairs: (s, x) in entry t for every
-    (t, x) in entry s, s increasing."""
+    """The out-adjacency of the reversed pairs, in the form of `table`: x at
+    s in row t for every x at t in row s, s increasing.  The rows of a hom
+    table are read-only mappings {t: components}, and so are those of its
+    transpose; the rows of a table of irreducible maps are tuples of pairs
+    (t, k), in which t repeats."""
+    if table and isinstance(table[0], MappingProxyType):
+        rows = [{} for _ in table]
+        for s, row in enumerate(table):
+            for t, x in row.items():
+                rows[t][s] = x
+        return tuple(map(MappingProxyType, rows))
     out = [[] for _ in table]
     for s, pairs in enumerate(table):
         for t, x in pairs:
@@ -821,15 +830,16 @@ class IntervalFamily:
     (the good components of every nonzero hom space), its table of
     irreducible maps, read off the hom table, and its containment structure
     (the up-set of every member).  Members, bitmasks, tables and structure
-    are tuples, so no caller can change what the next one reads.
+    are tuples, the hom table's rows read-only mappings, so no caller can
+    change what the next one reads.
 
     The family is also the endomorphism category that the Koszul route
     resolves in: one object per member, with hom(s, t) = Hom(V_{I_s},
-    V_{I_t}) spanned by the indicators of its good components.  It holds,
-    for callers to read only, the rows of the hom table as dicts
-    (`hom_rows`: their entries' lengths are the hom dimensions, and both
-    routes read their bitmasks) and `coresolutions`, {member: its
-    coresolution}, which `koszul.koszul_coresolution` fills.
+    V_{I_t}) spanned by the indicators of its good components.  Both
+    routes and `tda` read the one hom table (`hom_table`: its entries'
+    lengths are the hom dimensions, and both routes read their bitmasks).
+    The family also holds `coresolutions`, {member: its coresolution},
+    which `koszul.koszul_coresolution` fills.
 
     The family of all intervals of a quiver comes from `of`, which the
     quiver holds per field, so every call over one quiver shares one
@@ -847,7 +857,7 @@ class IntervalFamily:
 
     __slots__ = (
         "quiver", "field", "objects", "bits", "masks", "index", "coresolutions",
-        "_hom", "_rows", "_table", "_containment", "_op",
+        "_hom", "_table", "_containment", "_op",
     )
 
     def __init__(self, quiver, intervals, field):
@@ -870,7 +880,6 @@ class IntervalFamily:
         self.masks = tuple(sum(bits[v] for v in iv.vertex_set) for iv in self.objects)
         self.coresolutions = {}
         self._hom = None
-        self._rows = None
         self._table = None
         self._containment = None
         self._op = None
@@ -919,13 +928,13 @@ class IntervalFamily:
         return self._op
 
     def hom_table(self):
-        """The hom spaces of the family, as out-adjacency: entry s lists the
-        pairs (t, components), t increasing, for every member t with
-        hom(s, t) = Hom(V_{I_s}, V_{I_t}) nonzero, s included.  The
+        """The hom spaces of the family, as out-adjacency: row s is a
+        read-only mapping {t: components}, t increasing, over every member
+        t with hom(s, t) = Hom(V_{I_s}, V_{I_t}) nonzero, s included.  The
         components are the good components of I_s & I_t, a basis of
-        hom(s, t), as vertex bitmasks (`masks`) in `good_components` order.
-        Built on first use, as the transpose of the opposite family's table
-        when that one is built already."""
+        hom(s, t), as a tuple of vertex bitmasks (`masks`) in
+        `good_components` order.  Built on first use, as the transpose of
+        the opposite family's table when that one is built already."""
         if self._hom is None:
             op = self._op
             if op is not None and op._hom is not None:
@@ -933,12 +942,6 @@ class IntervalFamily:
             else:
                 self._hom = _hom_table(self.quiver, self.masks)
         return self._hom
-
-    def hom_rows(self):
-        """Row s of `hom_table` as a dict {t: components}, per member s."""
-        if self._rows is None:
-            self._rows = tuple(dict(row) for row in self.hom_table())
-        return self._rows
 
     def irreducible_maps(self):
         """The irreducible maps of the family, as out-adjacency: entry s
@@ -957,7 +960,7 @@ class IntervalFamily:
         a composite through that member (see `_irreducible_table`), so over
         the family of all intervals the members settle every pair with no
         elimination, and a rank is taken only where members are missing.
-        Built on first use from `hom_rows`, or as the transpose of the
+        Built on first use from `hom_table`, or as the transpose of the
         opposite family's table when that one is built already.
         """
         if self._table is None:
@@ -966,7 +969,7 @@ class IntervalFamily:
                 self._table = _transpose(op._table)
             else:
                 self._table = _irreducible_table(
-                    self.quiver, self.hom_rows(), self.field
+                    self.quiver, self.hom_table(), self.field
                 )
         return self._table
 
@@ -985,7 +988,7 @@ class IntervalFamily:
         at = [(self.index[j], w) for j, w in weights.items() if w]
         return [
             sum(w * len(row[t]) for t, w in at if t in row)
-            for row in self.hom_rows()
+            for row in self.hom_table()
         ]
 
     def require_hom_identity(self, table, hom_dims):
@@ -1132,8 +1135,3 @@ class BettiTable:
             return NotImplemented
         keys = set(self.entries) | set(other.entries)
         return all(self[k] == other[k] for k in keys)
-
-    def sorted_items(self):
-        out = list(self.entries.items())
-        out.sort(key=lambda kv: (kv[0][0], kv[0][1].vertices))
-        return out

@@ -168,7 +168,7 @@ def _replacement(module, family, targets):
     """
     members, hom, up_sets = family.objects, family.hom_table(), family.up_sets()
     solves = SourceSolves(module)
-    rows = {t for s in targets for t, _ in hom[s]}
+    rows = {t for s in targets for t in hom[s]}
     reached = set().union(*(up_sets[t] for t in rows))
     compressed = {t: _compressed(solves, members[t]) for t in reached}
     delta = {}
@@ -176,7 +176,7 @@ def _replacement(module, family, targets):
         delta[t] = compressed[t] - sum(delta[u] for u in up_sets[t] if u != t)
     for s in targets:
         h = solves.hom_dim(members[s])
-        total = sum(len(comps) * delta[t] for t, comps in hom[s])
+        total = sum(len(comps) * delta[t] for t, comps in hom[s].items())
         if total != h:
             raise RouteMismatchError(
                 f"replacement gate H.delta = h failed at {members[s]!r}: "

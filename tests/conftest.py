@@ -290,24 +290,36 @@ def tree_poset_quiver():
     )
 
 
-def grid_hard_module(field):
-    """The module of `cl3_m45.mod` on the bottom two rows of the 3x3 grid
-    (bottom row b1..b3 on row 0, top row t1..t3 on row 1), zero on row 2:
-    indecomposable and not an interval module."""
-    dims = {"g01": 1, "g02": 1, "g10": 1, "g11": 2, "g12": 1}
+def grid_hard_module(field, row=0, transpose=False):
+    """The module of `cl3_m45.mod` on rows `row` and `row + 1` of the 3x3
+    grid (bottom row b1..b3 on row `row`, top row t1..t3 on the next), zero
+    elsewhere: indecomposable and not an interval module.  With `transpose`
+    it sits on the same two columns instead, through the symmetry g{i}{j}
+    <-> g{j}{i} of the grid, which swaps h{i}{j} and v{j}{i}."""
+
+    def at(kind, i, j):
+        if transpose:
+            kind, i, j = {"g": "g", "h": "v", "v": "h"}[kind], j, i
+        return f"{kind}{i}{j}"
+
+    bottom, top = row, row + 1
+    dims = {at("g", bottom, 1): 1, at("g", bottom, 2): 1, at("g", top, 0): 1,
+            at("g", top, 1): 2, at("g", top, 2): 1}
     maps = {
-        "h10": [[1], [1]], "h11": [[0, 1]], "h01": [[1]],
-        "v01": [[0], [1]], "v02": [[1]],
+        at("h", top, 0): [[1], [1]], at("h", top, 1): [[0, 1]],
+        at("h", bottom, 1): [[1]],
+        at("v", bottom, 1): [[0], [1]], at("v", bottom, 2): [[1]],
     }
     return PersModule(grid_quiver(), field, dims, maps)
 
 
-def tree_hard_module(field):
+def tree_hard_module(field, slope=1):
     """Three lines in general position in the plane at c: the lines of
-    (1, 0), (0, 1) and (1, 1) as the images of x, y and z, and c -> w the
-    projection to the second coordinate.  Indecomposable and not thin."""
+    (1, 0), (0, 1) and (1, slope), slope != 0, as the images of x, y and z,
+    and c -> w the projection to the second coordinate.  Indecomposable
+    and not thin."""
     dims = {"x": 1, "y": 1, "z": 1, "c": 2, "w": 1}
-    maps = {"p": [[1], [0]], "q": [[0], [1]], "r": [[1], [1]], "s": [[0, 1]]}
+    maps = {"p": [[1], [0]], "q": [[0], [1]], "r": [[1], [slope]], "s": [[0, 1]]}
     return PersModule(tree_poset_quiver(), field, dims, maps)
 
 
@@ -344,5 +356,26 @@ def hard_ladder_module(n, rng, field=QQ, max_summands=3):
             f"v{k + 1}": [[0], [1]], f"v{k + 2}": [[1]]}
     p = PersModule(quiver, field, dims, maps)
     summands, _ = random_interval_sum(quiver, rng, field, max_summands,
+                                      shuffle=False)
+    return shuffle_basis(direct_sum([p, summands]), rng)
+
+
+def hard_poset_module(poset, rng, field=QQ, max_summands=3):
+    """A module on the 3x3 grid (`poset` "grid") or the tree ("tree") that
+    is not interval-decomposable, as `hard_ladder_module` draws on ladders:
+    an indecomposable that is not an interval module plus a random interval
+    sum, under a random change of basis.  On the grid it is P, the summand
+    of `cl3_m45.mod` that is not an interval module, on a random 2x3 window
+    (`grid_hard_module` on rows or columns 0-1 or 1-2); on the tree, three
+    lines at c, the third (1, slope) for a random slope != 0
+    (`tree_hard_module`)."""
+    if poset == "grid":
+        p = grid_hard_module(field, rng.randrange(2), rng.random() < 0.5)
+    else:
+        slope = field.zero()
+        while not slope:
+            slope = rand_scalar(field, rng)
+        p = tree_hard_module(field, slope)
+    summands, _ = random_interval_sum(p.quiver, rng, field, max_summands,
                                       shuffle=False)
     return shuffle_basis(direct_sum([p, summands]), rng)

@@ -49,6 +49,7 @@ from conftest import (
     grid_hard_module,
     grid_quiver,
     hard_ladder_module,
+    hard_poset_module,
     lattice_example,
     load_fixture,
     rand_scalar,
@@ -324,6 +325,30 @@ def test_betti_routes_agree_on_hard_random_ladder_modules(p):
             m = hard_ladder_module(n, rng, field)
             assert not is_interval_decomposable(m, cat=cat)
             assert_routes_agree(m, cat, op_cat)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3], ids=["Q", "GF2", "GF3"])
+def test_hard_random_modules_beyond_ladders(p):
+    """Seeded modules on the 3x3 grid and the tree that are not
+    interval-decomposable (`hard_poset_module`): Betti and co-Betti tables
+    agree across the routes, and `interval_replacement` passes its gate
+    H delta = h, with delta the Euler characteristic of the Betti table."""
+    field = Field.prime(p) if p else QQ
+    rng = random.Random(20261022 + p)
+    for poset, quiver in (("grid", grid_quiver()), ("tree", tree_poset_quiver())):
+        cat = build_end_category(quiver, field=field)
+        op_cat = build_end_category(quiver.opposite(), field=field)
+        for _ in range(4):
+            m = hard_poset_module(poset, rng, field)
+            assert not is_interval_decomposable(m, cat=cat)
+            assert_routes_agree(m, cat, op_cat)
+            chi = Counter()
+            for (degree, interval), mult in betti(m).entries.items():
+                chi[interval] += -mult if degree % 2 else mult
+            delta = interval_replacement(m, cat=cat).delta
+            assert {i: d for i, d in delta.items() if d} == {
+                i: c for i, c in chi.items() if c
+            }
 
 
 def test_structural_invariants_hold(cl3_m45, cl5_m):

@@ -100,7 +100,7 @@ def hom(family, s, t):
     vertices = family.quiver.vertices
     return [
         frozenset(v for i, v in enumerate(vertices) if comp >> i & 1)
-        for comp in dict(family.hom_table()[s]).get(t, ())
+        for comp in family.hom_table()[s].get(t, ())
     ]
 
 
@@ -111,7 +111,7 @@ def compose_coeffs(cat, s, t, u):
     composite of two component indicators is the sum of the good
     components of I_s & I_u contained in both, so every constant is 0 or 1,
     whatever the field.  Read off the hom table's bitmasks."""
-    rows = cat.hom_rows()
+    rows = cat.hom_table()
     target = rows[s].get(u, ())
     return {
         (a, b): [c for c, comp in enumerate(target) if not comp & ~(c1 & c2)]
@@ -176,7 +176,7 @@ def test_end_category_shape():
     for s, i in enumerate(cat.objects):
         for t, j in enumerate(cat.objects):
             assert hom(cat, s, t) == good_components(CL2, i, j)
-            assert len(cat.hom_rows()[s].get(t, ())) == len(hom(cat, s, t))
+            assert len(cat.hom_table()[s].get(t, ())) == len(hom(cat, s, t))
         # the endomorphism space of each interval is one-dimensional
         assert hom(cat, s, s) == [i.vertex_set]
 

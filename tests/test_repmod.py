@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -37,6 +38,7 @@ from conftest import (
     digest,
     grid_hard_module,
     grid_quiver,
+    hard_poset_module,
     lattice_example,
     load_fixture,
     module_data,
@@ -379,12 +381,13 @@ def test_hom_table_is_the_good_components(name, family_builds):
         ]
         table = family.hom_table()
         assert [
-            [(t, vertex_sets(q, comps)) for t, comps in row] for row in table
+            [(t, vertex_sets(q, comps)) for t, comps in row.items()]
+            for row in table
         ] == want
         assert IntervalFamily(q, members, Field.prime(2)).hom_table() == table
         transpose = family.opposite().hom_table()
-        assert [dict(row) for row in transpose] == [
-            {s: dict(row)[t] for s, row in enumerate(table) if t in dict(row)}
+        assert [list(row.items()) for row in transpose] == [
+            [(s, row[t]) for s, row in enumerate(table) if t in row]
             for t in range(len(members))
         ]
         assert family_builds == [("hom", q), ("hom", q)]
@@ -488,9 +491,10 @@ def test_up_sets_are_the_containing_members(name):
 
 def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
     """`enumerate_intervals` returns a fresh list, and a held family's
-    members, positions, table and containment structure cannot be changed,
+    members, positions, tables and containment structure cannot be changed,
     so what one caller does to them leaves the next call's result as it
-    was."""
+    was.  The rows of the hom table, and of the opposite family's
+    transpose, are read-only mappings of tuples."""
     q = cl3_m45.quiver
     first = enumerate_intervals(q)
     want = list(first)
@@ -517,18 +521,24 @@ def test_held_family_and_enumeration_share_no_mutable_state(cl3_m45):
     with pytest.raises(AttributeError):
         up_sets[0].append(0)
     hom = family.hom_table()
-    want_hom = [[(t, list(comps)) for t, comps in row] for row in hom]
+    want_hom = [[(t, list(comps)) for t, comps in row.items()] for row in hom]
     assert family.hom_table() is hom and isinstance(hom, tuple)
-    assert all(isinstance(row, tuple) for row in hom)
-    assert all(
-        isinstance(pair, tuple) and isinstance(pair[1], tuple)
-        for row in hom for pair in row
-    )
-    with pytest.raises(TypeError):
-        hom[0] = ()
-    with pytest.raises(TypeError):
-        hom[0][0][1][0] = 0
-    assert [[(t, list(comps)) for t, comps in row]
+    for rows in (hom, family.opposite().hom_table()):
+        assert isinstance(rows, tuple)
+        assert all(isinstance(row, MappingProxyType) for row in rows)
+        assert all(
+            isinstance(comps, tuple) for row in rows for comps in row.values()
+        )
+        t = next(iter(rows[0]))
+        with pytest.raises(TypeError):
+            rows[0] = ()
+        with pytest.raises(TypeError):
+            rows[0][t] = ()
+        with pytest.raises(TypeError):
+            del rows[0][t]
+        with pytest.raises(TypeError):
+            rows[0][t][0] = 0
+    assert [[(t, list(comps)) for t, comps in row.items()]
             for row in IntervalFamily.of(q, QQ).hom_table()] == want_hom
     assert IntervalFamily.of(q, QQ).irreducible_maps() == tuple(map(tuple, want_table))
     assert list(IntervalFamily.of(q, QQ).objects) == want
@@ -880,3 +890,17 @@ def test_random_commuting_module_digest():
             for _ in range(2):
                 data.append(module_data(random_commuting_module(quiver, rng, field)))
     assert digest(data) == RANDOM_MODULE_DIGEST
+
+
+HARD_POSET_MODULE_DIGESTS = {
+    "grid": "2724e74e682dc70b15f460cd9cfa8894fd403177882cb86280654084f17b3dbc",
+    "tree": "17cad955039c6dc8e413d8cff34dbc8e5e2299e062ab9574f65bd5687f59875b",
+}
+
+
+@pytest.mark.parametrize("poset", sorted(HARD_POSET_MODULE_DIGESTS))
+def test_hard_poset_module_digest(poset):
+    """The generator of hard modules off ladders draws the same modules:
+    its first draw from `Random(22)` over Q on each poset is pinned."""
+    m = hard_poset_module(poset, random.Random(22))
+    assert digest(module_data(m)) == HARD_POSET_MODULE_DIGESTS[poset]

@@ -497,7 +497,7 @@ def test_coresolutions_invert_the_hom_dimension_matrix(quiver):
     the coresolutions that `replacement_at` does not build.  The terms do not
     depend on the field, so GF(2) is the cheapest."""
     family = IntervalFamily(quiver, enumerate_intervals(quiver), Field.prime(2))
-    h = [{t: len(comps) for t, comps in row} for row in family.hom_table()]
+    h = [{t: len(comps) for t, comps in row.items()} for row in family.hom_table()]
     for s, iv in enumerate(family.objects):
         product = Counter()
         for k, c in alternating_multiplicities(family, s).items():
